@@ -43,21 +43,18 @@ def _active_tape():
 class Node:
     """One value in a differentiable computation.
 
-    `parents` are the nodes this value was computed from, `_fw` recomputes
-    the value from parent values (used by tape replay), and `_vjp` maps an
+    `parents` are the nodes this value was computed from, and `_vjp` maps an
     adjoint node to one adjoint contribution per parent. Leaves (inputs and
-    constants) have no parents and no recompute rule.
+    constants) have no parents and no backward rule.
     """
 
-    __slots__ = ("value", "parents", "op", "_fw", "_vjp")
+    __slots__ = ("value", "parents", "op", "_vjp")
     __array_ufunc__ = None  # keep numpy from hijacking reflected operators
 
-    def __init__(self, value: Array, parents: tuple = (), op: str = "const",
-                 fw: Callable | None = None):
+    def __init__(self, value: Array, parents: tuple = (), op: str = "const"):
         self.value = value
         self.parents = parents
         self.op = op
-        self._fw = fw
         self._vjp = None
         tape = _active_tape()
         if tape is not None:
@@ -132,21 +129,6 @@ class Tape:
         _STACK.stack.pop()
         return False
 
-    def replay(self) -> bool:
-        """Recompute every node from its parents; True iff all values match
-        the stored ones bit for bit."""
-        fresh: dict[int, Array] = {}
-        for node in self.nodes:
-            if node._fw is None:
-                fresh[id(node)] = node.value
-                continue
-            parent_vals = [fresh.get(id(p), p.value) for p in node.parents]
-            value = node._fw(*parent_vals)
-            if value.shape != node.value.shape or value.tobytes() != node.value.tobytes():
-                return False
-            fresh[id(node)] = value
-        return True
-
 
 def _as_node(x) -> Node:
     if isinstance(x, Node):
@@ -175,7 +157,7 @@ def _broadcast_shape(op: str, a_shape, b_shape):
 
 def _unbroadcast(g, shape):
     """Sum an adjoint back down to `shape` (inverse of numpy broadcasting)."""
-    g_shape = g.shape if isinstance(g, Node) else g.shape
+    g_shape = g.shape
     if g_shape == shape:
         return g
     extra = len(g_shape) - len(shape)
@@ -196,7 +178,7 @@ def add(a, b):
     if not _any_node(a, b):
         return fw(as_tensor(a), as_tensor(b))
     a, b = _as_node(a), _as_node(b)
-    out = Node(fw(a.value, b.value), (a, b), "add", fw)
+    out = Node(fw(a.value, b.value), (a, b), "add")
     out._vjp = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
     return out
 
@@ -209,7 +191,7 @@ def sub(a, b):
     if not _any_node(a, b):
         return fw(as_tensor(a), as_tensor(b))
     a, b = _as_node(a), _as_node(b)
-    out = Node(fw(a.value, b.value), (a, b), "sub", fw)
+    out = Node(fw(a.value, b.value), (a, b), "sub")
     out._vjp = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(neg(g), b.shape))
     return out
 
@@ -217,7 +199,7 @@ def sub(a, b):
 def neg(x):
     if not isinstance(x, Node):
         return -as_tensor(x)
-    out = Node(-x.value, (x,), "neg", lambda xv: -xv)
+    out = Node(-x.value, (x,), "neg")
     out._vjp = lambda g: (neg(g),)
     return out
 
@@ -230,7 +212,7 @@ def mul(a, b):
     if not _any_node(a, b):
         return fw(as_tensor(a), as_tensor(b))
     a, b = _as_node(a), _as_node(b)
-    out = Node(fw(a.value, b.value), (a, b), "mul", fw)
+    out = Node(fw(a.value, b.value), (a, b), "mul")
     out._vjp = lambda g: (_unbroadcast(mul(g, b), a.shape),
                           _unbroadcast(mul(g, a), b.shape))
     return out
@@ -244,7 +226,7 @@ def reciprocal(x):
 
     if not isinstance(x, Node):
         return fw(as_tensor(x))
-    out = Node(fw(x.value), (x,), "reciprocal", fw)
+    out = Node(fw(x.value), (x,), "reciprocal")
     out._vjp = lambda g: (neg(mul(g, mul(out, out))),)
     return out
 
@@ -264,7 +246,7 @@ def matmul(a, b):
     if not _any_node(a, b):
         return fw(as_tensor(a), as_tensor(b))
     a, b = _as_node(a), _as_node(b)
-    out = Node(fw(a.value, b.value), (a, b), "matmul", fw)
+    out = Node(fw(a.value, b.value), (a, b), "matmul")
     na, nb = a.ndim, b.ndim
 
     def vjp(g):
@@ -294,7 +276,7 @@ def exp(x):
 
     if not isinstance(x, Node):
         return fw(as_tensor(x))
-    out = Node(fw(x.value), (x,), "exp", fw)
+    out = Node(fw(x.value), (x,), "exp")
     out._vjp = lambda g: (mul(g, out),)
     return out
 
@@ -307,7 +289,7 @@ def log(x):
 
     if not isinstance(x, Node):
         return fw(as_tensor(x))
-    out = Node(fw(x.value), (x,), "log", fw)
+    out = Node(fw(x.value), (x,), "log")
     out._vjp = lambda g: (mul(g, reciprocal(x)),)
     return out
 
@@ -324,7 +306,7 @@ def _sigmoid_fw(xv):
 def sigmoid(x):
     if not isinstance(x, Node):
         return _sigmoid_fw(as_tensor(x))
-    out = Node(_sigmoid_fw(x.value), (x,), "sigmoid", _sigmoid_fw)
+    out = Node(_sigmoid_fw(x.value), (x,), "sigmoid")
     out._vjp = lambda g: (mul(g, mul(out, sub(1.0, out))),)
     return out
 
@@ -332,7 +314,7 @@ def sigmoid(x):
 def tanh(x):
     if not isinstance(x, Node):
         return np.tanh(as_tensor(x))
-    out = Node(np.tanh(x.value), (x,), "tanh", np.tanh)
+    out = Node(np.tanh(x.value), (x,), "tanh")
     out._vjp = lambda g: (mul(g, sub(1.0, mul(out, out))),)
     return out
 
@@ -343,7 +325,7 @@ def softplus(x):
 
     if not isinstance(x, Node):
         return fw(as_tensor(x))
-    out = Node(fw(x.value), (x,), "softplus", fw)
+    out = Node(fw(x.value), (x,), "softplus")
     out._vjp = lambda g: (mul(g, sigmoid(x)),)
     return out
 
@@ -354,7 +336,7 @@ def relu(x):
 
     if not isinstance(x, Node):
         return fw(as_tensor(x))
-    out = Node(fw(x.value), (x,), "relu", fw)
+    out = Node(fw(x.value), (x,), "relu")
     # Mask frozen at forward time; the subgradient at exactly 0 is 0, and the
     # mask contributes no second derivative.
     mask = (x.value > 0.0).astype(np.float64)
@@ -381,7 +363,7 @@ def sum(x, axis=None, keepdims=False):  # noqa: A001 - numpy-style name on purpo
 
     if not isinstance(x, Node):
         return fw(xv)
-    out = Node(fw(x.value), (x,), "sum", fw)
+    out = Node(fw(x.value), (x,), "sum")
     src_shape = x.shape
     out._vjp = lambda g: (broadcast_to(reshape(g, kd_shape), src_shape),)
     return out
@@ -412,7 +394,7 @@ def reshape(x, shape):
         return fw(as_tensor(x))
     if x.shape == shape:
         return x
-    out = Node(fw(x.value), (x,), "reshape", fw)
+    out = Node(fw(x.value), (x,), "reshape")
     src_shape = x.shape
     out._vjp = lambda g: (reshape(g, src_shape),)
     return out
@@ -424,7 +406,7 @@ def transpose(x, axes=None):
 
     if not isinstance(x, Node):
         return fw(as_tensor(x))
-    out = Node(fw(x.value), (x,), "transpose", fw)
+    out = Node(fw(x.value), (x,), "transpose")
     inv = None if axes is None else tuple(np.argsort(axes))
     out._vjp = lambda g: (transpose(g, inv),)
     return out
@@ -441,7 +423,7 @@ def broadcast_to(x, shape):
         return fw(as_tensor(x))
     if x.shape == shape:
         return x
-    out = Node(fw(x.value), (x,), "broadcast_to", fw)
+    out = Node(fw(x.value), (x,), "broadcast_to")
     src_shape = x.shape
     out._vjp = lambda g: (_unbroadcast(g, src_shape),)
     return out
@@ -459,7 +441,7 @@ def gather(x, indices):
 
     if not isinstance(x, Node):
         return fw(xv)
-    out = Node(fw(x.value), (x,), "gather", fw)
+    out = Node(fw(x.value), (x,), "gather")
     src_shape = x.shape
     out._vjp = lambda g: (reshape(scatter_add(g, idx, size), src_shape),)
     return out
@@ -479,7 +461,7 @@ def scatter_add(src, indices, size):
 
     if not isinstance(src, Node):
         return fw(as_tensor(src))
-    out = Node(fw(src.value), (src,), "scatter_add", fw)
+    out = Node(fw(src.value), (src,), "scatter_add")
     out._vjp = lambda g: (gather(g, idx),)
     return out
 
@@ -487,42 +469,6 @@ def scatter_add(src, indices, size):
 def index(x, i):
     """Scalar element x.flat[i]."""
     return gather(x, np.asarray(int(i), dtype=np.int64))
-
-
-def pad2d(x, pads):
-    pt, pb, pl, pr = (int(p) for p in pads)
-    if min(pt, pb, pl, pr) < 0:
-        raise ValueError("pad2d: negative padding")
-
-    def fw(xv):
-        if xv.ndim != 3:
-            raise ValueError(f"pad2d: expected a (channels, h, w) array, got shape {xv.shape}")
-        return np.pad(xv, ((0, 0), (pt, pb), (pl, pr)))
-
-    if not isinstance(x, Node):
-        return fw(as_tensor(x))
-    out = Node(fw(x.value), (x,), "pad2d", fw)
-    _, h, w = x.shape
-    out._vjp = lambda g: (slice2d(g, pt, h, pl, w),)
-    return out
-
-
-def slice2d(x, row0, height, col0, width):
-    row0, height, col0, width = int(row0), int(height), int(col0), int(width)
-
-    def fw(xv):
-        if xv.ndim != 3:
-            raise ValueError(f"slice2d: expected a (channels, h, w) array, got shape {xv.shape}")
-        if row0 < 0 or col0 < 0 or row0 + height > xv.shape[1] or col0 + width > xv.shape[2]:
-            raise ValueError(f"slice2d: window out of bounds for shape {xv.shape}")
-        return np.ascontiguousarray(xv[:, row0:row0 + height, col0:col0 + width])
-
-    if not isinstance(x, Node):
-        return fw(as_tensor(x))
-    out = Node(fw(x.value), (x,), "slice2d", fw)
-    _, h, w = x.shape
-    out._vjp = lambda g: (pad2d(g, (row0, h - row0 - height, col0, w - col0 - width)),)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -549,54 +495,6 @@ def logsumexp(x):
         raise ValueError(f"logsumexp: expected a 1-D vector, got shape {xv.shape}")
     m = float(xv.max())
     return add(log(sum(exp(sub(x, m)))), m)
-
-
-def global_avg_pool(x):
-    """Mean over the two trailing spatial axes of a (channels, h, w) array."""
-    xv = _value(x)
-    if xv.ndim != 3:
-        raise ValueError(f"global_avg_pool: expected (channels, h, w), got shape {xv.shape}")
-    return mean(x, axis=(1, 2))
-
-
-def _conv_indices(cin, hp, wp, kh, kw):
-    ho, wo = hp - kh + 1, wp - kw + 1
-    pos_r = np.arange(ho)[:, None, None, None, None]
-    pos_c = np.arange(wo)[None, :, None, None, None]
-    ch = np.arange(cin)[None, None, :, None, None]
-    off_r = np.arange(kh)[None, None, None, :, None]
-    off_c = np.arange(kw)[None, None, None, None, :]
-    flat = ch * (hp * wp) + (pos_r + off_r) * wp + (pos_c + off_c)
-    return flat.reshape(ho * wo, cin * kh * kw), ho, wo
-
-
-def conv2d(x, w, padding="valid"):
-    """2-D convolution (cross-correlation), stride 1.
-
-    x: (in_channels, h, w); w: (out_channels, in_channels, kh, kw).
-    padding 'valid' shrinks the output, 'same' zero-pads to keep h and w.
-    """
-    xv, wv = _value(x), _value(w)
-    if xv.ndim != 3 or wv.ndim != 4:
-        raise ValueError(f"conv2d: expected (cin, h, w) and (cout, cin, kh, kw), "
-                         f"got {xv.shape} and {wv.shape}")
-    cin, h, width = xv.shape
-    cout, cin_w, kh, kw = wv.shape
-    if cin != cin_w:
-        raise ValueError(f"conv2d: input has {cin} channels but kernel expects {cin_w}")
-    if padding == "same":
-        pt, pl = (kh - 1) // 2, (kw - 1) // 2
-        x = pad2d(x, (pt, kh - 1 - pt, pl, kw - 1 - pl))
-        h, width = h + kh - 1, width + kw - 1
-    elif padding != "valid":
-        raise ValueError(f"conv2d: unknown padding {padding!r}")
-    if kh > h or kw > width:
-        raise ValueError(f"conv2d: kernel {kh}x{kw} larger than padded input {h}x{width}")
-    idx, ho, wo = _conv_indices(cin, h, width, kh, kw)
-    cols = gather(x, idx)                       # (ho*wo, cin*kh*kw)
-    wmat = reshape(w, (cout, cin * kh * kw))
-    out = matmul(cols, transpose(wmat))         # (ho*wo, cout)
-    return reshape(transpose(out), (cout, ho, wo))
 
 
 # ---------------------------------------------------------------------------
@@ -698,20 +596,3 @@ def hvp(tape: Tape, output, wrt, v) -> Array:
         s = sum(mul(g, v))
         h = grad_node(s, wrt_node)
     return h.value
-
-
-def finite_diff_gradient(f: Callable, x, h) -> Array:
-    """Central-difference gradient of a scalar function; the test oracle.
-
-    `h` may be a scalar or a per-coordinate array of step sizes.
-    """
-    x = as_tensor(x)
-    steps = np.broadcast_to(as_tensor(h), x.shape)
-    g = np.empty_like(x)
-    for i in np.ndindex(x.shape):
-        xp = x.copy()
-        xp[i] += steps[i]
-        xm = x.copy()
-        xm[i] -= steps[i]
-        g[i] = (float(f(xp)) - float(f(xm))) / (2.0 * steps[i])
-    return g

@@ -3,15 +3,12 @@ the verification suites.
 
 All outputs are byte-deterministic for fixed inputs and seeds: reports carry
 no timestamps, and every random draw is derived from explicit seed flags.
-The CRG_THREADS environment variable caps per-image parallelism in
-`evaluate` (default 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -36,19 +33,6 @@ def _emit_report(report: dict, path) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
-
-
-def _thread_count(parser: argparse.ArgumentParser) -> int:
-    raw = os.environ.get("CRG_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        parser.error(f"CRG_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        parser.error(f"CRG_THREADS must be >= 1, got {value}")
-    return value
 
 
 def _resolve_method(parser: argparse.ArgumentParser, args):
@@ -117,8 +101,7 @@ def _cmd_evaluate(parser: argparse.ArgumentParser, args) -> int:
                         in_shape=images[0].pixels.shape)
     spec = UtilitySpec(args.target_class, args.utility)
     method = _resolve_method(parser, args)
-    record = evaluate_batch(model, images, spec, method,
-                            threads=_thread_count(parser))
+    record = evaluate_batch(model, images, spec, method)
 
     report = record.to_report()
     _emit_report(report, args.report)

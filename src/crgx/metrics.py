@@ -8,7 +8,6 @@ heatmap with the one recomputed on the explanation-masked image.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -200,7 +199,7 @@ def _target_score(model: ToyModel, pixels: np.ndarray, target_class: int) -> flo
 
 
 def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
-                   method: HeatmapSource, threads: int = 1) -> MetricRecord:
+                   method: HeatmapSource) -> MetricRecord:
     """Run the full per-image protocol and aggregate.
 
     Per image: heatmap -> normalize -> upsample -> explanation and
@@ -209,8 +208,6 @@ def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
     forward pass fails are skipped and counted."""
     if len(images) == 0:
         raise ValueError("need at least one image")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     if not 0 <= spec.target_class < model.num_classes:
         raise ValueError(f"target_class {spec.target_class} out of range for "
                          f"{model.num_classes} classes")
@@ -238,11 +235,7 @@ def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
                 1.0 if y < o else 0.0,
                 max(0.0, y - d) / y)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, range(len(planes))))
-    else:
-        results = [run_one(i) for i in range(len(planes))]
+    results = [run_one(i) for i in range(len(planes))]
 
     kept = [r for r in results if r is not None]
     n_failed = len(results) - len(kept)

@@ -39,9 +39,9 @@ class UtilitySpec:
 
 def utility_node(logits, spec: UtilitySpec):
     """Utility as a node graph (or a raw scalar array if `logits` is one)."""
-    n = logits.shape[0] if logits.ndim == 1 else -1
     if logits.ndim != 1:
         raise ValueError(f"utility: logits must be 1-D, got shape {logits.shape}")
+    n = logits.shape[0]
     if spec.target_class >= n:
         raise ValueError(f"target_class {spec.target_class} out of range "
                          f"for {n} classes")

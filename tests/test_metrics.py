@@ -208,10 +208,7 @@ def test_batch_is_deterministic_and_thread_invariant():
     spec = UtilitySpec(1, "rest")
     a = evaluate_batch(model, images, spec, CamMethod("randomcam", seed=5))
     b = evaluate_batch(model, images, spec, CamMethod("randomcam", seed=5))
-    threaded = evaluate_batch(model, images, spec, CamMethod("randomcam", seed=5),
-                              threads=3)
     assert a == b
-    assert a == threaded
     assert json.dumps(a.to_report(), sort_keys=True) == json.dumps(b.to_report(), sort_keys=True)
 
 
@@ -231,6 +228,3 @@ def test_batch_input_validation():
         evaluate_batch(model, [], UtilitySpec(0, "rest"), "gradcam")
     with pytest.raises(ValueError, match="out of range"):
         evaluate_batch(model, make_images(1), UtilitySpec(7, "rest"), "gradcam")
-    with pytest.raises(ValueError, match="threads"):
-        evaluate_batch(model, make_images(1), UtilitySpec(0, "rest"), "gradcam",
-                       threads=0)

@@ -48,6 +48,24 @@ def test_cnn_valid_conv_spatial_size():
     assert run.activations.maps.shape == (4, 48)
 
 
+@pytest.mark.parametrize("arch", ["cnn-relu", "cnn-smooth"])
+@pytest.mark.parametrize("shape", [(3, 6, 6), (1, 6, 6), (3, 7, 5)])
+def test_tap_stack_matches_loop_convolution(arch, shape):
+    m = zoo.build_model(arch, 3, 4, in_shape=shape)
+    x = np.random.default_rng(11).uniform(-1.0, 1.0, shape)
+    w, b = m.weights["conv_w"], m.weights["conv_b"]
+    cout, cin, kh, kw = w.shape
+    ho, wo = shape[1] - kh + 1, shape[2] - kw + 1
+    z = np.empty((cout, ho, wo))
+    for o in range(cout):
+        for r in range(ho):
+            for c in range(wo):
+                z[o, r, c] = b[o] + sum(w[o, i, u, v] * x[i, r + u, c + v]
+                                        for i in range(cin) for u in range(kh) for v in range(kw))
+    act = np.maximum(z, 0.0) if arch == "cnn-relu" else z / (1.0 + np.exp(-z))
+    np.testing.assert_allclose(m._tap_stack(x), act.reshape(cout, -1), rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("arch", zoo.ARCHS)
 def test_forward_matches_tap_path_bitwise(arch):
     m = zoo.build_model(arch, 4, 9)
@@ -146,6 +164,19 @@ def test_truncated_payload_names_last_tensor():
     blob = zoo.save_weights(zoo.build_model("cnn-relu", 3, 0)).to_bytes()
     with pytest.raises(ValueError, match="fc_b"):
         zoo.WeightManifest.from_bytes(blob[:-8])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda header: header["tensors"][0].pop("shape"),
+    lambda header: header["tensors"][0].pop("offset"),
+    lambda header: header.update(tensors=5),
+    lambda header: header.update(tensors=[1]),
+], ids=["no-shape", "no-offset", "tensors-not-list", "entry-not-object"])
+def test_malformed_header_raises_value_error(edit):
+    manifest = zoo.save_weights(zoo.build_model("cnn-relu", 3, 0))
+    edit(manifest.header)
+    with pytest.raises(ValueError):
+        zoo.WeightManifest.from_bytes(manifest.to_bytes())
 
 
 def test_truncated_header_rejected_with_offset():
