@@ -15,10 +15,19 @@ from typing import Callable
 
 import numpy as np
 
-from .utility import UtilitySpec, compute_utility
+from .utility import UtilitySpec, compute_utility, compute_utility_batch
 from .zoo import ActivationStack, ToyModel
 
 _ENUM_LIMIT = 20
+# Array cells one batched numpy call works on: SpatialGame evaluates
+# rows x n_maps x d masked activations at a time, utility_table builds
+# coalitions x d membership flags, and shapley_mc builds permutations x d x d
+# prefix flags.
+_BATCH_CELLS = 1 << 16
+
+
+def _chunk_rows(cells_per_row: int) -> int:
+    return max(1, _BATCH_CELLS // cells_per_row)
 
 
 @dataclass(frozen=True)
@@ -34,43 +43,50 @@ class ShapleyVector:
 class CooperativeGame:
     """d players and a utility over coalitions.
 
-    The callback receives a boolean membership array of length d and must be
-    a deterministic, side-effect-free function of it. U(empty) and U(full)
-    are evaluated once at construction.
+    A coalition is a boolean membership array of length d; `utility_batch`
+    evaluates an (n, d) array of them in one call. A plain game wraps a
+    scalar callback, called once per row: it receives one membership array
+    and must be a deterministic, side-effect-free function of it.
+    Subclasses replace that loop with a batched kernel (`SpatialGame` runs
+    the model head on chunks of masked stacks, table games index the
+    table; they pass None for the callback). U(empty) and U(full) are
+    evaluated once at construction.
     """
 
-    def __init__(self, d: int, utility: Callable[[np.ndarray], float]):
+    _table: np.ndarray | None = None
+
+    def __init__(self, d: int, utility: Callable[[np.ndarray], float] | None):
         if d < 1:
             raise ValueError(f"a game needs at least one player, got d={d}")
         if d > 63:
             raise ValueError(f"coalitions are 64-bit masks; d={d} does not fit")
         self.d = int(d)
         self._utility = utility
-        self.u_empty = float(utility(np.zeros(d, dtype=bool)))
-        self.u_full = float(utility(np.ones(d, dtype=bool)))
-        self._table: np.ndarray | None = None
+        ends = self.utility_batch(np.array([[False] * self.d, [True] * self.d]))
+        self.u_empty, self.u_full = float(ends[0]), float(ends[1])
 
     @classmethod
     def from_table(cls, table: np.ndarray) -> "CooperativeGame":
         """Game backed by a dense utility table indexed by coalition mask."""
-        table = np.asarray(table, dtype=np.float64)
-        d = int(table.size).bit_length() - 1
-        if table.size != 1 << d:
-            raise ValueError(f"table size {table.size} is not a power of two")
-        powers = 1 << np.arange(d, dtype=np.int64)
-
-        def utility(mask: np.ndarray) -> float:
-            return float(table[int(np.dot(mask.astype(np.int64), powers))])
-
-        game = cls(d, utility)
-        game._table = table.copy()
-        return game
+        return _TableGame(table)
 
     def utility(self, mask: np.ndarray) -> float:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self.d,):
             raise ValueError(f"coalition mask must have shape ({self.d},), got {mask.shape}")
-        return float(self._utility(mask))
+        return float(self._rows(mask[None])[0])
+
+    def utility_batch(self, masks: np.ndarray) -> np.ndarray:
+        """Utilities of the n coalitions in an (n, d) membership array."""
+        masks = np.asarray(masks, dtype=bool)
+        if masks.ndim != 2 or masks.shape[1] != self.d:
+            raise ValueError(f"coalition masks must have shape (n, {self.d}), "
+                             f"got {masks.shape}")
+        return self._rows(masks)
+
+    def _rows(self, masks: np.ndarray) -> np.ndarray:
+        """Utilities of a checked (n, d) bool array, one callback per row."""
+        return np.array([float(self._utility(row)) for row in masks], dtype=np.float64)
 
     def utility_table(self) -> np.ndarray:
         """All 2^d utilities, indexed by bitmask. Cached after the first call."""
@@ -80,13 +96,32 @@ class CooperativeGame:
             raise ValueError(f"enumerating 2^{self.d} coalitions is over the "
                              f"d={_ENUM_LIMIT} limit")
         n = 1 << self.d
-        masks = np.arange(n, dtype=np.int64)
-        members = ((masks[:, None] >> np.arange(self.d)) & 1).astype(bool)
+        powers = 1 << np.arange(self.d, dtype=np.int64)
+        step = _chunk_rows(self.d)
         table = np.empty(n, dtype=np.float64)
-        for m in range(n):
-            table[m] = self._utility(members[m])
+        for lo in range(0, n, step):
+            coalitions = np.arange(lo, min(lo + step, n), dtype=np.int64)
+            table[lo:lo + len(coalitions)] = self._rows((coalitions[:, None] & powers) != 0)
         self._table = table
         return table
+
+
+class _TableGame(CooperativeGame):
+    """Game whose utility is a dense table indexed by coalition bitmask."""
+
+    def __init__(self, table: np.ndarray):
+        table = np.array(table, dtype=np.float64)
+        if table.ndim != 1:
+            raise ValueError(f"utility table must be 1-D, got shape {table.shape}")
+        d = int(table.size).bit_length() - 1
+        if table.size != 1 << d:
+            raise ValueError(f"table size {table.size} is not a power of two")
+        self._table = table
+        self._powers = 1 << np.arange(d, dtype=np.int64)
+        super().__init__(d, None)
+
+    def _rows(self, masks: np.ndarray) -> np.ndarray:
+        return self._table[masks @ self._powers]
 
 
 def _coalition_weights(d: int) -> np.ndarray:
@@ -126,28 +161,31 @@ def shapley_mc(game: CooperativeGame, samples: int, seed: int) -> ShapleyVector:
     """Monte Carlo Shapley estimate from uniform permutations with replacement.
 
     Permutation i draws from its own generator seeded by (seed, i), so the
-    estimate depends only on (seed, samples), not on execution order.
-    Standard errors are per-player sample standard deviations over sqrt(n)
-    (zero when n == 1).
+    estimate depends only on (seed, samples), not on execution order. The d
+    prefix coalitions of a block of permutations go through one
+    `utility_batch` call; each permutation's marginals are then added in
+    permutation order, so the result is bit-identical to walking the
+    permutations one coalition at a time. Standard errors are per-player
+    sample standard deviations over sqrt(n) (zero when n == 1).
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     d = game.d
     sums = np.zeros(d)
     sumsq = np.zeros(d)
-    mask = np.zeros(d, dtype=bool)
-    for i in range(samples):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        perm = rng.permutation(d)
-        mask[:] = False
-        prev = game.u_empty
-        for j in perm:
-            mask[j] = True
-            u = float(game._utility(mask.copy()))
-            delta = u - prev
-            prev = u
-            sums[j] += delta
-            sumsq[j] += delta * delta
+    steps = np.arange(1, d + 1)
+    block = _chunk_rows(d * d)
+    for lo in range(0, samples, block):
+        seeds = (np.random.SeedSequence((seed, i)) for i in range(lo, min(lo + block, samples)))
+        perms = np.array([np.random.default_rng(s).permutation(d) for s in seeds])
+        # prefix k of a permutation holds the players it ranks below k
+        prefixes = np.argsort(perms, axis=1)[:, None, :] < steps[:, None]
+        u = game.utility_batch(prefixes.reshape(-1, d)).reshape(len(perms), d)
+        deltas = np.empty_like(u)
+        np.put_along_axis(deltas, perms, np.diff(u, axis=1, prepend=game.u_empty), axis=1)
+        for delta in deltas:
+            sums += delta
+            sumsq += delta * delta
     values = sums / samples
     if samples > 1:
         var = np.maximum(sumsq - samples * values * values, 0.0) / (samples - 1)
@@ -200,26 +238,36 @@ class SpatialGame(CooperativeGame):
 
     Player j covers position j in every map; absent players are zeroed
     (the ablation baseline). U(S) re-runs the head on the masked stack.
+    Every coalition, a single one included, goes through one batched
+    kernel, `ToyModel.head_batch` then `compute_utility_batch`, on chunks
+    of at most _BATCH_CELLS masked activations. Its rows are bit-identical
+    to `compute_utility(model.head(maps * mask), spec)`.
     """
 
     def __init__(self, model: ToyModel, image: np.ndarray, spec: UtilitySpec,
                  tap: str = "auto"):
         run = model.forward_with_tap(image, tap=tap)
-        maps = run.activations.maps
-
-        def masked_utility(mask: np.ndarray) -> float:
-            return compute_utility(model.head(maps * mask), spec)
-
-        super().__init__(d=maps.shape[1], utility=masked_utility)
         self.model = model
         self.spec = spec
         self.run = run
+        self._maps = run.activations.maps
+        self._chunk = _chunk_rows(self._maps.size)
+        super().__init__(self._maps.shape[1], None)
         direct = compute_utility(run.logits, spec)
-        # Multiplying by an all-ones mask is exact, and both routes execute
-        # the same arithmetic, so anything but equality means a defect.
+        # Multiplying by an all-ones mask is exact, and the batched kernel
+        # runs the forward pass's arithmetic row by row, so anything but
+        # equality means a defect.
         if self.u_full != direct:
             raise RuntimeError(f"unmasked spatial utility {self.u_full!r} does not "
                                f"reproduce the forward pass value {direct!r}")
+
+    def _rows(self, masks: np.ndarray) -> np.ndarray:
+        out = np.empty(len(masks), dtype=np.float64)
+        for lo in range(0, len(masks), self._chunk):
+            part = masks[lo:lo + self._chunk]
+            logits = self.model.head_batch(self._maps * part[:, None, :])
+            out[lo:lo + len(part)] = compute_utility_batch(logits, self.spec)
+        return out
 
 
 def make_spatial_game(model: ToyModel, image: np.ndarray, spec: UtilitySpec,

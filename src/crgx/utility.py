@@ -60,3 +60,30 @@ def compute_utility(logits, spec: UtilitySpec) -> float:
     """Scalar utility of a plain logits vector."""
     value = utility_node(ad.as_tensor(logits), spec)
     return float(value)
+
+
+def compute_utility_batch(logits, spec: UtilitySpec) -> np.ndarray:
+    """Utilities of n logit rows, (n, K) -> (n,).
+
+    Plain numpy in the op order of `utility_node` (max shift, exp, row sum,
+    log, add the max back), so row i is bit-identical to
+    `compute_utility(logits[i], spec)`.
+    """
+    logits = ad.as_tensor(logits)
+    if logits.ndim != 2:
+        raise ValueError(f"utility: logits must be 2-D (rows x classes), got {logits.shape}")
+    c = spec.target_class
+    if c >= logits.shape[1]:
+        raise ValueError(f"target_class {c} out of range for {logits.shape[1]} classes")
+    y = logits[:, c]
+    if spec.kind == "pre-softmax":
+        return y.copy()
+    m = np.max(logits, axis=1)
+    e = np.exp(logits - m[:, None])
+    total = np.sum(e, axis=1)
+    if spec.kind == "post-softmax":
+        return e[:, c] * (1.0 / total)
+    lse = np.log(total) + m
+    if spec.kind == "log-softmax":
+        return y - lse
+    return 2.0 * y - lse

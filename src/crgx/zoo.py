@@ -134,6 +134,28 @@ class ToyModel:
         flat = ad.reshape(x, (self.weights["fc2_w"].shape[1],))
         return ad.add(ad.matmul(self.weights["fc2_w"], flat), self.weights["fc2_b"])
 
+    def head_batch(self, stacks: np.ndarray) -> np.ndarray:
+        """Logits of n tap stacks, (n, n_maps, d) -> (n, num_classes).
+
+        Row i is bit-identical to `head(stacks[i])`: the pooling sums each
+        contiguous row the same way, and the stacked matmul runs the same
+        matrix-vector product per row (a single `pooled @ w.T` GEMM would
+        not be bit-equal).
+        """
+        stacks = np.asarray(stacks, dtype=np.float64)
+        h, w = self.tap_spatial()
+        n_maps = _MLP_MAPS if self.arch == "mlp-smooth" else _CONV_CHANNELS
+        if stacks.ndim != 3 or stacks.shape[1:] != (n_maps, h * w):
+            raise ValueError(f"head_batch: expected (n, {n_maps}, {h * w}) stacks, "
+                             f"got {stacks.shape}")
+        if self.arch in ("cnn-relu", "cnn-smooth"):
+            pooled = np.sum(stacks, axis=2) * (1.0 / stacks.shape[2])
+            w_out, b_out = self.weights["fc_w"], self.weights["fc_b"]
+        else:
+            pooled = stacks.reshape(len(stacks), -1)
+            w_out, b_out = self.weights["fc2_w"], self.weights["fc2_b"]
+        return np.matmul(w_out, pooled[:, :, None])[..., 0] + b_out
+
     def tap_spatial(self) -> tuple[int, int]:
         if self.arch in ("cnn-relu", "cnn-smooth"):
             _, h, w = self.in_shape
@@ -162,6 +184,17 @@ class ToyModel:
         return TapRun(logits=logits.value, activations=activations, tape=tape)
 
 
+def _checked_specs(arch: str, num_classes: int, in_shape: tuple[int, ...]):
+    """`_tensor_specs` of a configuration `build_model` accepts."""
+    if num_classes < 2:
+        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    if len(in_shape) != 3 or in_shape[0] not in (1, 3):
+        raise ValueError(f"in_shape must be (channels in {{1,3}}, h, w), got {in_shape}")
+    if arch in ("cnn-relu", "cnn-smooth") and (in_shape[1] < _KERNEL or in_shape[2] < _KERNEL):
+        raise ValueError(f"{arch} needs at least a {_KERNEL}x{_KERNEL} input, got {in_shape}")
+    return _tensor_specs(arch, num_classes, in_shape)
+
+
 def build_model(arch: str, num_classes: int, seed: int,
                 in_shape: tuple[int, int, int] = (3, 6, 6)) -> ToyModel:
     """Construct a model with seeded uniform weights.
@@ -170,14 +203,8 @@ def build_model(arch: str, num_classes: int, seed: int,
     generator in a fixed order, so identical (arch, num_classes, seed,
     in_shape) always yields bit-identical weights.
     """
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
     in_shape = tuple(int(v) for v in in_shape)
-    if len(in_shape) != 3 or in_shape[0] not in (1, 3):
-        raise ValueError(f"in_shape must be (channels in {{1,3}}, h, w), got {in_shape}")
-    if arch in ("cnn-relu", "cnn-smooth") and (in_shape[1] < _KERNEL or in_shape[2] < _KERNEL):
-        raise ValueError(f"{arch} needs at least a {_KERNEL}x{_KERNEL} input, got {in_shape}")
-    specs = _tensor_specs(arch, num_classes, in_shape)
+    specs = _checked_specs(arch, num_classes, in_shape)
     rng = np.random.default_rng(seed)
     weights = {name: _init_tensor(rng, shape, fan_in) for name, shape, fan_in in specs}
     return ToyModel(arch=arch, num_classes=num_classes, seed=seed,
@@ -210,7 +237,7 @@ class WeightManifest:
                              f"header claims {head_len} bytes")
         try:
             header = json.loads(blob[4:4 + head_len].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"malformed weight header: {exc}") from None
         payload = blob[4 + head_len:]
         if not isinstance(header, dict):
@@ -269,12 +296,19 @@ def save_weights(model: ToyModel) -> WeightManifest:
 
 def load_weights(manifest: WeightManifest) -> ToyModel:
     header = manifest.header
-    arch = header["arch"]
-    num_classes = int(header["num_classes"])
-    in_shape = tuple(int(v) for v in header["in_shape"])
-    specs = _tensor_specs(arch, num_classes, in_shape)
+    arch, num_classes, seed, in_shape = (header.get(key) for key in
+                                         ("arch", "num_classes", "seed", "in_shape"))
+    if not (isinstance(arch, str) and isinstance(num_classes, int) and isinstance(seed, int)
+            and isinstance(in_shape, list) and all(isinstance(v, int) for v in in_shape)):
+        raise ValueError("malformed weight header: needs a string 'arch', integer "
+                         "'num_classes' and 'seed', and an integer list 'in_shape'")
+    in_shape = tuple(in_shape)
+    specs = _checked_specs(arch, num_classes, in_shape)
     expected = {name: shape for name, shape, _ in specs}
-    by_name = {entry["name"]: entry for entry in header["tensors"]}
+    names = [entry.get("name") for entry in header["tensors"]]
+    if not all(isinstance(name, str) for name in names) or len(set(names)) != len(names):
+        raise ValueError("malformed weight header: every tensor needs a unique string 'name'")
+    by_name = dict(zip(names, header["tensors"]))
     if set(by_name) != set(expected):
         missing = sorted(set(expected) - set(by_name)) + sorted(set(by_name) - set(expected))
         raise ValueError(f"weight header tensor set does not match {arch}: {missing}")
@@ -287,8 +321,10 @@ def load_weights(manifest: WeightManifest) -> ToyModel:
         count = int(np.prod(shape, dtype=np.int64))
         start = entry["offset"]
         flat = np.frombuffer(manifest.payload, dtype="<f8", count=count, offset=start)
+        if not np.all(np.isfinite(flat)):
+            raise ValueError(f"tensor {name!r}: non-finite weights")
         weights[name] = flat.astype(np.float64).reshape(shape)
-    return ToyModel(arch=arch, num_classes=num_classes, seed=int(header["seed"]),
+    return ToyModel(arch=arch, num_classes=num_classes, seed=seed,
                     in_shape=in_shape, weights=weights)
 
 

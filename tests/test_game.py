@@ -1,12 +1,15 @@
 """Game core: exact enumeration vs closed forms, MC convergence, axioms,
 spatial games over model taps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from crgx import autodiff as ad
 from crgx import game, zoo
-from crgx.utility import UtilitySpec, utility_node
+from crgx.utility import (UTILITY_KINDS, UtilitySpec, compute_utility,
+                          compute_utility_batch, utility_node)
 
 
 def rel_gap(approx, exact):
@@ -63,6 +66,60 @@ def test_mc_converges_within_four_stderr(seed):
     exact = game.shapley_exact(g).values
     sv = game.shapley_mc(g, samples=20000, seed=seed)
     assert np.all(np.abs(sv.values - exact) <= 4.0 * sv.stderr + 1e-12)
+
+
+def scalar_mc(utility, d, u_empty, samples, seed):
+    """Reference estimator: one permutation and one coalition at a time."""
+    sums = np.zeros(d)
+    sumsq = np.zeros(d)
+    mask = np.zeros(d, dtype=bool)
+    for i in range(samples):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        perm = rng.permutation(d)
+        mask[:] = False
+        prev = u_empty
+        for j in perm:
+            mask[j] = True
+            u = float(utility(mask.copy()))
+            delta = u - prev
+            prev = u
+            sums[j] += delta
+            sumsq[j] += delta * delta
+    values = sums / samples
+    if samples > 1:
+        var = np.maximum(sumsq - samples * values * values, 0.0) / (samples - 1)
+        stderr = np.sqrt(var / samples)
+    else:
+        stderr = np.zeros(d)
+    return values, stderr
+
+
+def spatial_mc_case():
+    model = zoo.build_model("cnn-smooth", 3, 2, in_shape=(3, 5, 5))
+    image = np.random.default_rng(52).uniform(0.0, 1.0, (3, 5, 5))
+    spec = UtilitySpec(2, "rest")
+    sg = game.make_spatial_game(model, image, spec)
+    maps = sg.run.activations.maps
+    return sg, lambda mask: compute_utility(model.head(maps * mask), spec)
+
+
+def table_mc_case():
+    table = np.random.default_rng(6).normal(size=1 << 6)
+    powers = 1 << np.arange(6, dtype=np.int64)
+    return (game.CooperativeGame.from_table(table),
+            lambda mask: float(table[int(np.dot(mask.astype(np.int64), powers))]))
+
+
+@pytest.mark.parametrize("case", [spatial_mc_case, table_mc_case],
+                         ids=["spatial-d9", "table-d6"])
+def test_mc_is_bit_identical_to_scalar_oracle(case):
+    g, utility = case()
+    block = game._chunk_rows(g.d * g.d)
+    for samples in (1, block - 1, block, block + 1):
+        sv = game.shapley_mc(g, samples, seed=21)
+        values, stderr = scalar_mc(utility, g.d, g.u_empty, samples, seed=21)
+        assert sv.values.tobytes() == values.tobytes()
+        assert sv.stderr.tobytes() == stderr.tobytes()
 
 
 def test_single_sample_mc_has_zero_stderr():
@@ -160,6 +217,55 @@ def test_spatial_first_order_matches_exact_for_linear_head():
     assert rel_gap(first.values, exact) <= 1e-9
 
 
+@pytest.mark.parametrize("kind", UTILITY_KINDS)
+@pytest.mark.parametrize("arch", zoo.ARCHS)
+def test_spatial_batch_rows_are_bit_identical_to_scalar_head(arch, kind):
+    rng = np.random.default_rng(8)
+    for num_classes in (2, 3, 5, 10):
+        model = zoo.build_model(arch, num_classes, num_classes)
+        image = rng.uniform(0.0, 1.0, model.in_shape)
+        spec = UtilitySpec(num_classes - 1, kind)
+        sg = game.make_spatial_game(model, image, spec)
+        masks = np.vstack([np.zeros(sg.d, dtype=bool), np.ones(sg.d, dtype=bool),
+                           rng.uniform(size=(40, sg.d)) < 0.5])
+        maps = sg.run.activations.maps
+        scalar = np.array([compute_utility(model.head(maps * m), spec) for m in masks])
+        assert sg.utility_batch(masks).tobytes() == scalar.tobytes()
+        assert [sg.utility(m) for m in masks] == scalar.tolist()
+
+
+def test_utility_batch_rows_match_scalar_on_extreme_logits():
+    rng = np.random.default_rng(5)
+    for num_classes in (2, 3, 5, 10):
+        logits = rng.normal(scale=300.0, size=(50, num_classes))
+        for kind in UTILITY_KINDS:
+            spec = UtilitySpec(0, kind)
+            scalar = np.array([compute_utility(row, spec) for row in logits])
+            assert compute_utility_batch(logits, spec).tobytes() == scalar.tobytes()
+
+
+def test_table_batch_indexes_the_table():
+    table = np.random.default_rng(2).normal(size=32)
+    g = game.CooperativeGame.from_table(table)
+    masks = np.random.default_rng(3).uniform(size=(20, 5)) < 0.5
+    batch = g.utility_batch(masks)
+    assert batch.tolist() == [g.utility(m) for m in masks]
+    assert batch.tolist() == [table[int(m @ (1 << np.arange(5)))] for m in masks]
+
+
+def test_spatial_table_memory_stays_chunked():
+    # d=16: the table is 512 KiB; a (2^16, 16) int64 membership temporary
+    # alone would be 8 MiB
+    _, _, sg = spatial_fixture(kind="rest")
+    tracemalloc.start()
+    try:
+        sg.utility_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
+
+
 def test_spatial_exact_efficiency():
     _, _, sg = spatial_fixture(kind="post-softmax")
     sv = game.shapley_exact(sg)
@@ -229,9 +335,15 @@ def test_game_validation():
         game.CooperativeGame(0, lambda m: 0.0)
     with pytest.raises(ValueError, match="power of two"):
         game.CooperativeGame.from_table([0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="1-D"):
+        game.CooperativeGame.from_table([[0.0, 1.0], [2.0, 4.0]])
     g = game.CooperativeGame.from_table([0.0, 1.0, 2.0, 4.0])
     with pytest.raises(ValueError, match="mask"):
         g.utility(np.ones(3, dtype=bool))
+    for masks in (np.ones(2, dtype=bool), np.ones((1, 1, 2), dtype=bool),
+                  np.ones((4, 3), dtype=bool)):
+        with pytest.raises(ValueError, match="masks"):
+            g.utility_batch(masks)
     with pytest.raises(ValueError, match="samples"):
         game.shapley_mc(g, 0, seed=0)
     with pytest.raises(ValueError, match="shape"):

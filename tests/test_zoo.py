@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crgx import autodiff as ad
 from crgx import zoo
@@ -177,6 +179,51 @@ def test_malformed_header_raises_value_error(edit):
     edit(manifest.header)
     with pytest.raises(ValueError):
         zoo.WeightManifest.from_bytes(manifest.to_bytes())
+
+
+@pytest.mark.parametrize("edit", [
+    lambda header: header["tensors"][0].pop("name"),
+    lambda header: header["tensors"][0].update(name=[1]),
+    lambda header: header.update(in_shape=5),
+    lambda header: header.update(num_classes=None),
+], ids=["no-name", "list-name", "scalar-in-shape", "null-num-classes"])
+def test_mistyped_header_fields_raise_value_error(edit):
+    # from_bytes accepts these headers; load_weights must not trust the types
+    manifest = zoo.save_weights(zoo.build_model("cnn-relu", 3, 0))
+    edit(manifest.header)
+    with pytest.raises(ValueError):
+        zoo.load_weights(zoo.WeightManifest.from_bytes(manifest.to_bytes()))
+
+
+def test_non_finite_weights_rejected():
+    manifest = zoo.save_weights(zoo.build_model("cnn-relu", 3, 0))
+    nan = np.array([np.nan], dtype="<f8").tobytes()
+    manifest.payload = manifest.payload[:-8] + nan
+    with pytest.raises(ValueError, match="fc_b"):
+        zoo.load_weights(zoo.WeightManifest.from_bytes(manifest.to_bytes()))
+
+
+_BLOB = zoo.save_weights(zoo.build_model("cnn-relu", 3, 0)).to_bytes()
+_HEADER_END = 4 + int.from_bytes(_BLOB[:4], "little")
+
+
+def _replace_byte(position_value):
+    position, value = position_value
+    return _BLOB[:position] + bytes([value]) + _BLOB[position + 1:]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=300),
+    st.tuples(st.integers(0, _HEADER_END - 1), st.integers(0, 255)).map(_replace_byte),
+    st.tuples(st.integers(0, len(_BLOB) - 1), st.integers(0, 255)).map(_replace_byte),
+    st.integers(0, len(_BLOB) - 1).map(lambda n: _BLOB[:n]),
+))
+def test_fuzzed_weight_blobs_fail_only_with_value_error(blob):
+    try:
+        zoo.load_weights(zoo.WeightManifest.from_bytes(blob))
+    except ValueError:
+        pass
 
 
 def test_truncated_header_rejected_with_offset():
