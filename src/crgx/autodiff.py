@@ -1,15 +1,14 @@
 """Reverse-mode automatic differentiation on dense float64 arrays.
 
-Every operation builds `Node` objects linked by parent references and
-recorded, in creation order, on the active `Tape`. Backward rules are
-themselves written in terms of these operations, so gradients are ordinary
-node graphs and can be differentiated again; `hvp` exploits this to compute
-Hessian-vector products by double backward.
+Every operation builds a `Node` linked to its parents by reference and
+recorded, in creation order, on the active `Tape`; plain array arguments
+are wrapped as constant nodes. Backward rules are themselves written in
+terms of these operations, so gradients are ordinary node graphs and can be
+differentiated again; `hvp` exploits this to compute Hessian-vector
+products by double backward.
 
-The same op functions accept plain numpy arrays and then evaluate eagerly
-without recording. Library code uses this to run the identical arithmetic
-with or without a tape, which keeps taped and untaped forward passes
-bit-identical.
+This module only serves derivatives. Plain values (logits, utilities,
+scores) come from the numpy kernels in `zoo` and `utility`.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ _STACK = threading.local()
 
 def as_tensor(x) -> Array:
     """Coerce to a float64 ndarray (scalars become shape-() arrays)."""
-    arr = np.asarray(x, dtype=np.float64)
-    return arr
+    return np.asarray(x, dtype=np.float64)
 
 
 def _check_finite(name: str, value: Array) -> None:
@@ -49,7 +47,6 @@ class Node:
     """
 
     __slots__ = ("value", "parents", "op", "_vjp")
-    __array_ufunc__ = None  # keep numpy from hijacking reflected operators
 
     def __init__(self, value: Array, parents: tuple = (), op: str = "const"):
         self.value = value
@@ -70,31 +67,6 @@ class Node:
 
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
 
 
 class Tape:
@@ -136,14 +108,6 @@ def _as_node(x) -> Node:
     return Node(as_tensor(x), (), "const")
 
 
-def _value(x) -> Array:
-    return x.value if isinstance(x, Node) else as_tensor(x)
-
-
-def _any_node(*args) -> bool:
-    return any(isinstance(a, Node) for a in args)
-
-
 def _broadcast_shape(op: str, a_shape, b_shape):
     try:
         return np.broadcast_shapes(a_shape, b_shape)
@@ -171,83 +135,54 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b):
-    def fw(av, bv):
-        _broadcast_shape("add", av.shape, bv.shape)
-        return av + bv
-
-    if not _any_node(a, b):
-        return fw(as_tensor(a), as_tensor(b))
     a, b = _as_node(a), _as_node(b)
-    out = Node(fw(a.value, b.value), (a, b), "add")
+    _broadcast_shape("add", a.shape, b.shape)
+    out = Node(a.value + b.value, (a, b), "add")
     out._vjp = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
     return out
 
 
 def sub(a, b):
-    def fw(av, bv):
-        _broadcast_shape("sub", av.shape, bv.shape)
-        return av - bv
-
-    if not _any_node(a, b):
-        return fw(as_tensor(a), as_tensor(b))
     a, b = _as_node(a), _as_node(b)
-    out = Node(fw(a.value, b.value), (a, b), "sub")
+    _broadcast_shape("sub", a.shape, b.shape)
+    out = Node(a.value - b.value, (a, b), "sub")
     out._vjp = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(neg(g), b.shape))
     return out
 
 
 def neg(x):
-    if not isinstance(x, Node):
-        return -as_tensor(x)
+    x = _as_node(x)
     out = Node(-x.value, (x,), "neg")
     out._vjp = lambda g: (neg(g),)
     return out
 
 
 def mul(a, b):
-    def fw(av, bv):
-        _broadcast_shape("mul", av.shape, bv.shape)
-        return av * bv
-
-    if not _any_node(a, b):
-        return fw(as_tensor(a), as_tensor(b))
     a, b = _as_node(a), _as_node(b)
-    out = Node(fw(a.value, b.value), (a, b), "mul")
+    _broadcast_shape("mul", a.shape, b.shape)
+    out = Node(a.value * b.value, (a, b), "mul")
     out._vjp = lambda g: (_unbroadcast(mul(g, b), a.shape),
                           _unbroadcast(mul(g, a), b.shape))
     return out
 
 
 def reciprocal(x):
-    def fw(xv):
-        if np.any(xv == 0.0):
-            raise ValueError("reciprocal: zero input")
-        return 1.0 / xv
-
-    if not isinstance(x, Node):
-        return fw(as_tensor(x))
-    out = Node(fw(x.value), (x,), "reciprocal")
+    x = _as_node(x)
+    if np.any(x.value == 0.0):
+        raise ValueError("reciprocal: zero input")
+    out = Node(1.0 / x.value, (x,), "reciprocal")
     out._vjp = lambda g: (neg(mul(g, mul(out, out))),)
     return out
 
 
-def divide(a, b):
-    return mul(a, reciprocal(b))
-
-
 def matmul(a, b):
-    def fw(av, bv):
-        if av.ndim == 0 or bv.ndim == 0 or av.ndim > 2 or bv.ndim > 2:
-            raise ValueError(f"matmul: unsupported ranks {av.ndim} @ {bv.ndim}")
-        if av.shape[-1] != bv.shape[0]:
-            raise ValueError(f"matmul: shapes {av.shape} @ {bv.shape} do not align")
-        return np.matmul(av, bv)
-
-    if not _any_node(a, b):
-        return fw(as_tensor(a), as_tensor(b))
     a, b = _as_node(a), _as_node(b)
-    out = Node(fw(a.value, b.value), (a, b), "matmul")
     na, nb = a.ndim, b.ndim
+    if na == 0 or nb == 0 or na > 2 or nb > 2:
+        raise ValueError(f"matmul: unsupported ranks {na} @ {nb}")
+    if a.shape[-1] != b.shape[0]:
+        raise ValueError(f"matmul: shapes {a.shape} @ {b.shape} do not align")
+    out = Node(np.matmul(a.value, b.value), (a, b), "matmul")
 
     def vjp(g):
         if na == 2 and nb == 2:
@@ -267,29 +202,21 @@ def matmul(a, b):
 
 
 def exp(x):
-    def fw(xv):
-        with np.errstate(over="ignore"):
-            value = np.exp(xv)
-        if not np.all(np.isfinite(value)):
-            raise ValueError("exp: overflow")
-        return value
-
-    if not isinstance(x, Node):
-        return fw(as_tensor(x))
-    out = Node(fw(x.value), (x,), "exp")
+    x = _as_node(x)
+    with np.errstate(over="ignore"):
+        value = np.exp(x.value)
+    if not np.all(np.isfinite(value)):
+        raise ValueError("exp: overflow")
+    out = Node(value, (x,), "exp")
     out._vjp = lambda g: (mul(g, out),)
     return out
 
 
 def log(x):
-    def fw(xv):
-        if np.any(xv <= 0.0):
-            raise ValueError("log: input must be positive")
-        return np.log(xv)
-
-    if not isinstance(x, Node):
-        return fw(as_tensor(x))
-    out = Node(fw(x.value), (x,), "log")
+    x = _as_node(x)
+    if np.any(x.value <= 0.0):
+        raise ValueError("log: input must be positive")
+    out = Node(np.log(x.value), (x,), "log")
     out._vjp = lambda g: (mul(g, reciprocal(x)),)
     return out
 
@@ -304,39 +231,29 @@ def _sigmoid_fw(xv):
 
 
 def sigmoid(x):
-    if not isinstance(x, Node):
-        return _sigmoid_fw(as_tensor(x))
+    x = _as_node(x)
     out = Node(_sigmoid_fw(x.value), (x,), "sigmoid")
     out._vjp = lambda g: (mul(g, mul(out, sub(1.0, out))),)
     return out
 
 
 def tanh(x):
-    if not isinstance(x, Node):
-        return np.tanh(as_tensor(x))
+    x = _as_node(x)
     out = Node(np.tanh(x.value), (x,), "tanh")
     out._vjp = lambda g: (mul(g, sub(1.0, mul(out, out))),)
     return out
 
 
 def softplus(x):
-    def fw(xv):
-        return np.logaddexp(0.0, xv)
-
-    if not isinstance(x, Node):
-        return fw(as_tensor(x))
-    out = Node(fw(x.value), (x,), "softplus")
+    x = _as_node(x)
+    out = Node(np.logaddexp(0.0, x.value), (x,), "softplus")
     out._vjp = lambda g: (mul(g, sigmoid(x)),)
     return out
 
 
 def relu(x):
-    def fw(xv):
-        return np.maximum(xv, 0.0)
-
-    if not isinstance(x, Node):
-        return fw(as_tensor(x))
-    out = Node(fw(x.value), (x,), "relu")
+    x = _as_node(x)
+    out = Node(np.maximum(x.value, 0.0), (x,), "relu")
     # Mask frozen at forward time; the subgradient at exactly 0 is 0, and the
     # mask contributes no second derivative.
     mask = (x.value > 0.0).astype(np.float64)
@@ -349,119 +266,81 @@ def silu(x):
 
 
 def sum(x, axis=None, keepdims=False):  # noqa: A001 - numpy-style name on purpose
-    xv = _value(x)
+    x = _as_node(x)
     if axis is None:
-        axes = tuple(range(xv.ndim))
+        axes = tuple(range(x.ndim))
     elif isinstance(axis, int):
-        axes = (axis % xv.ndim,)
+        axes = (axis % x.ndim,)
     else:
-        axes = tuple(a % xv.ndim for a in axis)
-    kd_shape = tuple(1 if i in axes else s for i, s in enumerate(xv.shape))
-
-    def fw(v):
-        return np.sum(v, axis=axes, keepdims=keepdims)
-
-    if not isinstance(x, Node):
-        return fw(xv)
-    out = Node(fw(x.value), (x,), "sum")
+        axes = tuple(a % x.ndim for a in axis)
+    kd_shape = tuple(1 if i in axes else s for i, s in enumerate(x.shape))
+    out = Node(np.sum(x.value, axis=axes, keepdims=keepdims), (x,), "sum")
     src_shape = x.shape
     out._vjp = lambda g: (broadcast_to(reshape(g, kd_shape), src_shape),)
     return out
 
 
 def mean(x, axis=None, keepdims=False):
-    xv_shape = _value(x).shape
-    if axis is None:
-        count = int(np.prod(xv_shape)) if xv_shape else 1
-    elif isinstance(axis, int):
-        count = xv_shape[axis % len(xv_shape)]
-    else:
-        count = 1
-        for a in axis:
-            count *= xv_shape[a % len(xv_shape)]
-    return mul(sum(x, axis=axis, keepdims=keepdims), 1.0 / count)
+    x = _as_node(x)
+    total = sum(x, axis=axis, keepdims=keepdims)
+    return mul(total, 1.0 / (x.value.size // total.value.size))
 
 
 def reshape(x, shape):
+    x = _as_node(x)
     shape = tuple(shape)
-
-    def fw(xv):
-        if int(np.prod(xv.shape)) != int(np.prod(shape)):
-            raise ValueError(f"reshape: cannot reshape {xv.shape} to {shape}")
-        return np.reshape(xv, shape)
-
-    if not isinstance(x, Node):
-        return fw(as_tensor(x))
     if x.shape == shape:
         return x
-    out = Node(fw(x.value), (x,), "reshape")
+    if int(np.prod(x.shape)) != int(np.prod(shape)):
+        raise ValueError(f"reshape: cannot reshape {x.shape} to {shape}")
+    out = Node(np.reshape(x.value, shape), (x,), "reshape")
     src_shape = x.shape
     out._vjp = lambda g: (reshape(g, src_shape),)
     return out
 
 
 def transpose(x, axes=None):
-    def fw(xv):
-        return np.ascontiguousarray(np.transpose(xv, axes))
-
-    if not isinstance(x, Node):
-        return fw(as_tensor(x))
-    out = Node(fw(x.value), (x,), "transpose")
+    x = _as_node(x)
+    out = Node(np.ascontiguousarray(np.transpose(x.value, axes)), (x,), "transpose")
     inv = None if axes is None else tuple(np.argsort(axes))
     out._vjp = lambda g: (transpose(g, inv),)
     return out
 
 
 def broadcast_to(x, shape):
+    x = _as_node(x)
     shape = tuple(shape)
-
-    def fw(xv):
-        _broadcast_shape("broadcast_to", xv.shape, shape)
-        return np.ascontiguousarray(np.broadcast_to(xv, shape))
-
-    if not isinstance(x, Node):
-        return fw(as_tensor(x))
     if x.shape == shape:
         return x
-    out = Node(fw(x.value), (x,), "broadcast_to")
+    _broadcast_shape("broadcast_to", x.shape, shape)
+    out = Node(np.ascontiguousarray(np.broadcast_to(x.value, shape)), (x,), "broadcast_to")
     src_shape = x.shape
     out._vjp = lambda g: (_unbroadcast(g, src_shape),)
     return out
 
 
 def gather(x, indices):
+    x = _as_node(x)
     idx = np.asarray(indices, dtype=np.int64)
-    xv = _value(x)
-    size = xv.size
+    size = x.value.size
     if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise ValueError(f"gather: index out of range for size {size}")
-
-    def fw(v):
-        return v.reshape(-1)[idx]
-
-    if not isinstance(x, Node):
-        return fw(xv)
-    out = Node(fw(x.value), (x,), "gather")
+    out = Node(x.value.reshape(-1)[idx], (x,), "gather")
     src_shape = x.shape
     out._vjp = lambda g: (reshape(scatter_add(g, idx, size), src_shape),)
     return out
 
 
 def scatter_add(src, indices, size):
+    src = _as_node(src)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise ValueError(f"scatter_add: index out of range for size {size}")
-
-    def fw(sv):
-        if sv.shape != idx.shape:
-            raise ValueError(f"scatter_add: source shape {sv.shape} != index shape {idx.shape}")
-        out = np.zeros(size, dtype=np.float64)
-        np.add.at(out, idx.reshape(-1), sv.reshape(-1))
-        return out
-
-    if not isinstance(src, Node):
-        return fw(as_tensor(src))
-    out = Node(fw(src.value), (src,), "scatter_add")
+    if src.shape != idx.shape:
+        raise ValueError(f"scatter_add: source shape {src.shape} != index shape {idx.shape}")
+    value = np.zeros(size, dtype=np.float64)
+    np.add.at(value, idx.reshape(-1), src.value.reshape(-1))
+    out = Node(value, (src,), "scatter_add")
     out._vjp = lambda g: (gather(g, idx),)
     return out
 
@@ -481,19 +360,19 @@ def softmax(x):
     The subtracted max is detached; softmax is shift-invariant, so this
     changes neither the value nor any derivative.
     """
-    xv = _value(x)
-    if xv.ndim != 1:
-        raise ValueError(f"softmax: expected a 1-D vector, got shape {xv.shape}")
-    e = exp(sub(x, float(xv.max())))
+    x = _as_node(x)
+    if x.ndim != 1:
+        raise ValueError(f"softmax: expected a 1-D vector, got shape {x.shape}")
+    e = exp(sub(x, float(x.value.max())))
     return mul(e, reciprocal(sum(e)))
 
 
 def logsumexp(x):
     """log(sum(exp(x))) of a 1-D vector via the shifted, overflow-free form."""
-    xv = _value(x)
-    if xv.ndim != 1:
-        raise ValueError(f"logsumexp: expected a 1-D vector, got shape {xv.shape}")
-    m = float(xv.max())
+    x = _as_node(x)
+    if x.ndim != 1:
+        raise ValueError(f"logsumexp: expected a 1-D vector, got shape {x.shape}")
+    m = float(x.value.max())
     return add(log(sum(exp(sub(x, m)))), m)
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .utility import UtilitySpec, utility_node
+from .utility import UtilitySpec, compute_utility, utility_node
 from .zoo import ActivationStack, ToyModel
 
 # name -> (weight order, assembly scheme)
@@ -160,8 +160,7 @@ def assemble_heatmap(weights: Optional[np.ndarray], activations: ActivationStack
                    layer=activations.layer)
 
 
-def explain(model: ToyModel, image: np.ndarray, spec: UtilitySpec, method,
-            tap: str = "auto") -> Heatmap:
+def explain(model: ToyModel, image: np.ndarray, spec: UtilitySpec, method) -> Heatmap:
     """One heatmap: a single forward pass, one backward pass for the
     gradient, and one extra backward for the HVP when the method is
     second-order. randomcam skips the backward entirely."""
@@ -170,7 +169,7 @@ def explain(model: ToyModel, image: np.ndarray, spec: UtilitySpec, method,
         # the original formulation reads the class weight row directly,
         # which is the pre-softmax gradient at a GAP tap
         spec = replace(spec, kind="pre-softmax")
-    run = model.forward_with_tap(image, tap=tap)
+    run = model.forward_with_tap(image)
 
     if method.scheme == "random":
         heatmap = assemble_heatmap(None, run.activations, method)
@@ -211,32 +210,34 @@ def classify_crg(weights: np.ndarray, tol: float = 1e-10) -> dict:
             "per_map_constant": per_map}
 
 
-def _ensemble_inputs(model: ToyModel, image: np.ndarray, method, tap: str):
+def _ensemble_inputs(model: ToyModel, image: np.ndarray, method):
     method = _as_method(method)
     if method.order != "first" or method.scheme not in ("mean", "elementwise"):
         raise ValueError(f"{method.name}: ensemble identities hold for first-order "
                          "mean-broadcast or elementwise methods only")
     if model.num_classes < 2:
         raise ValueError("ensemble identities need at least two classes")
-    probs = ad.softmax(model.forward(image))
-    per_class = [explain(model, image, UtilitySpec(k, "pre-softmax"), method, tap=tap).pre_relu
+    logits = model.forward(image)
+    probs = [compute_utility(logits, UtilitySpec(k, "post-softmax"))
+             for k in range(model.num_classes)]
+    per_class = [explain(model, image, UtilitySpec(k, "pre-softmax"), method).pre_relu
                  for k in range(model.num_classes)]
     return method, probs, per_class
 
 
 def theorem3_ensemble(model: ToyModel, image: np.ndarray, spec: UtilitySpec,
-                      method, tap: str = "auto") -> tuple[Heatmap, Heatmap]:
+                      method) -> tuple[Heatmap, Heatmap]:
     """Post-softmax heatmap two ways: directly, and as the probability-
     weighted ensemble of pre-softmax class heatmaps
     p_c * sum_{k != c} p_k (E_c - E_k). Linear assembly makes them equal."""
     if spec.kind != "post-softmax":
         raise ValueError(f"the ensemble identity is about post-softmax utilities, "
                          f"got {spec.kind!r}")
-    method, probs, per_class = _ensemble_inputs(model, image, method, tap)
+    method, probs, per_class = _ensemble_inputs(model, image, method)
     c = spec.target_class
     if c >= model.num_classes:
         raise ValueError(f"target_class {c} out of range")
-    direct = explain(model, image, spec, method, tap=tap)
+    direct = explain(model, image, spec, method)
     acc = np.zeros_like(per_class[0])
     for k in range(model.num_classes):
         if k != c:
@@ -249,14 +250,14 @@ def theorem3_ensemble(model: ToyModel, image: np.ndarray, spec: UtilitySpec,
 
 
 def rest_decomposition(model: ToyModel, image: np.ndarray, target_class: int,
-                       method, tap: str = "auto") -> tuple[Heatmap, Heatmap]:
+                       method) -> tuple[Heatmap, Heatmap]:
     """The rest-utility heatmap equals the class's pre-softmax heatmap plus
     the ensemble correction sum_{k != c} p_k (E_c - E_k)."""
-    method, probs, per_class = _ensemble_inputs(model, image, method, tap)
+    method, probs, per_class = _ensemble_inputs(model, image, method)
     c = int(target_class)
     if c >= model.num_classes:
         raise ValueError(f"target_class {c} out of range")
-    direct = explain(model, image, UtilitySpec(c, "rest"), method, tap=tap)
+    direct = explain(model, image, UtilitySpec(c, "rest"), method)
     pre = per_class[c].copy()
     for k in range(model.num_classes):
         if k != c:

@@ -52,7 +52,7 @@ def _cmd_explain(parser: argparse.ArgumentParser, args) -> int:
     spec = UtilitySpec(target, args.utility)
     method = _resolve_method(parser, args)
 
-    heatmap = explain(model, image.pixels, spec, method, tap=args.tap)
+    heatmap = explain(model, image.pixels, spec, method)
     grid = normalize_minmax(heatmap.grid("post"))
     upsampled = upsample_bilinear(grid, image.height, image.width)
 
@@ -111,8 +111,8 @@ def _cmd_evaluate(parser: argparse.ArgumentParser, args) -> int:
         row = [str(report[k]) if k in ("method", "utility", "arch", "n_images")
                else f"{report[k]:.4f}" for k in keys]
         Path(args.csv).write_text(",".join(keys) + "\n" + ",".join(row) + "\n")
-    if record.n_failed:
-        sys.stderr.write(f"skipped {record.n_failed} images that failed forward\n")
+    for index, reason in record.skipped:
+        sys.stderr.write(f"skipped {paths[index]}: {reason}\n")
     return 0
 
 
@@ -162,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(explain_cmd)
     explain_cmd.add_argument("--class", dest="target_class", type=int, default=None,
                              help="target class (default: predicted class)")
-    explain_cmd.add_argument("--tap", default="auto",
-                             help="tap layer name (default auto)")
     explain_cmd.add_argument("--alpha", type=float, default=0.35,
                              help="overlay blend weight (default 0.35)")
     explain_cmd.add_argument("--out-dir", default=None,

@@ -4,7 +4,9 @@ Coalitions are bitmasks over d players (d <= 20 for anything that
 enumerates). Four routes to an attribution vector live here: exact
 enumeration, permutation-sampling Monte Carlo, and the first- and
 second-order closed forms that contract a gradient (and optionally a
-Hessian-vector product) against an activation stack.
+Hessian-vector product) against an activation stack. Games only evaluate
+plain values and build no tape; `SpatialGame` scores coalitions with the
+model's numpy kernels.
 """
 
 from __future__ import annotations
@@ -240,23 +242,19 @@ class SpatialGame(CooperativeGame):
     (the ablation baseline). U(S) re-runs the head on the masked stack.
     Every coalition, a single one included, goes through one batched
     kernel, `ToyModel.head_batch` then `compute_utility_batch`, on chunks
-    of at most _BATCH_CELLS masked activations. Its rows are bit-identical
-    to `compute_utility(model.head(maps * mask), spec)`.
+    of at most _BATCH_CELLS masked activations: the kernel `forward` and
+    `compute_utility` run on one row.
     """
 
-    def __init__(self, model: ToyModel, image: np.ndarray, spec: UtilitySpec,
-                 tap: str = "auto"):
-        run = model.forward_with_tap(image, tap=tap)
+    def __init__(self, model: ToyModel, image: np.ndarray, spec: UtilitySpec):
         self.model = model
         self.spec = spec
-        self.run = run
-        self._maps = run.activations.maps
-        self._chunk = _chunk_rows(self._maps.size)
-        super().__init__(self._maps.shape[1], None)
-        direct = compute_utility(run.logits, spec)
-        # Multiplying by an all-ones mask is exact, and the batched kernel
-        # runs the forward pass's arithmetic row by row, so anything but
-        # equality means a defect.
+        self.maps = model._tap_stack(image)
+        self._chunk = _chunk_rows(self.maps.size)
+        super().__init__(self.maps.shape[1], None)
+        # forward is the same kernel on the unmasked stack, and multiplying
+        # by an all-ones mask is exact, so anything but equality is a defect
+        direct = compute_utility(model.forward(image), spec)
         if self.u_full != direct:
             raise RuntimeError(f"unmasked spatial utility {self.u_full!r} does not "
                                f"reproduce the forward pass value {direct!r}")
@@ -265,14 +263,13 @@ class SpatialGame(CooperativeGame):
         out = np.empty(len(masks), dtype=np.float64)
         for lo in range(0, len(masks), self._chunk):
             part = masks[lo:lo + self._chunk]
-            logits = self.model.head_batch(self._maps * part[:, None, :])
+            logits = self.model.head_batch(self.maps * part[:, None, :])
             out[lo:lo + len(part)] = compute_utility_batch(logits, self.spec)
         return out
 
 
-def make_spatial_game(model: ToyModel, image: np.ndarray, spec: UtilitySpec,
-                      tap: str = "auto") -> SpatialGame:
-    return SpatialGame(model, image, spec, tap=tap)
+def make_spatial_game(model: ToyModel, image: np.ndarray, spec: UtilitySpec) -> SpatialGame:
+    return SpatialGame(model, image, spec)
 
 
 def axiom_suite(game: CooperativeGame, values, pair=None, tol: float = 1e-9) -> dict:

@@ -13,11 +13,10 @@ from typing import Callable, Union
 
 import numpy as np
 
-from . import autodiff as ad
 from .cam import CamMethod, Heatmap, explain
 from .imgio import Image
 from .postprocess import normalize_minmax, upsample_bilinear
-from .utility import UtilitySpec
+from .utility import UtilitySpec, compute_utility
 from .zoo import ToyModel
 
 HeatmapSource = Union[str, CamMethod, Callable[..., Heatmap]]
@@ -116,13 +115,14 @@ def adcc(ad: float, coh: float, com: float) -> float:
 @dataclass(frozen=True)
 class MetricRecord:
     """Batch metrics as fractions in [0,1]; `to_report` scales to
-    percentages. Per-image terms are kept for inspection."""
+    percentages. Per-image terms are kept for inspection, and `skipped`
+    names each image left out as (index, reason)."""
 
     method: str
     utility: str
     arch: str
     n_images: int
-    n_failed: int
+    skipped: tuple
     ad: float
     coherency: float
     complexity: float
@@ -146,6 +146,10 @@ class MetricRecord:
         if not worst - 1e-12 <= self.adcc <= 3.0 * worst + 1e-12:
             raise ValueError(f"adcc {self.adcc} violates harmonic bounds for "
                              f"worst term {worst}")
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.skipped)
 
     def to_report(self) -> dict:
         report = {
@@ -195,7 +199,7 @@ def _pipeline_heatmap(model: ToyModel, pixels: np.ndarray, spec: UtilitySpec,
 
 
 def _target_score(model: ToyModel, pixels: np.ndarray, target_class: int) -> float:
-    return float(ad.softmax(model.forward(pixels))[target_class])
+    return compute_utility(model.forward(pixels), UtilitySpec(target_class, "post-softmax"))
 
 
 def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
@@ -204,8 +208,9 @@ def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
 
     Per image: heatmap -> normalize -> upsample -> explanation and
     anti-explanation maps -> re-score -> re-explain for coherency. Batch
-    ADCC is the harmonic mean of the batch-mean terms. Images whose
-    forward pass fails are skipped and counted."""
+    ADCC is the harmonic mean of the batch-mean terms. An image whose
+    forward pass fails, or whose target confidence is not positive (the
+    drop terms divide by it), is skipped with its reason."""
     if len(images) == 0:
         raise ValueError("need at least one image")
     if not 0 <= spec.target_class < model.num_classes:
@@ -220,8 +225,10 @@ def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
         x = planes[index]
         try:
             y = _target_score(model, x, c)
-        except ValueError:
-            return None
+        except ValueError as err:
+            return str(err)
+        if not y > 0.0:
+            return f"target confidence {y!r} is not positive"
         per_method = _per_image_method(method, index)
         h1 = _pipeline_heatmap(model, x, spec, per_method)
         ex = explanation_map(x, h1)
@@ -237,10 +244,10 @@ def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
 
     results = [run_one(i) for i in range(len(planes))]
 
-    kept = [r for r in results if r is not None]
-    n_failed = len(results) - len(kept)
+    kept = [r for r in results if not isinstance(r, str)]
+    skipped = tuple((i, r) for i, r in enumerate(results) if isinstance(r, str))
     if not kept:
-        raise ValueError(f"all {len(results)} images failed the forward pass")
+        raise ValueError(f"all {len(results)} images failed: {skipped[0][1]}")
 
     columns = list(zip(*kept))
     ad_mean, coh_mean, com_mean, ic_mean, add_mean = (
@@ -251,7 +258,7 @@ def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
         utility=spec.kind,
         arch=model.arch,
         n_images=len(kept),
-        n_failed=n_failed,
+        skipped=skipped,
         ad=ad_mean,
         coherency=coh_mean,
         complexity=com_mean,

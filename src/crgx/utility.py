@@ -1,8 +1,10 @@
 """Scalar utilities over logits: the quantity a heatmap explains.
 
-One implementation serves both plain arrays and taped nodes (the autodiff
-ops dispatch on their input), so the value a game enumerates and the value
-a gradient is taken of are computed by the identical arithmetic.
+Values come from one numpy kernel, `compute_utility_batch`, which scores
+rows of logits; `compute_utility` is that kernel on a single row. The taped
+`utility_node` builds the same formula as a node graph for gradients and
+HVPs, in the kernel's op order, so the value a game enumerates and the
+value a gradient is taken of agree bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class UtilitySpec:
 
 
 def utility_node(logits, spec: UtilitySpec):
-    """Utility as a node graph (or a raw scalar array if `logits` is one)."""
+    """Utility of a 1-D logits node as a node graph, for differentiation."""
     if logits.ndim != 1:
         raise ValueError(f"utility: logits must be 1-D, got shape {logits.shape}")
     n = logits.shape[0]
@@ -57,21 +59,26 @@ def utility_node(logits, spec: UtilitySpec):
 
 
 def compute_utility(logits, spec: UtilitySpec) -> float:
-    """Scalar utility of a plain logits vector."""
-    value = utility_node(ad.as_tensor(logits), spec)
-    return float(value)
+    """Scalar utility of a plain logits vector: one row of
+    `compute_utility_batch`."""
+    logits = ad.as_tensor(logits)
+    if logits.ndim != 1:
+        raise ValueError(f"utility: logits must be 1-D, got shape {logits.shape}")
+    return float(compute_utility_batch(logits[None], spec)[0])
 
 
 def compute_utility_batch(logits, spec: UtilitySpec) -> np.ndarray:
     """Utilities of n logit rows, (n, K) -> (n,).
 
     Plain numpy in the op order of `utility_node` (max shift, exp, row sum,
-    log, add the max back), so row i is bit-identical to
-    `compute_utility(logits[i], spec)`.
+    log, add the max back), so row i is bit-identical to the value of
+    `utility_node` on that row.
     """
     logits = ad.as_tensor(logits)
     if logits.ndim != 2:
         raise ValueError(f"utility: logits must be 2-D (rows x classes), got {logits.shape}")
+    if not np.all(np.isfinite(logits)):
+        raise ValueError("utility: logits must be finite")
     c = spec.target_class
     if c >= logits.shape[1]:
         raise ValueError(f"target_class {c} out of range for {logits.shape[1]} classes")

@@ -1,10 +1,13 @@
 """Small seeded models whose internals are cheap enough to enumerate.
 
-Three architectures share one contract: a designated "tap" layer whose
-output is exposed as a stack of maps (n_maps x d positions), plus a head
-that maps the tap to class logits. `forward_with_tap` rebuilds the head on
-a tape with the tap as the independent input, so gradients and HVPs are
-taken with respect to the tap values themselves, not the image.
+Three architectures share one contract: a tap layer whose output is exposed
+as a stack of maps (n_maps x d positions), plus an affine head that maps
+the tap to class logits. Plain values have one implementation: `_tap_stack`
+runs the image to the tap in numpy and `head_batch` maps any number of tap
+stacks to logits, so `forward` is `head_batch` on a single stack.
+`forward_with_tap` builds the same head on a tape with the tap as the
+independent input, so gradients and HVPs are taken with respect to the tap
+values themselves, not the image.
 
 Weights serialize to a single binary blob: a 4-byte little-endian header
 length, a JSON header (architecture, seed, tensor table), then the tensor
@@ -25,6 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import autodiff as ad
 
 ARCHS = ("cnn-relu", "cnn-smooth", "mlp-smooth")
+TAP_LAYER = "act"  # every architecture taps its activation layer
 
 _MLP_MAPS = 4
 _MLP_SPATIAL = (4, 4)
@@ -97,7 +101,6 @@ class ToyModel:
     seed: int
     in_shape: tuple[int, int, int]
     weights: dict[str, np.ndarray] = field(repr=False)
-    tap: str = "act"
 
     # -- forward paths ------------------------------------------------------
 
@@ -118,16 +121,16 @@ class ToyModel:
             ho, wo = cols.shape[:2]
             conv = np.matmul(cols.reshape(ho * wo, -1),
                              np.ascontiguousarray(w.reshape(len(w), -1).T))
-            z = ad.add(np.ascontiguousarray(conv.T), self.weights["conv_b"].reshape(-1, 1))
-            return ad.relu(z) if self.arch == "cnn-relu" else ad.silu(z)
-        z = ad.add(ad.matmul(self.weights["fc1_w"], image.reshape(-1)),
-                   self.weights["fc1_b"])
-        act = ad.tanh(z)
-        return act.reshape(_MLP_MAPS, -1)
+            z = np.ascontiguousarray(conv.T) + self.weights["conv_b"].reshape(-1, 1)
+            return np.maximum(z, 0.0) if self.arch == "cnn-relu" else z * ad._sigmoid_fw(z)
+        z = np.matmul(self.weights["fc1_w"], image.reshape(-1)) + self.weights["fc1_b"]
+        return np.tanh(z).reshape(_MLP_MAPS, -1)
 
     def head(self, x):
-        """Logits from a tap stack; works on a taped node or a raw array,
-        so the taped and untaped paths share every arithmetic step."""
+        """Logits of one tap stack as a node graph, for differentiation.
+
+        Its value is bit-identical to a row of `head_batch`: the same
+        pooling sum and the same matrix-vector product."""
         if self.arch in ("cnn-relu", "cnn-smooth"):
             pooled = ad.mean(x, axis=1)
             return ad.add(ad.matmul(self.weights["fc_w"], pooled), self.weights["fc_b"])
@@ -137,10 +140,10 @@ class ToyModel:
     def head_batch(self, stacks: np.ndarray) -> np.ndarray:
         """Logits of n tap stacks, (n, n_maps, d) -> (n, num_classes).
 
-        Row i is bit-identical to `head(stacks[i])`: the pooling sums each
-        contiguous row the same way, and the stacked matmul runs the same
-        matrix-vector product per row (a single `pooled @ w.T` GEMM would
-        not be bit-equal).
+        Row i is bit-identical to the value of `head(stacks[i])`: the
+        pooling sums each contiguous row the same way, and the stacked
+        matmul runs the same matrix-vector product per row (a single
+        `pooled @ w.T` GEMM would not be bit-equal).
         """
         stacks = np.asarray(stacks, dtype=np.float64)
         h, w = self.tap_spatial()
@@ -164,23 +167,21 @@ class ToyModel:
 
     def forward(self, image: np.ndarray) -> np.ndarray:
         """Image to logits, no taping."""
-        return self.head(self._tap_stack(image))
+        return self.head_batch(self._tap_stack(image)[None])[0]
 
-    def forward_with_tap(self, image: np.ndarray, tap: str = "auto") -> TapRun:
+    def forward_with_tap(self, image: np.ndarray) -> TapRun:
         """Image to logits with the head taped against the tap stack.
 
         The tape's input "tap" is the activation stack treated as a free
         variable; gradient/hvp against it differentiate the head only.
         """
-        if tap not in ("auto", self.tap):
-            raise ValueError(f"unknown tap {tap!r}; this model taps {self.tap!r}")
         stack = self._tap_stack(image)
         tape = ad.Tape()
         x = tape.input("tap", stack)
         with tape:
             logits = self.head(x)
         tape.outputs["logits"] = logits
-        activations = ActivationStack(maps=stack, spatial=self.tap_spatial(), layer=self.tap)
+        activations = ActivationStack(maps=stack, spatial=self.tap_spatial(), layer=TAP_LAYER)
         return TapRun(logits=logits.value, activations=activations, tape=tape)
 
 

@@ -15,7 +15,7 @@ from crgx.cam import (
     theorem3_ensemble,
 )
 from crgx.game import make_spatial_game, shapley_exact
-from crgx.utility import UtilitySpec, compute_utility
+from crgx.utility import UTILITY_KINDS, UtilitySpec, compute_utility
 from crgx.zoo import ActivationStack, build_model
 
 
@@ -54,6 +54,14 @@ def test_utility_kinds_against_numpy():
         assert compute_utility(y, UtilitySpec(c, "post-softmax")) == pytest.approx(p[c], abs=1e-15)
         assert compute_utility(y, UtilitySpec(c, "log-softmax")) == pytest.approx(y[c] - lse, abs=1e-15)
         assert compute_utility(y, UtilitySpec(c, "rest")) == pytest.approx(2 * y[c] - lse, abs=1e-15)
+
+
+def test_non_finite_logits_rejected():
+    # an overflowing head gives infinite logits; no utility is defined there
+    for logits in ([np.inf, 0.0], [-np.inf, 0.0], [np.nan, 0.0]):
+        for kind in UTILITY_KINDS:
+            with pytest.raises(ValueError, match="finite"):
+                compute_utility(np.array(logits), UtilitySpec(0, kind))
 
 
 def test_utility_spec_validation():

@@ -116,6 +116,25 @@ def test_evaluate_report_and_csv(tmp_path):
     assert float(cells[7]) == report["adcc"]
 
 
+def test_evaluate_names_each_skipped_image(tmp_path, capsys):
+    img_dir = tmp_path / "imgs"
+    img_dir.mkdir()
+    put_image(img_dir / "a.ppm", 50)
+    put_image(img_dir / "b.ppm", 51, shape=(3, 7, 6))
+    put_image(img_dir / "c.ppm", 52)
+    (img_dir / "d.pgm").write_bytes(b"P5\n6 6\n255\n" + bytes(range(36)))
+    report_path = tmp_path / "r.json"
+    assert main(["evaluate", "--images", str(img_dir), "--method", "gradcam",
+                 "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["n_images"] == 2 and report["n_failed"] == 2
+    assert capsys.readouterr().err == (
+        f"skipped {img_dir / 'b.ppm'}: image shape (3, 7, 6) does not match "
+        "model input (3, 6, 6)\n"
+        f"skipped {img_dir / 'd.pgm'}: image shape (1, 6, 6) does not match "
+        "model input (3, 6, 6)\n")
+
+
 def test_evaluate_limit_flag(tmp_path):
     img_dir = tmp_path / "imgs"
     img_dir.mkdir()

@@ -94,13 +94,22 @@ def scalar_mc(utility, d, u_empty, samples, seed):
     return values, stderr
 
 
+def taped_utility(model, maps, spec):
+    """U(mask) as the value of the taped head and utility_node: the graph
+    that gradients and HVPs differentiate."""
+    def utility(mask):
+        outs, _ = ad.forward(lambda tap: utility_node(model.head(tap), spec),
+                             {"tap": maps * mask})
+        return float(outs["out"])
+    return utility
+
+
 def spatial_mc_case():
     model = zoo.build_model("cnn-smooth", 3, 2, in_shape=(3, 5, 5))
     image = np.random.default_rng(52).uniform(0.0, 1.0, (3, 5, 5))
     spec = UtilitySpec(2, "rest")
     sg = game.make_spatial_game(model, image, spec)
-    maps = sg.run.activations.maps
-    return sg, lambda mask: compute_utility(model.head(maps * mask), spec)
+    return sg, taped_utility(model, sg.maps, spec)
 
 
 def table_mc_case():
@@ -209,7 +218,7 @@ def test_spatial_player_count_is_tap_positions():
 def test_spatial_first_order_matches_exact_for_linear_head():
     model, image, sg = spatial_fixture()
     exact = game.shapley_exact(sg).values
-    run = sg.run
+    run = model.forward_with_tap(image)
     with run.tape:
         u = utility_node(run.tape.outputs["logits"], sg.spec)
     grad = ad.gradient(run.tape, u, "tap")
@@ -228,8 +237,8 @@ def test_spatial_batch_rows_are_bit_identical_to_scalar_head(arch, kind):
         sg = game.make_spatial_game(model, image, spec)
         masks = np.vstack([np.zeros(sg.d, dtype=bool), np.ones(sg.d, dtype=bool),
                            rng.uniform(size=(40, sg.d)) < 0.5])
-        maps = sg.run.activations.maps
-        scalar = np.array([compute_utility(model.head(maps * m), spec) for m in masks])
+        utility = taped_utility(model, sg.maps, spec)
+        scalar = np.array([utility(m) for m in masks])
         assert sg.utility_batch(masks).tobytes() == scalar.tobytes()
         assert [sg.utility(m) for m in masks] == scalar.tolist()
 

@@ -197,9 +197,28 @@ def test_failed_images_are_skipped_and_counted():
     record = evaluate_batch(model, images, UtilitySpec(0, "rest"), "gradcam")
     assert record.n_images == 3
     assert record.n_failed == 1
+    assert record.skipped == ((1, "image shape (3, 5, 5) does not match "
+                                  "model input (3, 6, 6)"),)
     assert record.to_report()["n_failed"] == 1
+    assert "skipped" not in record.to_report()
     with pytest.raises(ValueError, match="all 1 images failed"):
         evaluate_batch(model, [np.zeros((3, 5, 5))], UtilitySpec(0, "rest"), "gradcam")
+
+
+def test_zero_target_confidence_is_skipped_not_divided():
+    # Scaled logits put the target's softmax at exactly 0.0 on the uniform
+    # images, and the drop terms divide by it; the zero image still scores.
+    model = build_model("cnn-smooth", num_classes=2, seed=0)
+    model.weights["fc_w"] *= 30000
+    spec = UtilitySpec(1, "rest")
+    uniform = make_images(3, seed=0)
+    with pytest.raises(ValueError, match="all 3 images failed: target confidence 0.0"):
+        evaluate_batch(model, uniform, spec, "gradcam")
+    record = evaluate_batch(model, [np.zeros((3, 6, 6))] + uniform, spec, "gradcam")
+    assert record.n_images == 1 and record.n_failed == 3
+    assert [i for i, _ in record.skipped] == [1, 2, 3]
+    assert all("confidence 0.0 is not positive" in reason for _, reason in record.skipped)
+    assert record.to_report()["n_failed"] == 3
 
 
 def test_batch_is_deterministic_and_thread_invariant():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crgx import postprocess as pp
 from crgx.imgio import Image, encode_image_bytes, parse_image_bytes, read_image, write_image
@@ -189,6 +191,31 @@ def test_parse_rejects_bad_header_fields():
         parse_image_bytes(b"P6\n0 1\n255\n")
     with pytest.raises(ValueError, match="ran out of data"):
         parse_image_bytes(b"P6\n2 2")
+
+
+_IMAGE_FILES = (b"P6\n# rgb\n3 2\n255\n" + bytes(range(0, 180, 10)),
+                b"P5 2 2 255\n" + bytes([0, 64, 128, 255]))
+
+
+def _mutated(file_position_value):
+    data, position, value = file_position_value
+    position %= len(data)
+    return data[:position] + bytes([value]) + data[position + 1:]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=64),
+    st.tuples(st.sampled_from(_IMAGE_FILES), st.integers(0, 63),
+              st.integers(0, 255)).map(_mutated),
+    st.tuples(st.sampled_from(_IMAGE_FILES), st.integers(0, 63)).map(
+        lambda file_cut: file_cut[0][:file_cut[1] % len(file_cut[0])]),
+))
+def test_fuzzed_image_bytes_fail_only_with_value_error(data):
+    try:
+        parse_image_bytes(data)
+    except ValueError:
+        pass
 
 
 def test_write_rounds_half_away_from_zero():

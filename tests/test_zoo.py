@@ -70,10 +70,13 @@ def test_tap_stack_matches_loop_convolution(arch, shape):
 
 @pytest.mark.parametrize("arch", zoo.ARCHS)
 def test_forward_matches_tap_path_bitwise(arch):
-    m = zoo.build_model(arch, 4, 9)
-    img = rand_image(3)
-    run = m.forward_with_tap(img)
-    assert m.forward(img).tobytes() == run.logits.tobytes()
+    # forward is the numpy kernel, the tap path the taped head: plain values
+    # and the values gradients are taken of must agree bit for bit
+    for shape in ((3, 6, 6), (1, 6, 6), (3, 7, 5), (3, 64, 64)):
+        m = zoo.build_model(arch, 4, 9, in_shape=shape)
+        img = rand_image(3, shape)
+        run = m.forward_with_tap(img)
+        assert m.forward(img).tobytes() == run.logits.tobytes(), shape
 
 
 def test_zero_image_oracle_cnn_smooth():
@@ -114,14 +117,6 @@ def test_tap_gradient_ignores_pre_tap_layers():
         u = ad.index(run.tape.outputs["logits"], 0)
     hv = ad.hvp(run.tape, u, "tap", np.ones_like(run.activations.maps))
     assert np.all(hv == 0.0)
-
-
-def test_named_tap_accepted_and_unknown_rejected():
-    m = zoo.build_model("cnn-relu", 2, 0)
-    img = rand_image(5)
-    assert m.forward_with_tap(img, tap="act").logits.shape == (2,)
-    with pytest.raises(ValueError, match="tap"):
-        m.forward_with_tap(img, tap="conv")
 
 
 def test_input_validation():
