@@ -1,5 +1,6 @@
 """crgx: Shapley attribution, CAM-family heatmaps, and faithfulness metrics
-for small models, built on an in-package reverse-mode autodiff engine."""
+for small models, with closed-form derivatives checked against an in-package
+reverse-mode autodiff engine."""
 
 from .cam import (
     CAM_METHODS,

@@ -7,8 +7,11 @@ terms of these operations, so gradients are ordinary node graphs and can be
 differentiated again; `hvp` exploits this to compute Hessian-vector
 products by double backward.
 
-This module only serves derivatives. Plain values (logits, utilities,
-scores) come from the numpy kernels in `zoo` and `utility`.
+This module only serves derivatives, and no library hot path uses it:
+`cam.explain` takes the head's derivatives in closed form. It serves the
+verification suites and is the oracle the closed forms are tested
+against. Plain values (logits, utilities, scores) come from the numpy
+kernels in `zoo` and `utility`.
 """
 
 from __future__ import annotations
@@ -222,12 +225,9 @@ def log(x):
 
 
 def _sigmoid_fw(xv):
-    out = np.empty_like(xv)
-    pos = xv >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-xv[pos]))
-    ex = np.exp(xv[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-free logistic: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below."""
+    e = np.exp(-np.abs(xv))
+    return np.where(xv >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(x):
@@ -248,16 +248,6 @@ def softplus(x):
     x = _as_node(x)
     out = Node(np.logaddexp(0.0, x.value), (x,), "softplus")
     out._vjp = lambda g: (mul(g, sigmoid(x)),)
-    return out
-
-
-def relu(x):
-    x = _as_node(x)
-    out = Node(np.maximum(x.value, 0.0), (x,), "relu")
-    # Mask frozen at forward time; the subgradient at exactly 0 is 0, and the
-    # mask contributes no second derivative.
-    mask = (x.value > 0.0).astype(np.float64)
-    out._vjp = lambda g: (mul(g, mask),)
     return out
 
 

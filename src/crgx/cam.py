@@ -6,6 +6,11 @@ the activation stack A under one of a handful of assembly schemes, then
 clamp with an outer ReLU. The curvature-corrected weights make the
 mean-broadcast and elementwise schemes first- and second-order Shapley
 estimates of the masked-utility game over tap positions.
+
+Derivatives are closed forms, not tapes: every head is affine in the tap,
+so the gradient is Jᵀ ∇_y u and the curvature term Jᵀ H_y (J·A), with the
+K×K logit-space formulas of `utility.utility_derivatives`. `explain_batch`
+turns N tap stacks into N heatmaps with a few matmuls.
 """
 
 from __future__ import annotations
@@ -15,9 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import autodiff as ad
-from .utility import UtilitySpec, compute_utility, utility_node
-from .zoo import ActivationStack, ToyModel
+from .utility import UtilitySpec, compute_utility, utility_derivatives
+from .zoo import TAP_LAYER, ActivationStack, ToyModel
 
 # name -> (weight order, assembly scheme)
 _METHOD_TABLE = {
@@ -103,16 +107,32 @@ def shapley_weights(grad: np.ndarray, hvp_full: Optional[np.ndarray] = None) -> 
     return grad - 0.5 * hvp_full
 
 
-def _gradcampp_map_weights(grads: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """Closed-form map weights: alpha_j = g_j^2 / (2 g_j^2 + sum(A) g_j^3),
-    zero where the denominator vanishes; weight = sum_j relu(g_j) alpha_j."""
-    weights = np.empty(maps.shape[0])
-    for i in range(maps.shape[0]):
-        g = grads[i]
-        denom = 2.0 * g * g + float(np.sum(maps[i])) * g ** 3
-        alpha = np.divide(g * g, denom, out=np.zeros_like(g), where=denom != 0.0)
-        weights[i] = float(np.sum(np.maximum(g, 0.0) * alpha))
-    return weights
+def _assemble(weights: Optional[np.ndarray], maps: np.ndarray, method: CamMethod) -> np.ndarray:
+    """Pre-ReLU heatmaps of n stacks: weights and maps (n, n_maps, d) ->
+    (n, d). randomcam takes None and applies the same seeded map
+    coefficients to every stack."""
+    scheme = method.scheme
+    if scheme == "random":
+        return np.random.default_rng(method.seed).uniform(-1.0, 1.0, maps.shape[1]) @ maps
+    if scheme == "mean":
+        coeff = np.mean(weights, axis=2)
+    elif scheme == "elementwise":
+        return np.sum(weights * maps, axis=1)
+    elif scheme == "inner-relu":
+        return np.sum(np.maximum(weights * maps, 0.0), axis=1)
+    elif scheme == "relu-grad":
+        return np.sum(np.maximum(weights, 0.0) * maps, axis=1)
+    elif scheme == "xgrad":
+        num = np.mean(weights * maps, axis=2)
+        denom = np.mean(maps, axis=2) + 1e-12
+        coeff = np.divide(num, denom, out=np.zeros_like(num), where=denom != 0.0)
+    else:  # gradcampp: alpha_j = g_j^2 / (2 g_j^2 + sum(A) g_j^3), zero where
+        # the denominator vanishes; map weight = sum_j relu(g_j) alpha_j
+        g = weights
+        denom = 2.0 * g * g + np.sum(maps, axis=2, keepdims=True) * g ** 3
+        alpha = np.divide(g * g, denom, out=np.zeros(denom.shape), where=denom != 0.0)
+        coeff = np.sum(np.maximum(g, 0.0) * alpha, axis=2)
+    return np.matmul(coeff[:, None, :], maps)[:, 0]
 
 
 def assemble_heatmap(weights: Optional[np.ndarray], activations: ActivationStack,
@@ -124,70 +144,65 @@ def assemble_heatmap(weights: Optional[np.ndarray], activations: ActivationStack
     """
     method = _as_method(method)
     maps = activations.maps
-    scheme = method.scheme
-
-    if scheme == "random":
+    if method.scheme == "random":
         if weights is not None:
             raise ValueError("randomcam draws its own weights; pass None")
-        coeff = np.random.default_rng(method.seed).uniform(-1.0, 1.0, maps.shape[0])
-        pre = coeff @ maps
     else:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != maps.shape:
             raise ValueError(f"weights shape {weights.shape} does not match "
                              f"activation stack {maps.shape}")
-        if scheme == "gradcampp" and weights_order == "second":
+        if method.scheme == "gradcampp" and weights_order == "second":
             raise ValueError("gradcam++ is defined for raw gradients only; "
                              "second-order weights are not meaningful here")
-        if scheme == "mean":
-            pre = np.mean(weights, axis=1) @ maps
-        elif scheme == "elementwise":
-            pre = np.sum(weights * maps, axis=0)
-        elif scheme == "inner-relu":
-            pre = np.sum(np.maximum(weights * maps, 0.0), axis=0)
-        elif scheme == "relu-grad":
-            pre = np.sum(np.maximum(weights, 0.0) * maps, axis=0)
-        elif scheme == "xgrad":
-            num = np.mean(weights * maps, axis=1)
-            denom = np.mean(maps, axis=1) + 1e-12
-            coeff = np.divide(num, denom, out=np.zeros_like(num), where=denom != 0.0)
-            pre = coeff @ maps
-        else:  # gradcampp
-            pre = _gradcampp_map_weights(weights, maps) @ maps
-
+        weights = weights[None]
+    pre = _assemble(weights, maps[None], method)[0]
     return Heatmap(pre_relu=pre, post_relu=np.maximum(pre, 0.0),
                    spatial=activations.spatial, method=method.name,
                    layer=activations.layer)
 
 
-def explain(model: ToyModel, image: np.ndarray, spec: UtilitySpec, method) -> Heatmap:
-    """One heatmap: a single forward pass, one backward pass for the
-    gradient, and one extra backward for the HVP when the method is
-    second-order. randomcam skips the backward entirely."""
+def tap_weights(model: ToyModel, stacks: np.ndarray, spec: UtilitySpec,
+                order: str = "first") -> np.ndarray:
+    """Per-position weights of n tap stacks in closed form, (n, n_maps, d).
+
+    The head is affine in the tap, y = J·A + b, so the utility's gradient
+    at the tap is Jᵀ ∇_y u, and its Hessian applied to the stack is
+    Jᵀ H_y (J·A). Second order gives W = Jᵀ (∇_y u - H_y (J·A) / 2): one
+    K-vector per image in logit space, mapped back once. No tape is built.
+    """
+    linear = model.head_linear(stacks)
+    grad_y, hvp_y = utility_derivatives(linear + model.head_bias, spec,
+                                        linear if order == "second" else None)
+    return model.head_transpose(shapley_weights(grad_y, hvp_y))
+
+
+def explain_batch(model: ToyModel, stacks: np.ndarray, spec: UtilitySpec, method) -> list:
+    """N heatmaps from N tap stacks of `model`, (n, n_maps, d), as from
+    `model._tap_stack(images)`: closed-form weights for the whole batch,
+    then one assembly. randomcam uses the same draw on every stack."""
     method = _as_method(method)
     if method.name == "cam-gap":
         # the original formulation reads the class weight row directly,
         # which is the pre-softmax gradient at a GAP tap
         spec = replace(spec, kind="pre-softmax")
-    run = model.forward_with_tap(image)
+    stacks = np.asarray(stacks, dtype=np.float64)
+    weights = None
+    if method.scheme != "random":
+        weights = tap_weights(model, stacks, spec, method.order)
+    pre = _assemble(weights, stacks, method)
+    post = np.maximum(pre, 0.0)
+    return [Heatmap(pre_relu=p, post_relu=q, spatial=model.tap_spatial(), method=method.name,
+                    layer=TAP_LAYER, target_class=spec.target_class, utility=spec.kind)
+            for p, q in zip(pre, post)]
 
-    if method.scheme == "random":
-        heatmap = assemble_heatmap(None, run.activations, method)
-    else:
-        tape = run.tape
-        tap_node = tape.inputs["tap"]
-        with tape:
-            u = utility_node(tape.outputs["logits"], spec)
-            g_node = ad.grad_node(u, tap_node)
-            if method.order == "second":
-                s = ad.sum(ad.mul(g_node, run.activations.maps))
-                hvp_full = ad.grad_node(s, tap_node).value
-                weights = shapley_weights(g_node.value, hvp_full)
-            else:
-                weights = shapley_weights(g_node.value)
-        heatmap = assemble_heatmap(weights, run.activations, method,
-                                   weights_order=method.order)
-    return replace(heatmap, target_class=spec.target_class, utility=spec.kind)
+
+def explain(model: ToyModel, image: np.ndarray, spec: UtilitySpec, method) -> Heatmap:
+    """One heatmap: the image's tap stack, then `explain_batch` on it. The
+    gradient and, for second-order methods, the curvature term are closed
+    forms in logit space; randomcam needs neither."""
+    stack = model._tap_stack(np.asarray(image, dtype=np.float64)[None])
+    return explain_batch(model, stack, spec, method)[0]
 
 
 def classify_crg(weights: np.ndarray, tol: float = 1e-10) -> dict:
@@ -217,12 +232,13 @@ def _ensemble_inputs(model: ToyModel, image: np.ndarray, method):
                          "mean-broadcast or elementwise methods only")
     if model.num_classes < 2:
         raise ValueError("ensemble identities need at least two classes")
-    logits = model.forward(image)
+    stack = model._tap_stack(np.asarray(image, dtype=np.float64)[None])
+    logits = model.head_batch(stack)[0]
     probs = [compute_utility(logits, UtilitySpec(k, "post-softmax"))
              for k in range(model.num_classes)]
-    per_class = [explain(model, image, UtilitySpec(k, "pre-softmax"), method).pre_relu
+    per_class = [explain_batch(model, stack, UtilitySpec(k, "pre-softmax"), method)[0].pre_relu
                  for k in range(model.num_classes)]
-    return method, probs, per_class
+    return method, stack, probs, per_class
 
 
 def theorem3_ensemble(model: ToyModel, image: np.ndarray, spec: UtilitySpec,
@@ -233,11 +249,11 @@ def theorem3_ensemble(model: ToyModel, image: np.ndarray, spec: UtilitySpec,
     if spec.kind != "post-softmax":
         raise ValueError(f"the ensemble identity is about post-softmax utilities, "
                          f"got {spec.kind!r}")
-    method, probs, per_class = _ensemble_inputs(model, image, method)
+    method, stack, probs, per_class = _ensemble_inputs(model, image, method)
     c = spec.target_class
     if c >= model.num_classes:
         raise ValueError(f"target_class {c} out of range")
-    direct = explain(model, image, spec, method)
+    direct = explain_batch(model, stack, spec, method)[0]
     acc = np.zeros_like(per_class[0])
     for k in range(model.num_classes):
         if k != c:
@@ -253,11 +269,11 @@ def rest_decomposition(model: ToyModel, image: np.ndarray, target_class: int,
                        method) -> tuple[Heatmap, Heatmap]:
     """The rest-utility heatmap equals the class's pre-softmax heatmap plus
     the ensemble correction sum_{k != c} p_k (E_c - E_k)."""
-    method, probs, per_class = _ensemble_inputs(model, image, method)
+    method, stack, probs, per_class = _ensemble_inputs(model, image, method)
     c = int(target_class)
     if c >= model.num_classes:
         raise ValueError(f"target_class {c} out of range")
-    direct = explain(model, image, UtilitySpec(c, "rest"), method)
+    direct = explain_batch(model, stack, UtilitySpec(c, "rest"), method)[0]
     pre = per_class[c].copy()
     for k in range(model.num_classes):
         if k != c:

@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from .cam import CAM_METHODS, CamMethod, explain
+from .cam import CAM_METHODS, CamMethod, explain_batch
 from .imgio import Image, read_image, write_image
 from .metrics import evaluate_batch
 from .postprocess import OverlayStyle, apply_colormap, normalize_minmax, overlay, upsample_bilinear
@@ -47,12 +48,15 @@ def _cmd_explain(parser: argparse.ArgumentParser, args) -> int:
     image = read_image(args.image)
     model = build_model(args.arch, num_classes=args.classes, seed=args.seed,
                         in_shape=image.pixels.shape)
-    logits = model.forward(image.pixels)
-    target = int(np.argmax(logits)) if args.target_class is None else args.target_class
+    stack = model._tap_stack(image.pixels[None])
+    if args.target_class is None:
+        target = int(np.argmax(model.head_batch(stack)[0]))
+    else:
+        target = args.target_class
     spec = UtilitySpec(target, args.utility)
     method = _resolve_method(parser, args)
 
-    heatmap = explain(model, image.pixels, spec, method)
+    heatmap = explain_batch(model, stack, spec, method)[0]
     grid = normalize_minmax(heatmap.grid("post"))
     upsampled = upsample_bilinear(grid, image.height, image.width)
 
@@ -96,9 +100,11 @@ def _cmd_evaluate(parser: argparse.ArgumentParser, args) -> int:
         sys.stderr.write(f"no images found in {image_dir}\n")
         return 1
     images = [read_image(p) for p in paths]
+    # the most common shape; Counter breaks ties by first appearance, i.e. name order
+    in_shape = Counter(img.pixels.shape for img in images).most_common(1)[0][0]
 
     model = build_model(args.arch, num_classes=args.classes, seed=args.seed,
-                        in_shape=images[0].pixels.shape)
+                        in_shape=in_shape)
     spec = UtilitySpec(args.target_class, args.utility)
     method = _resolve_method(parser, args)
     record = evaluate_batch(model, images, spec, method)

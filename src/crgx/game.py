@@ -249,7 +249,7 @@ class SpatialGame(CooperativeGame):
     def __init__(self, model: ToyModel, image: np.ndarray, spec: UtilitySpec):
         self.model = model
         self.spec = spec
-        self.maps = model._tap_stack(image)
+        self.maps = model._tap_stack(np.asarray(image, dtype=np.float64)[None])[0]
         self._chunk = _chunk_rows(self.maps.size)
         super().__init__(self.maps.shape[1], None)
         # forward is the same kernel on the unmasked stack, and multiplying

@@ -13,10 +13,10 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .cam import CamMethod, Heatmap, explain
+from .cam import CamMethod, Heatmap, explain_batch
 from .imgio import Image
 from .postprocess import normalize_minmax, upsample_bilinear
-from .utility import UtilitySpec, compute_utility
+from .utility import UtilitySpec, compute_utility_batch
 from .zoo import ToyModel
 
 HeatmapSource = Union[str, CamMethod, Callable[..., Heatmap]]
@@ -188,18 +188,21 @@ def _per_image_method(method: HeatmapSource, index: int) -> HeatmapSource:
     return method
 
 
-def _pipeline_heatmap(model: ToyModel, pixels: np.ndarray, spec: UtilitySpec,
-                      method: HeatmapSource) -> np.ndarray:
+def _pipeline_heatmap(model: ToyModel, pixels: np.ndarray, stack: np.ndarray,
+                      spec: UtilitySpec, method: HeatmapSource) -> np.ndarray:
+    """Normalized, upsampled heatmap of one image; built-in methods read
+    the image's tap stack (1, n_maps, d) instead of recomputing it."""
     if callable(method) and not isinstance(method, (str, CamMethod)):
         heatmap = method(model, pixels, spec)
     else:
-        heatmap = explain(model, pixels, spec, method)
+        heatmap = explain_batch(model, stack, spec, method)[0]
     grid = normalize_minmax(heatmap.grid("post"))
     return upsample_bilinear(grid, pixels.shape[1], pixels.shape[2])
 
 
-def _target_score(model: ToyModel, pixels: np.ndarray, target_class: int) -> float:
-    return compute_utility(model.forward(pixels), UtilitySpec(target_class, "post-softmax"))
+def _target_scores(model: ToyModel, stacks: np.ndarray, target_class: int) -> np.ndarray:
+    return compute_utility_batch(model.head_batch(stacks),
+                                 UtilitySpec(target_class, "post-softmax"))
 
 
 def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
@@ -207,10 +210,13 @@ def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
     """Run the full per-image protocol and aggregate.
 
     Per image: heatmap -> normalize -> upsample -> explanation and
-    anti-explanation maps -> re-score -> re-explain for coherency. Batch
-    ADCC is the harmonic mean of the batch-mean terms. An image whose
-    forward pass fails, or whose target confidence is not positive (the
-    drop terms divide by it), is skipped with its reason."""
+    anti-explanation maps -> re-score -> re-explain for coherency. The
+    image, its explanation map and its anti-map each run to the tap once;
+    scores and heatmaps are read from those three stacks. Batch ADCC is the
+    harmonic mean of the batch-mean terms. An image is skipped with its
+    reason when any stage of it raises `ValueError` (a shape the model does
+    not take, a heatmap source that fails) or when its target confidence is
+    not positive (the drop terms divide by it)."""
     if len(images) == 0:
         raise ValueError("need at least one image")
     if not 0 <= spec.target_class < model.num_classes:
@@ -223,26 +229,29 @@ def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
 
     def run_one(index: int):
         x = planes[index]
-        try:
-            y = _target_score(model, x, c)
-        except ValueError as err:
-            return str(err)
+        stack = model._tap_stack(x[None])
+        y = float(_target_scores(model, stack, c)[0])
         if not y > 0.0:
             return f"target confidence {y!r} is not positive"
         per_method = _per_image_method(method, index)
-        h1 = _pipeline_heatmap(model, x, spec, per_method)
+        h1 = _pipeline_heatmap(model, x, stack, spec, per_method)
         ex = explanation_map(x, h1)
-        anti = anti_explanation_map(x, h1)
-        o = _target_score(model, ex, c)
-        d = _target_score(model, anti, c)
-        h2 = _pipeline_heatmap(model, ex, spec, per_method)
+        masked = model._tap_stack(np.stack([ex, anti_explanation_map(x, h1)]))
+        o, d = (float(v) for v in _target_scores(model, masked, c))
+        h2 = _pipeline_heatmap(model, ex, masked[:1], spec, per_method)
         return (max(0.0, y - o) / y,
                 coherency(h1, h2),
                 complexity(h1),
                 1.0 if y < o else 0.0,
                 max(0.0, y - d) / y)
 
-    results = [run_one(i) for i in range(len(planes))]
+    def guarded(index: int):
+        try:
+            return run_one(index)
+        except ValueError as err:
+            return str(err)
+
+    results = [guarded(i) for i in range(len(planes))]
 
     kept = [r for r in results if not isinstance(r, str)]
     skipped = tuple((i, r) for i, r in enumerate(results) if isinstance(r, str))

@@ -1,10 +1,12 @@
 """Scalar utilities over logits: the quantity a heatmap explains.
 
 Values come from one numpy kernel, `compute_utility_batch`, which scores
-rows of logits; `compute_utility` is that kernel on a single row. The taped
-`utility_node` builds the same formula as a node graph for gradients and
-HVPs, in the kernel's op order, so the value a game enumerates and the
-value a gradient is taken of agree bit for bit.
+rows of logits; `compute_utility` is that kernel on a single row.
+`utility_derivatives` gives each utility's logit-space gradient and
+Hessian-vector product in closed form, which is what `cam` differentiates
+with. The taped `utility_node` builds the same formula as a node graph in
+the kernel's op order, so the value a game enumerates and the value the
+suites and the oracle tests differentiate agree bit for bit.
 """
 
 from __future__ import annotations
@@ -67,6 +69,18 @@ def compute_utility(logits, spec: UtilitySpec) -> float:
     return float(compute_utility_batch(logits[None], spec)[0])
 
 
+def _checked_logits(logits, spec: UtilitySpec) -> np.ndarray:
+    logits = ad.as_tensor(logits)
+    if logits.ndim != 2:
+        raise ValueError(f"utility: logits must be 2-D (rows x classes), got {logits.shape}")
+    if not np.all(np.isfinite(logits)):
+        raise ValueError("utility: logits must be finite")
+    if spec.target_class >= logits.shape[1]:
+        raise ValueError(f"target_class {spec.target_class} out of range "
+                         f"for {logits.shape[1]} classes")
+    return logits
+
+
 def compute_utility_batch(logits, spec: UtilitySpec) -> np.ndarray:
     """Utilities of n logit rows, (n, K) -> (n,).
 
@@ -74,14 +88,8 @@ def compute_utility_batch(logits, spec: UtilitySpec) -> np.ndarray:
     log, add the max back), so row i is bit-identical to the value of
     `utility_node` on that row.
     """
-    logits = ad.as_tensor(logits)
-    if logits.ndim != 2:
-        raise ValueError(f"utility: logits must be 2-D (rows x classes), got {logits.shape}")
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("utility: logits must be finite")
+    logits = _checked_logits(logits, spec)
     c = spec.target_class
-    if c >= logits.shape[1]:
-        raise ValueError(f"target_class {c} out of range for {logits.shape[1]} classes")
     y = logits[:, c]
     if spec.kind == "pre-softmax":
         return y.copy()
@@ -94,3 +102,37 @@ def compute_utility_batch(logits, spec: UtilitySpec) -> np.ndarray:
     if spec.kind == "log-softmax":
         return y - lse
     return 2.0 * y - lse
+
+
+def utility_derivatives(logits, spec: UtilitySpec, v=None):
+    """Gradient ∇_y u and, given v, Hessian-vector product H_y v of n
+    logit rows in closed form: (n, K) -> (n, K), (n, K) or None.
+
+    With p = softmax(y) and the Fisher product F v = p⊙v - p (p·v):
+
+    pre-softmax   ∇ = e_c,            H v = 0 (exact zeros)
+    log-softmax   ∇ = e_c - p,        H v = -F v
+    rest          ∇ = 2 e_c - p,      H v = -F v
+    post-softmax  ∇ = p_c r,          H v = p_c (r (r·v) - F v), r = e_c - p
+    """
+    logits = _checked_logits(logits, spec)
+    onehot = np.zeros_like(logits)
+    onehot[:, spec.target_class] = 1.0
+    if spec.kind == "pre-softmax":
+        return onehot, None if v is None else np.zeros_like(logits)
+    e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    p = e * (1.0 / np.sum(e, axis=1, keepdims=True))
+    r = onehot - p
+    if spec.kind == "post-softmax":
+        p_c = p[:, spec.target_class, None]
+        grad = p_c * r
+    else:
+        grad = 2.0 * onehot - p if spec.kind == "rest" else r
+    if v is None:
+        return grad, None
+    v = np.asarray(v, dtype=np.float64)
+    pv = p * v
+    fisher = pv - p * np.sum(pv, axis=1, keepdims=True)
+    if spec.kind == "post-softmax":
+        return grad, p_c * (r * np.sum(r * v, axis=1, keepdims=True) - fisher)
+    return grad, -fisher

@@ -3,11 +3,14 @@
 Three architectures share one contract: a tap layer whose output is exposed
 as a stack of maps (n_maps x d positions), plus an affine head that maps
 the tap to class logits. Plain values have one implementation: `_tap_stack`
-runs the image to the tap in numpy and `head_batch` maps any number of tap
+runs any number of images to the tap in numpy and `head_batch` maps tap
 stacks to logits, so `forward` is `head_batch` on a single stack.
-`forward_with_tap` builds the same head on a tape with the tap as the
-independent input, so gradients and HVPs are taken with respect to the tap
-values themselves, not the image.
+Because the head is affine in the tap, y = J·A + b, its derivatives need
+no tape: `head_linear` gives J·A and `head_transpose` maps logit-space
+vectors back through Jᵀ, which is all `cam` needs for closed-form gradients
+and curvature terms. `forward_with_tap` builds the same head on a tape with
+the tap as the independent input; the suites and the oracle tests take
+gradients and HVPs against it.
 
 Weights serialize to a single binary blob: a 4-byte little-endian header
 length, a JSON header (architecture, seed, tensor table), then the tensor
@@ -104,60 +107,85 @@ class ToyModel:
 
     # -- forward paths ------------------------------------------------------
 
-    def _tap_stack(self, image: np.ndarray) -> np.ndarray:
-        """Plain-numpy run up to and including the tap, as (n_maps, d)."""
-        image = ad.as_tensor(image)
-        if image.shape != self.in_shape:
-            raise ValueError(f"image shape {image.shape} does not match "
+    def _tap_stack(self, images: np.ndarray) -> np.ndarray:
+        """Plain-numpy run of n images up to and including the tap,
+        (n, *in_shape) -> (n, n_maps, d). Row i is bit-identical to the
+        call on image i alone."""
+        images = ad.as_tensor(images)
+        if images.ndim != 4 or images.shape[1:] != self.in_shape:
+            raise ValueError(f"image shape {images.shape[1:]} does not match "
                              f"model input {self.in_shape}")
-        if not np.all(np.isfinite(image)):
+        if not np.all(np.isfinite(images)):
             raise ValueError("image: non-finite values are not allowed")
+        n = len(images)
         if self.arch in ("cnn-relu", "cnn-smooth"):
-            # valid cross-correlation as im2col: one row per output position,
-            # columns ordered (channel, kernel row, kernel col) like conv_w
+            # valid cross-correlation as im2col: rows ordered (channel,
+            # kernel row, kernel col) like conv_w, one column per position
             w = self.weights["conv_w"]
             cols = np.ascontiguousarray(
-                sliding_window_view(image, w.shape[2:], axis=(1, 2)).transpose(1, 2, 0, 3, 4))
-            ho, wo = cols.shape[:2]
-            conv = np.matmul(cols.reshape(ho * wo, -1),
-                             np.ascontiguousarray(w.reshape(len(w), -1).T))
-            z = np.ascontiguousarray(conv.T) + self.weights["conv_b"].reshape(-1, 1)
+                sliding_window_view(images, w.shape[2:], axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3))
+            conv = np.matmul(w.reshape(len(w), -1), cols.reshape(n, w[0].size, -1))
+            z = conv + self.weights["conv_b"].reshape(-1, 1)
             return np.maximum(z, 0.0) if self.arch == "cnn-relu" else z * ad._sigmoid_fw(z)
-        z = np.matmul(self.weights["fc1_w"], image.reshape(-1)) + self.weights["fc1_b"]
-        return np.tanh(z).reshape(_MLP_MAPS, -1)
+        flat = images.reshape(n, -1, 1)
+        z = np.matmul(self.weights["fc1_w"], flat)[..., 0] + self.weights["fc1_b"]
+        return np.tanh(z).reshape(n, _MLP_MAPS, -1)
 
     def head(self, x):
         """Logits of one tap stack as a node graph, for differentiation.
 
         Its value is bit-identical to a row of `head_batch`: the same
         pooling sum and the same matrix-vector product."""
+        w_out, b_out = self._head_params()
         if self.arch in ("cnn-relu", "cnn-smooth"):
-            pooled = ad.mean(x, axis=1)
-            return ad.add(ad.matmul(self.weights["fc_w"], pooled), self.weights["fc_b"])
-        flat = ad.reshape(x, (self.weights["fc2_w"].shape[1],))
-        return ad.add(ad.matmul(self.weights["fc2_w"], flat), self.weights["fc2_b"])
+            return ad.add(ad.matmul(w_out, ad.mean(x, axis=1)), b_out)
+        flat = ad.reshape(x, (w_out.shape[1],))
+        return ad.add(ad.matmul(w_out, flat), b_out)
 
-    def head_batch(self, stacks: np.ndarray) -> np.ndarray:
-        """Logits of n tap stacks, (n, n_maps, d) -> (n, num_classes).
+    def _head_params(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.arch in ("cnn-relu", "cnn-smooth"):
+            return self.weights["fc_w"], self.weights["fc_b"]
+        return self.weights["fc2_w"], self.weights["fc2_b"]
 
-        Row i is bit-identical to the value of `head(stacks[i])`: the
-        pooling sums each contiguous row the same way, and the stacked
-        matmul runs the same matrix-vector product per row (a single
+    @property
+    def head_bias(self) -> np.ndarray:
+        return self._head_params()[1]
+
+    def head_linear(self, stacks: np.ndarray) -> np.ndarray:
+        """The head before its bias, J·A, of n tap stacks:
+        (n, n_maps, d) -> (n, num_classes).
+
+        The pooling sums each contiguous row the way `head` does, and the
+        stacked matmul runs the same matrix-vector product per row (a single
         `pooled @ w.T` GEMM would not be bit-equal).
         """
         stacks = np.asarray(stacks, dtype=np.float64)
         h, w = self.tap_spatial()
         n_maps = _MLP_MAPS if self.arch == "mlp-smooth" else _CONV_CHANNELS
         if stacks.ndim != 3 or stacks.shape[1:] != (n_maps, h * w):
-            raise ValueError(f"head_batch: expected (n, {n_maps}, {h * w}) stacks, "
+            raise ValueError(f"head: expected (n, {n_maps}, {h * w}) stacks, "
                              f"got {stacks.shape}")
         if self.arch in ("cnn-relu", "cnn-smooth"):
             pooled = np.sum(stacks, axis=2) * (1.0 / stacks.shape[2])
-            w_out, b_out = self.weights["fc_w"], self.weights["fc_b"]
         else:
             pooled = stacks.reshape(len(stacks), -1)
-            w_out, b_out = self.weights["fc2_w"], self.weights["fc2_b"]
-        return np.matmul(w_out, pooled[:, :, None])[..., 0] + b_out
+        return np.matmul(self._head_params()[0], pooled[:, :, None])[..., 0]
+
+    def head_batch(self, stacks: np.ndarray) -> np.ndarray:
+        """Logits of n tap stacks, (n, n_maps, d) -> (n, num_classes).
+        Row i is bit-identical to the value of `head(stacks[i])`."""
+        return self.head_linear(stacks) + self.head_bias
+
+    def head_transpose(self, g: np.ndarray) -> np.ndarray:
+        """The head's transpose map Jᵀ: per-image logit-space vectors
+        (n, num_classes) to tap-space (n, n_maps, d). For the CNNs, Jᵀg is
+        Wᵀg / d broadcast over positions (a read-only view)."""
+        w_out = self._head_params()[0]
+        back = np.matmul(np.asarray(g, dtype=np.float64), w_out)
+        h, w = self.tap_spatial()
+        if self.arch in ("cnn-relu", "cnn-smooth"):
+            return np.broadcast_to((back * (1.0 / (h * w)))[:, :, None], back.shape + (h * w,))
+        return back.reshape(len(back), _MLP_MAPS, h * w)
 
     def tap_spatial(self) -> tuple[int, int]:
         if self.arch in ("cnn-relu", "cnn-smooth"):
@@ -167,7 +195,7 @@ class ToyModel:
 
     def forward(self, image: np.ndarray) -> np.ndarray:
         """Image to logits, no taping."""
-        return self.head_batch(self._tap_stack(image)[None])[0]
+        return self.head_batch(self._tap_stack(ad.as_tensor(image)[None]))[0]
 
     def forward_with_tap(self, image: np.ndarray) -> TapRun:
         """Image to logits with the head taped against the tap stack.
@@ -175,7 +203,7 @@ class ToyModel:
         The tape's input "tap" is the activation stack treated as a free
         variable; gradient/hvp against it differentiate the head only.
         """
-        stack = self._tap_stack(image)
+        stack = self._tap_stack(ad.as_tensor(image)[None])[0]
         tape = ad.Tape()
         x = tape.input("tap", stack)
         with tape:

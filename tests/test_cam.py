@@ -425,3 +425,98 @@ def test_rest_composition_approaches_class_heatmap_at_saturation():
     class_map = explain(model, image, UtilitySpec(c, "pre-softmax"), "gradcam").pre_relu
     _, composed = rest_decomposition(model, image, c, "gradcam")
     assert np.max(np.abs(composed.pre_relu - class_map)) <= 1e-8
+
+
+# ------------------------------------------------ closed form vs taped oracle
+
+def taped_weights(model, image, spec):
+    """Gradient and second-order weights at the tap from the autodiff tape:
+    the oracle the closed-form derivatives are held to."""
+    from crgx.utility import utility_node
+
+    run = model.forward_with_tap(image)
+    with run.tape:
+        u = utility_node(run.tape.outputs["logits"], spec)
+    grad = ad.gradient(run.tape, u, "tap")
+    hvp = ad.hvp(run.tape, u, "tap", run.activations.maps)
+    return run.activations, grad, shapley_weights(grad, hvp)
+
+
+def assert_rel_close(actual, expected, tol=1e-12):
+    # relative to the largest entry; below the smallest normal float (a
+    # saturated softmax leaves probabilities there) no computation keeps
+    # relative precision, so that is the absolute floor
+    scale = np.max(np.abs(expected))
+    assert np.all(np.isfinite(actual))
+    err = np.max(np.abs(actual - expected))
+    assert err <= tol * scale + np.finfo(np.float64).tiny, (err, scale)
+
+
+HEAD_WEIGHT = {"cnn-relu": "fc_w", "cnn-smooth": "fc_w", "mlp-smooth": "fc2_w"}
+
+
+@pytest.mark.parametrize("saturate", [False, True], ids=["plain", "saturated"])
+@pytest.mark.parametrize("num_classes", [2, 3, 5])
+@pytest.mark.parametrize("kind", UTILITY_KINDS)
+@pytest.mark.parametrize("arch", ["cnn-relu", "cnn-smooth", "mlp-smooth"])
+def test_closed_form_matches_taped_oracle(arch, kind, num_classes, saturate):
+    from crgx.cam import CAM_METHODS, tap_weights
+
+    model = build_model(arch, num_classes=num_classes, seed=num_classes)
+    if saturate:
+        # softmax saturates: probabilities are 0 or 1 up to underflow
+        model.weights[HEAD_WEIGHT[arch]] *= 30000
+    image = make_image(40 + num_classes)
+    for c in range(num_classes):
+        spec = UtilitySpec(c, kind)
+        activations, grad, second = taped_weights(model, image, spec)
+        stack = activations.maps[None]
+        assert_rel_close(tap_weights(model, stack, spec, "first")[0], grad)
+        assert_rel_close(tap_weights(model, stack, spec, "second")[0], second)
+        # cam-gap explains the pre-softmax logit whatever the utility
+        gap_grad = taped_weights(model, image, UtilitySpec(c, "pre-softmax"))[1]
+        for name in CAM_METHODS:
+            method = CamMethod(name, seed=3 if name == "randomcam" else None)
+            order = method.order or "first"
+            weights = {"cam-gap": gap_grad, "randomcam": None}.get(
+                name, grad if order == "first" else second)
+            expected = assemble_heatmap(weights, activations, method, weights_order=order)
+            assert_rel_close(explain(model, image, spec, method).pre_relu, expected.pre_relu)
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 5])
+def test_gradcam_equals_shapleycam_bitwise_on_relu_cnn(num_classes):
+    # H_y is exactly zero for pre-softmax, so the curvature term vanishes
+    # exactly and the second-order weights are the gradient bit for bit
+    from crgx.cam import explain_batch
+
+    model = build_model("cnn-relu", num_classes=num_classes, seed=num_classes + 20)
+    images = np.stack([make_image(s) for s in range(4)])
+    stacks = model._tap_stack(images)
+    for c in range(num_classes):
+        spec = UtilitySpec(c, "pre-softmax")
+        for first, second in (("gradcam", "shapleycam"), ("hirescam", "shapleycam-h"),
+                              ("gradcam-e", "shapleycam-e")):
+            a = explain_batch(model, stacks, spec, first)
+            b = explain_batch(model, stacks, spec, second)
+            for ha, hb in zip(a, b):
+                assert ha.pre_relu.tobytes() == hb.pre_relu.tobytes()
+
+
+@pytest.mark.parametrize("arch", ["cnn-relu", "cnn-smooth", "mlp-smooth"])
+def test_explain_batch_rows_match_single_explain(arch):
+    from crgx.cam import CAM_METHODS, explain_batch
+
+    model = build_model(arch, num_classes=3, seed=8)
+    images = np.stack([make_image(s) for s in range(3)])
+    stacks = model._tap_stack(images)
+    spec = UtilitySpec(1, "rest")
+    for name in CAM_METHODS:
+        method = CamMethod(name, seed=4 if name == "randomcam" else None)
+        batch = explain_batch(model, stacks, spec, method)
+        assert len(batch) == 3
+        for image, hm in zip(images, batch):
+            single = explain(model, image, spec, method)
+            assert hm.method == single.method and hm.utility == single.utility
+            assert hm.target_class == single.target_class and hm.spatial == single.spatial
+            np.testing.assert_allclose(hm.pre_relu, single.pre_relu, rtol=1e-13, atol=1e-15)

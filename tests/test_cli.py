@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from crgx.cam import CamMethod
 from crgx.cli import main
 from crgx.imgio import Image, read_image, write_image
 from crgx.zoo import build_model
@@ -135,6 +136,37 @@ def test_evaluate_names_each_skipped_image(tmp_path, capsys):
         "model input (3, 6, 6)\n")
 
 
+def test_evaluate_builds_the_model_for_the_majority_shape(tmp_path, capsys):
+    # one odd image sorts first; the three 6x6 images decide the model
+    img_dir = tmp_path / "imgs"
+    img_dir.mkdir()
+    put_image(img_dir / "a.ppm", 60, shape=(3, 7, 6))
+    for i, name in enumerate(("b.ppm", "c.ppm", "d.ppm")):
+        put_image(img_dir / name, 61 + i)
+    report_path = tmp_path / "r.json"
+    assert main(["evaluate", "--images", str(img_dir), "--method", "gradcam",
+                 "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["n_images"] == 3 and report["n_failed"] == 1
+    assert capsys.readouterr().err == (
+        f"skipped {img_dir / 'a.ppm'}: image shape (3, 7, 6) does not match "
+        "model input (3, 6, 6)\n")
+
+
+def test_evaluate_shape_tie_goes_to_the_first_name(tmp_path, capsys):
+    img_dir = tmp_path / "imgs"
+    img_dir.mkdir()
+    put_image(img_dir / "a.ppm", 70, shape=(3, 7, 6))
+    put_image(img_dir / "b.ppm", 71)
+    report_path = tmp_path / "r.json"
+    assert main(["evaluate", "--images", str(img_dir), "--method", "gradcam",
+                 "--report", str(report_path)]) == 0
+    assert json.loads(report_path.read_text())["n_images"] == 1
+    assert capsys.readouterr().err == (
+        f"skipped {img_dir / 'b.ppm'}: image shape (3, 6, 6) does not match "
+        "model input (3, 7, 6)\n")
+
+
 def test_evaluate_limit_flag(tmp_path):
     img_dir = tmp_path / "imgs"
     img_dir.mkdir()
@@ -186,3 +218,47 @@ def test_bad_image_file_exits_1(tmp_path, capsys):
     code = main(["explain", "--image", str(bad), "--method", "gradcam"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_explain_and_evaluate_build_no_tape(tmp_path, monkeypatch):
+    # derivatives on these paths are closed forms; any tape is a regression
+    from crgx import autodiff as ad
+    from crgx.cam import explain, explain_batch
+    from crgx.metrics import evaluate_batch
+    from crgx.utility import UtilitySpec
+    from crgx.zoo import ToyModel
+
+    def no_tape(self):
+        raise RuntimeError("a tape was built")
+
+    monkeypatch.setattr(ad.Tape, "__init__", no_tape)
+    counted = []
+    tap_stack = ToyModel._tap_stack
+
+    def counting(self, images):
+        counted.append(len(images))
+        return tap_stack(self, images)
+
+    monkeypatch.setattr(ToyModel, "_tap_stack", counting)
+
+    model = build_model("cnn-smooth", num_classes=3, seed=1)
+    with pytest.raises(RuntimeError, match="tape"):
+        model.forward_with_tap(np.zeros(model.in_shape))
+    images = [np.random.default_rng(s).uniform(0.0, 1.0, model.in_shape) for s in range(4)]
+    spec = UtilitySpec(0, "rest")
+    counted.clear()
+    explain(model, images[0], spec, "shapleycam")
+    assert counted == [1]
+    stacks = tap_stack(model, np.stack(images))
+    assert len(explain_batch(model, stacks, spec, "shapleycam-e")) == 4
+    for method in ("gradcam", "shapleycam", CamMethod("randomcam", seed=3)):
+        counted.clear()
+        assert evaluate_batch(model, images, spec, method).n_images == 4
+        assert sum(counted) == 3 * len(images)
+
+    put_image(tmp_path / "s.ppm", 5)
+    for extra in ([], ["--class", "2"]):
+        counted.clear()
+        assert main(["explain", "--image", str(tmp_path / "s.ppm"), "--method", "shapleycam",
+                     "--out-dir", str(tmp_path / "out")] + extra) == 0
+        assert sum(counted) == 1

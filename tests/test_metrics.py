@@ -205,6 +205,42 @@ def test_failed_images_are_skipped_and_counted():
         evaluate_batch(model, [np.zeros((3, 5, 5))], UtilitySpec(0, "rest"), "gradcam")
 
 
+def failing_on(bad_pixels, heatmap):
+    """A heatmap source that fails on one image: it raises, or returns a
+    heatmap with no positions, which cannot be normalized."""
+    def method(model, pixels, spec):
+        if np.array_equal(pixels, bad_pixels):
+            if heatmap is None:
+                raise ValueError("source failed on this image")
+            return heatmap
+        flat = np.full(36, 0.5)
+        flat[0] = 1.0
+        return Heatmap(pre_relu=flat, post_relu=flat, spatial=(6, 6),
+                       method="flaky", layer="input")
+
+    return method
+
+
+@pytest.mark.parametrize("heatmap", [
+    None,
+    Heatmap(pre_relu=np.zeros(0), post_relu=np.zeros(0), spatial=(0, 0),
+            method="flaky", layer="input"),
+], ids=["raises", "no-positions"])
+def test_later_stage_failure_skips_only_that_image(heatmap):
+    model = build_model("cnn-smooth", num_classes=3, seed=1)
+    images = make_images(3, seed=17)
+    record = evaluate_batch(model, images, UtilitySpec(0, "rest"),
+                            failing_on(images[1], heatmap))
+    assert record.n_images == 2
+    assert [i for i, _ in record.skipped] == [1]
+    if heatmap is None:
+        assert record.skipped[0][1] == "source failed on this image"
+    good = evaluate_batch(model, [images[0], images[2]], UtilitySpec(0, "rest"),
+                          failing_on(images[1], heatmap))
+    assert record.image_ad == good.image_ad
+    assert record.image_coherency == good.image_coherency
+
+
 def test_zero_target_confidence_is_skipped_not_divided():
     # Scaled logits put the target's softmax at exactly 0.0 on the uniform
     # images, and the drop terms divide by it; the zero image still scores.

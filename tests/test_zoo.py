@@ -65,7 +65,39 @@ def test_tap_stack_matches_loop_convolution(arch, shape):
                 z[o, r, c] = b[o] + sum(w[o, i, u, v] * x[i, r + u, c + v]
                                         for i in range(cin) for u in range(kh) for v in range(kw))
     act = np.maximum(z, 0.0) if arch == "cnn-relu" else z / (1.0 + np.exp(-z))
-    np.testing.assert_allclose(m._tap_stack(x), act.reshape(cout, -1), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(m._tap_stack(x[None])[0], act.reshape(cout, -1),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("arch", zoo.ARCHS)
+def test_stacked_tap_rows_match_single_image_bitwise(arch):
+    for shape in ((3, 6, 6), (1, 6, 6), (3, 7, 5), (3, 64, 64)):
+        m = zoo.build_model(arch, 3, 6, in_shape=shape)
+        images = np.random.default_rng(12).uniform(-1.0, 1.0, (5,) + shape)
+        stacked = m._tap_stack(images)
+        assert stacked.shape == (5, 4, 16 if arch == "mlp-smooth" else
+                                 (shape[1] - 2) * (shape[2] - 2))
+        for i, image in enumerate(images):
+            assert m._tap_stack(image[None])[0].tobytes() == stacked[i].tobytes(), (shape, i)
+
+
+def test_tap_stack_takes_a_stack_of_images():
+    m = zoo.build_model("cnn-smooth", 3, 0)
+    with pytest.raises(ValueError, match=r"image shape \(6, 6\) does not match"):
+        m._tap_stack(rand_image(0))  # one image, not a stack of them
+
+
+def test_head_transpose_is_the_adjoint_of_head_linear():
+    # <J·A, g> = <A, Jᵀg> for every architecture
+    for arch in zoo.ARCHS:
+        m = zoo.build_model(arch, 5, 1)
+        rng = np.random.default_rng(2)
+        stacks = rng.normal(size=(3, 4, 16))
+        g = rng.normal(size=(3, 5))
+        lhs = np.sum(m.head_linear(stacks) * g, axis=1)
+        rhs = np.sum(stacks * m.head_transpose(g), axis=(1, 2))
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-13, atol=1e-15)
+        assert np.array_equal(m.head_batch(stacks), m.head_linear(stacks) + m.head_bias)
 
 
 @pytest.mark.parametrize("arch", zoo.ARCHS)
