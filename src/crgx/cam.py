@@ -182,6 +182,11 @@ def explain_batch(model: ToyModel, stacks: np.ndarray, spec: UtilitySpec, method
     `model._tap_stack(images)`: closed-form weights for the whole batch,
     then one assembly. randomcam uses the same draw on every stack."""
     method = _as_method(method)
+    # randomcam never scores a utility, so the class is checked here for
+    # every method rather than left to the logit kernels
+    if spec.target_class >= model.num_classes:
+        raise ValueError(f"target_class {spec.target_class} out of range "
+                         f"for {model.num_classes} classes")
     if method.name == "cam-gap":
         # the original formulation reads the class weight row directly,
         # which is the pre-softmax gradient at a GAP tap

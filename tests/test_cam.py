@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crgx import autodiff as ad
 from crgx.cam import (
+    CAM_METHODS,
     CamMethod,
     Heatmap,
     assemble_heatmap,
@@ -15,7 +18,8 @@ from crgx.cam import (
     theorem3_ensemble,
 )
 from crgx.game import make_spatial_game, shapley_exact
-from crgx.utility import UTILITY_KINDS, UtilitySpec, compute_utility
+from crgx.utility import (UTILITY_KINDS, UtilitySpec, compute_utility,
+                          compute_utility_batch, utility_derivatives)
 from crgx.zoo import ActivationStack, build_model
 
 
@@ -62,6 +66,32 @@ def test_non_finite_logits_rejected():
         for kind in UTILITY_KINDS:
             with pytest.raises(ValueError, match="finite"):
                 compute_utility(np.array(logits), UtilitySpec(0, kind))
+
+
+_finite = st.floats(-30.0, 30.0, allow_nan=False)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda k: st.tuples(
+    st.lists(st.lists(_finite, min_size=k, max_size=k), min_size=1, max_size=4),
+    st.lists(_finite, min_size=k, max_size=k),
+    st.integers(0, k - 1))),
+    st.floats(-100.0, 100.0, allow_nan=False))
+def test_softmax_shift_invariance(case, t):
+    # adding t to every logit leaves softmax, and so every derivative, as
+    # it is; pre-softmax and rest move by t, the softmax kinds stay put
+    rows, v, c = case
+    logits = np.array(rows)
+    v = np.broadcast_to(np.array(v), logits.shape)
+    for kind in UTILITY_KINDS:
+        spec = UtilitySpec(c, kind)
+        grad, hvp = utility_derivatives(logits, spec, v)
+        grad_t, hvp_t = utility_derivatives(logits + t, spec, v)
+        assert rel_err(grad_t, grad) <= 1e-12
+        assert rel_err(hvp_t, hvp) <= 1e-12
+        moved = t if kind in ("pre-softmax", "rest") else 0.0
+        assert rel_err(compute_utility_batch(logits + t, spec),
+                       compute_utility_batch(logits, spec) + moved) <= 1e-12
 
 
 def test_utility_spec_validation():
@@ -296,6 +326,15 @@ def test_randomcam_ignores_the_utility():
     assert np.array_equal(a.pre_relu, b.pre_relu)
     assert a.utility == "pre-softmax"
     assert b.utility == "rest"
+
+
+@pytest.mark.parametrize("name", CAM_METHODS)
+def test_every_method_rejects_an_out_of_range_class(name):
+    # randomcam scores no utility, so only explain_batch's own check stops it
+    model = build_model("cnn-relu", num_classes=3, seed=3)
+    method = CamMethod(name, seed=1 if name == "randomcam" else None)
+    with pytest.raises(ValueError, match="target_class 99 out of range for 3 classes"):
+        explain(model, make_image(9), UtilitySpec(99, "rest"), method)
 
 
 # ------------------------------------------------------------ weight report

@@ -66,6 +66,17 @@ def test_explain_writes_three_files(tmp_path):
     assert len(meta["pre_relu"]) == 16
 
 
+@pytest.mark.parametrize("method", [["gradcam"], ["randomcam", "--method-seed", "1"]],
+                         ids=["gradcam", "randomcam"])
+def test_explain_out_of_range_class_exits_1(tmp_path, capsys, method):
+    put_image(tmp_path / "c.ppm", 5)
+    code = main(["explain", "--image", str(tmp_path / "c.ppm"), "--classes", "3",
+                 "--class", "99", "--out-dir", str(tmp_path / "out"), "--method"] + method)
+    assert code == 1
+    assert capsys.readouterr().err == "error: target_class 99 out of range for 3 classes\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_explain_default_class_is_argmax(tmp_path):
     pixels = put_image(tmp_path / "pick.ppm", 11)
     assert main(["explain", "--image", str(tmp_path / "pick.ppm"),

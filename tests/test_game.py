@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crgx import autodiff as ad
 from crgx import game, zoo
@@ -124,11 +126,74 @@ def table_mc_case():
 def test_mc_is_bit_identical_to_scalar_oracle(case):
     g, utility = case()
     block = game._chunk_rows(g.d * g.d)
-    for samples in (1, block - 1, block, block + 1):
+    # block + 2 adds two rows after a block boundary, where the order of
+    # the per-permutation sums shows
+    for samples in (1, block - 1, block, block + 1, block + 2):
         sv = game.shapley_mc(g, samples, seed=21)
         values, stderr = scalar_mc(utility, g.d, g.u_empty, samples, seed=21)
         assert sv.values.tobytes() == values.tobytes()
         assert sv.stderr.tobytes() == stderr.tobytes()
+
+
+def numpy_permutation(seed, i, d):
+    return np.random.default_rng(np.random.SeedSequence((seed, i))).permutation(d)
+
+
+def replayed_permutation(seed, i, d):
+    """numpy's Fisher-Yates replayed from PCG64's raw outputs, low uint32
+    half first: the permutation and the number of words it draws."""
+    raw = np.random.PCG64(np.random.SeedSequence((seed, i))).random_raw(4 * d)
+    words = [int(x) >> shift & 0xFFFFFFFF for x in raw for shift in (0, 32)]
+    perm, used = list(range(d)), 0
+    for top in range(d - 1, 0, -1):
+        mask = (1 << top.bit_length()) - 1
+        while words[used] & mask > top:
+            used += 1
+        j = words[used] & mask
+        used += 1
+        perm[top], perm[j] = perm[j], perm[top]
+    return perm, used
+
+
+def assert_stream_matches_numpy(seed, lo, hi, d):
+    got = game._permutations(seed, lo, hi, d)
+    want = np.array([numpy_permutation(seed, i, d) for i in range(lo, hi)]).reshape(-1, d)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(1, 40),
+       st.integers(1, 4))
+def test_lane_stream_matches_numpy(seed, i, d, count):
+    assert_stream_matches_numpy(seed, i, i + count, d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 9, 17])
+def test_lane_stream_at_the_two_word_boundary(d):
+    top = 2**32 - 1
+    assert_stream_matches_numpy(top, top - 1, top + 1, d)       # lanes, seed at the top
+    assert_stream_matches_numpy(7, top - 2, top + 3, d)         # lanes, then numpy
+    assert_stream_matches_numpy(top + 1, 0, 3, d)               # three-word entropy: numpy
+
+
+def test_negative_seed_still_raises():
+    g = game.CooperativeGame.from_table([0.0, 1.0, 2.0, 4.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        game.shapley_mc(g, 10, seed=-1)
+
+
+def test_lane_short_of_words_is_recomputed():
+    # at d=17 random_interval(16) rejects 15 draws in 32; lane (2024, 5135)
+    # draws more words than the 2d + 4 the lanes compute up front
+    perm, used = replayed_permutation(2024, 5135, 17)
+    assert used > 2 * 17 + 4
+    assert perm == numpy_permutation(2024, 5135, 17).tolist()
+    assert_stream_matches_numpy(2024, 5130, 5140, 17)
+    # a budget of two words runs every lane dry, more than once
+    for d in (17, 33):
+        got = game._lane_permutations(3, np.arange(200, dtype=np.uint32), d, 2)
+        assert np.array_equal(got, [numpy_permutation(3, i, d) for i in range(200)])
 
 
 def test_single_sample_mc_has_zero_stderr():
