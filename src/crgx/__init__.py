@@ -42,7 +42,7 @@ from .postprocess import (
 )
 from .suites import hvp_suite, shapley_suite, theorem_suite
 from .utility import UTILITY_KINDS, UtilitySpec, compute_utility
-from .zoo import ARCHS, ToyModel, WeightManifest, build_model
+from .zoo import ARCHS, ToyModel, build_model
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "ToyModel",
     "UTILITY_KINDS",
     "UtilitySpec",
-    "WeightManifest",
     "adcc",
     "apply_colormap",
     "average_drop",

@@ -36,6 +36,14 @@ def _emit_report(report: dict, path) -> None:
         Path(path).write_text(text)
 
 
+def positive_int(text: str) -> int:
+    """argparse type of a count flag: 0 or less is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _resolve_method(parser: argparse.ArgumentParser, args):
     if args.method == "randomcam":
         if args.method_seed is None:
@@ -45,14 +53,13 @@ def _resolve_method(parser: argparse.ArgumentParser, args):
 
 
 def _cmd_explain(parser: argparse.ArgumentParser, args) -> int:
+    style = OverlayStyle(alpha=args.alpha)  # a bad alpha fails before any file is written
     image = read_image(args.image)
     model = build_model(args.arch, num_classes=args.classes, seed=args.seed,
                         in_shape=image.pixels.shape)
     stack = model._tap_stack(image.pixels[None])
-    if args.target_class is None:
-        target = int(np.argmax(model.head_batch(stack)[0]))
-    else:
-        target = args.target_class
+    target = (int(np.argmax(model.head_batch(stack)[0])) if args.target_class is None
+              else args.target_class)
     spec = UtilitySpec(target, args.utility)
     method = _resolve_method(parser, args)
 
@@ -68,8 +75,7 @@ def _cmd_explain(parser: argparse.ArgumentParser, args) -> int:
     json_path = out_dir / f"{stem}.{method.name}.json"
 
     write_image(heat_path, Image(apply_colormap(upsampled)))
-    write_image(over_path, Image(overlay(image.pixels, upsampled,
-                                         OverlayStyle(alpha=args.alpha))))
+    write_image(over_path, Image(overlay(image.pixels, upsampled, style)))
     sidecar = {
         "image": Path(args.image).name,
         "arch": model.arch,
@@ -181,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(evaluate_cmd)
     evaluate_cmd.add_argument("--class", dest="target_class", type=int, default=0,
                               help="target class for every image (default 0)")
-    evaluate_cmd.add_argument("--limit", type=int, default=None,
+    evaluate_cmd.add_argument("--limit", type=positive_int, default=None,
                               help="use only the first N images")
     evaluate_cmd.add_argument("--report", default=None,
                               help="write the JSON report here (default stdout)")
@@ -192,9 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     shapley_cmd = commands.add_parser(
         "shapley-verify", help="exact/approximate attribution checks")
     shapley_cmd.add_argument("--seed", type=int, default=2024)
-    shapley_cmd.add_argument("--mc-seeds", type=int, default=10,
+    shapley_cmd.add_argument("--mc-seeds", type=positive_int, default=10,
                              help="estimator seeds for the sampling check")
-    shapley_cmd.add_argument("--mc-samples", type=int, default=50000,
+    shapley_cmd.add_argument("--mc-samples", type=positive_int, default=50000,
                              help="permutations per estimator seed")
     shapley_cmd.add_argument("--report", default=None)
     shapley_cmd.set_defaults(handler=_cmd_shapley_verify)
@@ -202,13 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
     hvp_cmd = commands.add_parser(
         "hvp-check", help="curvature products against finite differences")
     hvp_cmd.add_argument("--seed", type=int, default=77)
-    hvp_cmd.add_argument("--graphs", type=int, default=100)
+    hvp_cmd.add_argument("--graphs", type=positive_int, default=100)
     hvp_cmd.add_argument("--report", default=None)
     hvp_cmd.set_defaults(handler=_cmd_hvp_check)
 
     theorem_cmd = commands.add_parser(
         "theorem-check", help="ensemble, residual, probe, and collapse identities")
-    theorem_cmd.add_argument("--seeds", type=int, default=5,
+    theorem_cmd.add_argument("--seeds", type=positive_int, default=5,
                              help="model seeds per configuration (default 5)")
     theorem_cmd.add_argument("--report", default=None)
     theorem_cmd.set_defaults(handler=_cmd_theorem_check)

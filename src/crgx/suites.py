@@ -273,6 +273,9 @@ def hvp_suite(seed: int = 77, graphs: int = 100) -> dict:
 
 # ------------------------------------------------------------- theorem-check
 
+THEOREM_ARCHS = ("cnn-smooth", "mlp-smooth")
+THEOREM_CLASSES = (2, 3, 5)
+THEOREM_METHODS = ("gradcam", "hirescam")
 PROBE_CONFIG = {"arch": "cnn-smooth", "classes": 2, "model_seed": 110,
                 "image_seed": 0, "scale": 50.0}
 
@@ -287,27 +290,25 @@ def _probe_model():
     return model, image
 
 
-def theorem_suite(seeds: int = 5, archs=("cnn-smooth", "mlp-smooth"),
-                  class_counts=(2, 3, 5), methods=("gradcam", "hirescam")) -> dict:
+def theorem_suite(seeds: int = 5) -> dict:
     """Ensemble and residual-decomposition identities over the full model
     matrix, the saturated-softmax probe, and the degenerate-collapse
     equalities on the relu CNN."""
     report: dict = {
-        "suite": "theorem-check", "seeds": int(seeds),
-        "archs": list(archs), "classes": list(class_counts),
-        "methods": list(methods),
+        "suite": "theorem-check", "seeds": int(seeds), "archs": list(THEOREM_ARCHS),
+        "classes": list(THEOREM_CLASSES), "methods": list(THEOREM_METHODS),
     }
 
     ens_worst = 0.0
     rest_worst = 0.0
     n_cases = 0
-    for arch in archs:
-        for n_classes in class_counts:
+    for arch in THEOREM_ARCHS:
+        for n_classes in THEOREM_CLASSES:
             for s in range(seeds):
                 model = build_model(arch, num_classes=n_classes, seed=s)
                 image = np.random.default_rng(1000 + s).uniform(0.0, 1.0, model.in_shape)
                 c = int(np.argmax(model.forward(image)))
-                for method in methods:
+                for method in THEOREM_METHODS:
                     direct, ensemble = theorem3_ensemble(
                         model, image, UtilitySpec(c, "post-softmax"), method)
                     ens_worst = max(ens_worst, float(np.max(np.abs(

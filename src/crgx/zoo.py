@@ -11,17 +11,10 @@ vectors back through Jᵀ, which is all `cam` needs for closed-form gradients
 and curvature terms. `forward_with_tap` builds the same head on a tape with
 the tap as the independent input; the suites and the oracle tests take
 gradients and HVPs against it.
-
-Weights serialize to a single binary blob: a 4-byte little-endian header
-length, a JSON header (architecture, seed, tensor table), then the tensor
-payload as little-endian float64, concatenated row-major.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -72,8 +65,7 @@ def _init_tensor(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) 
 
 
 def _tensor_specs(arch: str, num_classes: int, in_shape: tuple[int, int, int]):
-    """Ordered (name, shape, fan_in) table; the order fixes RNG draw order
-    and the manifest layout."""
+    """Ordered (name, shape, fan_in) table; the order fixes RNG draw order."""
     cin, h, w = in_shape
     if arch in ("cnn-relu", "cnn-smooth"):
         fan_conv = cin * _KERNEL * _KERNEL
@@ -213,17 +205,6 @@ class ToyModel:
         return TapRun(logits=logits.value, activations=activations, tape=tape)
 
 
-def _checked_specs(arch: str, num_classes: int, in_shape: tuple[int, ...]):
-    """`_tensor_specs` of a configuration `build_model` accepts."""
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    if len(in_shape) != 3 or in_shape[0] not in (1, 3):
-        raise ValueError(f"in_shape must be (channels in {{1,3}}, h, w), got {in_shape}")
-    if arch in ("cnn-relu", "cnn-smooth") and (in_shape[1] < _KERNEL or in_shape[2] < _KERNEL):
-        raise ValueError(f"{arch} needs at least a {_KERNEL}x{_KERNEL} input, got {in_shape}")
-    return _tensor_specs(arch, num_classes, in_shape)
-
-
 def build_model(arch: str, num_classes: int, seed: int,
                 in_shape: tuple[int, int, int] = (3, 6, 6)) -> ToyModel:
     """Construct a model with seeded uniform weights.
@@ -233,135 +214,14 @@ def build_model(arch: str, num_classes: int, seed: int,
     in_shape) always yields bit-identical weights.
     """
     in_shape = tuple(int(v) for v in in_shape)
-    specs = _checked_specs(arch, num_classes, in_shape)
+    if num_classes < 2:
+        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    if len(in_shape) != 3 or in_shape[0] not in (1, 3):
+        raise ValueError(f"in_shape must be (channels in {{1,3}}, h, w), got {in_shape}")
+    if arch in ("cnn-relu", "cnn-smooth") and (in_shape[1] < _KERNEL or in_shape[2] < _KERNEL):
+        raise ValueError(f"{arch} needs at least a {_KERNEL}x{_KERNEL} input, got {in_shape}")
+    specs = _tensor_specs(arch, num_classes, in_shape)
     rng = np.random.default_rng(seed)
     weights = {name: _init_tensor(rng, shape, fan_in) for name, shape, fan_in in specs}
     return ToyModel(arch=arch, num_classes=num_classes, seed=seed,
                     in_shape=in_shape, weights=weights)
-
-
-# ---------------------------------------------------------------------------
-# weight serialization
-
-
-@dataclass
-class WeightManifest:
-    """JSON header plus raw little-endian float64 payload."""
-
-    header: dict
-    payload: bytes
-
-    def to_bytes(self) -> bytes:
-        head = json.dumps(self.header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        return struct.pack("<I", len(head)) + head + self.payload
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "WeightManifest":
-        if len(blob) < 4:
-            raise ValueError(f"weight blob truncated at byte {len(blob)}: "
-                             "missing 4-byte header length")
-        (head_len,) = struct.unpack("<I", blob[:4])
-        if len(blob) < 4 + head_len:
-            raise ValueError(f"weight blob truncated at byte {len(blob)}: "
-                             f"header claims {head_len} bytes")
-        try:
-            header = json.loads(blob[4:4 + head_len].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"malformed weight header: {exc}") from None
-        payload = blob[4 + head_len:]
-        if not isinstance(header, dict):
-            raise ValueError("malformed weight header: expected a JSON object")
-        for key in ("arch", "num_classes", "seed", "in_shape", "tensors"):
-            if key not in header:
-                raise ValueError(f"malformed weight header: missing {key!r}")
-        if not isinstance(header["tensors"], list):
-            raise ValueError("malformed weight header: 'tensors' must be a list")
-        offset = 0
-        for entry in header["tensors"]:
-            if not isinstance(entry, dict):
-                raise ValueError(f"malformed weight header: tensor entry {entry!r} "
-                                 "is not an object")
-            name = entry.get("name", "<unnamed>")
-            shape, start = entry.get("shape"), entry.get("offset")
-            if not (isinstance(shape, list) and all(isinstance(v, int) and v >= 0 for v in shape)
-                    and isinstance(start, int)):
-                raise ValueError(f"tensor {name!r}: header needs a 'shape' list of "
-                                 "non-negative integers and an integer 'offset'")
-            if start != offset:
-                raise ValueError(f"tensor {name!r}: offset {start} "
-                                 f"does not follow the previous tensor (expected {offset})")
-            offset += 8 * math.prod(shape)
-            if len(payload) < offset:
-                raise ValueError(f"tensor {name!r}: payload truncated "
-                                 f"({len(payload)} bytes, needs {offset})")
-        if len(payload) != offset:
-            raise ValueError(f"payload has {len(payload) - offset} trailing bytes "
-                             "beyond the last tensor")
-        return cls(header=header, payload=payload)
-
-
-def save_weights(model: ToyModel) -> WeightManifest:
-    specs = _tensor_specs(model.arch, model.num_classes, model.in_shape)
-    tensors = []
-    chunks = []
-    offset = 0
-    for name, shape, _ in specs:
-        arr = model.weights[name]
-        if arr.shape != shape:
-            raise ValueError(f"tensor {name!r}: expected shape {shape}, got {arr.shape}")
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        tensors.append({"name": name, "shape": list(shape), "offset": offset})
-        chunks.append(raw)
-        offset += len(raw)
-    header = {
-        "arch": model.arch,
-        "num_classes": model.num_classes,
-        "seed": model.seed,
-        "in_shape": list(model.in_shape),
-        "tensors": tensors,
-    }
-    return WeightManifest(header=header, payload=b"".join(chunks))
-
-
-def load_weights(manifest: WeightManifest) -> ToyModel:
-    header = manifest.header
-    arch, num_classes, seed, in_shape = (header.get(key) for key in
-                                         ("arch", "num_classes", "seed", "in_shape"))
-    if not (isinstance(arch, str) and isinstance(num_classes, int) and isinstance(seed, int)
-            and isinstance(in_shape, list) and all(isinstance(v, int) for v in in_shape)):
-        raise ValueError("malformed weight header: needs a string 'arch', integer "
-                         "'num_classes' and 'seed', and an integer list 'in_shape'")
-    in_shape = tuple(in_shape)
-    specs = _checked_specs(arch, num_classes, in_shape)
-    expected = {name: shape for name, shape, _ in specs}
-    names = [entry.get("name") for entry in header["tensors"]]
-    if not all(isinstance(name, str) for name in names) or len(set(names)) != len(names):
-        raise ValueError("malformed weight header: every tensor needs a unique string 'name'")
-    by_name = dict(zip(names, header["tensors"]))
-    if set(by_name) != set(expected):
-        missing = sorted(set(expected) - set(by_name)) + sorted(set(by_name) - set(expected))
-        raise ValueError(f"weight header tensor set does not match {arch}: {missing}")
-    weights = {}
-    for name, shape, _ in specs:
-        entry = by_name[name]
-        if tuple(entry["shape"]) != shape:
-            raise ValueError(f"tensor {name!r}: header advertises shape "
-                             f"{tuple(entry['shape'])} but {arch} expects {shape}")
-        count = int(np.prod(shape, dtype=np.int64))
-        start = entry["offset"]
-        flat = np.frombuffer(manifest.payload, dtype="<f8", count=count, offset=start)
-        if not np.all(np.isfinite(flat)):
-            raise ValueError(f"tensor {name!r}: non-finite weights")
-        weights[name] = flat.astype(np.float64).reshape(shape)
-    return ToyModel(arch=arch, num_classes=num_classes, seed=seed,
-                    in_shape=in_shape, weights=weights)
-
-
-def save_weights_file(model: ToyModel, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(save_weights(model).to_bytes())
-
-
-def load_weights_file(path) -> ToyModel:
-    with open(path, "rb") as fh:
-        return load_weights(WeightManifest.from_bytes(fh.read()))

@@ -94,6 +94,34 @@ def test_softmax_shift_invariance(case, t):
                        compute_utility_batch(logits, spec) + moved) <= 1e-12
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda k: st.tuples(
+    st.lists(st.lists(_finite, min_size=k, max_size=k), min_size=1, max_size=4),
+    st.lists(_finite, min_size=k, max_size=k))))
+def test_rest_and_ensemble_identities_on_drawn_logits(case):
+    # ReST: rest = pre-softmax + log-softmax in value and gradient, and its
+    # curvature is log-softmax's alone. Ensemble: the post-softmax gradient
+    # is p_c sum_{k != c} p_k (e_c - e_k), the softmax-weighted logit gaps.
+    rows, v = case
+    logits = np.array(rows)
+    v = np.broadcast_to(np.array(v), logits.shape)
+    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p = shifted / shifted.sum(axis=1, keepdims=True)
+    eye = np.eye(logits.shape[1])
+    for c in range(logits.shape[1]):
+        value, grad, hvp = {}, {}, {}
+        for kind in UTILITY_KINDS:
+            spec = UtilitySpec(c, kind)
+            value[kind] = compute_utility_batch(logits, spec)
+            grad[kind], hvp[kind] = utility_derivatives(logits, spec, v)
+        assert rel_err(value["rest"], value["pre-softmax"] + value["log-softmax"]) <= 1e-12
+        assert rel_err(grad["rest"], grad["pre-softmax"] + grad["log-softmax"]) <= 1e-12
+        assert rel_err(hvp["rest"], hvp["log-softmax"]) <= 1e-12
+        ensemble = sum(p[:, c, None] * p[:, k, None] * (eye[c] - eye[k])
+                       for k in range(len(eye)) if k != c)
+        assert rel_err(grad["post-softmax"], ensemble) <= 1e-12
+
+
 def test_utility_spec_validation():
     with pytest.raises(ValueError, match="kind"):
         UtilitySpec(0, "logits")

@@ -34,6 +34,21 @@ def test_seedless_randomcam_exits_2(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--images", ".", "--method", "gradcam", "--limit"],
+    ["hvp-check", "--graphs"],
+    ["theorem-check", "--seeds"],
+    ["shapley-verify", "--mc-seeds"],
+    ["shapley-verify", "--mc-samples"],
+], ids=["limit", "graphs", "seeds", "mc-seeds", "mc-samples"])
+def test_count_flag_below_one_exits_2(argv, value, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv + [value])
+    assert err.value.code == 2
+    assert f"{argv[-1]}: must be at least 1, got {value}" in capsys.readouterr().err
+
+
 def test_evaluate_empty_dir_exits_1(tmp_path, capsys):
     assert main(["evaluate", "--images", str(tmp_path),
                  "--method", "gradcam"]) == 1
@@ -75,6 +90,17 @@ def test_explain_out_of_range_class_exits_1(tmp_path, capsys, method):
     assert code == 1
     assert capsys.readouterr().err == "error: target_class 99 out of range for 3 classes\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_explain_bad_alpha_writes_nothing(tmp_path, capsys):
+    put_image(tmp_path / "a.ppm", 6)
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(["explain", "--image", str(tmp_path / "a.ppm"), "--method", "gradcam",
+                 "--alpha", "2", "--out-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: alpha must lie in [0,1], got 2.0\n"
+    assert list(out.iterdir()) == []
 
 
 def test_explain_default_class_is_argmax(tmp_path):

@@ -98,11 +98,18 @@ def scalar_mc(utility, d, u_empty, samples, seed):
 
 def taped_utility(model, maps, spec):
     """U(mask) as the value of the taped head and utility_node: the graph
-    that gradients and HVPs differentiate."""
+    that gradients and HVPs differentiate. Values are memoized per mask: a
+    d-player game has only 2^d coalitions, and the MC oracle asks for each
+    of them many times."""
+    cache = {}
+
     def utility(mask):
-        outs, _ = ad.forward(lambda tap: utility_node(model.head(tap), spec),
-                             {"tap": maps * mask})
-        return float(outs["out"])
+        key = mask.tobytes()
+        if key not in cache:
+            outs, _ = ad.forward(lambda tap: utility_node(model.head(tap), spec),
+                                 {"tap": maps * mask})
+            cache[key] = float(outs["out"])
+        return cache[key]
     return utility
 
 
