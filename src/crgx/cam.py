@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .utility import UtilitySpec, compute_utility, utility_derivatives
-from .zoo import TAP_LAYER, ActivationStack, ToyModel
+from .zoo import TAP_LAYER, ToyModel
 
 # name -> (weight order, assembly scheme)
 _METHOD_TABLE = {
@@ -133,33 +133,6 @@ def _assemble(weights: Optional[np.ndarray], maps: np.ndarray, method: CamMethod
         alpha = np.divide(g * g, denom, out=np.zeros(denom.shape), where=denom != 0.0)
         coeff = np.sum(np.maximum(g, 0.0) * alpha, axis=2)
     return np.matmul(coeff[:, None, :], maps)[:, 0]
-
-
-def assemble_heatmap(weights: Optional[np.ndarray], activations: ActivationStack,
-                     method, weights_order: str = "first") -> Heatmap:
-    """Combine per-position weights with the activation stack.
-
-    `weights` is (n_maps, d) for every method except randomcam, which takes
-    None and draws its map coefficients from the method's seed.
-    """
-    method = _as_method(method)
-    maps = activations.maps
-    if method.scheme == "random":
-        if weights is not None:
-            raise ValueError("randomcam draws its own weights; pass None")
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != maps.shape:
-            raise ValueError(f"weights shape {weights.shape} does not match "
-                             f"activation stack {maps.shape}")
-        if method.scheme == "gradcampp" and weights_order == "second":
-            raise ValueError("gradcam++ is defined for raw gradients only; "
-                             "second-order weights are not meaningful here")
-        weights = weights[None]
-    pre = _assemble(weights, maps[None], method)[0]
-    return Heatmap(pre_relu=pre, post_relu=np.maximum(pre, 0.0),
-                   spatial=activations.spatial, method=method.name,
-                   layer=activations.layer)
 
 
 def tap_weights(model: ToyModel, stacks: np.ndarray, spec: UtilitySpec,

@@ -4,9 +4,10 @@ Coalitions are bitmasks over d players (d <= 20 for anything that
 enumerates). Four routes to an attribution vector live here: exact
 enumeration, permutation-sampling Monte Carlo, and the first- and
 second-order closed forms that contract a gradient (and optionally a
-Hessian-vector product) against an activation stack. Games only evaluate
-plain values and build no tape; `SpatialGame` scores coalitions with the
-model's numpy kernels.
+Hessian-vector product) against an activation stack. Every game scores
+coalitions through one batched utility, (n, d) bool -> (n,) float64: a
+table lookup, or for `SpatialGame` the model's numpy kernels. Games build
+no tape.
 """
 
 from __future__ import annotations
@@ -44,21 +45,20 @@ class ShapleyVector:
 
 
 class CooperativeGame:
-    """d players and a utility over coalitions.
+    """d players and a batched utility over coalitions.
 
-    A coalition is a boolean membership array of length d; `utility_batch`
-    evaluates an (n, d) array of them in one call. A plain game wraps a
-    scalar callback, called once per row: it receives one membership array
-    and must be a deterministic, side-effect-free function of it.
-    Subclasses replace that loop with a batched kernel (`SpatialGame` runs
-    the model head on chunks of masked stacks, table games index the
-    table; they pass None for the callback). U(empty) and U(full) are
-    evaluated once at construction.
+    A coalition is a boolean membership array of length d. The utility is
+    one callable from an (n, d) bool array of coalitions to their (n,)
+    values, e.g. `CooperativeGame(d, lambda masks: masks @ w)` for an
+    additive game with weights w; it must be deterministic and side-effect
+    free. `utility_batch` is the only caller. Table games index the table,
+    spatial games run the model head on chunks of masked stacks. U(empty)
+    and U(full) are evaluated once at construction.
     """
 
     _table: np.ndarray | None = None
 
-    def __init__(self, d: int, utility: Callable[[np.ndarray], float] | None):
+    def __init__(self, d: int, utility: Callable[[np.ndarray], np.ndarray]):
         if d < 1:
             raise ValueError(f"a game needs at least one player, got d={d}")
         if d > 63:
@@ -70,14 +70,17 @@ class CooperativeGame:
 
     @classmethod
     def from_table(cls, table: np.ndarray) -> "CooperativeGame":
-        """Game backed by a dense utility table indexed by coalition mask."""
-        return _TableGame(table)
-
-    def utility(self, mask: np.ndarray) -> float:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.d,):
-            raise ValueError(f"coalition mask must have shape ({self.d},), got {mask.shape}")
-        return float(self._rows(mask[None])[0])
+        """Game backed by a dense utility table indexed by coalition bitmask."""
+        table = np.array(table, dtype=np.float64)
+        if table.ndim != 1:
+            raise ValueError(f"utility table must be 1-D, got shape {table.shape}")
+        d = int(table.size).bit_length() - 1
+        if table.size != 1 << d:
+            raise ValueError(f"table size {table.size} is not a power of two")
+        powers = 1 << np.arange(d, dtype=np.int64)
+        game = cls(d, lambda masks: table[masks @ powers])
+        game._table = table
+        return game
 
     def utility_batch(self, masks: np.ndarray) -> np.ndarray:
         """Utilities of the n coalitions in an (n, d) membership array."""
@@ -85,11 +88,12 @@ class CooperativeGame:
         if masks.ndim != 2 or masks.shape[1] != self.d:
             raise ValueError(f"coalition masks must have shape (n, {self.d}), "
                              f"got {masks.shape}")
-        return self._rows(masks)
-
-    def _rows(self, masks: np.ndarray) -> np.ndarray:
-        """Utilities of a checked (n, d) bool array, one callback per row."""
-        return np.array([float(self._utility(row)) for row in masks], dtype=np.float64)
+        values = np.asarray(self._utility(masks), dtype=np.float64)
+        if values.shape != (len(masks),):
+            # a scalar here would broadcast across every coalition
+            raise ValueError(f"the utility must return shape ({len(masks)},) for "
+                             f"{len(masks)} coalitions, got {values.shape}")
+        return values
 
     def utility_table(self) -> np.ndarray:
         """All 2^d utilities, indexed by bitmask. Cached after the first call."""
@@ -104,27 +108,10 @@ class CooperativeGame:
         table = np.empty(n, dtype=np.float64)
         for lo in range(0, n, step):
             coalitions = np.arange(lo, min(lo + step, n), dtype=np.int64)
-            table[lo:lo + len(coalitions)] = self._rows((coalitions[:, None] & powers) != 0)
+            table[lo:lo + len(coalitions)] = self.utility_batch(
+                (coalitions[:, None] & powers) != 0)
         self._table = table
         return table
-
-
-class _TableGame(CooperativeGame):
-    """Game whose utility is a dense table indexed by coalition bitmask."""
-
-    def __init__(self, table: np.ndarray):
-        table = np.array(table, dtype=np.float64)
-        if table.ndim != 1:
-            raise ValueError(f"utility table must be 1-D, got shape {table.shape}")
-        d = int(table.size).bit_length() - 1
-        if table.size != 1 << d:
-            raise ValueError(f"table size {table.size} is not a power of two")
-        self._table = table
-        self._powers = 1 << np.arange(d, dtype=np.int64)
-        super().__init__(d, None)
-
-    def _rows(self, masks: np.ndarray) -> np.ndarray:
-        return self._table[masks @ self._powers]
 
 
 def _coalition_weights(d: int) -> np.ndarray:
@@ -418,33 +405,33 @@ class SpatialGame(CooperativeGame):
     """Game induced by masking tap positions of a model on one image.
 
     Player j covers position j in every map; absent players are zeroed
-    (the ablation baseline). U(S) re-runs the head on the masked stack.
-    Every coalition, a single one included, goes through one batched
-    kernel, `ToyModel.head_batch` then `compute_utility_batch`, on chunks
-    of at most _BATCH_CELLS masked activations: the kernel `forward` and
-    `compute_utility` run on one row.
+    (the ablation baseline). U(S) re-runs the head on the masked stack: the
+    utility is `ToyModel.head_batch` then `compute_utility_batch` on chunks
+    of at most _BATCH_CELLS masked activations, the batched form of
+    `forward` and `compute_utility`.
     """
 
     def __init__(self, model: ToyModel, image: np.ndarray, spec: UtilitySpec):
         self.model = model
         self.spec = spec
-        self.maps = model._tap_stack(np.asarray(image, dtype=np.float64)[None])[0]
-        self._chunk = _chunk_rows(self.maps.size)
-        super().__init__(self.maps.shape[1], None)
+        self.maps = maps = model._tap_stack(np.asarray(image, dtype=np.float64)[None])[0]
+        chunk = _chunk_rows(maps.size)
+
+        def utility(masks: np.ndarray) -> np.ndarray:
+            out = np.empty(len(masks), dtype=np.float64)
+            for lo in range(0, len(masks), chunk):
+                part = masks[lo:lo + chunk]
+                out[lo:lo + len(part)] = compute_utility_batch(
+                    model.head_batch(maps * part[:, None, :]), spec)
+            return out
+
+        super().__init__(maps.shape[1], utility)
         # forward is the same kernel on the unmasked stack, and multiplying
         # by an all-ones mask is exact, so anything but equality is a defect
         direct = compute_utility(model.forward(image), spec)
         if self.u_full != direct:
             raise RuntimeError(f"unmasked spatial utility {self.u_full!r} does not "
                                f"reproduce the forward pass value {direct!r}")
-
-    def _rows(self, masks: np.ndarray) -> np.ndarray:
-        out = np.empty(len(masks), dtype=np.float64)
-        for lo in range(0, len(masks), self._chunk):
-            part = masks[lo:lo + self._chunk]
-            logits = self.model.head_batch(self.maps * part[:, None, :])
-            out[lo:lo + len(part)] = compute_utility_batch(logits, self.spec)
-        return out
 
 
 def make_spatial_game(model: ToyModel, image: np.ndarray, spec: UtilitySpec) -> SpatialGame:

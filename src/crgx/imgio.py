@@ -30,15 +30,6 @@ class Image:
             raise ValueError("pixel values must lie in [0,1]; clamp first")
         object.__setattr__(self, "pixels", p)
 
-    @classmethod
-    def from_array(cls, values: np.ndarray) -> "Image":
-        """Build an image from arbitrary reals, clamping into [0,1].
-        A 2-D array is treated as a single gray plane."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim == 2:
-            values = values[None]
-        return cls(np.clip(values, 0.0, 1.0))
-
     @property
     def channels(self) -> int:
         return self.pixels.shape[0]

@@ -1,5 +1,7 @@
 """Heatmap assembly schemes, utility scalars, and the ensemble identities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ from crgx.cam import (
     CAM_METHODS,
     CamMethod,
     Heatmap,
-    assemble_heatmap,
+    _as_method,
+    _assemble,
     classify_crg,
     explain,
     rest_decomposition,
@@ -20,7 +23,7 @@ from crgx.cam import (
 from crgx.game import make_spatial_game, shapley_exact
 from crgx.utility import (UTILITY_KINDS, UtilitySpec, compute_utility,
                           compute_utility_batch, utility_derivatives)
-from crgx.zoo import ActivationStack, build_model
+from crgx.zoo import build_model
 
 
 def rel_err(actual, expected):
@@ -30,9 +33,15 @@ def rel_err(actual, expected):
 
 
 def small_stack():
-    maps = np.array([[2.0, -4.0, 1.0, 0.5],
+    return np.array([[2.0, -4.0, 1.0, 0.5],
                      [0.0, 3.0, -2.0, 1.5]])
-    return ActivationStack(maps=maps, spatial=(2, 2), layer="act")
+
+
+def assemble(weights, maps, method):
+    """Pre-ReLU heatmap of one stack through the batched assembly that
+    `explain_batch` runs."""
+    weights = None if weights is None else weights[None]
+    return _assemble(weights, maps[None], _as_method(method))[0]
 
 
 def make_image(seed=0, shape=(3, 6, 6)):
@@ -135,50 +144,45 @@ def test_mean_scheme_hand_values():
     stack = small_stack()
     w = np.array([[1.0, 3.0, -2.0, 2.0],
                   [0.5, 0.5, 0.5, 0.5]])
-    expected = np.mean(w, axis=1) @ stack.maps
-    hm = assemble_heatmap(w, stack, "gradcam")
-    assert np.array_equal(hm.pre_relu, expected)
-    assert np.array_equal(hm.post_relu, np.maximum(expected, 0.0))
+    expected = np.mean(w, axis=1) @ stack
+    assert np.array_equal(assemble(w, stack, "gradcam"), expected)
 
 
 def test_elementwise_scheme_hand_values():
     stack = small_stack()
     w = np.array([[1.0, -1.0, 2.0, 0.0],
                   [3.0, 1.0, -1.0, 2.0]])
-    expected = (w * stack.maps).sum(axis=0)
-    hm = assemble_heatmap(w, stack, "hirescam")
-    assert np.array_equal(hm.pre_relu, expected)
+    expected = (w * stack).sum(axis=0)
+    assert np.array_equal(assemble(w, stack, "hirescam"), expected)
 
 
 def test_inner_relu_scheme_hand_values():
     stack = small_stack()
     w = np.array([[1.0, 1.0, 2.0, 0.0],
                   [3.0, 1.0, -1.0, 2.0]])
-    expected = np.maximum(w * stack.maps, 0.0).sum(axis=0)
-    hm = assemble_heatmap(w, stack, "gradcam-e")
-    assert np.array_equal(hm.pre_relu, expected)
+    expected = np.maximum(w * stack, 0.0).sum(axis=0)
+    pre = assemble(w, stack, "gradcam-e")
+    assert np.array_equal(pre, expected)
     # the inner clamp keeps contributions the elementwise scheme cancels
-    assert np.any(hm.pre_relu != (w * stack.maps).sum(axis=0))
+    assert np.any(pre != (w * stack).sum(axis=0))
 
 
 def test_relu_grad_scheme_hand_values():
     stack = small_stack()
     w = np.array([[1.0, -1.0, 2.0, 0.0],
                   [-3.0, 1.0, -1.0, 2.0]])
-    expected = (np.maximum(w, 0.0) * stack.maps).sum(axis=0)
-    hm = assemble_heatmap(w, stack, "layercam")
-    assert np.array_equal(hm.pre_relu, expected)
+    expected = (np.maximum(w, 0.0) * stack).sum(axis=0)
+    assert np.array_equal(assemble(w, stack, "layercam"), expected)
 
 
 def test_xgrad_scheme_hand_values():
     stack = small_stack()
     w = np.array([[1.0, 2.0, -1.0, 0.5],
                   [0.0, 1.0, 1.0, -2.0]])
-    num = np.mean(w * stack.maps, axis=1)
-    denom = np.mean(stack.maps, axis=1) + 1e-12
-    expected = (num / denom) @ stack.maps
-    hm = assemble_heatmap(w, stack, "xgradcam")
-    assert rel_err(hm.pre_relu, expected) <= 1e-15
+    num = np.mean(w * stack, axis=1)
+    denom = np.mean(stack, axis=1) + 1e-12
+    expected = (num / denom) @ stack
+    assert rel_err(assemble(w, stack, "xgradcam"), expected) <= 1e-15
 
 
 def test_gradcampp_scheme_matches_direct_formula():
@@ -187,42 +191,26 @@ def test_gradcampp_scheme_matches_direct_formula():
                   [-0.2, 0.9, 0.3, -1.0]])
     coeff = np.zeros(2)
     for i in range(2):
-        s = stack.maps[i].sum()
+        s = stack[i].sum()
         total = 0.0
         for j in range(4):
             den = 2.0 * g[i, j] ** 2 + s * g[i, j] ** 3
             if den != 0.0:
                 total += max(g[i, j], 0.0) * (g[i, j] ** 2 / den)
         coeff[i] = total
-    expected = coeff @ stack.maps
-    hm = assemble_heatmap(g, stack, "gradcampp")
-    assert rel_err(hm.pre_relu, expected) <= 1e-14
-
-
-def test_gradcampp_rejects_second_order_weights():
-    stack = small_stack()
-    w = np.ones_like(stack.maps)
-    with pytest.raises(ValueError, match="second-order"):
-        assemble_heatmap(w, stack, "gradcampp", weights_order="second")
+    expected = coeff @ stack
+    assert rel_err(assemble(g, stack, "gradcampp"), expected) <= 1e-14
 
 
 def test_randomcam_is_seeded_and_weightless():
     stack = small_stack()
-    a = assemble_heatmap(None, stack, CamMethod("randomcam", seed=7))
-    b = assemble_heatmap(None, stack, CamMethod("randomcam", seed=7))
-    c = assemble_heatmap(None, stack, CamMethod("randomcam", seed=8))
-    expected = np.random.default_rng(7).uniform(-1.0, 1.0, 2) @ stack.maps
-    assert np.array_equal(a.pre_relu, b.pre_relu)
-    assert np.array_equal(a.pre_relu, expected)
-    assert not np.array_equal(a.pre_relu, c.pre_relu)
-    with pytest.raises(ValueError, match="pass None"):
-        assemble_heatmap(np.ones_like(stack.maps), stack, CamMethod("randomcam", seed=7))
-
-
-def test_weights_shape_checked():
-    stack = small_stack()
-    with pytest.raises(ValueError, match="shape"):
-        assemble_heatmap(np.ones((3, 4)), stack, "gradcam")
+    a = assemble(None, stack, CamMethod("randomcam", seed=7))
+    b = assemble(None, stack, CamMethod("randomcam", seed=7))
+    c = assemble(None, stack, CamMethod("randomcam", seed=8))
+    expected = np.random.default_rng(7).uniform(-1.0, 1.0, 2) @ stack
+    assert np.array_equal(a, b)
+    assert np.array_equal(a, expected)
+    assert not np.array_equal(a, c)
 
 
 def test_method_validation():
@@ -544,11 +532,78 @@ def test_closed_form_matches_taped_oracle(arch, kind, num_classes, saturate):
         gap_grad = taped_weights(model, image, UtilitySpec(c, "pre-softmax"))[1]
         for name in CAM_METHODS:
             method = CamMethod(name, seed=3 if name == "randomcam" else None)
-            order = method.order or "first"
             weights = {"cam-gap": gap_grad, "randomcam": None}.get(
-                name, grad if order == "first" else second)
-            expected = assemble_heatmap(weights, activations, method, weights_order=order)
-            assert_rel_close(explain(model, image, spec, method).pre_relu, expected.pre_relu)
+                name, second if method.order == "second" else grad)
+            expected = assemble(weights, activations.maps, method)
+            assert_rel_close(explain(model, image, spec, method).pre_relu, expected)
+
+
+# the tensors that make tap map i (rows of the first two) and read it
+# (columns of the third); an MLP map is a block of 16 hidden units
+TAP_PARAMS = {"cnn-relu": ("conv_w", "conv_b", "fc_w"),
+              "cnn-smooth": ("conv_w", "conv_b", "fc_w"),
+              "mlp-smooth": ("fc1_w", "fc1_b", "fc2_w")}
+
+
+def drawn_model_and_images(draw, arch):
+    num_classes = draw(st.integers(2, 5))
+    model = build_model(arch, num_classes, draw(st.integers(0, 1000)),
+                        in_shape=(3, draw(st.integers(4, 8)), draw(st.integers(4, 8))))
+    rng = np.random.default_rng(draw(st.integers(0, 1000)))
+    images = rng.uniform(0.0, 1.0, (3,) + model.in_shape)
+    return model, images, draw(st.integers(0, num_classes - 1))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("arch", ["cnn-relu", "cnn-smooth", "mlp-smooth"])
+def test_permuting_the_tap_maps_leaves_every_heatmap_unchanged(arch, data):
+    # every scheme sums over maps, so relabelling them consistently through
+    # the weights that make and read them moves nothing but rounding
+    from crgx.cam import explain_batch
+
+    model, images, c = drawn_model_and_images(data.draw, arch)
+    make_w, make_b, read_w = TAP_PARAMS[arch]
+    perm = np.array(data.draw(st.permutations(range(4))))
+    block = len(model.weights[make_b]) // 4
+    rows = (perm[:, None] * block + np.arange(block)).ravel()
+    weights = dict(model.weights)
+    weights.update({make_w: weights[make_w][rows], make_b: weights[make_b][rows],
+                    read_w: weights[read_w][:, rows]})
+    permuted = replace(model, weights=weights)
+    stacks, permuted_stacks = model._tap_stack(images), permuted._tap_stack(images)
+    assert_rel_close(permuted_stacks, stacks[:, perm])
+    for kind in UTILITY_KINDS:
+        spec = UtilitySpec(c, kind)
+        for name in CAM_METHODS:
+            if name == "randomcam":      # its coefficients follow map order
+                continue
+            for a, b in zip(explain_batch(permuted, permuted_stacks, spec, name),
+                            explain_batch(model, stacks, spec, name)):
+                assert_rel_close(a.pre_relu, b.pre_relu)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.data(), st.floats(0.01, 100.0))
+@pytest.mark.parametrize("arch", ["cnn-relu", "cnn-smooth", "mlp-smooth"])
+def test_scaling_the_head_scales_every_pre_softmax_heatmap(arch, data, t):
+    # logits scale by t, and so does every weight of the pre-softmax
+    # utility; gradcam++'s alpha is not homogeneous in the weights
+    from crgx.cam import explain_batch
+
+    model, images, c = drawn_model_and_images(data.draw, arch)
+    head_w = HEAD_WEIGHT[arch]
+    head_b = head_w.replace("_w", "_b")
+    scaled = replace(model, weights=dict(model.weights, **{
+        head_w: t * model.weights[head_w], head_b: t * model.weights[head_b]}))
+    stacks = model._tap_stack(images)
+    spec = UtilitySpec(c, "pre-softmax")
+    for name in CAM_METHODS:
+        if name in ("randomcam", "gradcampp"):
+            continue
+        for a, b in zip(explain_batch(scaled, stacks, spec, name),
+                        explain_batch(model, stacks, spec, name)):
+            assert_rel_close(a.pre_relu, t * b.pre_relu)
 
 
 @pytest.mark.parametrize("num_classes", [2, 3, 5])

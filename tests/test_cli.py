@@ -235,6 +235,24 @@ def test_shapley_verify_fast_variant(tmp_path):
     assert report["mc"]["samples"] == 4000
 
 
+def test_shapley_verify_single_sample_exits_1_before_any_section(tmp_path, capsys,
+                                                                 monkeypatch):
+    # one permutation gives every stderr 0, and the sigma ratio would divide by it
+    import crgx.suites as suites
+
+    def no_work(*args):
+        raise AssertionError("a section ran before the sample count was checked")
+
+    for name in ("axiom_check", "quadratic_check", "linear_check", "spatial_check"):
+        monkeypatch.setattr(suites, name, no_work)
+    report_path = tmp_path / "sv.json"
+    assert main(["shapley-verify", "--mc-samples", "1", "--report", str(report_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: one sample cannot estimate a standard error; "
+        "the sampling check needs at least 2, got 1\n")
+    assert not report_path.exists()
+
+
 def test_theorem_check_exit_0(tmp_path, capsys):
     report_path = tmp_path / "thm.json"
     assert main(["theorem-check", "--seeds", "1",

@@ -37,7 +37,7 @@ def test_exact_efficiency_on_random_games():
 
 
 def test_exact_guard_above_enumeration_limit():
-    g = game.CooperativeGame(21, lambda mask: float(np.sum(mask)))
+    g = game.CooperativeGame(21, lambda masks: masks.sum(axis=1).astype(np.float64))
     with pytest.raises(ValueError, match="2\\^21"):
         game.shapley_exact(g)
 
@@ -213,7 +213,7 @@ def test_bilinear_first_order_overshoots_and_second_order_corrects():
     # U = x1 * x2 at x = (1, 1): gradient route says (1, 1), the exact value
     # is (0.5, 0.5), and the curvature term restores it.
     x = np.array([1.0, 1.0])
-    g = game.CooperativeGame(2, lambda m: float(np.prod(np.where(m, x, 0.0))))
+    g = game.CooperativeGame(2, lambda masks: np.prod(np.where(masks, x, 0.0), axis=1))
     exact = game.shapley_exact(g)
     outs, tape = ad.forward(lambda z: ad.mul(ad.index(z, 0), ad.index(z, 1)), {"z": x})
     grad = ad.gradient(tape, "out", "z")
@@ -233,9 +233,9 @@ def test_second_order_exact_on_random_quadratics(d):
     m = (m + m.T) / 2.0
     x = rng.normal(size=d)
 
-    def util(mask):
-        xm = x * mask
-        return float(b @ xm + 0.5 * xm @ (m @ xm))
+    def util(masks):
+        xm = x * masks
+        return xm @ b + 0.5 * np.sum(xm * (xm @ m), axis=1)
 
     g = game.CooperativeGame(d, util)
     exact = game.shapley_exact(g).values
@@ -253,7 +253,7 @@ def test_first_order_exact_on_linear_utilities():
     d = 6
     a = rng.normal(size=d)
     x = rng.normal(size=d)
-    g = game.CooperativeGame(d, lambda mask: float(a @ (x * mask)))
+    g = game.CooperativeGame(d, lambda masks: (x * masks) @ a)
     exact = game.shapley_exact(g).values
     outs, tape = ad.forward(lambda z: ad.matmul(a, z), {"z": x})
     grad = ad.gradient(tape, "out", "z")
@@ -312,7 +312,7 @@ def test_spatial_batch_rows_are_bit_identical_to_scalar_head(arch, kind):
         utility = taped_utility(model, sg.maps, spec)
         scalar = np.array([utility(m) for m in masks])
         assert sg.utility_batch(masks).tobytes() == scalar.tobytes()
-        assert [sg.utility(m) for m in masks] == scalar.tolist()
+        assert [sg.utility_batch(m[None])[0] for m in masks] == scalar.tolist()
 
 
 def test_utility_batch_rows_match_scalar_on_extreme_logits():
@@ -330,7 +330,7 @@ def test_table_batch_indexes_the_table():
     g = game.CooperativeGame.from_table(table)
     masks = np.random.default_rng(3).uniform(size=(20, 5)) < 0.5
     batch = g.utility_batch(masks)
-    assert batch.tolist() == [g.utility(m) for m in masks]
+    assert batch.tolist() == [g.utility_batch(m[None])[0] for m in masks]
     assert batch.tolist() == [table[int(m @ (1 << np.arange(5)))] for m in masks]
 
 
@@ -413,14 +413,12 @@ def test_coalition_weights_sum_to_one():
 
 def test_game_validation():
     with pytest.raises(ValueError, match="player"):
-        game.CooperativeGame(0, lambda m: 0.0)
+        game.CooperativeGame(0, lambda masks: np.zeros(len(masks)))
     with pytest.raises(ValueError, match="power of two"):
         game.CooperativeGame.from_table([0.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="1-D"):
         game.CooperativeGame.from_table([[0.0, 1.0], [2.0, 4.0]])
     g = game.CooperativeGame.from_table([0.0, 1.0, 2.0, 4.0])
-    with pytest.raises(ValueError, match="mask"):
-        g.utility(np.ones(3, dtype=bool))
     for masks in (np.ones(2, dtype=bool), np.ones((1, 1, 2), dtype=bool),
                   np.ones((4, 3), dtype=bool)):
         with pytest.raises(ValueError, match="masks"):
@@ -429,3 +427,14 @@ def test_game_validation():
         game.shapley_mc(g, 0, seed=0)
     with pytest.raises(ValueError, match="shape"):
         game.shapley_first_order(np.ones((2, 3)), np.ones((2, 4)))
+
+
+def test_utility_must_return_one_value_per_coalition():
+    # a scalar callback would broadcast one value across every coalition
+    with pytest.raises(ValueError, match=r"shape \(2,\) for 2 coalitions, got \(\)"):
+        game.CooperativeGame(3, lambda masks: float(np.sum(masks)))
+    with pytest.raises(ValueError, match=r"got \(2, 1\)"):
+        game.CooperativeGame(3, lambda masks: masks.sum(axis=1, keepdims=True))
+    g = game.CooperativeGame(3, lambda masks: masks.sum(axis=1)[:2].astype(np.float64))
+    with pytest.raises(ValueError, match=r"shape \(4,\)"):
+        g.utility_batch(np.ones((4, 3), dtype=bool))

@@ -220,7 +220,7 @@ def test_fuzzed_image_bytes_fail_only_with_value_error(data):
 
 def test_write_rounds_half_away_from_zero():
     values = np.array([[[0.5 / 255, 1.5 / 255, 2.5 / 255]]])
-    img = Image.from_array(np.broadcast_to(values, (3, 1, 3)))
+    img = Image(np.broadcast_to(values, (3, 1, 3)))
     raw = encode_image_bytes(img)
     assert raw.startswith(b"P6\n3 1\n255\n")
     payload = raw[len(b"P6\n3 1\n255\n"):]
@@ -231,7 +231,7 @@ def test_write_rounds_half_away_from_zero():
 
 def test_round_trip_through_files(tmp_path):
     rng = np.random.default_rng(5)
-    img = Image.from_array(rng.uniform(0, 1, (3, 4, 6)))
+    img = Image(rng.uniform(0, 1, (3, 4, 6)))
     path = tmp_path / "out.ppm"
     write_image(path, img)
     back = read_image(path)
@@ -242,7 +242,7 @@ def test_round_trip_through_files(tmp_path):
 
 
 def test_gray_writes_as_p6(tmp_path):
-    img = Image.from_array(np.linspace(0, 1, 6).reshape(2, 3))
+    img = Image(np.linspace(0, 1, 6).reshape(1, 2, 3))
     path = tmp_path / "gray.ppm"
     write_image(path, img)
     back = read_image(path)
@@ -258,5 +258,3 @@ def test_image_validation():
         Image(np.full((1, 2, 2), 1.5))
     with pytest.raises(ValueError, match="finite"):
         Image(np.full((1, 2, 2), np.nan))
-    clamped = Image.from_array(np.array([[-1.0, 2.0]]))
-    assert np.array_equal(clamped.pixels, [[[0.0, 1.0]]])
