@@ -6,7 +6,6 @@ from .cam import (
     CAM_METHODS,
     CamMethod,
     Heatmap,
-    classify_crg,
     explain,
     rest_decomposition,
     shapley_weights,
@@ -65,7 +64,6 @@ __all__ = [
     "average_drop_deletion",
     "axiom_suite",
     "build_model",
-    "classify_crg",
     "coherency",
     "complexity",
     "compute_utility",

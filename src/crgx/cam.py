@@ -10,7 +10,10 @@ estimates of the masked-utility game over tap positions.
 Derivatives are closed forms, not tapes: every head is affine in the tap,
 so the gradient is Jᵀ ∇_y u and the curvature term Jᵀ H_y (J·A), with the
 K×K logit-space formulas of `utility.utility_derivatives`. `explain_batch`
-turns N tap stacks into N heatmaps with a few matmuls.
+turns N tap stacks into N heatmaps with a few matmuls. The same affinity
+gives the softmax identities their class heatmaps: class k's pre-softmax
+weights are Jᵀe_k, so one back-map of the K×K identity and one assembly
+yield all K of them.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .utility import UtilitySpec, compute_utility, utility_derivatives
+from .utility import UtilitySpec, softmax_rows, utility_derivatives
 from .zoo import TAP_LAYER, ToyModel
 
 # name -> (weight order, assembly scheme)
@@ -123,9 +126,13 @@ def _assemble(weights: Optional[np.ndarray], maps: np.ndarray, method: CamMethod
     elif scheme == "relu-grad":
         return np.sum(np.maximum(weights, 0.0) * maps, axis=1)
     elif scheme == "xgrad":
+        # a signed map whose mean nearly cancels the 1e-12 guard would put
+        # the division at a pole: such a map gets coefficient 0, as does a
+        # zero denominator
         num = np.mean(weights * maps, axis=2)
         denom = np.mean(maps, axis=2) + 1e-12
-        coeff = np.divide(num, denom, out=np.zeros_like(num), where=denom != 0.0)
+        live = np.abs(denom) > 1e-6 * np.mean(np.abs(maps), axis=2)
+        coeff = np.divide(num, denom, out=np.zeros_like(num), where=live)
     else:  # gradcampp: alpha_j = g_j^2 / (2 g_j^2 + sum(A) g_j^3), zero where
         # the denominator vanishes; map weight = sum_j relu(g_j) alpha_j
         g = weights
@@ -183,40 +190,34 @@ def explain(model: ToyModel, image: np.ndarray, spec: UtilitySpec, method) -> He
     return explain_batch(model, stack, spec, method)[0]
 
 
-def classify_crg(weights: np.ndarray, tol: float = 1e-10) -> dict:
-    """Report whether per-map weights are position-independent.
-
-    When every map's weights are constant, rescaling each map by its own
-    mean weight and weighting positions individually produce the same
-    heatmap for every activation stack, and both coincide with the exact
-    Shapley values of a linear head. The two report fields are therefore
-    one predicate."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 2:
-        raise ValueError(f"weights must be 2-D (maps x positions), got {weights.shape}")
-    per_map = []
-    for row in weights:
-        spread = float(np.max(row) - np.min(row))
-        per_map.append(spread <= tol * (1.0 + float(np.max(np.abs(row)))))
-    optimal = all(per_map)
-    return {"type_i_equals_type_ii": optimal, "optimal": optimal,
-            "per_map_constant": per_map}
-
-
-def _ensemble_inputs(model: ToyModel, image: np.ndarray, method):
+def _ensemble_inputs(model: ToyModel, image: np.ndarray, spec: UtilitySpec, method):
+    """The heatmap of `spec`, class probabilities p and pre-softmax class
+    heatmaps E_k, (K, d), from the back-map Jᵀ of the identity and one
+    assembly. The direct heatmap goes first: its utility rejects non-finite
+    logits before the softmax sees them."""
     method = _as_method(method)
     if method.order != "first" or method.scheme not in ("mean", "elementwise"):
         raise ValueError(f"{method.name}: ensemble identities hold for first-order "
                          "mean-broadcast or elementwise methods only")
-    if model.num_classes < 2:
-        raise ValueError("ensemble identities need at least two classes")
+    n_classes = model.num_classes
+    if spec.target_class >= n_classes:
+        raise ValueError(f"target_class {spec.target_class} out of range")
     stack = model._tap_stack(np.asarray(image, dtype=np.float64)[None])
-    logits = model.head_batch(stack)[0]
-    probs = [compute_utility(logits, UtilitySpec(k, "post-softmax"))
-             for k in range(model.num_classes)]
-    per_class = [explain_batch(model, stack, UtilitySpec(k, "pre-softmax"), method)[0].pre_relu
-                 for k in range(model.num_classes)]
-    return method, stack, probs, per_class
+    direct = explain_batch(model, stack, spec, method)[0]
+    p = softmax_rows(model.head_batch(stack))[0]
+    per_class = _assemble(model.head_transpose(np.eye(n_classes)),
+                          np.broadcast_to(stack, (n_classes,) + stack.shape[1:]), method)
+    return direct, p, per_class
+
+
+def _add_correction(start: np.ndarray, p: np.ndarray, per_class: np.ndarray,
+                    c: int) -> np.ndarray:
+    """start + sum_{k != c} p_k (E_c - E_k), added in class order."""
+    acc = start.copy()
+    for k in range(len(p)):
+        if k != c:
+            acc += p[k] * (per_class[c] - per_class[k])
+    return acc
 
 
 def theorem3_ensemble(model: ToyModel, image: np.ndarray, spec: UtilitySpec,
@@ -227,36 +228,17 @@ def theorem3_ensemble(model: ToyModel, image: np.ndarray, spec: UtilitySpec,
     if spec.kind != "post-softmax":
         raise ValueError(f"the ensemble identity is about post-softmax utilities, "
                          f"got {spec.kind!r}")
-    method, stack, probs, per_class = _ensemble_inputs(model, image, method)
     c = spec.target_class
-    if c >= model.num_classes:
-        raise ValueError(f"target_class {c} out of range")
-    direct = explain_batch(model, stack, spec, method)[0]
-    acc = np.zeros_like(per_class[0])
-    for k in range(model.num_classes):
-        if k != c:
-            acc += probs[k] * (per_class[c] - per_class[k])
-    pre = probs[c] * acc
-    ensemble = Heatmap(pre_relu=pre, post_relu=np.maximum(pre, 0.0),
-                       spatial=direct.spatial, method=method.name,
-                       layer=direct.layer, target_class=c, utility=spec.kind)
-    return direct, ensemble
+    direct, p, per_class = _ensemble_inputs(model, image, spec, method)
+    pre = p[c] * _add_correction(np.zeros_like(per_class[c]), p, per_class, c)
+    return direct, replace(direct, pre_relu=pre, post_relu=np.maximum(pre, 0.0))
 
 
 def rest_decomposition(model: ToyModel, image: np.ndarray, target_class: int,
                        method) -> tuple[Heatmap, Heatmap]:
     """The rest-utility heatmap equals the class's pre-softmax heatmap plus
     the ensemble correction sum_{k != c} p_k (E_c - E_k)."""
-    method, stack, probs, per_class = _ensemble_inputs(model, image, method)
     c = int(target_class)
-    if c >= model.num_classes:
-        raise ValueError(f"target_class {c} out of range")
-    direct = explain_batch(model, stack, UtilitySpec(c, "rest"), method)[0]
-    pre = per_class[c].copy()
-    for k in range(model.num_classes):
-        if k != c:
-            pre += probs[k] * (per_class[c] - per_class[k])
-    composed = Heatmap(pre_relu=pre, post_relu=np.maximum(pre, 0.0),
-                       spatial=direct.spatial, method=method.name,
-                       layer=direct.layer, target_class=c, utility="rest")
-    return direct, composed
+    direct, p, per_class = _ensemble_inputs(model, image, UtilitySpec(c, "rest"), method)
+    pre = _add_correction(per_class[c], p, per_class, c)
+    return direct, replace(direct, pre_relu=pre, post_relu=np.maximum(pre, 0.0))

@@ -19,8 +19,9 @@ from typing import Callable
 
 import numpy as np
 
+from .cam import shapley_weights
 from .utility import UtilitySpec, compute_utility, compute_utility_batch
-from .zoo import ActivationStack, ToyModel
+from .zoo import ToyModel
 
 _ENUM_LIMIT = 20
 # Array cells one batched numpy call works on: SpatialGame evaluates
@@ -363,42 +364,33 @@ def shapley_mc(game: CooperativeGame, samples: int, seed: int) -> ShapleyVector:
     return ShapleyVector(values=values, method="mc", samples=samples, stderr=stderr)
 
 
-def _stack_array(stack) -> np.ndarray:
-    maps = stack.maps if isinstance(stack, ActivationStack) else np.asarray(stack, dtype=np.float64)
-    if maps.ndim != 2:
-        raise ValueError(f"activation stack must be 2-D (maps x positions), got {maps.shape}")
-    return maps
+def _taylor(weights: np.ndarray, maps: np.ndarray, method: str) -> ShapleyVector:
+    maps = np.asarray(maps, dtype=np.float64)
+    if maps.ndim != 2 or weights.shape != maps.shape:
+        raise ValueError(f"weights shape {weights.shape} does not match "
+                         f"(maps x positions) stack shape {maps.shape}")
+    return ShapleyVector(values=np.sum(weights * maps, axis=0), method=method)
 
 
-def shapley_first_order(grad: np.ndarray, stack) -> ShapleyVector:
-    """First-order Shapley estimate: value(j) = sum_i grad[i, j] * A[i, j].
+def shapley_first_order(grad: np.ndarray, maps: np.ndarray) -> ShapleyVector:
+    """First-order Shapley estimate of an (n_maps, d) stack A:
+    value(j) = sum_i grad[i, j] * A[i, j].
 
     Exact whenever the utility is linear in the stack.
     """
-    maps = _stack_array(stack)
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != maps.shape:
-        raise ValueError(f"gradient shape {grad.shape} does not match stack {maps.shape}")
-    values = np.sum(grad * maps, axis=0)
-    return ShapleyVector(values=values, method="first-order")
+    return _taylor(shapley_weights(grad), maps, "first-order")
 
 
-def shapley_second_order(grad: np.ndarray, hvp_full: np.ndarray, stack) -> ShapleyVector:
+def shapley_second_order(grad: np.ndarray, hvp_full: np.ndarray,
+                         maps: np.ndarray) -> ShapleyVector:
     """Second-order Shapley estimate with the curvature correction:
-    value(j) = sum_i (grad - hvp_full / 2)[i, j] * A[i, j], where hvp_full is
-    the Hessian of the utility applied to the full stack.
+    value(j) = sum_i W[i, j] * A[i, j], W = grad - hvp_full / 2 from
+    `cam.shapley_weights`, hvp_full being the Hessian applied to the stack.
 
     Exact for utilities quadratic in the stack (the Hessian is constant, so
     the Taylor expansion terminates).
     """
-    maps = _stack_array(stack)
-    grad = np.asarray(grad, dtype=np.float64)
-    hvp_full = np.asarray(hvp_full, dtype=np.float64)
-    if grad.shape != maps.shape or hvp_full.shape != maps.shape:
-        raise ValueError(f"gradient {grad.shape} / hvp {hvp_full.shape} do not "
-                         f"match stack {maps.shape}")
-    values = np.sum((grad - 0.5 * hvp_full) * maps, axis=0)
-    return ShapleyVector(values=values, method="second-order")
+    return _taylor(shapley_weights(grad, hvp_full), maps, "second-order")
 
 
 class SpatialGame(CooperativeGame):

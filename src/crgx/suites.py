@@ -152,7 +152,7 @@ def spatial_check(seed: int = 2024) -> dict:
     with run.tape:
         u = utility_node(run.tape.outputs["logits"], spec)
     grad = ad.gradient(run.tape, u, "tap")
-    first = shapley_first_order(grad, run.activations)
+    first = shapley_first_order(grad, run.activations.maps)
     cam = explain(model, image, spec, "shapleycam")
     first_err = _rel_err(first.values, exact.values)
     cam_err = _rel_err(cam.pre_relu, exact.values)
@@ -189,18 +189,16 @@ def mc_check(seed: int = 2024, n_seeds: int = 10, samples: int = 50000) -> dict:
     }
 
 
-def shapley_suite(seed: int = 2024, axiom_games: int = 50, quadratic_games: int = 20,
-                  linear_games: int = 10, mc_seeds: int = 10,
-                  mc_samples: int = 50000) -> dict:
+def shapley_suite(seed: int = 2024, mc_seeds: int = 10, mc_samples: int = 50000) -> dict:
     """Exact-attribution checks: axioms on random tables, closed-form
     second-order equality on quadratics, first-order exactness on linear
     games, the d=16 spatial oracle, and Monte Carlo convergence."""
     report: dict = {"suite": "shapley-verify", "seed": int(seed)}
     # sampling first: it rejects a sample count before any section does work
     report["mc"] = mc_check(seed, mc_seeds, mc_samples)
-    report["axioms"] = axiom_check(seed, axiom_games)
-    report["quadratics"] = quadratic_check(seed, quadratic_games)
-    report["linear"] = linear_check(seed, linear_games)
+    report["axioms"] = axiom_check(seed)
+    report["quadratics"] = quadratic_check(seed)
+    report["linear"] = linear_check(seed)
     report["spatial"] = spatial_check(seed)
     report["pass"] = bool(all(report[k]["pass"] for k in
                               ("axioms", "quadratics", "linear", "spatial", "mc")))

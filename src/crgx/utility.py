@@ -104,6 +104,13 @@ def compute_utility_batch(logits, spec: UtilitySpec) -> np.ndarray:
     return 2.0 * y - lse
 
 
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of (n, K) logits: max shift, exp, times the
+    reciprocal of the row sum, the op order of `compute_utility_batch`."""
+    e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    return e * (1.0 / np.sum(e, axis=1, keepdims=True))
+
+
 def utility_derivatives(logits, spec: UtilitySpec, v=None):
     """Gradient ∇_y u and, given v, Hessian-vector product H_y v of n
     logit rows in closed form: (n, K) -> (n, K), (n, K) or None.
@@ -120,8 +127,7 @@ def utility_derivatives(logits, spec: UtilitySpec, v=None):
     onehot[:, spec.target_class] = 1.0
     if spec.kind == "pre-softmax":
         return onehot, None if v is None else np.zeros_like(logits)
-    e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
-    p = e * (1.0 / np.sum(e, axis=1, keepdims=True))
+    p = softmax_rows(logits)
     r = onehot - p
     if spec.kind == "post-softmax":
         p_c = p[:, spec.target_class, None]

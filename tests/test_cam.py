@@ -14,7 +14,6 @@ from crgx.cam import (
     Heatmap,
     _as_method,
     _assemble,
-    classify_crg,
     explain,
     rest_decomposition,
     shapley_weights,
@@ -185,6 +184,40 @@ def test_xgrad_scheme_hand_values():
     assert rel_err(assemble(w, stack, "xgradcam"), expected) <= 1e-15
 
 
+def test_xgrad_zeroes_a_map_whose_mean_cancels_the_guard():
+    # map 0 has magnitude 1e-6 and a mean of -1e-12 to within an ulp, so
+    # mean + 1e-12 is ~2.5e-23: dividing by it would scale the map by ~1e10
+    maps = np.array([[1e-6, -1e-6, 1e-6, -1e-6 - 4e-12],
+                     [0.5, 0.25, 1.0, 0.0]])
+    assert 0.0 < abs(np.mean(maps[0]) + 1e-12) < 1e-20
+    w = np.full_like(maps, 0.7)
+    pre = assemble(w, maps, "xgradcam")
+    live = np.mean(w[1] * maps[1]) / (np.mean(maps[1]) + 1e-12)
+    assert rel_err(pre, live * maps[1]) <= 1e-15
+    assert np.max(np.abs(pre)) <= 1.0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.integers(1, 8).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d), min_size=n, max_size=n),
+    st.lists(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d), min_size=n, max_size=n),
+    st.lists(st.booleans(), min_size=n, max_size=n)))),
+    st.integers(-9, 3))
+def test_xgrad_heatmaps_are_finite_and_bounded_on_signed_maps(case, exponent):
+    # a kept map has |mean + 1e-12| > 1e-6 mean|A|, so its coefficient is
+    # below 1e6 max|w|; flagged maps are shifted to put their mean at the
+    # guard's pole, -1e-12
+    rows, w, cancel = case
+    maps = np.array(rows) * 10.0 ** exponent
+    shifted = maps - (np.mean(maps, axis=1) + 1e-12)[:, None]
+    maps = np.where(np.array(cancel)[:, None], shifted, maps)
+    w = np.array(w)
+    pre = assemble(w, maps, "xgradcam")
+    assert np.all(np.isfinite(pre))
+    bound = 1e6 * (np.max(np.abs(w), axis=1) @ np.abs(maps))
+    assert np.all(np.abs(pre) <= bound * (1.0 + 1e-9))
+
+
 def test_gradcampp_scheme_matches_direct_formula():
     stack = small_stack()
     g = np.array([[0.7, -0.4, 0.0, 1.1],
@@ -353,45 +386,6 @@ def test_every_method_rejects_an_out_of_range_class(name):
         explain(model, make_image(9), UtilitySpec(99, "rest"), method)
 
 
-# ------------------------------------------------------------ weight report
-
-def test_classify_crg_on_gap_tap_weights():
-    from crgx.utility import utility_node
-
-    model = build_model("cnn-relu", num_classes=3, seed=6)
-    image = make_image(9)
-    run = model.forward_with_tap(image)
-    with run.tape:
-        u = utility_node(run.tape.outputs["logits"], UtilitySpec(1, "pre-softmax"))
-    grad = ad.gradient(run.tape, u, "tap")
-    report = classify_crg(grad)
-    assert report["optimal"] is True
-    assert report["type_i_equals_type_ii"] is True
-    assert all(report["per_map_constant"])
-
-
-def test_classify_crg_flags_position_dependence():
-    from crgx.utility import utility_node
-
-    model = build_model("mlp-smooth", num_classes=3, seed=6)
-    image = make_image(9)
-    run = model.forward_with_tap(image)
-    with run.tape:
-        u = utility_node(run.tape.outputs["logits"], UtilitySpec(1, "pre-softmax"))
-    grad = ad.gradient(run.tape, u, "tap")
-    report = classify_crg(grad)
-    assert report["optimal"] is False
-    assert not all(report["per_map_constant"])
-
-
-def test_classify_crg_tolerance_is_relative():
-    w = np.array([[1.0, 1.0], [2.0, 2.0 + 5e-11]])
-    assert classify_crg(w)["optimal"] is True
-    assert classify_crg(np.array([[1.0, 2.0]]))["optimal"] is False
-    with pytest.raises(ValueError, match="2-D"):
-        classify_crg(np.ones(4))
-
-
 # ------------------------------------------------------- ensemble identities
 
 THEOREM_TOL = 1e-8
@@ -438,6 +432,12 @@ def test_theorem3_input_validation():
         theorem3_ensemble(model, image, UtilitySpec(0, "post-softmax"), "gradcam-e")
     with pytest.raises(ValueError, match="out of range"):
         theorem3_ensemble(model, image, UtilitySpec(7, "post-softmax"), "gradcam")
+    # non-finite logits are rejected before any softmax runs on them
+    model.weights["fc_b"][0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        theorem3_ensemble(model, image, UtilitySpec(1, "post-softmax"), "gradcam")
+    with pytest.raises(ValueError, match="finite"):
+        rest_decomposition(model, image, 1, "gradcam")
 
 
 @pytest.mark.parametrize("arch", ["cnn-smooth", "mlp-smooth"])
@@ -449,6 +449,35 @@ def test_rest_decomposition_identity(arch, method):
     direct, composed = rest_decomposition(model, image, c, method)
     assert direct.utility == "rest"
     assert np.max(np.abs(direct.pre_relu - composed.pre_relu)) <= THEOREM_TOL
+
+
+@pytest.mark.parametrize("arch", ["cnn-relu", "cnn-smooth", "mlp-smooth"])
+@pytest.mark.parametrize("num_classes", [2, 3, 5])
+@pytest.mark.parametrize("method", ["gradcam", "hirescam"])
+def test_ensembles_equal_the_per_class_formula_bit_for_bit(arch, num_classes, method):
+    # the oracle runs one explain and one utility per class and adds the
+    # correction p_k (E_c - E_k) in class order
+    model = build_model(arch, num_classes=num_classes, seed=21)
+    image = make_image(2021)
+    logits = model.forward(image)
+    per_class = [explain(model, image, UtilitySpec(k, "pre-softmax"), method).pre_relu
+                 for k in range(num_classes)]
+    probs = [compute_utility(logits, UtilitySpec(k, "post-softmax"))
+             for k in range(num_classes)]
+    for c in range(num_classes):
+        correction = np.zeros_like(per_class[c])
+        composed_pre = per_class[c].copy()
+        for k in range(num_classes):
+            if k != c:
+                correction += probs[k] * (per_class[c] - per_class[k])
+                composed_pre += probs[k] * (per_class[c] - per_class[k])
+        _, ensemble = theorem3_ensemble(model, image, UtilitySpec(c, "post-softmax"), method)
+        _, composed = rest_decomposition(model, image, c, method)
+        assert np.array_equal(ensemble.pre_relu, probs[c] * correction)
+        assert np.array_equal(composed.pre_relu, composed_pre)
+        assert (ensemble.method, ensemble.target_class, ensemble.utility) == (
+            method, c, "post-softmax")
+        assert (composed.method, composed.target_class, composed.utility) == (method, c, "rest")
 
 
 def scaled_probe_model():

@@ -294,7 +294,7 @@ def test_spatial_first_order_matches_exact_for_linear_head():
     with run.tape:
         u = utility_node(run.tape.outputs["logits"], sg.spec)
     grad = ad.gradient(run.tape, u, "tap")
-    first = game.shapley_first_order(grad, run.activations)
+    first = game.shapley_first_order(grad, run.activations.maps)
     assert rel_gap(first.values, exact) <= 1e-9
 
 

@@ -51,8 +51,7 @@ def test_mc_check_small_variant():
 
 
 def test_shapley_suite_composes_sections():
-    report = shapley_suite(seed=9, axiom_games=8, quadratic_games=3,
-                           linear_games=3, mc_seeds=1, mc_samples=2000)
+    report = shapley_suite(seed=9, mc_seeds=1, mc_samples=2000)
     assert report["suite"] == "shapley-verify"
     assert report["pass"] is True
     for key in ("axioms", "quadratics", "linear", "spatial", "mc"):
