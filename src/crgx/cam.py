@@ -55,8 +55,11 @@ class CamMethod:
         if self.name not in _METHOD_TABLE:
             raise ValueError(f"unknown CAM method {self.name!r}; "
                              f"expected one of {CAM_METHODS}")
-        if self.name == "randomcam" and self.seed is None:
-            raise ValueError("randomcam needs a seed")
+        if self.name == "randomcam":
+            if self.seed is None:
+                raise ValueError("randomcam needs a seed")
+            if self.seed < 0:
+                raise ValueError(f"randomcam seed must be non-negative, got {self.seed}")
 
     @property
     def order(self) -> Optional[str]:

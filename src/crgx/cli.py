@@ -227,7 +227,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(parser, args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
 

@@ -1,40 +1,18 @@
-"""Heatmap post-processing: normalization, bilinear upsampling, colormap
-overlay. These take a tap-resolution heatmap to a full-resolution rendering."""
+"""Heatmap post-processing: normalization, bilinear upsampling, and overlay
+through the jet colormap, which is computed from its formula at import.
+These take a tap-resolution heatmap to a full-resolution rendering."""
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
-# checksum of the shipped lookup table, so renderings stay reproducible
-COLORMAP_FILE = "colormap_jet.json"
-COLORMAP_SHA256 = "98a84e8289d32d7427d2322a706e2c4d6654218eac458fde37137be31cf6d481"
-
-_COLORMAP_CACHE: dict[str, np.ndarray] = {}
-
-
-def load_colormap() -> np.ndarray:
-    """The 256-entry RGB lookup table shipped with the package, shape
-    (256, 3), values in [0,1]. The file's checksum is verified on first
-    load so every install renders identical overlays."""
-    cached = _COLORMAP_CACHE.get(COLORMAP_FILE)
-    if cached is not None:
-        return cached
-    raw = resources.files("crgx").joinpath("data", COLORMAP_FILE).read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
-    if digest != COLORMAP_SHA256:
-        raise ValueError(f"colormap data file is corrupted: sha256 {digest} "
-                         f"does not match expected {COLORMAP_SHA256}")
-    payload = json.loads(raw)
-    table = np.asarray(payload["entries"], dtype=np.float64)
-    if table.shape != (256, 3):
-        raise ValueError(f"colormap table has shape {table.shape}, expected (256, 3)")
-    _COLORMAP_CACHE[COLORMAP_FILE] = table
-    return table
+# The jet lookup table, (256, 3) RGB in [0,1]. Read-only, so no caller can
+# change the colours of another caller's renderings.
+JET = np.round(np.clip(1.5 - np.abs(np.arange(256)[:, None] * (4.0 / 255.0)
+                                    - np.array([3.0, 2.0, 1.0])), 0.0, 1.0), 6)
+JET.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -93,16 +71,17 @@ def upsample_bilinear(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def apply_colormap(h: np.ndarray) -> np.ndarray:
-    """Map a [0,1] heatmap (H, W) through the lookup table to RGB planes
+    """Map a [0,1] heatmap (H, W) through the jet table to RGB planes
     (3, H, W). Values are binned by round-half-up to the 256 entries."""
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2:
         raise ValueError(f"heatmap must be 2-D, got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("heatmap values must be finite")
     if np.min(h) < 0.0 or np.max(h) > 1.0:
         raise ValueError("heatmap values must lie in [0,1]; normalize first")
-    table = load_colormap()
     idx = np.clip(np.floor(h * 255.0 + 0.5).astype(np.intp), 0, 255)
-    return np.moveaxis(table[idx], -1, 0)
+    return np.moveaxis(JET[idx], -1, 0)
 
 
 def overlay(pixels: np.ndarray, h: np.ndarray, style: OverlayStyle = OverlayStyle()) -> np.ndarray:

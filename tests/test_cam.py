@@ -251,6 +251,8 @@ def test_method_validation():
         CamMethod("scorecam")
     with pytest.raises(ValueError, match="seed"):
         CamMethod("randomcam")
+    with pytest.raises(ValueError, match="randomcam seed must be non-negative, got -1"):
+        CamMethod("randomcam", seed=-1)
     m = CamMethod("shapleycam")
     assert m.order == "second"
     assert m.scheme == "mean"

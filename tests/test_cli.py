@@ -92,6 +92,26 @@ def test_explain_out_of_range_class_exits_1(tmp_path, capsys, method):
     assert not (tmp_path / "out").exists()
 
 
+def test_explain_unallocatable_class_count_exits_1(tmp_path, capsys):
+    # 2^44 classes need a 512 TiB weight matrix, beyond any 64-bit user
+    # address space, so the allocation is refused before touching memory
+    put_image(tmp_path / "a.ppm", 6)
+    code = main(["explain", "--image", str(tmp_path / "a.ppm"), "--method", "gradcam",
+                 "--classes", str(2**44), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: Unable to allocate 512. TiB")
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_randomcam_seed_exits_1(tmp_path, capsys):
+    for i in range(3):
+        put_image(tmp_path / f"{i}.ppm", i)
+    code = main(["evaluate", "--images", str(tmp_path), "--method", "randomcam",
+                 "--method-seed", "-1"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: randomcam seed must be non-negative, got -1\n"
+
+
 def test_explain_bad_alpha_writes_nothing(tmp_path, capsys):
     put_image(tmp_path / "a.ppm", 6)
     out = tmp_path / "out"

@@ -1,5 +1,7 @@
 """Normalization, upsampling, colormap overlay, and PPM/PGM round-trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,7 +89,7 @@ def test_upsample_rejects_bad_dims():
 # ------------------------------------------------------------------ colormap
 
 def test_colormap_table_shape_and_range():
-    table = pp.load_colormap()
+    table = pp.JET
     assert table.shape == (256, 3)
     assert table.min() >= 0.0 and table.max() <= 1.0
     # jet-like anchors: dark blue start, dark red end
@@ -95,19 +97,29 @@ def test_colormap_table_shape_and_range():
     assert table[255, 0] > 0.0 and table[255, 2] == 0.0
 
 
-def test_colormap_checksum_guard(monkeypatch):
-    monkeypatch.setattr(pp, "_COLORMAP_CACHE", {})
-    monkeypatch.setattr(pp, "COLORMAP_SHA256", "0" * 64)
-    with pytest.raises(ValueError, match="sha256"):
-        pp.load_colormap()
+def test_colormap_matches_the_shipped_table():
+    # digest and rows of the 256-entry jet table crgx used to ship as data
+    digest = hashlib.sha256(pp.JET.tobytes())
+    assert digest.hexdigest() == (
+        "3316560fd8daa21e2c89324abb9a7557e478a1092decb776ffab3800718d6629")
+    anchors = {0: (0.0, 0.0, 0.5), 32: (0.0, 0.001961, 1.0),
+               127: (0.492157, 1.0, 0.507843), 128: (0.507843, 1.0, 0.492157),
+               255: (0.5, 0.0, 0.0)}
+    for row, rgb in anchors.items():
+        assert tuple(pp.JET[row]) == rgb
+
+
+def test_colormap_is_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        pp.JET[0] = 1.0
+    assert np.array_equal(pp.apply_colormap(np.array([[0.0]]))[:, 0, 0], [0.0, 0.0, 0.5])
 
 
 def test_apply_colormap_endpoints():
-    table = pp.load_colormap()
     planes = pp.apply_colormap(np.array([[0.0, 1.0]]))
     assert planes.shape == (3, 1, 2)
-    assert np.array_equal(planes[:, 0, 0], table[0])
-    assert np.array_equal(planes[:, 0, 1], table[255])
+    assert np.array_equal(planes[:, 0, 0], pp.JET[0])
+    assert np.array_equal(planes[:, 0, 1], pp.JET[255])
 
 
 def test_apply_colormap_validates_input():
@@ -115,6 +127,14 @@ def test_apply_colormap_validates_input():
         pp.apply_colormap(np.array([[1.5]]))
     with pytest.raises(ValueError, match="2-D"):
         pp.apply_colormap(np.ones(3))
+
+
+@pytest.mark.parametrize("render", [pp.apply_colormap,
+                                    lambda h: pp.overlay(np.full((3, 1, 2), 0.5), h)],
+                         ids=["apply_colormap", "overlay"])
+def test_nan_heatmap_rejected(render):
+    with pytest.raises(ValueError, match="finite"):
+        render(np.array([[np.nan, 0.5]]))
 
 
 # ------------------------------------------------------------------- overlay
@@ -131,7 +151,7 @@ def test_overlay_alpha_extremes():
 def test_overlay_midpoint_pixel():
     x = np.full((3, 1, 1), 0.2)
     h = np.array([[1.0]])
-    entry = pp.load_colormap()[255]
+    entry = pp.JET[255]
     out = pp.overlay(x, h, pp.OverlayStyle(alpha=0.5))
     assert np.max(np.abs(out[:, 0, 0] - 0.5 * (0.2 + entry))) <= 1e-15
 
