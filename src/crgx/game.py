@@ -1,13 +1,14 @@
 """Cooperative games over feature positions and their Shapley values.
 
-Coalitions are bitmasks over d players (d <= 20 for anything that
-enumerates). Four routes to an attribution vector live here: exact
-enumeration, permutation-sampling Monte Carlo, and the first- and
-second-order closed forms that contract a gradient (and optionally a
-Hessian-vector product) against an activation stack. Every game scores
-coalitions through one batched utility, (n, d) bool -> (n,) float64: a
-table lookup, or for `SpatialGame` the model's numpy kernels. Games build
-no tape.
+A game has any number d of players. The utility table holds U(S) at index
+sum_{j in S} 2^j, a (2,)*d hypercube with player j on axis d-1-j
+(`_faces`); what enumerates it stops at d = 20. Four routes to an
+attribution vector live here: exact enumeration, permutation-sampling
+Monte Carlo, and the first- and second-order closed forms that contract a
+gradient (and optionally a Hessian-vector product) against an activation
+stack. Every game scores coalitions through one batched utility, (n, d)
+bool -> (n,) float64: a table lookup, or for `SpatialGame` the model's
+numpy kernels. Games build no tape.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ class CooperativeGame:
     def __init__(self, d: int, utility: Callable[[np.ndarray], np.ndarray]):
         if d < 1:
             raise ValueError(f"a game needs at least one player, got d={d}")
-        if d > 63:
-            raise ValueError(f"coalitions are 64-bit masks; d={d} does not fit")
         self.d = int(d)
         self._utility = utility
         ends = self.utility_batch(np.array([[False] * self.d, [True] * self.d]))
@@ -75,6 +74,8 @@ class CooperativeGame:
         table = np.array(table, dtype=np.float64)
         if table.ndim != 1:
             raise ValueError(f"utility table must be 1-D, got shape {table.shape}")
+        if not np.isfinite(table).all():
+            raise ValueError("utility table values must be finite")
         d = int(table.size).bit_length() - 1
         if table.size != 1 << d:
             raise ValueError(f"table size {table.size} is not a power of two")
@@ -94,6 +95,8 @@ class CooperativeGame:
             # a scalar here would broadcast across every coalition
             raise ValueError(f"the utility must return shape ({len(masks)},) for "
                              f"{len(masks)} coalitions, got {values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError("the utility returned non-finite values")
         return values
 
     def utility_table(self) -> np.ndarray:
@@ -124,6 +127,22 @@ def _coalition_weights(d: int) -> np.ndarray:
     return np.exp(logw)
 
 
+def _faces(table: np.ndarray, *players: int) -> np.ndarray:
+    """The utility table with a length-2 axis for each of `players`, given in
+    descending order, and the players above, between and below them merged
+    into ascending axes: for one player j, shape (2^(d-1-j), 2, 2^j)."""
+    shape = [table.size]
+    for p in players:                   # split the last axis around bit p
+        shape[-1:] = [shape[-1] >> (p + 1), 2, 1 << p]
+    return table.reshape(shape)
+
+
+def _marginal(table: np.ndarray, j: int) -> np.ndarray:
+    """U(S + j) - U(S) for every coalition S without j, ascending by bitmask."""
+    face = _faces(table, j)
+    return (face[:, 1] - face[:, 0]).reshape(-1)
+
+
 def shapley_exact(game: CooperativeGame) -> ShapleyVector:
     """Exact Shapley values by full coalition enumeration (one utility
     evaluation per coalition, reused across players)."""
@@ -132,15 +151,8 @@ def shapley_exact(game: CooperativeGame) -> ShapleyVector:
         raise ValueError(f"exact Shapley needs 2^{d} = {1 << d} utility evaluations; "
                          f"refusing beyond d={_ENUM_LIMIT}")
     table = game.utility_table()
-    masks = np.arange(1 << d, dtype=np.int64)
-    sizes = np.bitwise_count(masks).astype(np.int64)
-    weights = _coalition_weights(d)
-    values = np.empty(d, dtype=np.float64)
-    for j in range(d):
-        bit = 1 << j
-        absent = masks[(masks & bit) == 0]
-        marginals = table[absent + bit] - table[absent]
-        values[j] = float(np.sum(weights[sizes[absent]] * marginals))
+    weights = _coalition_weights(d)[np.bitwise_count(np.arange(1 << (d - 1)))]
+    values = np.array([np.sum(weights * _marginal(table, j)) for j in range(d)])
     span = game.u_full - game.u_empty
     if abs(float(np.sum(values)) - span) > 1e-9 * (1.0 + abs(span)):
         raise RuntimeError("exact Shapley values do not add up to U(full) - U(empty); "
@@ -153,8 +165,8 @@ def shapley_exact(game: CooperativeGame) -> ShapleyVector:
 # hashes the entropy words into a 4-word pool, PCG64 is seeded from
 # generate_state(4, uint64), and Generator.permutation runs Fisher-Yates on
 # masked-rejection draws from next_uint32. For 0 <= seed, i < 2^32 the
-# entropy is the two words (seed, i), and the functions below compute the
-# same numbers for many i at once, one numpy lane per permutation.
+# entropy is the two words (seed, i), and for d <= 64 the functions below
+# compute the same numbers for many i at once, one lane per permutation.
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
@@ -307,9 +319,9 @@ def _lane_permutations(seed: int, lanes: np.ndarray, d: int, n_words: int) -> np
 
 def _permutations(seed, lo: int, hi: int, d: int) -> np.ndarray:
     """Row i - lo is default_rng(SeedSequence((seed, i))).permutation(d) for
-    lo <= i < hi. Entropy outside two uint32 words goes to numpy itself."""
+    lo <= i < hi. Entropy outside two uint32 words, and d > 64, go to numpy."""
     stop = lo
-    if isinstance(seed, (int, np.integer)) and 0 <= seed <= _M32:
+    if isinstance(seed, (int, np.integer)) and 0 <= seed <= _M32 and d <= 64:
         stop = min(hi, max(lo, 1 << 32))
     perms = np.empty((hi - lo, d), dtype=np.int64)
     # 2d + 4 words leave a lane short with probability below 1e-4 for any d
@@ -329,8 +341,8 @@ def shapley_mc(game: CooperativeGame, samples: int, seed: int) -> ShapleyVector:
 
     Permutation i is default_rng(SeedSequence((seed, i))).permutation(game.d),
     so the estimate depends only on (seed, samples), not on execution order.
-    For 0 <= seed, i < 2^32 that stream is computed over numpy lanes, block
-    by block, and matches numpy 2.x bit for bit; other entropy goes through
+    For 0 <= seed, i < 2^32 and d <= 64 that stream is computed over numpy
+    lanes, block by block, bit for bit; other entropy and larger d go through
     numpy's generator. The d prefix coalitions of a block of permutations go
     through one `utility_batch` call; each permutation's marginals are then
     added in permutation order, so the result is bit-identical to walking
@@ -444,7 +456,6 @@ def axiom_suite(game: CooperativeGame, values, pair=None, tol: float = 1e-9) -> 
     if vals.shape != (d,):
         raise ValueError(f"values must have shape ({d},), got {vals.shape}")
     table = game.utility_table()
-    masks = np.arange(1 << d, dtype=np.int64)
     scale = 1.0 + float(np.max(np.abs(table)))
     detect_tol = 1e-12 * scale
 
@@ -454,9 +465,7 @@ def axiom_suite(game: CooperativeGame, values, pair=None, tol: float = 1e-9) -> 
 
     dummy_players, dummy_ok = [], True
     for j in range(d):
-        bit = 1 << j
-        absent = masks[(masks & bit) == 0]
-        if float(np.max(np.abs(table[absent + bit] - table[absent]))) <= detect_tol:
+        if float(np.max(np.abs(_marginal(table, j)))) <= detect_tol:
             dummy_players.append(j)
             dummy_ok = dummy_ok and abs(vals[j]) <= tol * (1.0 + abs(span))
     dummy = {"players": dummy_players, "pass": bool(dummy_ok)}
@@ -464,23 +473,18 @@ def axiom_suite(game: CooperativeGame, values, pair=None, tol: float = 1e-9) -> 
     sym_pairs, sym_ok = [], True
     for i in range(d):
         for j in range(i + 1, d):
-            bi, bj = 1 << i, 1 << j
-            rest = masks[(masks & (bi | bj)) == 0]
-            if float(np.max(np.abs(table[rest + bi] - table[rest + bj]))) <= detect_tol:
+            face = _faces(table, j, i)     # [.., j, .., i, ..]: compare i in with j in
+            if float(np.max(np.abs(face[:, 0, :, 1] - face[:, 1, :, 0]))) <= detect_tol:
                 sym_pairs.append((i, j))
                 sym_ok = sym_ok and abs(vals[i] - vals[j]) <= tol * (1.0 + abs(vals[i]))
     symmetry = {"pairs": sym_pairs, "pass": bool(sym_ok)}
 
-    if pair is None:
-        other, alpha, beta = game, 2.0, 0.0
-    else:
-        other, alpha, beta = pair
+    other, alpha, beta = (game, 2.0, 0.0) if pair is None else pair
     if other.d != d:
         raise ValueError(f"linearity pair has d={other.d}, expected {d}")
-    other_table = other.utility_table()
-    combined = CooperativeGame.from_table(alpha * table + beta * other_table)
+    combined = CooperativeGame.from_table(alpha * table + beta * other.utility_table())
     lhs = shapley_exact(combined).values
-    rhs = alpha * vals + beta * shapley_exact(other).values
+    rhs = alpha * vals if pair is None else alpha * vals + beta * shapley_exact(other).values
     lin_err = float(np.max(np.abs(lhs - rhs)))
     linearity = {"max_err": lin_err,
                  "pass": bool(lin_err <= tol * (1.0 + float(np.max(np.abs(lhs)))))}

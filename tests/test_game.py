@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crgx import autodiff as ad
-from crgx import game, zoo
+from crgx import game, suites, zoo
 from crgx.utility import (UTILITY_KINDS, UtilitySpec, compute_utility,
                           compute_utility_batch, utility_node)
 
@@ -201,6 +201,43 @@ def test_lane_short_of_words_is_recomputed():
     for d in (17, 33):
         got = game._lane_permutations(3, np.arange(200, dtype=np.uint32), d, 2)
         assert np.array_equal(got, [numpy_permutation(3, i, d) for i in range(200)])
+
+
+@pytest.mark.parametrize("d", [64, 65, 257, 3844])
+def test_stream_beyond_the_lane_width_is_numpys(d):
+    # the lanes read six bits per draw, enough for d <= 64; larger games
+    # take numpy's own call, which defines the stream
+    assert_stream_matches_numpy(5, 0, 3, d)
+    assert_stream_matches_numpy(2**32 - 1, 2**32 - 2, 2**32 + 1, d)
+    if d <= 64:
+        got = game._lane_permutations(5, np.arange(3, dtype=np.uint32), d, 2 * d + 4)
+        assert np.array_equal(got, [numpy_permutation(5, i, d) for i in range(3)])
+
+
+def test_mc_beyond_64_players_is_bit_identical_to_scalar_oracle():
+    w = np.random.default_rng(65).normal(size=65)
+
+    def additive(masks):
+        return np.where(masks, w, 0.0).sum(axis=1)
+
+    g = game.CooperativeGame(65, additive)
+    samples = 2 * game._chunk_rows(65 * 65) + 3          # three blocks
+    sv = game.shapley_mc(g, samples, seed=3)
+    values, stderr = scalar_mc(lambda mask: additive(mask[None])[0], 65, g.u_empty,
+                               samples, seed=3)
+    assert sv.values.tobytes() == values.tobytes()
+    assert sv.stderr.tobytes() == stderr.tobytes()
+
+
+def test_spatial_game_with_100_players_samples():
+    model = zoo.build_model("cnn-smooth", 3, 4, in_shape=(3, 12, 12))
+    image = np.random.default_rng(12).uniform(0.0, 1.0, (3, 12, 12))
+    sg = game.make_spatial_game(model, image, UtilitySpec(2, "rest"))
+    assert sg.d == 100
+    assert sg.u_full == compute_utility(model.forward(image), sg.spec)
+    sv = game.shapley_mc(sg, 4, seed=0)
+    span = sg.u_full - sg.u_empty
+    assert abs(float(np.sum(sv.values)) - span) <= 1e-9 * (1.0 + abs(span))
 
 
 def test_single_sample_mc_has_zero_stderr():
@@ -402,6 +439,114 @@ def test_doubling_scales_values():
                                2.0 * game.shapley_exact(g).values, atol=1e-12)
 
 
+# Reference oracles: each definition read directly off the table, one
+# per-player bitmask gather at a time.
+
+
+def exact_oracle(table, d):
+    masks = np.arange(1 << d, dtype=np.int64)
+    sizes = np.bitwise_count(masks).astype(np.int64)
+    weights = game._coalition_weights(d)
+    values = np.empty(d, dtype=np.float64)
+    for j in range(d):
+        bit = 1 << j
+        absent = masks[(masks & bit) == 0]
+        marginals = table[absent + bit] - table[absent]
+        values[j] = float(np.sum(weights[sizes[absent]] * marginals))
+    return values
+
+
+def dummy_oracle(table, d, detect_tol):
+    masks = np.arange(1 << d, dtype=np.int64)
+    players = []
+    for j in range(d):
+        bit = 1 << j
+        absent = masks[(masks & bit) == 0]
+        if float(np.max(np.abs(table[absent + bit] - table[absent]))) <= detect_tol:
+            players.append(j)
+    return players
+
+
+def symmetry_oracle(table, d, detect_tol):
+    masks = np.arange(1 << d, dtype=np.int64)
+    pairs = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            bi, bj = 1 << i, 1 << j
+            rest = masks[(masks & (bi | bj)) == 0]
+            if float(np.max(np.abs(table[rest + bi] - table[rest + bj]))) <= detect_tol:
+                pairs.append((i, j))
+    return pairs
+
+
+def axiom_oracle(g, vals, pair=None, tol=1e-9):
+    d, table = g.d, g.utility_table()
+    detect_tol = 1e-12 * (1.0 + float(np.max(np.abs(table))))
+    span = g.u_full - g.u_empty
+    eff_gap = abs(float(np.sum(vals)) - span)
+    efficiency = {"gap": eff_gap, "pass": bool(eff_gap <= tol * (1.0 + abs(span)))}
+    players = dummy_oracle(table, d, detect_tol)
+    dummy = {"players": players,
+             "pass": all(abs(vals[j]) <= tol * (1.0 + abs(span)) for j in players)}
+    pairs = symmetry_oracle(table, d, detect_tol)
+    symmetry = {"pairs": pairs, "pass": all(abs(vals[i] - vals[j]) <= tol * (1.0 + abs(vals[i]))
+                                            for i, j in pairs)}
+    other, alpha, beta = (g, 2.0, 0.0) if pair is None else pair
+    lhs = exact_oracle(alpha * table + beta * other.utility_table(), d)
+    rhs = alpha * vals + beta * exact_oracle(other.utility_table(), d)
+    lin_err = float(np.max(np.abs(lhs - rhs)))
+    linearity = {"max_err": lin_err,
+                 "pass": bool(lin_err <= tol * (1.0 + float(np.max(np.abs(lhs)))))}
+    report = {"efficiency": efficiency, "dummy": dummy, "symmetry": symmetry,
+              "linearity": linearity}
+    report["pass"] = all(section["pass"] for section in report.values())
+    return report
+
+
+def oracle_games():
+    rng = np.random.default_rng(31)
+    for d in range(1, 13):
+        table = rng.normal(size=1 << d) * 10.0 ** rng.integers(-6, 6)
+        yield pytest.param(game.CooperativeGame.from_table(table), id=f"random-d{d}")
+    yield pytest.param(planted_game(), id="planted-d6")
+    yield pytest.param(planted_game(seed=4, d=9), id="planted-d9")
+    for i in (0, 3, 10, 24):
+        yield pytest.param(suites._random_table_game(2024, i), id=f"axiom-check-{i}")
+    for arch in zoo.ARCHS:
+        for shape in ((3, 5, 5), (3, 6, 6)):
+            model = zoo.build_model(arch, 3, 1, in_shape=shape)
+            image = np.random.default_rng(shape[1]).uniform(0.0, 1.0, shape)
+            sg = game.make_spatial_game(model, image, UtilitySpec(1, "rest"))
+            yield pytest.param(sg, id=f"{arch}-{shape[1]}px-d{sg.d}")
+
+
+@pytest.mark.parametrize("g", oracle_games())
+def test_hypercube_scans_are_bit_identical_to_gather_oracles(g):
+    sv = game.shapley_exact(g)
+    assert np.array_equal(sv.values, exact_oracle(g.utility_table(), g.d))
+    other = game.CooperativeGame.from_table(np.random.default_rng(g.d).normal(size=1 << g.d))
+    broken = sv.values + np.where(np.arange(g.d) == 0, 0.25, 0.0)
+    for vals in (sv.values, broken):
+        assert game.axiom_suite(g, vals) == axiom_oracle(g, vals)
+        assert (game.axiom_suite(g, vals, pair=(other, 1.5, -2.0))
+                == axiom_oracle(g, vals, pair=(other, 1.5, -2.0)))
+
+
+def test_hypercube_scans_go_one_axis_at_a_time():
+    # d=16: a table is 512 KiB, one player's marginals 256 KiB; stacking all
+    # (d, 2^(d-1)) marginals at once would take 4 MiB
+    _, _, sg = spatial_fixture(kind="rest")
+    sv = game.shapley_exact(sg)
+    for run in (lambda: game.shapley_exact(sg), lambda: game.axiom_suite(sg, sv)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
+
+
 def test_coalition_weights_sum_to_one():
     for d in (2, 5, 12, 20):
         w = game._coalition_weights(d)
@@ -427,6 +572,21 @@ def test_game_validation():
         game.shapley_mc(g, 0, seed=0)
     with pytest.raises(ValueError, match="shape"):
         game.shapley_first_order(np.ones((2, 3)), np.ones((2, 4)))
+
+
+def test_non_finite_table_is_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            game.CooperativeGame.from_table([0.0, bad, 1.0, 2.0])
+
+
+def test_non_finite_utility_is_rejected():
+    # the ends are finite, so construction passes; enumeration meets the inf
+    g = game.CooperativeGame(2, lambda masks: np.where(masks.sum(axis=1) == 1, np.inf, 0.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        game.shapley_exact(g)
+    with pytest.raises(ValueError, match="non-finite"):
+        game.CooperativeGame(3, lambda masks: np.full(len(masks), np.nan))
 
 
 def test_utility_must_return_one_value_per_coalition():
