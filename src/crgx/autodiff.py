@@ -7,6 +7,12 @@ terms of these operations, so gradients are ordinary node graphs and can be
 differentiated again; `hvp` exploits this to compute Hessian-vector
 products by double backward.
 
+A backward pass builds only what its result needs: adjoints flow only
+into nodes that depend on the variable differentiated against, so no
+graph is built for the adjoint of a constant such as a weight matrix, and
+a tape keeps each first-order gradient graph it has built, which
+`gradient` and every `hvp` on that tape share.
+
 This module only serves derivatives, and no library hot path uses it:
 `cam.explain` takes the head's derivatives in closed form. It serves the
 verification suites and is the oracle the closed forms are tested
@@ -16,6 +22,7 @@ kernels in `zoo` and `utility`.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable
 
@@ -45,8 +52,10 @@ class Node:
     """One value in a differentiable computation.
 
     `parents` are the nodes this value was computed from, and `_vjp` maps an
-    adjoint node to one adjoint contribution per parent. Leaves (inputs and
-    constants) have no parents and no backward rule.
+    adjoint node and one flag per parent to one adjoint contribution per
+    parent; a parent whose flag is False gets None, and nothing is built
+    for it. Leaves (inputs and constants) have no parents and no backward
+    rule.
     """
 
     __slots__ = ("value", "parents", "op", "_vjp")
@@ -77,13 +86,15 @@ class Tape:
 
     Entering the tape as a context manager routes node creation here; the
     same tape may be re-entered later to append more nodes (a utility head,
-    a backward pass) on top of an existing forward.
+    a backward pass) on top of an existing forward. `grads` holds the
+    first-order gradient graph of each (output, wrt) pair built so far.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
         self.inputs: dict[str, Node] = {}
         self.outputs: dict[str, Node] = {}
+        self.grads: dict[tuple[Node, Node], Node] = {}
 
     def input(self, name: str, value) -> Node:
         value = as_tensor(value)
@@ -112,6 +123,10 @@ def _as_node(x) -> Node:
 
 
 def _broadcast_shape(op: str, a_shape, b_shape):
+    if a_shape == b_shape or not b_shape:
+        return a_shape
+    if not a_shape:
+        return b_shape
     try:
         return np.broadcast_shapes(a_shape, b_shape)
     except ValueError:
@@ -141,7 +156,8 @@ def add(a, b):
     a, b = _as_node(a), _as_node(b)
     _broadcast_shape("add", a.shape, b.shape)
     out = Node(a.value + b.value, (a, b), "add")
-    out._vjp = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
+    out._vjp = lambda g, needs: (_unbroadcast(g, a.shape) if needs[0] else None,
+                                 _unbroadcast(g, b.shape) if needs[1] else None)
     return out
 
 
@@ -149,14 +165,15 @@ def sub(a, b):
     a, b = _as_node(a), _as_node(b)
     _broadcast_shape("sub", a.shape, b.shape)
     out = Node(a.value - b.value, (a, b), "sub")
-    out._vjp = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(neg(g), b.shape))
+    out._vjp = lambda g, needs: (_unbroadcast(g, a.shape) if needs[0] else None,
+                                 _unbroadcast(neg(g), b.shape) if needs[1] else None)
     return out
 
 
 def neg(x):
     x = _as_node(x)
     out = Node(-x.value, (x,), "neg")
-    out._vjp = lambda g: (neg(g),)
+    out._vjp = lambda g, _: (neg(g),)
     return out
 
 
@@ -164,8 +181,8 @@ def mul(a, b):
     a, b = _as_node(a), _as_node(b)
     _broadcast_shape("mul", a.shape, b.shape)
     out = Node(a.value * b.value, (a, b), "mul")
-    out._vjp = lambda g: (_unbroadcast(mul(g, b), a.shape),
-                          _unbroadcast(mul(g, a), b.shape))
+    out._vjp = lambda g, needs: (_unbroadcast(mul(g, b), a.shape) if needs[0] else None,
+                                 _unbroadcast(mul(g, a), b.shape) if needs[1] else None)
     return out
 
 
@@ -174,7 +191,7 @@ def reciprocal(x):
     if np.any(x.value == 0.0):
         raise ValueError("reciprocal: zero input")
     out = Node(1.0 / x.value, (x,), "reciprocal")
-    out._vjp = lambda g: (neg(mul(g, mul(out, out))),)
+    out._vjp = lambda g, _: (neg(mul(g, mul(out, out))),)
     return out
 
 
@@ -187,18 +204,20 @@ def matmul(a, b):
         raise ValueError(f"matmul: shapes {a.shape} @ {b.shape} do not align")
     out = Node(np.matmul(a.value, b.value), (a, b), "matmul")
 
-    def vjp(g):
+    def vjp(g, needs):
+        need_a, need_b = needs
         if na == 2 and nb == 2:
-            return matmul(g, transpose(b)), matmul(transpose(a), g)
-        if na == 2 and nb == 1:
+            return (matmul(g, transpose(b)) if need_a else None,
+                    matmul(transpose(a), g) if need_b else None)
+        if na == 2:
             m, k = a.shape
-            return (mul(reshape(g, (m, 1)), reshape(b, (1, k))),
-                    matmul(transpose(a), g))
-        if na == 1 and nb == 2:
+            return (mul(reshape(g, (m, 1)), reshape(b, (1, k))) if need_a else None,
+                    matmul(transpose(a), g) if need_b else None)
+        if nb == 2:
             k, n = b.shape
-            return (matmul(b, g),
-                    mul(reshape(a, (k, 1)), reshape(g, (1, n))))
-        return mul(g, b), mul(g, a)  # 1-D dot
+            return (matmul(b, g) if need_a else None,
+                    mul(reshape(a, (k, 1)), reshape(g, (1, n))) if need_b else None)
+        return mul(g, b) if need_a else None, mul(g, a) if need_b else None  # 1-D dot
 
     out._vjp = vjp
     return out
@@ -211,7 +230,7 @@ def exp(x):
     if not np.all(np.isfinite(value)):
         raise ValueError("exp: overflow")
     out = Node(value, (x,), "exp")
-    out._vjp = lambda g: (mul(g, out),)
+    out._vjp = lambda g, _: (mul(g, out),)
     return out
 
 
@@ -220,7 +239,7 @@ def log(x):
     if np.any(x.value <= 0.0):
         raise ValueError("log: input must be positive")
     out = Node(np.log(x.value), (x,), "log")
-    out._vjp = lambda g: (mul(g, reciprocal(x)),)
+    out._vjp = lambda g, _: (mul(g, reciprocal(x)),)
     return out
 
 
@@ -233,21 +252,21 @@ def _sigmoid_fw(xv):
 def sigmoid(x):
     x = _as_node(x)
     out = Node(_sigmoid_fw(x.value), (x,), "sigmoid")
-    out._vjp = lambda g: (mul(g, mul(out, sub(1.0, out))),)
+    out._vjp = lambda g, _: (mul(g, mul(out, sub(1.0, out))),)
     return out
 
 
 def tanh(x):
     x = _as_node(x)
     out = Node(np.tanh(x.value), (x,), "tanh")
-    out._vjp = lambda g: (mul(g, sub(1.0, mul(out, out))),)
+    out._vjp = lambda g, _: (mul(g, sub(1.0, mul(out, out))),)
     return out
 
 
 def softplus(x):
     x = _as_node(x)
     out = Node(np.logaddexp(0.0, x.value), (x,), "softplus")
-    out._vjp = lambda g: (mul(g, sigmoid(x)),)
+    out._vjp = lambda g, _: (mul(g, sigmoid(x)),)
     return out
 
 
@@ -266,7 +285,7 @@ def sum(x, axis=None, keepdims=False):  # noqa: A001 - numpy-style name on purpo
     kd_shape = tuple(1 if i in axes else s for i, s in enumerate(x.shape))
     out = Node(np.sum(x.value, axis=axes, keepdims=keepdims), (x,), "sum")
     src_shape = x.shape
-    out._vjp = lambda g: (broadcast_to(reshape(g, kd_shape), src_shape),)
+    out._vjp = lambda g, _: (broadcast_to(reshape(g, kd_shape), src_shape),)
     return out
 
 
@@ -281,11 +300,11 @@ def reshape(x, shape):
     shape = tuple(shape)
     if x.shape == shape:
         return x
-    if int(np.prod(x.shape)) != int(np.prod(shape)):
+    if math.prod(x.shape) != math.prod(shape):
         raise ValueError(f"reshape: cannot reshape {x.shape} to {shape}")
     out = Node(np.reshape(x.value, shape), (x,), "reshape")
     src_shape = x.shape
-    out._vjp = lambda g: (reshape(g, src_shape),)
+    out._vjp = lambda g, _: (reshape(g, src_shape),)
     return out
 
 
@@ -293,7 +312,7 @@ def transpose(x, axes=None):
     x = _as_node(x)
     out = Node(np.ascontiguousarray(np.transpose(x.value, axes)), (x,), "transpose")
     inv = None if axes is None else tuple(np.argsort(axes))
-    out._vjp = lambda g: (transpose(g, inv),)
+    out._vjp = lambda g, _: (transpose(g, inv),)
     return out
 
 
@@ -305,7 +324,7 @@ def broadcast_to(x, shape):
     _broadcast_shape("broadcast_to", x.shape, shape)
     out = Node(np.ascontiguousarray(np.broadcast_to(x.value, shape)), (x,), "broadcast_to")
     src_shape = x.shape
-    out._vjp = lambda g: (_unbroadcast(g, src_shape),)
+    out._vjp = lambda g, _: (_unbroadcast(g, src_shape),)
     return out
 
 
@@ -317,7 +336,7 @@ def gather(x, indices):
         raise ValueError(f"gather: index out of range for size {size}")
     out = Node(x.value.reshape(-1)[idx], (x,), "gather")
     src_shape = x.shape
-    out._vjp = lambda g: (reshape(scatter_add(g, idx, size), src_shape),)
+    out._vjp = lambda g, _: (reshape(scatter_add(g, idx, size), src_shape),)
     return out
 
 
@@ -331,7 +350,7 @@ def scatter_add(src, indices, size):
     value = np.zeros(size, dtype=np.float64)
     np.add.at(value, idx.reshape(-1), src.value.reshape(-1))
     out = Node(value, (src,), "scatter_add")
-    out._vjp = lambda g: (gather(g, idx),)
+    out._vjp = lambda g, _: (gather(g, idx),)
     return out
 
 
@@ -394,24 +413,37 @@ def grad_node(output: Node, wrt: Node) -> Node:
 
     The result is itself differentiable, which is what makes double
     backward (and so `hvp`) possible. Unreachable `wrt` yields exact zeros.
+    Only nodes that depend on `wrt` are differentiated: every node that
+    adds to such a node's adjoint depends on `wrt` as well, so the adjoint
+    of `wrt` is the same sum, added in the same order, as when every
+    node's adjoint is built.
     """
     if output.value.shape != ():
         raise ValueError(f"gradient: output must be scalar, got shape {output.value.shape}")
     order = _toposort(output)
+    live = {id(wrt)}
+    for node in order:
+        for p in node.parents:
+            if id(p) in live:
+                live.add(id(node))
+                break
+    if id(output) not in live:
+        return _as_node(np.zeros(wrt.value.shape))
     adjoint: dict[int, Node] = {id(output): _as_node(np.ones(()))}
     for node in reversed(order):
+        if node is wrt:
+            break  # every descendant of wrt came before it
         g = adjoint.get(id(node))
-        if g is None or node._vjp is None:
+        if g is None:
             continue
-        for parent, contrib in zip(node.parents, node._vjp(g)):
+        parents = node.parents
+        needs = tuple(id(p) in live for p in parents)
+        for parent, contrib in zip(parents, node._vjp(g, needs)):
             if contrib is None:
                 continue
             held = adjoint.get(id(parent))
             adjoint[id(parent)] = contrib if held is None else add(held, contrib)
-    result = adjoint.get(id(wrt))
-    if result is None:
-        return _as_node(np.zeros(wrt.value.shape))
-    return result
+    return adjoint[id(wrt)]
 
 
 def _resolve(table: dict[str, Node], key) -> Node:
@@ -440,28 +472,40 @@ def forward(graph: Callable, inputs: dict) -> tuple[dict, Tape]:
     return {name: node.value for name, node in result.items()}, tape
 
 
+def _first_order(tape: Tape, out_node: Node, wrt_node: Node) -> Node:
+    """The tape's gradient graph of `out_node` w.r.t. `wrt_node`, built on
+    the first request and shared by every later one."""
+    key = (out_node, wrt_node)
+    g = tape.grads.get(key)
+    if g is None:
+        with tape:
+            g = tape.grads[key] = grad_node(out_node, wrt_node)
+    return g
+
+
 def gradient(tape: Tape, output, wrt) -> Array:
-    """Gradient of a scalar tape output with respect to a tape input."""
+    """Gradient of a scalar tape output with respect to a tape input, as a
+    new array: the graph it comes from is shared by later calls."""
     out_node = _resolve(tape.outputs, output)
     wrt_node = _resolve(tape.inputs, wrt)
-    with tape:
-        g = grad_node(out_node, wrt_node)
-    return g.value
+    return _first_order(tape, out_node, wrt_node).value.copy()
 
 
 def hvp(tape: Tape, output, wrt, v) -> Array:
     """Hessian-vector product H @ v of a scalar output w.r.t. one input.
 
     Computed as the gradient of <gradient(output), v>; needs nothing beyond
-    the backward rules already being differentiable node graphs.
+    the backward rules already being differentiable node graphs. The
+    first-order graph is the tape's shared one, so a second `hvp` builds
+    only its own second backward.
     """
     out_node = _resolve(tape.outputs, output)
     wrt_node = _resolve(tape.inputs, wrt)
     v = as_tensor(v)
     if v.shape != wrt_node.value.shape:
         raise ValueError(f"hvp: v has shape {v.shape}, expected {wrt_node.value.shape}")
+    g = _first_order(tape, out_node, wrt_node)
     with tape:
-        g = grad_node(out_node, wrt_node)
         s = sum(mul(g, v))
         h = grad_node(s, wrt_node)
     return h.value

@@ -193,24 +193,35 @@ def explain(model: ToyModel, image: np.ndarray, spec: UtilitySpec, method) -> He
     return explain_batch(model, stack, spec, method)[0]
 
 
-def _ensemble_inputs(model: ToyModel, image: np.ndarray, spec: UtilitySpec, method):
-    """The heatmap of `spec`, class probabilities p and pre-softmax class
-    heatmaps E_k, (K, d), from the back-map Jᵀ of the identity and one
-    assembly. The direct heatmap goes first: its utility rejects non-finite
-    logits before the softmax sees them."""
+def _ensemble_pairs(model: ToyModel, image: np.ndarray, c: int, method,
+                    kinds: tuple[str, ...]) -> list[tuple[Heatmap, Heatmap]]:
+    """For each utility kind in `kinds`, the heatmap of class c and its
+    composition from the class probabilities p and the pre-softmax class
+    heatmaps E_k, (K, d): the ensemble p_c * sum_{k != c} p_k (E_c - E_k)
+    for "post-softmax", E_c plus that sum for "rest". The kinds share one
+    tap stack, one softmax, and one back-map Jᵀ of the identity with one
+    assembly. The direct heatmaps go first: their utility rejects
+    non-finite logits before the softmax sees them."""
     method = _as_method(method)
     if method.order != "first" or method.scheme not in ("mean", "elementwise"):
         raise ValueError(f"{method.name}: ensemble identities hold for first-order "
                          "mean-broadcast or elementwise methods only")
     n_classes = model.num_classes
-    if spec.target_class >= n_classes:
-        raise ValueError(f"target_class {spec.target_class} out of range")
+    if c >= n_classes:
+        raise ValueError(f"target_class {c} out of range")
     stack = model._tap_stack(np.asarray(image, dtype=np.float64)[None])
-    direct = explain_batch(model, stack, spec, method)[0]
+    directs = [explain_batch(model, stack, UtilitySpec(c, kind), method)[0] for kind in kinds]
     p = softmax_rows(model.head_batch(stack))[0]
     per_class = _assemble(model.head_transpose(np.eye(n_classes)),
                           np.broadcast_to(stack, (n_classes,) + stack.shape[1:]), method)
-    return direct, p, per_class
+    pairs = []
+    for kind, direct in zip(kinds, directs):
+        if kind == "post-softmax":
+            pre = p[c] * _add_correction(np.zeros_like(per_class[c]), p, per_class, c)
+        else:
+            pre = _add_correction(per_class[c], p, per_class, c)
+        pairs.append((direct, replace(direct, pre_relu=pre, post_relu=np.maximum(pre, 0.0))))
+    return pairs
 
 
 def _add_correction(start: np.ndarray, p: np.ndarray, per_class: np.ndarray,
@@ -231,17 +242,11 @@ def theorem3_ensemble(model: ToyModel, image: np.ndarray, spec: UtilitySpec,
     if spec.kind != "post-softmax":
         raise ValueError(f"the ensemble identity is about post-softmax utilities, "
                          f"got {spec.kind!r}")
-    c = spec.target_class
-    direct, p, per_class = _ensemble_inputs(model, image, spec, method)
-    pre = p[c] * _add_correction(np.zeros_like(per_class[c]), p, per_class, c)
-    return direct, replace(direct, pre_relu=pre, post_relu=np.maximum(pre, 0.0))
+    return _ensemble_pairs(model, image, spec.target_class, method, ("post-softmax",))[0]
 
 
 def rest_decomposition(model: ToyModel, image: np.ndarray, target_class: int,
                        method) -> tuple[Heatmap, Heatmap]:
     """The rest-utility heatmap equals the class's pre-softmax heatmap plus
     the ensemble correction sum_{k != c} p_k (E_c - E_k)."""
-    c = int(target_class)
-    direct, p, per_class = _ensemble_inputs(model, image, UtilitySpec(c, "rest"), method)
-    pre = _add_correction(per_class[c], p, per_class, c)
-    return direct, replace(direct, pre_relu=pre, post_relu=np.maximum(pre, 0.0))
+    return _ensemble_pairs(model, image, int(target_class), method, ("rest",))[0]

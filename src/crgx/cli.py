@@ -24,8 +24,36 @@ from .utility import UTILITY_KINDS, UtilitySpec
 from .zoo import ARCHS, build_model
 
 
+def _encode(value, indent: str) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` at nesting `indent`,
+    for str-keyed reports. With an indent, json runs its pure-Python
+    encoder, so a list of floats goes through the C encoder in one call,
+    is split at its separators (no float's text holds ", ") and is indented
+    here."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        brackets = "{}"
+        items = [f"{json.dumps(key)}: {_encode(value[key], inner)}" for key in sorted(value)]
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        brackets = "[]"
+        if all(type(v) is float for v in value):
+            items = json.dumps(value)[1:-1].split(", ")
+        else:
+            items = [_encode(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    body = (",\n" + inner).join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
+
 def _report_text(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report as `json.dumps(report, indent=2, sort_keys=True)` writes
+    it, plus a newline."""
+    return _encode(report, "") + "\n"
 
 
 def _emit_report(report: dict, path) -> None:
@@ -88,7 +116,7 @@ def _cmd_explain(parser: argparse.ArgumentParser, args) -> int:
         "tap": heatmap.layer,
         "spatial": list(heatmap.spatial),
         "alpha": args.alpha,
-        "pre_relu": [float(v) for v in heatmap.pre_relu],
+        "pre_relu": heatmap.pre_relu.tolist(),
         "outputs": {"heatmap": heat_path.name, "overlay": over_path.name},
     }
     json_path.write_text(_report_text(sidecar))

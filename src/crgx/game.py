@@ -152,9 +152,16 @@ def shapley_exact(game: CooperativeGame) -> ShapleyVector:
                          f"refusing beyond d={_ENUM_LIMIT}")
     table = game.utility_table()
     weights = _coalition_weights(d)[np.bitwise_count(np.arange(1 << (d - 1)))]
-    values = np.array([np.sum(weights * _marginal(table, j)) for j in range(d)])
+    # a finite table can still have marginals or sums past float64's range:
+    # they come out as inf or NaN, which the check below refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.array([np.sum(weights * _marginal(table, j)) for j in range(d)])
+        total = float(np.sum(values))
     span = game.u_full - game.u_empty
-    if abs(float(np.sum(values)) - span) > 1e-9 * (1.0 + abs(span)):
+    if not (np.isfinite(values).all() and math.isfinite(total) and math.isfinite(span)):
+        raise ValueError("exact Shapley values overflow float64: the utility "
+                         "table's differences or sums exceed the float range")
+    if abs(total - span) > 1e-9 * (1.0 + abs(span)):
         raise RuntimeError("exact Shapley values do not add up to U(full) - U(empty); "
                            "the utility callback is not deterministic")
     return ShapleyVector(values=values, method="exact")
@@ -442,6 +449,9 @@ def make_spatial_game(model: ToyModel, image: np.ndarray, spec: UtilitySpec) -> 
     return SpatialGame(model, image, spec)
 
 
+# A difference past float64's range reads inf (a gap NaN), which no tolerance
+# admits: it makes no dummy, no symmetric pair and no efficiency pass.
+@np.errstate(over="ignore", invalid="ignore")
 def axiom_suite(game: CooperativeGame, values, pair=None, tol: float = 1e-9) -> dict:
     """Audit an attribution vector against the four Shapley axioms.
 
@@ -482,8 +492,11 @@ def axiom_suite(game: CooperativeGame, values, pair=None, tol: float = 1e-9) -> 
     other, alpha, beta = (game, 2.0, 0.0) if pair is None else pair
     if other.d != d:
         raise ValueError(f"linearity pair has d={other.d}, expected {d}")
-    combined = CooperativeGame.from_table(alpha * table + beta * other.utility_table())
-    lhs = shapley_exact(combined).values
+    combined = alpha * table + beta * other.utility_table()
+    if not np.isfinite(combined).all():
+        raise ValueError(f"linearity check overflows float64: {alpha} * table + "
+                         f"{beta} * other table leaves the float range")
+    lhs = shapley_exact(CooperativeGame.from_table(combined)).values
     rhs = alpha * vals if pair is None else alpha * vals + beta * shapley_exact(other).values
     lin_err = float(np.max(np.abs(lhs - rhs)))
     linearity = {"max_err": lin_err,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .cam import explain, theorem3_ensemble, rest_decomposition
+from .cam import _ensemble_pairs, explain
 from .game import (
     CooperativeGame,
     axiom_suite,
@@ -314,11 +314,12 @@ def theorem_suite(seeds: int = 5) -> dict:
                 image = np.random.default_rng(1000 + s).uniform(0.0, 1.0, model.in_shape)
                 c = int(np.argmax(model.forward(image)))
                 for method in THEOREM_METHODS:
-                    direct, ensemble = theorem3_ensemble(
-                        model, image, UtilitySpec(c, "post-softmax"), method)
+                    # the ensemble and rest identities of one case share
+                    # their tap stack, softmax and class heatmaps
+                    (direct, ensemble), (rest_direct, composed) = _ensemble_pairs(
+                        model, image, c, method, ("post-softmax", "rest"))
                     ens_worst = max(ens_worst, float(np.max(np.abs(
                         direct.pre_relu - ensemble.pre_relu))))
-                    rest_direct, composed = rest_decomposition(model, image, c, method)
                     rest_worst = max(rest_worst, float(np.max(np.abs(
                         rest_direct.pre_relu - composed.pre_relu))))
                     n_cases += 1
@@ -329,9 +330,8 @@ def theorem_suite(seeds: int = 5) -> dict:
 
     model, image = _probe_model()
     c = int(np.argmax(model.forward(image)))
-    direct, ensemble = theorem3_ensemble(model, image, UtilitySpec(c, "post-softmax"),
-                                         "gradcam")
-    rest_direct, composed = rest_decomposition(model, image, c, "gradcam")
+    (direct, ensemble), (rest_direct, composed) = _ensemble_pairs(
+        model, image, c, "gradcam", ("post-softmax", "rest"))
     direct_norm = float(np.max(np.abs(direct.pre_relu)))
     rest_norm = float(np.max(np.abs(rest_direct.pre_relu)))
     probe = dict(PROBE_CONFIG)

@@ -171,9 +171,11 @@ class ToyModel:
     def head_transpose(self, g: np.ndarray) -> np.ndarray:
         """The head's transpose map Jᵀ: per-image logit-space vectors
         (n, num_classes) to tap-space (n, n_maps, d). For the CNNs, Jᵀg is
-        Wᵀg / d broadcast over positions (a read-only view)."""
+        Wᵀg / d broadcast over positions (a read-only view). The stacked
+        matmul maps each row on its own, so row i is bit-identical to the
+        call on g[i] alone (one (n, K) @ W GEMM would not be)."""
         w_out = self._head_params()[0]
-        back = np.matmul(np.asarray(g, dtype=np.float64), w_out)
+        back = np.matmul(np.asarray(g, dtype=np.float64)[:, None, :], w_out)[:, 0]
         h, w = self.tap_spatial()
         if self.arch in ("cnn-relu", "cnn-smooth"):
             return np.broadcast_to((back * (1.0 / (h * w)))[:, :, None], back.shape + (h * w,))

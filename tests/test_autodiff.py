@@ -251,3 +251,170 @@ def test_finite_diff_gradient_on_quadratic():
     x = np.array([0.5, -1.5, 2.0])
     fd = finite_diff_gradient(lambda v: float(np.sum(v * v)), x, 1e-5)
     np.testing.assert_allclose(fd, 2 * x, rtol=1e-9)
+
+
+# ------------------------------------------------------------ pruned backward
+
+def full_grad_node(output, wrt):
+    """The unpruned backward: every node reachable from `output` gets its
+    full adjoint, constants included. `grad_node` must return the same
+    bits."""
+    order = ad._toposort(output)
+    adjoint = {id(output): ad._as_node(np.ones(()))}
+    for node in reversed(order):
+        g = adjoint.get(id(node))
+        if g is None or node._vjp is None:
+            continue
+        for parent, contrib in zip(node.parents,
+                                   node._vjp(g, (True,) * len(node.parents))):
+            held = adjoint.get(id(parent))
+            adjoint[id(parent)] = contrib if held is None else ad.add(held, contrib)
+    result = adjoint.get(id(wrt))
+    return ad._as_node(np.zeros(wrt.value.shape)) if result is None else result
+
+
+def full_gradient_and_hvps(tape, output, wrt, vs):
+    """Gradient and HVPs through the unpruned backward, each HVP on its own
+    first-order graph."""
+    out_node = ad._resolve(tape.outputs, output)
+    wrt_node = ad._resolve(tape.inputs, wrt)
+    with tape:
+        grad = full_grad_node(out_node, wrt_node).value
+        hvps = []
+        for v in vs:
+            s = ad.sum(ad.mul(full_grad_node(out_node, wrt_node), v))
+            hvps.append(full_grad_node(s, wrt_node).value)
+    return grad, hvps
+
+
+def assert_same_bits_as_full_backward(make_tape, output, wrt, vs):
+    grad_ref, hvps_ref = full_gradient_and_hvps(make_tape(), output, wrt, vs)
+    tape = make_tape()
+    # hvp first, so the gradient comes from the graph the first hvp built
+    hvps = [ad.hvp(tape, output, wrt, v) for v in vs]
+    grad = ad.gradient(tape, output, wrt)
+    assert grad.tobytes() == grad_ref.tobytes()
+    for h, h_ref in zip(hvps, hvps_ref):
+        assert h.tobytes() == h_ref.tobytes()
+
+
+@pytest.mark.parametrize("index", range(20))
+def test_pruned_backward_matches_full_on_hvp_check_graphs(index):
+    from crgx.suites import _random_smooth_graph
+
+    graph, x0, v, u = _random_smooth_graph(77, index)
+    assert_same_bits_as_full_backward(
+        lambda: ad.forward(lambda x: {"y": graph(x)}, {"x": x0})[1], "y", "x", [v, u])
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_pruned_backward_matches_full_on_quadratic_and_linear_cases(index):
+    from crgx.suites import _quadratic_case, _seeded
+
+    d = (4, 8, 12)[index % 3]
+    _, _, _, graph = _quadratic_case(2024, index, d)
+    ones = np.ones(d)
+    assert_same_bits_as_full_backward(
+        lambda: ad.forward(lambda x: {"y": graph(x)}, {"x": ones})[1], "y", "x", [ones])
+
+    rng = _seeded(2024, 2, index)
+    d = int(rng.integers(3, 13))
+    w = rng.normal(0.0, 1.0, d)
+    ones = np.ones(d)
+    assert_same_bits_as_full_backward(
+        lambda: ad.forward(lambda x: {"y": ad.sum(ad.mul(w, x))}, {"x": ones})[1],
+        "y", "x", [ones])
+
+
+@pytest.mark.parametrize("arch", ["cnn-relu", "cnn-smooth", "mlp-smooth"])
+@pytest.mark.parametrize("size", [6, 64])
+def test_pruned_backward_matches_full_on_model_heads(arch, size):
+    from crgx.utility import UTILITY_KINDS, UtilitySpec, utility_node
+    from crgx.zoo import build_model
+
+    model = build_model(arch, num_classes=4, seed=3, in_shape=(3, size, size))
+    image = np.random.default_rng(size).uniform(0.0, 1.0, model.in_shape)
+    maps = model.forward_with_tap(image).activations.maps
+    for kind in UTILITY_KINDS:
+        def make_tape():
+            run = model.forward_with_tap(image)
+            with run.tape:
+                run.tape.outputs["u"] = utility_node(run.tape.outputs["logits"],
+                                                     UtilitySpec(2, kind))
+            return run.tape
+
+        assert_same_bits_as_full_backward(make_tape, "u", "tap", [maps])
+
+
+def test_second_hvp_reuses_the_first_order_graph(monkeypatch):
+    fn, x = _random_smooth_case(3)
+    rng = np.random.default_rng(7)
+    v1, v2 = rng.normal(size=x.shape), rng.normal(size=x.shape)
+    _, fresh = ad.forward(fn, {"x": x})
+    expected = ad.hvp(fresh, "out", "x", v2)
+
+    _, alone = ad.forward(fn, {"x": x})
+    forward_nodes = len(alone.nodes)
+    ad.gradient(alone, "out", "x")
+    first_order_nodes = len(alone.nodes) - forward_nodes
+
+    calls = []
+    real = ad.grad_node
+    monkeypatch.setattr(ad, "grad_node", lambda out, wrt: calls.append(out) or real(out, wrt))
+    _, tape = ad.forward(fn, {"x": x})
+    ad.hvp(tape, "out", "x", v1)
+    assert len(calls) == 2                 # first order, then the second backward
+    first_hvp_nodes = len(tape.nodes) - forward_nodes
+    second = ad.hvp(tape, "out", "x", v2)
+    assert len(calls) == 3                 # the second backward only
+    assert calls[2] is not tape.outputs["out"]
+    assert len(tape.nodes) - forward_nodes - first_hvp_nodes == first_hvp_nodes - first_order_nodes
+    assert second.tobytes() == expected.tobytes()
+    n_nodes = len(tape.nodes)
+    assert ad.gradient(tape, "out", "x").tobytes() == ad.gradient(alone, "out", "x").tobytes()
+    assert len(calls) == 3 and len(tape.nodes) == n_nodes
+
+
+def test_gradient_returns_a_new_array_each_call():
+    # the first-order graph is shared, so writing to one returned gradient
+    # must not change what the next call returns
+    _, tape = ad.forward(lambda x: ad.sum(ad.mul(x, x)), {"x": [1.0, -2.0]})
+    first = ad.gradient(tape, "out", "x")
+    first[:] = 0.0
+    assert np.array_equal(ad.gradient(tape, "out", "x"), [2.0, -4.0])
+
+
+def test_pruned_backward_builds_no_adjoint_for_constants():
+    w = np.arange(6.0).reshape(2, 3) / 7
+    _, tape = ad.forward(lambda x: ad.sum(ad.matmul(w, x)), {"x": [0.5, -1.0, 2.0]})
+    before = len(tape.nodes)
+    ad.gradient(tape, "out", "x")
+    ops = [node.op for node in tape.nodes[before:]]
+    # sum's backward (a reshape, a broadcast) and matmul's transpose for x;
+    # no product building w's adjoint
+    assert "mul" not in ops
+    assert ops.count("transpose") == 1
+
+
+@pytest.mark.parametrize("op,a_shape,b_shape", [
+    ("add", (2, 3), (3, 2)),
+    ("sub", (3,), (4,)),
+    ("mul", (2, 1, 3), (4, 2)),
+])
+def test_shapes_that_do_not_broadcast_raise(op, a_shape, b_shape):
+    message = f"{op}: shapes {a_shape} and {b_shape} do not broadcast"
+    with pytest.raises(ValueError) as err:
+        getattr(ad, op)(np.ones(a_shape), np.ones(b_shape))
+    assert str(err.value) == message
+    with pytest.raises(ValueError, match="broadcast_to: shapes"):
+        ad.broadcast_to(np.ones(a_shape), b_shape)
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((2, 3), (2, 3)), ((), (4,)), ((4,), ()), ((2, 3), (3,)), ((2, 1), (1, 3)), ((), ()),
+])
+def test_shapes_that_broadcast_give_numpys_shape(a_shape, b_shape):
+    expected = np.broadcast_shapes(a_shape, b_shape)
+    for op in (ad.add, ad.sub, ad.mul):
+        assert op(np.ones(a_shape), np.ones(b_shape)).shape == expected
+    assert ad._broadcast_shape("add", a_shape, b_shape) == expected

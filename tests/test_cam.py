@@ -482,6 +482,26 @@ def test_ensembles_equal_the_per_class_formula_bit_for_bit(arch, num_classes, me
         assert (composed.method, composed.target_class, composed.utility) == (method, c, "rest")
 
 
+@pytest.mark.parametrize("arch", ["cnn-relu", "cnn-smooth", "mlp-smooth"])
+@pytest.mark.parametrize("method", ["gradcam", "hirescam"])
+def test_shared_ensemble_inputs_give_both_identities_bit_for_bit(arch, method):
+    # the check suite computes both identities of a case from one set of
+    # inputs; each pair must be the one the public function returns
+    from crgx.cam import _ensemble_pairs
+
+    model = build_model(arch, num_classes=4, seed=5)
+    image = make_image(2005)
+    for c in range(4):
+        shared = _ensemble_pairs(model, image, c, method, ("post-softmax", "rest"))
+        separate = [theorem3_ensemble(model, image, UtilitySpec(c, "post-softmax"), method),
+                    rest_decomposition(model, image, c, method)]
+        for pair, ref in zip(shared, separate):
+            for hm, hm_ref in zip(pair, ref):
+                assert hm.pre_relu.tobytes() == hm_ref.pre_relu.tobytes()
+                assert (hm.method, hm.target_class, hm.utility) == (
+                    hm_ref.method, hm_ref.target_class, hm_ref.utility)
+
+
 def scaled_probe_model():
     model = build_model("cnn-smooth", num_classes=2, seed=110)
     model.weights["fc_w"] *= 50.0
@@ -672,4 +692,4 @@ def test_explain_batch_rows_match_single_explain(arch):
             single = explain(model, image, spec, method)
             assert hm.method == single.method and hm.utility == single.utility
             assert hm.target_class == single.target_class and hm.spatial == single.spatial
-            np.testing.assert_allclose(hm.pre_relu, single.pre_relu, rtol=1e-13, atol=1e-15)
+            assert hm.pre_relu.tobytes() == single.pre_relu.tobytes()

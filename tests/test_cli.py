@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from crgx.cam import CamMethod
-from crgx.cli import main
+from crgx.cli import _report_text, main
 from crgx.imgio import Image, read_image, write_image
 from crgx.zoo import build_model
 
@@ -337,3 +339,20 @@ def test_explain_and_evaluate_build_no_tape(tmp_path, monkeypatch):
         assert main(["explain", "--image", str(tmp_path / "s.ppm"), "--method", "shapleycam",
                      "--out-dir", str(tmp_path / "out")] + extra) == 0
         assert sum(counted) == 1
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_LEAVES = st.none() | st.booleans() | st.integers() | _FLOATS | st.text()
+_VALUES = st.recursive(
+    _LEAVES | st.lists(_FLOATS) | st.lists(_FLOATS).map(tuple),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=40)
+
+
+@given(_VALUES)
+@example({"a\"\\\n\u00e9": [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e-300],
+          "b": {}, "c": [], "d": (), "e": [True, None, 3, 2.5, "x"], "f": [[1.5], {"g": -0.0}]})
+@example([float("nan")])
+def test_report_text_is_json_dumps_with_sorted_keys(value):
+    assert _report_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"

@@ -589,6 +589,32 @@ def test_non_finite_utility_is_rejected():
         game.CooperativeGame(3, lambda masks: np.full(len(masks), np.nan))
 
 
+def overflowing_game(seed):
+    """A finite table whose marginal contributions leave the float range."""
+    return game.CooperativeGame.from_table(
+        np.random.default_rng(seed).uniform(-1.0, 1.0, 16) * 1.2e308)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exact_shapley_refuses_overflowing_marginals(seed):
+    # these tables once gave [-inf, -inf, -inf, nan] and [inf, x, inf, -inf]
+    # as "exact" values: a NaN efficiency gap compared as no gap
+    with pytest.raises(ValueError, match="exact Shapley values overflow float64"):
+        game.shapley_exact(overflowing_game(seed))
+
+
+def test_axiom_suite_names_an_overflowing_linearity_table():
+    g = overflowing_game(0)
+    with pytest.raises(ValueError, match="linearity check overflows float64"):
+        game.axiom_suite(g, np.zeros(4))
+    # a halved pair stays in range; the scans meet overflowing differences,
+    # which make no player a dummy and no pair symmetric
+    zero = game.CooperativeGame.from_table(np.zeros(16))
+    report = game.axiom_suite(g, np.zeros(4), pair=(zero, 0.5, 1.0))
+    assert report["dummy"]["players"] == [] and report["symmetry"]["pairs"] == []
+    assert not report["efficiency"]["pass"] and not report["pass"]
+
+
 def test_utility_must_return_one_value_per_coalition():
     # a scalar callback would broadcast one value across every coalition
     with pytest.raises(ValueError, match=r"shape \(2,\) for 2 coalitions, got \(\)"):

@@ -99,6 +99,19 @@ def test_head_transpose_is_the_adjoint_of_head_linear():
 
 
 @pytest.mark.parametrize("arch", zoo.ARCHS)
+def test_head_transpose_rows_match_single_rows_bitwise(arch):
+    # explain_batch maps every image back through one head_transpose call,
+    # so a row must not depend on how many rows share the call
+    rng = np.random.default_rng(3)
+    for trial in range(40):
+        m = zoo.build_model(arch, int(rng.integers(2, 9)), trial)
+        g = rng.normal(size=(int(rng.integers(2, 9)), m.num_classes))
+        batch = m.head_transpose(g)
+        for i in range(len(g)):
+            assert batch[i].tobytes() == m.head_transpose(g[i:i + 1])[0].tobytes()
+
+
+@pytest.mark.parametrize("arch", zoo.ARCHS)
 def test_forward_matches_tap_path_bitwise(arch):
     # forward is the numpy kernel, the tap path the taped head: plain values
     # and the values gradients are taken of must agree bit for bit
