@@ -22,18 +22,13 @@ import numpy as np
 
 from .cam import shapley_weights
 from .utility import UtilitySpec, compute_utility, compute_utility_batch
-from .zoo import ToyModel
+from .zoo import ToyModel, _chunk_rows
 
 _ENUM_LIMIT = 20
-# Array cells one batched numpy call works on: SpatialGame evaluates
+# Batches follow zoo's cell budget `_BATCH_CELLS`: SpatialGame evaluates
 # rows x n_maps x d masked activations at a time, utility_table builds
 # coalitions x d membership flags, shapley_mc builds permutations x d x d
 # prefix flags, and its permutation stream words x lanes PCG64 outputs.
-_BATCH_CELLS = 1 << 16
-
-
-def _chunk_rows(cells_per_row: int) -> int:
-    return max(1, _BATCH_CELLS // cells_per_row)
 
 
 @dataclass(frozen=True)
@@ -497,7 +492,11 @@ def axiom_suite(game: CooperativeGame, values, pair=None, tol: float = 1e-9) -> 
         raise ValueError(f"linearity check overflows float64: {alpha} * table + "
                          f"{beta} * other table leaves the float range")
     lhs = shapley_exact(CooperativeGame.from_table(combined)).values
-    rhs = alpha * vals if pair is None else alpha * vals + beta * shapley_exact(other).values
+    rhs = alpha * vals
+    if pair is not None and beta != 0:
+        # a partner at beta = 0 contributes nothing, so its values (which
+        # may overflow on their own) are not computed
+        rhs = rhs + beta * shapley_exact(other).values
     lin_err = float(np.max(np.abs(lhs - rhs)))
     linearity = {"max_err": lin_err,
                  "pass": bool(lin_err <= tol * (1.0 + float(np.max(np.abs(lhs)))))}

@@ -17,7 +17,7 @@ from .cam import CamMethod, Heatmap, explain_batch
 from .imgio import Image
 from .postprocess import normalize_minmax, upsample_bilinear
 from .utility import UtilitySpec, compute_utility_batch
-from .zoo import ToyModel
+from .zoo import ToyModel, _chunk_rows
 
 HeatmapSource = Union[str, CamMethod, Callable[..., Heatmap]]
 
@@ -188,16 +188,24 @@ def _per_image_method(method: HeatmapSource, index: int) -> HeatmapSource:
     return method
 
 
-def _pipeline_heatmap(model: ToyModel, pixels: np.ndarray, stack: np.ndarray,
-                      spec: UtilitySpec, method: HeatmapSource) -> np.ndarray:
-    """Normalized, upsampled heatmap of one image; built-in methods read
-    the image's tap stack (1, n_maps, d) instead of recomputing it."""
+def _pipeline_heatmaps(model: ToyModel, pixels: np.ndarray, stacks: np.ndarray,
+                       rows: np.ndarray, spec: UtilitySpec,
+                       method: HeatmapSource) -> np.ndarray:
+    """Normalized heatmaps of n images upsampled to their resolution,
+    (n, H, W), C-contiguous. Built-in methods read the images' tap stacks
+    (n, n_maps, d) in one `explain_batch`; randomcam (a draw per image
+    index in `rows`) and custom callables build each image's own."""
     if callable(method) and not isinstance(method, (str, CamMethod)):
-        heatmap = method(model, pixels, spec)
+        heatmaps = [method(model, x, spec) for x in pixels]
     else:
-        heatmap = explain_batch(model, stack, spec, method)[0]
-    grid = normalize_minmax(heatmap.grid("post"))
-    return upsample_bilinear(grid, pixels.shape[1], pixels.shape[2])
+        seeded = [_per_image_method(method, int(i)) for i in rows]
+        if seeded[0].name == "randomcam":
+            heatmaps = [explain_batch(model, stacks[k:k + 1], spec, m)[0]
+                        for k, m in enumerate(seeded)]
+        else:
+            heatmaps = explain_batch(model, stacks, spec, seeded[0])
+    grids = np.stack([normalize_minmax(h.grid("post")) for h in heatmaps])
+    return upsample_bilinear(grids, pixels.shape[2], pixels.shape[3])
 
 
 def _target_scores(model: ToyModel, stacks: np.ndarray, target_class: int) -> np.ndarray:
@@ -205,18 +213,107 @@ def _target_scores(model: ToyModel, stacks: np.ndarray, target_class: int) -> np
                                  UtilitySpec(target_class, "post-softmax"))
 
 
+class _NoImageLeft(Exception):
+    """Every image of a chunk has been skipped."""
+
+
+def _by_rows(stage: Callable, columns: tuple, rows: np.ndarray, skipped: dict):
+    """`stage(*columns)` over all rows at once. If that raises `ValueError`,
+    the stage reruns on one row at a time: a row that raises is dropped and
+    its message kept in `skipped` under its image index `rows[k]`. Returns
+    the stage's output and the positions of the rows kept (a slice when all
+    are). Stages map rows to rows, each row bit-identical to its own call,
+    so a rerun changes no kept value."""
+    try:
+        return stage(*columns), slice(None)
+    except ValueError:
+        pass
+    kept, outputs = [], []
+    for k, index in enumerate(rows):
+        try:
+            outputs.append(stage(*(column[k:k + 1] for column in columns)))
+        except ValueError as err:
+            skipped[int(index)] = str(err)
+        else:
+            kept.append(k)
+    if not kept:
+        raise _NoImageLeft
+    return np.concatenate(outputs), np.array(kept)
+
+
+def _protocol_terms(model: ToyModel, planes: list, first: int, spec: UtilitySpec,
+                    method: HeatmapSource, skipped: dict) -> list:
+    """The protocol, stage by stage, over images `first`, `first + 1`, ...
+    given as `planes`: the per-image (ad, coherency, complexity, ic, add)
+    of each image kept. Skipped images go into `skipped`."""
+    c = spec.target_class
+    rows = np.arange(first, first + len(planes))
+
+    def tap(xs):
+        return model._tap_stack(np.stack(xs))
+
+    def score(stacks):  # the drop terms divide by the confidence
+        y = _target_scores(model, stacks, c)
+        if not np.all(y > 0.0):
+            raise ValueError(f"target confidence {float(y[np.argmin(y > 0.0)])!r} "
+                             "is not positive")
+        return y
+
+    def heat(pixels, stacks, indices):
+        return _pipeline_heatmaps(model, pixels, stacks, indices, spec, method)
+
+    def masked_tap(pairs):  # (n, 2, C, H, W) -> (n, 2, n_maps, d)
+        out = model._tap_stack(pairs.reshape((-1,) + pairs.shape[2:]))
+        return out.reshape(pairs.shape[:2] + out.shape[1:])
+
+    def masked_score(pairs):
+        return _target_scores(model, pairs.reshape((-1,) + pairs.shape[2:]), c).reshape(-1, 2)
+
+    stacks, keep = _by_rows(tap, (planes,), rows, skipped)
+    rows = rows[keep]
+    pixels = np.stack([planes[i - first] for i in rows])
+    y, keep = _by_rows(score, (stacks,), rows, skipped)
+    rows, pixels, stacks = rows[keep], pixels[keep], stacks[keep]
+    h1, keep = _by_rows(heat, (pixels, stacks, rows), rows, skipped)
+    rows, pixels, y = rows[keep], pixels[keep], y[keep]
+    # x * h and x * (1 - h), heatmap broadcast across channels
+    masked = pixels[:, None] * np.stack([h1, 1.0 - h1], axis=1)[:, :, None]
+    del pixels, stacks  # not read again; the 2n tap is the largest stage
+    masked_stacks, keep = _by_rows(masked_tap, (masked,), rows, skipped)
+    rows, masked, y, h1 = rows[keep], masked[keep], y[keep], h1[keep]
+    od, keep = _by_rows(masked_score, (masked_stacks,), rows, skipped)
+    rows, masked, masked_stacks, y, h1 = (rows[keep], masked[keep], masked_stacks[keep],
+                                          y[keep], h1[keep])
+    h2, keep = _by_rows(heat, (masked[:, 0], masked_stacks[:, 0], rows), rows, skipped)
+    y, h1, od = y[keep], h1[keep], od[keep]
+
+    o, d = od[:, 0], od[:, 1]
+    return [(np.maximum(0.0, y - o) / y).tolist(),
+            [coherency(a, b) for a, b in zip(h1, h2)],
+            [complexity(a) for a in h1],
+            np.where(y < o, 1.0, 0.0).tolist(),
+            (np.maximum(0.0, y - d) / y).tolist()]
+
+
 def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
                    method: HeatmapSource) -> MetricRecord:
-    """Run the full per-image protocol and aggregate.
+    """Run the protocol stage by stage over stacked images and aggregate.
 
-    Per image: heatmap -> normalize -> upsample -> explanation and
-    anti-explanation maps -> re-score -> re-explain for coherency. The
-    image, its explanation map and its anti-map each run to the tap once;
-    scores and heatmaps are read from those three stacks. Batch ADCC is the
-    harmonic mean of the batch-mean terms. An image is skipped with its
-    reason when any stage of it raises `ValueError` (a shape the model does
-    not take, a heatmap source that fails) or when its target confidence is
-    not positive (the drop terms divide by it)."""
+    Stages: tap the images; score the target class; heatmap -> normalize ->
+    upsample; explanation and anti-explanation maps, tapped together as 2n
+    images; re-score both; re-explain the explanation maps for coherency.
+    Each stage is one batched call (randomcam and custom callables build
+    their heatmaps per image); only coherency and complexity are computed
+    per image. The stages take up to `_BATCH_CELLS` input pixel values at
+    a time (five 64x64 RGB images), so memory does not grow with the batch.
+    Batch ADCC is the harmonic mean of the batch-mean terms.
+
+    An image is skipped with its reason when a stage raises `ValueError` on
+    it (a shape the model does not take, non-finite pixels, a heatmap source
+    that fails) or when its target confidence is not positive (the drop
+    terms divide by it): a stage that raises reruns one image at a time, so
+    only the failing image is left out, with its own message. Every kept
+    term is bit-identical to running the protocol on that image alone."""
     if len(images) == 0:
         raise ValueError("need at least one image")
     if not 0 <= spec.target_class < model.num_classes:
@@ -225,40 +322,20 @@ def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
 
     planes = [img.pixels if isinstance(img, Image) else np.asarray(img, dtype=np.float64)
               for img in images]
-    c = spec.target_class
-
-    def run_one(index: int):
-        x = planes[index]
-        stack = model._tap_stack(x[None])
-        y = float(_target_scores(model, stack, c)[0])
-        if not y > 0.0:
-            return f"target confidence {y!r} is not positive"
-        per_method = _per_image_method(method, index)
-        h1 = _pipeline_heatmap(model, x, stack, spec, per_method)
-        ex = explanation_map(x, h1)
-        masked = model._tap_stack(np.stack([ex, anti_explanation_map(x, h1)]))
-        o, d = (float(v) for v in _target_scores(model, masked, c))
-        h2 = _pipeline_heatmap(model, ex, masked[:1], spec, per_method)
-        return (max(0.0, y - o) / y,
-                coherency(h1, h2),
-                complexity(h1),
-                1.0 if y < o else 0.0,
-                max(0.0, y - d) / y)
-
-    def guarded(index: int):
+    skipped: dict[int, str] = {}
+    columns = [[], [], [], [], []]  # ad, coherency, complexity, ic, add
+    step = _chunk_rows(int(np.prod(model.in_shape)))
+    for first in range(0, len(planes), step):
         try:
-            return run_one(index)
-        except ValueError as err:
-            return str(err)
+            terms = _protocol_terms(model, planes[first:first + step], first, spec, method,
+                                    skipped)
+        except _NoImageLeft:
+            continue
+        for column, values in zip(columns, terms):
+            column.extend(values)
+    if not columns[0]:
+        raise ValueError(f"all {len(planes)} images failed: {skipped[0]}")
 
-    results = [guarded(i) for i in range(len(planes))]
-
-    kept = [r for r in results if not isinstance(r, str)]
-    skipped = tuple((i, r) for i, r in enumerate(results) if isinstance(r, str))
-    if not kept:
-        raise ValueError(f"all {len(results)} images failed: {skipped[0][1]}")
-
-    columns = list(zip(*kept))
     ad_mean, coh_mean, com_mean, ic_mean, add_mean = (
         float(np.mean(np.asarray(col, dtype=np.float64))) for col in columns)
 
@@ -266,8 +343,8 @@ def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
         method=_method_name(method),
         utility=spec.kind,
         arch=model.arch,
-        n_images=len(kept),
-        skipped=skipped,
+        n_images=len(columns[0]),
+        skipped=tuple(sorted(skipped.items())),
         ad=ad_mean,
         coherency=coh_mean,
         complexity=com_mean,

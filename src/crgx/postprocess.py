@@ -38,16 +38,17 @@ def normalize_minmax(h: np.ndarray) -> np.ndarray:
 
 
 def upsample_bilinear(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Corner-aligned bilinear resize of a 2-D map.
+    """Corner-aligned bilinear resize of a 2-D map, or of each map in a
+    stack (n, h, w); the result is C-contiguous either way.
 
     Source corners land exactly on destination corners; a dimension of 1
     (either side) degenerates to constant replication along that axis.
     """
     src = np.asarray(src, dtype=np.float64)
-    if src.ndim != 2:
-        raise ValueError(f"source map must be 2-D, got shape {src.shape}")
-    if src.shape[0] < 1 or src.shape[1] < 1:
-        raise ValueError(f"source dims must be >= 1, got {src.shape}")
+    if src.ndim not in (2, 3):
+        raise ValueError(f"source map must be 2-D or a stack (n, h, w), got shape {src.shape}")
+    if src.shape[-2] < 1 or src.shape[-1] < 1:
+        raise ValueError(f"source dims must be >= 1, got {src.shape[-2:]}")
     if out_h < 1 or out_w < 1:
         raise ValueError(f"target dims must be >= 1, got ({out_h}, {out_w})")
 
@@ -56,18 +57,21 @@ def upsample_bilinear(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
             return np.zeros(n_out)
         return np.arange(n_out) * ((n_src - 1) / (n_out - 1))
 
-    ys = axis_coords(src.shape[0], out_h)
-    xs = axis_coords(src.shape[1], out_w)
-    y0 = np.minimum(np.floor(ys).astype(np.intp), src.shape[0] - 1)
-    x0 = np.minimum(np.floor(xs).astype(np.intp), src.shape[1] - 1)
-    y1 = np.minimum(y0 + 1, src.shape[0] - 1)
-    x1 = np.minimum(x0 + 1, src.shape[1] - 1)
+    ys = axis_coords(src.shape[-2], out_h)
+    xs = axis_coords(src.shape[-1], out_w)
+    y0 = np.minimum(np.floor(ys).astype(np.intp), src.shape[-2] - 1)
+    x0 = np.minimum(np.floor(xs).astype(np.intp), src.shape[-1] - 1)
+    y1 = np.minimum(y0 + 1, src.shape[-2] - 1)
+    x1 = np.minimum(x0 + 1, src.shape[-1] - 1)
     wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
+    wx = xs - x0
 
-    top = src[np.ix_(y0, x0)] * (1.0 - wx) + src[np.ix_(y0, x1)] * wx
-    bot = src[np.ix_(y1, x0)] * (1.0 - wx) + src[np.ix_(y1, x1)] * wx
-    return top * (1.0 - wy) + bot * wy
+    # Each output pixel is (s[y0,x0](1-wx) + s[y0,x1]wx)(1-wy) +
+    # (s[y1,x0](1-wx) + s[y1,x1]wx)wy; the row terms are computed once per
+    # source row and then gathered. take() writes C order, so every map of a
+    # stack is laid out as the single-map call lays it out.
+    across = src.take(x0, axis=-1) * (1.0 - wx) + src.take(x1, axis=-1) * wx
+    return across.take(y0, axis=-2) * (1.0 - wy) + across.take(y1, axis=-2) * wy
 
 
 def apply_colormap(h: np.ndarray) -> np.ndarray:

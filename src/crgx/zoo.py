@@ -30,6 +30,14 @@ _MLP_MAPS = 4
 _MLP_SPATIAL = (4, 4)
 _CONV_CHANNELS = 4
 _KERNEL = 3
+# Array cells one batched numpy call works on: `_tap_stack` builds im2col
+# columns for this many cells at a time, and the game layer chunks masked
+# activations, coalition flags and permutation prefixes by it.
+_BATCH_CELLS = 1 << 16
+
+
+def _chunk_rows(cells_per_row: int) -> int:
+    return max(1, _BATCH_CELLS // cells_per_row)
 
 
 @dataclass(frozen=True)
@@ -112,13 +120,24 @@ class ToyModel:
         n = len(images)
         if self.arch in ("cnn-relu", "cnn-smooth"):
             # valid cross-correlation as im2col: rows ordered (channel,
-            # kernel row, kernel col) like conv_w, one column per position
+            # kernel row, kernel col) like conv_w, one column per position;
+            # the columns of at most _BATCH_CELLS cells are built at a time
             w = self.weights["conv_w"]
-            cols = np.ascontiguousarray(
-                sliding_window_view(images, w.shape[2:], axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3))
-            conv = np.matmul(w.reshape(len(w), -1), cols.reshape(n, w[0].size, -1))
-            z = conv + self.weights["conv_b"].reshape(-1, 1)
-            return np.maximum(z, 0.0) if self.arch == "cnn-relu" else z * ad._sigmoid_fw(z)
+            kernel = w.reshape(len(w), -1)
+            h, wd = self.tap_spatial()
+            out = np.empty((n, len(w), h * wd))
+            step = _chunk_rows(kernel.shape[1] * h * wd)
+            for start in range(0, n, step):
+                windows = sliding_window_view(images[start:start + step], w.shape[2:], axis=(2, 3))
+                cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
+                z = np.matmul(kernel, cols.reshape(len(cols), kernel.shape[1], -1),
+                              out=out[start:start + step])
+                z += self.weights["conv_b"].reshape(-1, 1)
+                if self.arch == "cnn-relu":
+                    np.maximum(z, 0.0, out=z)
+                else:
+                    z *= ad._sigmoid_fw(z)
+            return out
         flat = images.reshape(n, -1, 1)
         z = np.matmul(self.weights["fc1_w"], flat)[..., 0] + self.weights["fc1_b"]
         return np.tanh(z).reshape(n, _MLP_MAPS, -1)

@@ -615,6 +615,18 @@ def test_axiom_suite_names_an_overflowing_linearity_table():
     assert not report["efficiency"]["pass"] and not report["pass"]
 
 
+def test_axiom_suite_skips_an_overflowing_partner_at_beta_zero():
+    g = game.CooperativeGame.from_table(np.random.default_rng(3).uniform(-1.0, 1.0, 16))
+    values = game.shapley_exact(g)
+    partner = overflowing_game(1)
+    report = game.axiom_suite(g, values, pair=(partner, 1.0, 0.0))
+    assert report["pass"]
+    alone = game.axiom_suite(g, values, pair=(g, 1.0, 0.0))
+    assert report["linearity"]["max_err"] == alone["linearity"]["max_err"]
+    with pytest.raises(ValueError, match="exact Shapley values overflow float64"):
+        game.axiom_suite(g, values, pair=(partner, 1.0, 1e-300))
+
+
 def test_utility_must_return_one_value_per_coalition():
     # a scalar callback would broadcast one value across every coalition
     with pytest.raises(ValueError, match=r"shape \(2,\) for 2 coalitions, got \(\)"):

@@ -5,8 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from crgx.cam import CamMethod, Heatmap
+from crgx.cam import CAM_METHODS, CamMethod, Heatmap, explain_batch
+from crgx.imgio import Image
 from crgx.metrics import (
+    MetricRecord,
+    _method_name,
+    _per_image_method,
+    _target_scores,
     adcc,
     anti_explanation_map,
     average_drop,
@@ -17,8 +22,9 @@ from crgx.metrics import (
     explanation_map,
     increase_confidence,
 )
-from crgx.utility import UtilitySpec
-from crgx.zoo import build_model
+from crgx.postprocess import normalize_minmax, upsample_bilinear
+from crgx.utility import UTILITY_KINDS, UtilitySpec
+from crgx.zoo import ARCHS, build_model
 
 
 def make_images(n, seed=0, shape=(3, 6, 6)):
@@ -283,3 +289,167 @@ def test_batch_input_validation():
         evaluate_batch(model, [], UtilitySpec(0, "rest"), "gradcam")
     with pytest.raises(ValueError, match="out of range"):
         evaluate_batch(model, make_images(1), UtilitySpec(7, "rest"), "gradcam")
+
+
+# ----------------------------------------------- per-image protocol oracle
+
+def reference_pipeline_heatmap(model, pixels, stack, spec, method):
+    """Normalized, upsampled heatmap of one image; built-in methods read
+    the image's tap stack (1, n_maps, d) instead of recomputing it."""
+    if callable(method) and not isinstance(method, (str, CamMethod)):
+        heatmap = method(model, pixels, spec)
+    else:
+        heatmap = explain_batch(model, stack, spec, method)[0]
+    grid = normalize_minmax(heatmap.grid("post"))
+    return upsample_bilinear(grid, pixels.shape[1], pixels.shape[2])
+
+
+def reference_evaluate_batch(model, images, spec, method):
+    """The protocol as one loop over images, each run on its own: the
+    oracle the stage-by-stage `evaluate_batch` must match bit for bit."""
+    if len(images) == 0:
+        raise ValueError("need at least one image")
+    if not 0 <= spec.target_class < model.num_classes:
+        raise ValueError(f"target_class {spec.target_class} out of range for "
+                         f"{model.num_classes} classes")
+
+    planes = [img.pixels if isinstance(img, Image) else np.asarray(img, dtype=np.float64)
+              for img in images]
+    c = spec.target_class
+
+    def run_one(index: int):
+        x = planes[index]
+        stack = model._tap_stack(x[None])
+        y = float(_target_scores(model, stack, c)[0])
+        if not y > 0.0:
+            return f"target confidence {y!r} is not positive"
+        per_method = _per_image_method(method, index)
+        h1 = reference_pipeline_heatmap(model, x, stack, spec, per_method)
+        ex = explanation_map(x, h1)
+        masked = model._tap_stack(np.stack([ex, anti_explanation_map(x, h1)]))
+        o, d = (float(v) for v in _target_scores(model, masked, c))
+        h2 = reference_pipeline_heatmap(model, ex, masked[:1], spec, per_method)
+        return (max(0.0, y - o) / y,
+                coherency(h1, h2),
+                complexity(h1),
+                1.0 if y < o else 0.0,
+                max(0.0, y - d) / y)
+
+    def guarded(index: int):
+        try:
+            return run_one(index)
+        except ValueError as err:
+            return str(err)
+
+    results = [guarded(i) for i in range(len(planes))]
+
+    kept = [r for r in results if not isinstance(r, str)]
+    skipped = tuple((i, r) for i, r in enumerate(results) if isinstance(r, str))
+    if not kept:
+        raise ValueError(f"all {len(results)} images failed: {skipped[0][1]}")
+
+    columns = list(zip(*kept))
+    ad_mean, coh_mean, com_mean, ic_mean, add_mean = (
+        float(np.mean(np.asarray(col, dtype=np.float64))) for col in columns)
+
+    return MetricRecord(
+        method=_method_name(method),
+        utility=spec.kind,
+        arch=model.arch,
+        n_images=len(kept),
+        skipped=skipped,
+        ad=ad_mean,
+        coherency=coh_mean,
+        complexity=com_mean,
+        adcc=adcc(ad_mean, coh_mean, com_mean),
+        ic=ic_mean,
+        add=add_mean,
+        image_ad=tuple(columns[0]),
+        image_coherency=tuple(columns[1]),
+        image_complexity=tuple(columns[2]),
+        image_ic=tuple(columns[3]),
+        image_add=tuple(columns[4]),
+    )
+
+
+def assert_same_record(record, reference):
+    assert record == reference
+    # == reads 0.0 == -0.0 as equal; the terms must match bit for bit
+    for name in ("ad", "coherency", "complexity", "adcc", "ic", "add", "image_ad",
+                 "image_coherency", "image_complexity", "image_ic", "image_add"):
+        got = np.asarray(getattr(record, name), dtype=np.float64)
+        want = np.asarray(getattr(reference, name), dtype=np.float64)
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("size,n", [(6, 4), (64, 2)])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_batch_matches_per_image_oracle_bit_for_bit(arch, size, n):
+    model = build_model(arch, num_classes=4, seed=3, in_shape=(3, size, size))
+    images = make_images(n, seed=size, shape=(3, size, size))
+    for name in CAM_METHODS:
+        method = CamMethod(name, seed=11) if name == "randomcam" else name
+        for kind in UTILITY_KINDS:
+            spec = UtilitySpec(2, kind)
+            assert_same_record(evaluate_batch(model, images, spec, method),
+                               reference_evaluate_batch(model, images, spec, method))
+
+
+def test_mixed_batch_matches_oracle():
+    # wrong shapes, non-finite pixels and a zero-confidence image among
+    # images that score, under a built-in, a per-image and a custom source
+    model = build_model("cnn-smooth", num_classes=2, seed=0)
+    model.weights["fc_w"] *= 10000  # the all-ones image scores exactly 0.0
+    spec = UtilitySpec(1, "rest")
+    nan = np.zeros((3, 6, 6))
+    nan[0, 0, 0] = np.nan
+    textured = [np.random.default_rng(s).uniform(0.0, 1.0, (3, 6, 6)) for s in (0, 1, 3, 4)]
+    images = [textured[0], np.zeros((3, 5, 5)), np.ones((3, 6, 6)), textured[1], nan,
+              textured[2], np.zeros((6, 6)), textured[3]]
+    for method in ("gradcam", CamMethod("randomcam", seed=4),
+                   fixed_heatmap_method(np.random.default_rng(2).uniform(-1.0, 1.0, (6, 6)))):
+        record = evaluate_batch(model, images, spec, method)
+        assert [i for i, _ in record.skipped] == [1, 2, 4, 6]
+        assert "confidence 0.0 is not positive" in record.skipped[1][1]
+        assert_same_record(record, reference_evaluate_batch(model, images, spec, method))
+
+
+def test_chunked_batch_matches_oracle():
+    # 64x64 RGB images go through the stages five at a time: images 5-9
+    # (the second chunk) all fail, and each other chunk loses one
+    model = build_model("cnn-smooth", num_classes=3, seed=5, in_shape=(3, 64, 64))
+    spec = UtilitySpec(1, "rest")
+    images = make_images(12, seed=21, shape=(3, 64, 64))
+    nan = images[6].copy()
+    nan[2, 10, 10] = np.nan
+    images[2] = images[5] = images[9] = np.zeros((3, 62, 62))
+    images[6], images[7], images[8] = nan, np.zeros((64, 64)), np.zeros((1, 64, 64))
+    for method in ("shapleycam", CamMethod("randomcam", seed=8), failing_on(images[10], None)):
+        record = evaluate_batch(model, images, spec, method)
+        skipped = [2, 5, 6, 7, 8, 9] + ([10] if callable(method) else [])
+        assert [i for i, _ in record.skipped] == skipped
+        assert_same_record(record, reference_evaluate_batch(model, images, spec, method))
+    with pytest.raises(ValueError, match="all 7 images failed: image shape "
+                                         r"\(3, 62, 62\) does not match"):
+        evaluate_batch(model, [images[2]] + images[5:11], spec, failing_on(images[10], None))
+
+
+@pytest.mark.parametrize("heatmap", [
+    None,
+    Heatmap(pre_relu=np.zeros(0), post_relu=np.zeros(0), spatial=(0, 0),
+            method="flaky", layer="input"),
+], ids=["raises", "no-positions"])
+def test_failing_source_matches_oracle(heatmap):
+    model = build_model("mlp-smooth", num_classes=3, seed=1)
+    images = make_images(4, seed=17)
+    spec = UtilitySpec(0, "post-softmax")
+    for bad in (0, 2, 3):
+        source = failing_on(images[bad], heatmap)
+        record = evaluate_batch(model, images, spec, source)
+        assert [i for i, _ in record.skipped] == [bad]
+        assert_same_record(record, reference_evaluate_batch(model, images, spec, source))
+    with pytest.raises(ValueError) as err:
+        evaluate_batch(model, [images[1]], spec, failing_on(images[1], heatmap))
+    with pytest.raises(ValueError) as want:
+        reference_evaluate_batch(model, [images[1]], spec, failing_on(images[1], heatmap))
+    assert str(err.value) == str(want.value)

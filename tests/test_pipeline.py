@@ -79,11 +79,27 @@ def test_upsample_singleton_target_uses_first_sample():
     assert np.array_equal(out, [[1.0, 2.0, 3.0]])
 
 
+def test_upsample_stack_matches_single_maps():
+    # each plane of a stack is laid out (C order) and valued as the
+    # single-map call would give it, byte for byte
+    rng = np.random.default_rng(9)
+    for (h, w), (out_h, out_w) in (((62, 62), (64, 64)), ((4, 4), (6, 6)), ((1, 5), (7, 3))):
+        stack = rng.uniform(0.0, 1.0, (5, h, w))
+        out = pp.upsample_bilinear(stack, out_h, out_w)
+        assert out.shape == (5, out_h, out_w) and out.flags.c_contiguous
+        for plane, src in zip(out, stack):
+            single = pp.upsample_bilinear(src, out_h, out_w)
+            assert single.flags.c_contiguous
+            assert plane.tobytes() == single.tobytes()
+
+
 def test_upsample_rejects_bad_dims():
     with pytest.raises(ValueError, match="target dims"):
         pp.upsample_bilinear(np.ones((2, 2)), 0, 3)
     with pytest.raises(ValueError, match="2-D"):
         pp.upsample_bilinear(np.ones(4), 2, 2)
+    with pytest.raises(ValueError, match="2-D"):
+        pp.upsample_bilinear(np.ones((1, 2, 2, 2)), 2, 2)
 
 
 # ------------------------------------------------------------------ colormap

@@ -69,14 +69,31 @@ def test_tap_stack_matches_loop_convolution(arch, shape):
 
 @pytest.mark.parametrize("arch", zoo.ARCHS)
 def test_stacked_tap_rows_match_single_image_bitwise(arch):
-    for shape in ((3, 6, 6), (1, 6, 6), (3, 7, 5), (3, 64, 64)):
+    # 160 small images cross a CNN im2col chunk; 64x64 ones are one a chunk
+    for shape, n in (((3, 6, 6), 160), ((1, 6, 6), 5), ((3, 7, 5), 5), ((3, 64, 64), 8)):
         m = zoo.build_model(arch, 3, 6, in_shape=shape)
-        images = np.random.default_rng(12).uniform(-1.0, 1.0, (5,) + shape)
+        images = np.random.default_rng(12).uniform(-1.0, 1.0, (n,) + shape)
         stacked = m._tap_stack(images)
-        assert stacked.shape == (5, 4, 16 if arch == "mlp-smooth" else
+        assert stacked.shape == (n, 4, 16 if arch == "mlp-smooth" else
                                  (shape[1] - 2) * (shape[2] - 2))
         for i, image in enumerate(images):
             assert m._tap_stack(image[None])[0].tobytes() == stacked[i].tobytes(), (shape, i)
+
+
+def test_tap_stack_bounds_its_im2col_buffer():
+    # eight 64x64 images: the CNN convolves one image per chunk into a
+    # preallocated output (all eight in one im2col call peaked at 12.1 MiB)
+    import tracemalloc
+
+    m = zoo.build_model("cnn-smooth", 3, 6, in_shape=(3, 64, 64))
+    images = np.random.default_rng(13).uniform(-1.0, 1.0, (8, 3, 64, 64))
+    tracemalloc.start()
+    try:
+        m._tap_stack(images)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20, peak
 
 
 def test_tap_stack_takes_a_stack_of_images():
