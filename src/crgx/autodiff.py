@@ -244,9 +244,17 @@ def log(x):
 
 
 def _sigmoid_fw(xv):
-    """Overflow-free logistic: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below."""
-    e = np.exp(-np.abs(xv))
-    return np.where(xv >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """Overflow-free logistic in float64: with e = e^-|x|, 1/(1+e) for
+    x >= 0 and e/(1+e) below. Both branches divide by the same 1 + e, so
+    picking the numerator first and dividing once gives the bits of
+    `np.where(x >= 0, 1/(1+e), e/(1+e))` in seven array passes, not nine."""
+    e = np.abs(xv, out=np.empty_like(xv, dtype=np.float64))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(xv >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
 def sigmoid(x):

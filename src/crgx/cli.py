@@ -8,6 +8,7 @@ no timestamps, and every random draw is derived from explicit seed flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -18,7 +19,7 @@ import numpy as np
 from .cam import CAM_METHODS, CamMethod, explain_batch
 from .imgio import Image, read_image, write_image
 from .metrics import evaluate_batch
-from .postprocess import OverlayStyle, apply_colormap, normalize_minmax, overlay, upsample_bilinear
+from .postprocess import OverlayStyle, _blend, apply_colormap, normalize_minmax, upsample_bilinear
 from .suites import hvp_suite, shapley_suite, theorem_suite
 from .utility import UTILITY_KINDS, UtilitySpec
 from .zoo import ARCHS, build_model
@@ -102,8 +103,9 @@ def _cmd_explain(parser: argparse.ArgumentParser, args) -> int:
     over_path = out_dir / f"{stem}.{method.name}.overlay.ppm"
     json_path = out_dir / f"{stem}.{method.name}.json"
 
-    write_image(heat_path, Image(apply_colormap(upsampled)))
-    write_image(over_path, Image(overlay(image.pixels, upsampled, style)))
+    colored = apply_colormap(upsampled)
+    write_image(heat_path, Image(colored))
+    write_image(over_path, Image(_blend(image.pixels, colored, style.alpha)))
     sidecar = {
         "image": Path(args.image).name,
         "arch": model.arch,
@@ -250,8 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use and kept for the process:
+    parse_args leaves a parser unchanged, and building one costs more than
+    most commands' own work on small inputs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(parser, args)

@@ -97,6 +97,11 @@ def overlay(pixels: np.ndarray, h: np.ndarray, style: OverlayStyle = OverlayStyl
     if pixels.shape[1:] != np.shape(h):
         raise ValueError(f"heatmap resolution {np.shape(h)} does not match "
                          f"image {pixels.shape[1:]}")
-    colored = apply_colormap(h)
-    blended = (1.0 - style.alpha) * pixels + style.alpha * colored
-    return np.clip(blended, 0.0, 1.0)
+    return _blend(pixels, apply_colormap(h), style.alpha)
+
+
+def _blend(pixels: np.ndarray, colored: np.ndarray, alpha: float) -> np.ndarray:
+    """The overlay of already coloured planes: (1 - alpha) * pixels +
+    alpha * colored, clipped to [0,1]. Callers that also write the
+    colormap itself colour the heatmap once and blend with this."""
+    return np.clip((1.0 - alpha) * pixels + alpha * colored, 0.0, 1.0)

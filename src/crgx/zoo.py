@@ -69,7 +69,16 @@ class TapRun(NamedTuple):
 
 
 def _init_tensor(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    return rng.uniform(-0.5, 0.5, size=shape) / np.sqrt(fan_in)
+    """Uniform [-0.5, 0.5) scaled by 1/sqrt(fan_in), drawn in place.
+
+    numpy's `uniform(low, high)` is `low + (high - low) * next_double`, which
+    for a range of 1.0 is `next_double - 0.5`, so this consumes the same
+    stream and gives the bits of `rng.uniform(-0.5, 0.5, shape) /
+    np.sqrt(fan_in)` without its affine pass and temporary."""
+    w = rng.random(shape)
+    w -= 0.5
+    w /= np.sqrt(fan_in)
+    return w
 
 
 def _tensor_specs(arch: str, num_classes: int, in_shape: tuple[int, int, int]):

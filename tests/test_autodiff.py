@@ -192,7 +192,7 @@ def test_sigmoid_matches_masked_formula_bitwise():
 
     special = np.array([0.0, -0.0, 1e3, -1e3, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0])
     rand = np.random.default_rng(0).normal(scale=30.0, size=(4, 3844))
-    for x in (special, rand):
+    for x in (special, rand, np.array(-3.0), np.array(2.0)):
         assert ad._sigmoid_fw(x).tobytes() == masked(x).tobytes()
     assert ad._sigmoid_fw(np.array([-0.0]))[0] == 0.5
 

@@ -176,6 +176,42 @@ def test_evaluate_report_and_csv(tmp_path):
     assert float(cells[7]) == report["adcc"]
 
 
+def test_main_reuses_one_parser(tmp_path, monkeypatch, capsys):
+    # usage error, evaluate, --help, explain and evaluate in one process
+    from crgx import cli
+
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    img_dir = tmp_path / "imgs"
+    img_dir.mkdir()
+    for i in range(3):
+        put_image(img_dir / f"img{i}.ppm", 30 + i)
+    evaluate = ["evaluate", "--images", str(img_dir), "--method", "shapleycam",
+                "--arch", "mlp-smooth", "--report"]
+
+    with pytest.raises(SystemExit) as err:
+        main(["evaluate", "--images", str(img_dir)])
+    assert err.value.code == 2
+    assert main(evaluate + [str(tmp_path / "r1.json")]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out == build().format_help()
+    assert main(["explain", "--image", str(img_dir / "img0.ppm"), "--method", "gradcam",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert main(evaluate + [str(tmp_path / "r2.json")]) == 0
+    assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
+    assert len(built) == 1
+
+
 def test_evaluate_names_each_skipped_image(tmp_path, capsys):
     img_dir = tmp_path / "imgs"
     img_dir.mkdir()

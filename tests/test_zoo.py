@@ -33,6 +33,31 @@ def test_init_scale_respects_fan_in():
     assert np.max(np.abs(m.weights["fc_w"])) <= 0.5 / np.sqrt(4)
 
 
+def reference_draw(rng, shape, fan_in):
+    # the affine form of the weight draw, kept as its oracle
+    return rng.uniform(-0.5, 0.5, shape) / np.sqrt(fan_in)
+
+
+@pytest.mark.parametrize("arch", zoo.ARCHS)
+@pytest.mark.parametrize("in_shape", [(3, 6, 6), (1, 5, 5), (3, 64, 64)])
+@pytest.mark.parametrize("classes", [2, 3, 5])
+def test_weights_match_the_affine_uniform_draw_bitwise(arch, in_shape, classes):
+    # same bits and the same stream consumed, tensor by tensor
+    for seed in (0, 1, 42, 2**40 + 3):
+        model = zoo.build_model(arch, classes, seed, in_shape=in_shape)
+        rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        specs = zoo._tensor_specs(arch, classes, in_shape)
+        assert list(model.weights) == [name for name, _, _ in specs]
+        for name, shape, fan_in in specs:
+            want = reference_draw(ref_rng, shape, fan_in)
+            got = zoo._init_tensor(rng, shape, fan_in)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert model.weights[name].tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("arch", zoo.ARCHS)
 def test_default_tap_shape(arch):
     run = zoo.build_model(arch, 3, 5).forward_with_tap(rand_image(0))
