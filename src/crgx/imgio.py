@@ -112,8 +112,14 @@ def parse_image_bytes(data: bytes) -> Image:
 
 
 def read_image(path) -> Image:
+    """The image in file `path`; a malformed file raises `ValueError`
+    naming the path before the parser's message."""
     with open(path, "rb") as f:
-        return parse_image_bytes(f.read())
+        data = f.read()
+    try:
+        return parse_image_bytes(data)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def encode_image_bytes(image: Image) -> bytes:

@@ -13,7 +13,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .cam import CamMethod, Heatmap, explain_batch
+from .cam import CamMethod, Heatmap, _as_method, explain_batch
 from .imgio import Image
 from .postprocess import normalize_minmax, upsample_bilinear
 from .utility import UtilitySpec, compute_utility_batch
@@ -189,21 +189,20 @@ def _per_image_method(method: HeatmapSource, index: int) -> HeatmapSource:
 
 
 def _pipeline_heatmaps(model: ToyModel, pixels: np.ndarray, stacks: np.ndarray,
-                       rows: np.ndarray, spec: UtilitySpec,
-                       method: HeatmapSource) -> np.ndarray:
+                       first: int, spec: UtilitySpec, method: HeatmapSource) -> np.ndarray:
     """Normalized heatmaps of n images upsampled to their resolution,
     (n, H, W), C-contiguous. Built-in methods read the images' tap stacks
     (n, n_maps, d) in one `explain_batch`; randomcam (a draw per image
-    index in `rows`) and custom callables build each image's own."""
+    index `first`, `first + 1`, ...) and custom callables build each
+    image's own."""
     if callable(method) and not isinstance(method, (str, CamMethod)):
         heatmaps = [method(model, x, spec) for x in pixels]
+    elif _as_method(method).name == "randomcam":
+        heatmaps = [explain_batch(model, stacks[k:k + 1], spec,
+                                  _per_image_method(method, first + k))[0]
+                    for k in range(len(stacks))]
     else:
-        seeded = [_per_image_method(method, int(i)) for i in rows]
-        if seeded[0].name == "randomcam":
-            heatmaps = [explain_batch(model, stacks[k:k + 1], spec, m)[0]
-                        for k, m in enumerate(seeded)]
-        else:
-            heatmaps = explain_batch(model, stacks, spec, seeded[0])
+        heatmaps = explain_batch(model, stacks, spec, method)
     grids = np.stack([normalize_minmax(h.grid("post")) for h in heatmaps])
     return upsample_bilinear(grids, pixels.shape[2], pixels.shape[3])
 
@@ -213,81 +212,26 @@ def _target_scores(model: ToyModel, stacks: np.ndarray, target_class: int) -> np
                                  UtilitySpec(target_class, "post-softmax"))
 
 
-class _NoImageLeft(Exception):
-    """Every image of a chunk has been skipped."""
-
-
-def _by_rows(stage: Callable, columns: tuple, rows: np.ndarray, skipped: dict):
-    """`stage(*columns)` over all rows at once. If that raises `ValueError`,
-    the stage reruns on one row at a time: a row that raises is dropped and
-    its message kept in `skipped` under its image index `rows[k]`. Returns
-    the stage's output and the positions of the rows kept (a slice when all
-    are). Stages map rows to rows, each row bit-identical to its own call,
-    so a rerun changes no kept value."""
-    try:
-        return stage(*columns), slice(None)
-    except ValueError:
-        pass
-    kept, outputs = [], []
-    for k, index in enumerate(rows):
-        try:
-            outputs.append(stage(*(column[k:k + 1] for column in columns)))
-        except ValueError as err:
-            skipped[int(index)] = str(err)
-        else:
-            kept.append(k)
-    if not kept:
-        raise _NoImageLeft
-    return np.concatenate(outputs), np.array(kept)
-
-
 def _protocol_terms(model: ToyModel, planes: list, first: int, spec: UtilitySpec,
-                    method: HeatmapSource, skipped: dict) -> list:
-    """The protocol, stage by stage, over images `first`, `first + 1`, ...
-    given as `planes`: the per-image (ad, coherency, complexity, ic, add)
-    of each image kept. Skipped images go into `skipped`."""
+                    method: HeatmapSource) -> list:
+    """The protocol over images `first`, `first + 1`, ... given as `planes`,
+    one batched call per stage: the per-image (ad, coherency, complexity,
+    ic, add) lists. Raises `ValueError` if any image fails a stage."""
     c = spec.target_class
-    rows = np.arange(first, first + len(planes))
-
-    def tap(xs):
-        return model._tap_stack(np.stack(xs))
-
-    def score(stacks):  # the drop terms divide by the confidence
-        y = _target_scores(model, stacks, c)
-        if not np.all(y > 0.0):
-            raise ValueError(f"target confidence {float(y[np.argmin(y > 0.0)])!r} "
-                             "is not positive")
-        return y
-
-    def heat(pixels, stacks, indices):
-        return _pipeline_heatmaps(model, pixels, stacks, indices, spec, method)
-
-    def masked_tap(pairs):  # (n, 2, C, H, W) -> (n, 2, n_maps, d)
-        out = model._tap_stack(pairs.reshape((-1,) + pairs.shape[2:]))
-        return out.reshape(pairs.shape[:2] + out.shape[1:])
-
-    def masked_score(pairs):
-        return _target_scores(model, pairs.reshape((-1,) + pairs.shape[2:]), c).reshape(-1, 2)
-
-    stacks, keep = _by_rows(tap, (planes,), rows, skipped)
-    rows = rows[keep]
-    pixels = np.stack([planes[i - first] for i in rows])
-    y, keep = _by_rows(score, (stacks,), rows, skipped)
-    rows, pixels, stacks = rows[keep], pixels[keep], stacks[keep]
-    h1, keep = _by_rows(heat, (pixels, stacks, rows), rows, skipped)
-    rows, pixels, y = rows[keep], pixels[keep], y[keep]
-    # x * h and x * (1 - h), heatmap broadcast across channels
+    pixels = np.stack(planes)
+    stacks = model._tap_stack(pixels)
+    y = _target_scores(model, stacks, c)
+    if not np.all(y > 0.0):  # the drop terms divide by the confidence
+        raise ValueError(f"target confidence {float(y[np.argmin(y > 0.0)])!r} "
+                         "is not positive")
+    h1 = _pipeline_heatmaps(model, pixels, stacks, first, spec, method)
+    # x * h and x * (1 - h), heatmap broadcast across channels, as 2n images
     masked = pixels[:, None] * np.stack([h1, 1.0 - h1], axis=1)[:, :, None]
+    masked = masked.reshape((-1,) + pixels.shape[1:])
     del pixels, stacks  # not read again; the 2n tap is the largest stage
-    masked_stacks, keep = _by_rows(masked_tap, (masked,), rows, skipped)
-    rows, masked, y, h1 = rows[keep], masked[keep], y[keep], h1[keep]
-    od, keep = _by_rows(masked_score, (masked_stacks,), rows, skipped)
-    rows, masked, masked_stacks, y, h1 = (rows[keep], masked[keep], masked_stacks[keep],
-                                          y[keep], h1[keep])
-    h2, keep = _by_rows(heat, (masked[:, 0], masked_stacks[:, 0], rows), rows, skipped)
-    y, h1, od = y[keep], h1[keep], od[keep]
-
-    o, d = od[:, 0], od[:, 1]
+    masked_stacks = model._tap_stack(masked)
+    o, d = _target_scores(model, masked_stacks, c).reshape(-1, 2).T
+    h2 = _pipeline_heatmaps(model, masked[::2], masked_stacks[::2], first, spec, method)
     return [(np.maximum(0.0, y - o) / y).tolist(),
             [coherency(a, b) for a, b in zip(h1, h2)],
             [complexity(a) for a in h1],
@@ -304,16 +248,18 @@ def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
     images; re-score both; re-explain the explanation maps for coherency.
     Each stage is one batched call (randomcam and custom callables build
     their heatmaps per image); only coherency and complexity are computed
-    per image. The stages take up to `_BATCH_CELLS` input pixel values at
-    a time (five 64x64 RGB images), so memory does not grow with the batch.
-    Batch ADCC is the harmonic mean of the batch-mean terms.
+    per image. The protocol takes up to `_BATCH_CELLS` input pixel values
+    at a time (five 64x64 RGB images), so memory does not grow with the
+    batch. Batch ADCC is the harmonic mean of the batch-mean terms.
 
     An image is skipped with its reason when a stage raises `ValueError` on
     it (a shape the model does not take, non-finite pixels, a heatmap source
     that fails) or when its target confidence is not positive (the drop
-    terms divide by it): a stage that raises reruns one image at a time, so
-    only the failing image is left out, with its own message. Every kept
-    term is bit-identical to running the protocol on that image alone."""
+    terms divide by it). A chunk that raises reruns the whole protocol one
+    image at a time, so only the failing images are left out, each with its
+    own message. Every stage maps rows to rows, each row bit-identical to
+    its own call, so every kept term is bit-identical to running the
+    protocol on that image alone."""
     if len(images) == 0:
         raise ValueError("need at least one image")
     if not 0 <= spec.target_class < model.num_classes:
@@ -326,13 +272,20 @@ def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
     columns = [[], [], [], [], []]  # ad, coherency, complexity, ic, add
     step = _chunk_rows(int(np.prod(model.in_shape)))
     for first in range(0, len(planes), step):
+        chunk = planes[first:first + step]
         try:
-            terms = _protocol_terms(model, planes[first:first + step], first, spec, method,
-                                    skipped)
-        except _NoImageLeft:
-            continue
-        for column, values in zip(columns, terms):
-            column.extend(values)
+            runs = [_protocol_terms(model, chunk, first, spec, method)]
+        except ValueError:
+            runs = []
+            for index in range(first, first + len(chunk)):
+                try:
+                    runs.append(_protocol_terms(model, planes[index:index + 1], index,
+                                                spec, method))
+                except ValueError as err:
+                    skipped[index] = str(err)
+        for terms in runs:
+            for column, values in zip(columns, terms):
+                column.extend(values)
     if not columns[0]:
         raise ValueError(f"all {len(planes)} images failed: {skipped[0]}")
 

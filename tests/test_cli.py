@@ -231,6 +231,24 @@ def test_evaluate_names_each_skipped_image(tmp_path, capsys):
         "model input (3, 6, 6)\n")
 
 
+def test_malformed_image_error_names_the_file(tmp_path, capsys):
+    img_dir = tmp_path / "imgs"
+    img_dir.mkdir()
+    put_image(img_dir / "a.ppm", 53)
+    bad = img_dir / "b.ppm"
+    bad.write_bytes(b"P6\n16 16\n255\n" + bytes(10))
+    report_path = tmp_path / "r.json"
+    reason = "malformed image file at byte 23: pixel payload truncated: expected 768 bytes, got 10"
+    assert main(["evaluate", "--images", str(img_dir), "--method", "gradcam",
+                 "--report", str(report_path)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
+    assert not report_path.exists()
+    assert main(["explain", "--image", str(bad), "--method", "gradcam",
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_evaluate_builds_the_model_for_the_majority_shape(tmp_path, capsys):
     # one odd image sorts first; the three 6x6 images decide the model
     img_dir = tmp_path / "imgs"

@@ -24,7 +24,7 @@ from crgx.metrics import (
 )
 from crgx.postprocess import normalize_minmax, upsample_bilinear
 from crgx.utility import UTILITY_KINDS, UtilitySpec
-from crgx.zoo import ARCHS, build_model
+from crgx.zoo import ARCHS, ToyModel, build_model
 
 
 def make_images(n, seed=0, shape=(3, 6, 6)):
@@ -453,3 +453,39 @@ def test_failing_source_matches_oracle(heatmap):
     with pytest.raises(ValueError) as want:
         reference_evaluate_batch(model, [images[1]], spec, failing_on(images[1], heatmap))
     assert str(err.value) == str(want.value)
+
+
+def count_taps(monkeypatch):
+    """Record the number of images each `ToyModel._tap_stack` call takes."""
+    sizes = []
+    tap = ToyModel._tap_stack
+
+    def counted(self, images):
+        sizes.append(len(images))
+        return tap(self, images)
+
+    monkeypatch.setattr(ToyModel, "_tap_stack", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_clean_chunk_taps_once_for_images_and_once_for_masks(arch, monkeypatch):
+    # a batch that fails nowhere runs each stage batched: no image reruns
+    model = build_model(arch, num_classes=3, seed=4, in_shape=(3, 64, 64))
+    images = make_images(5, seed=31, shape=(3, 64, 64))
+    sizes = count_taps(monkeypatch)
+    for name in CAM_METHODS:
+        method = CamMethod(name, seed=2) if name == "randomcam" else name
+        for n in range(1, 6):
+            sizes.clear()
+            evaluate_batch(model, images[:n], UtilitySpec(1, "rest"), method)
+            assert sizes == [n, 2 * n], (name, n)
+
+
+def test_clean_batch_taps_chunk_by_chunk(monkeypatch):
+    model = build_model("cnn-smooth", num_classes=3, seed=4, in_shape=(3, 64, 64))
+    images = make_images(7, seed=32, shape=(3, 64, 64))
+    sizes = count_taps(monkeypatch)
+    record = evaluate_batch(model, images, UtilitySpec(1, "rest"), "gradcam")
+    assert record.n_images == 7
+    assert sizes == [5, 10, 2, 4]
