@@ -196,9 +196,10 @@ def reciprocal(x):
 
 
 def matmul(a, b):
+    """Matrix-vector (m, k) @ (k,) or dot product (k,) @ (k,)."""
     a, b = _as_node(a), _as_node(b)
     na, nb = a.ndim, b.ndim
-    if na == 0 or nb == 0 or na > 2 or nb > 2:
+    if na not in (1, 2) or nb != 1:
         raise ValueError(f"matmul: unsupported ranks {na} @ {nb}")
     if a.shape[-1] != b.shape[0]:
         raise ValueError(f"matmul: shapes {a.shape} @ {b.shape} do not align")
@@ -206,18 +207,11 @@ def matmul(a, b):
 
     def vjp(g, needs):
         need_a, need_b = needs
-        if na == 2 and nb == 2:
-            return (matmul(g, transpose(b)) if need_a else None,
-                    matmul(transpose(a), g) if need_b else None)
         if na == 2:
             m, k = a.shape
             return (mul(reshape(g, (m, 1)), reshape(b, (1, k))) if need_a else None,
                     matmul(transpose(a), g) if need_b else None)
-        if nb == 2:
-            k, n = b.shape
-            return (matmul(b, g) if need_a else None,
-                    mul(reshape(a, (k, 1)), reshape(g, (1, n))) if need_b else None)
-        return mul(g, b) if need_a else None, mul(g, a) if need_b else None  # 1-D dot
+        return mul(g, b) if need_a else None, mul(g, a) if need_b else None
 
     out._vjp = vjp
     return out
@@ -316,11 +310,10 @@ def reshape(x, shape):
     return out
 
 
-def transpose(x, axes=None):
+def transpose(x):
     x = _as_node(x)
-    out = Node(np.ascontiguousarray(np.transpose(x.value, axes)), (x,), "transpose")
-    inv = None if axes is None else tuple(np.argsort(axes))
-    out._vjp = lambda g, _: (transpose(g, inv),)
+    out = Node(np.ascontiguousarray(np.transpose(x.value)), (x,), "transpose")
+    out._vjp = lambda g, _: (transpose(g),)
     return out
 
 
@@ -336,35 +329,24 @@ def broadcast_to(x, shape):
     return out
 
 
-def gather(x, indices):
-    x = _as_node(x)
-    idx = np.asarray(indices, dtype=np.int64)
-    size = x.value.size
-    if idx.size and (idx.min() < 0 or idx.max() >= size):
-        raise ValueError(f"gather: index out of range for size {size}")
-    out = Node(x.value.reshape(-1)[idx], (x,), "gather")
-    src_shape = x.shape
-    out._vjp = lambda g, _: (reshape(scatter_add(g, idx, size), src_shape),)
-    return out
-
-
-def scatter_add(src, indices, size):
-    src = _as_node(src)
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= size):
-        raise ValueError(f"scatter_add: index out of range for size {size}")
-    if src.shape != idx.shape:
-        raise ValueError(f"scatter_add: source shape {src.shape} != index shape {idx.shape}")
-    value = np.zeros(size, dtype=np.float64)
-    np.add.at(value, idx.reshape(-1), src.value.reshape(-1))
-    out = Node(value, (src,), "scatter_add")
-    out._vjp = lambda g, _: (gather(g, idx),)
-    return out
-
-
 def index(x, i):
     """Scalar element x.flat[i]."""
-    return gather(x, np.asarray(int(i), dtype=np.int64))
+    x = _as_node(x)
+    i, size = int(i), x.value.size
+    if not 0 <= i < size:
+        raise ValueError(f"index: position {i} out of range for size {size}")
+    out = Node(x.value.reshape(-1)[i], (x,), "index")
+    out._vjp = lambda g, _: (_place(g, i, x.shape),)
+    return out
+
+
+def _place(g, i, shape):
+    """`index`'s adjoint: zeros of `shape`, g added at flat i (-0.0 lands as +0.0)."""
+    value = np.zeros(shape)
+    value.reshape(-1)[i] += g.value
+    out = Node(value, (g,), "place")
+    out._vjp = lambda gg, _: (index(gg, i),)
+    return out
 
 
 # ---------------------------------------------------------------------------

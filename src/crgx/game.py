@@ -25,6 +25,7 @@ from .utility import UtilitySpec, compute_utility, compute_utility_batch
 from .zoo import ToyModel, _chunk_rows
 
 _ENUM_LIMIT = 20
+AXIOM_TOL = 1e-9  # relative tolerance of every axiom_suite check
 # Batches follow zoo's cell budget `_BATCH_CELLS`: SpatialGame evaluates
 # rows x n_maps x d masked activations at a time, utility_table builds
 # coalitions x d membership flags, shapley_mc builds permutations x d x d
@@ -447,7 +448,7 @@ def make_spatial_game(model: ToyModel, image: np.ndarray, spec: UtilitySpec) -> 
 # A difference past float64's range reads inf (a gap NaN), which no tolerance
 # admits: it makes no dummy, no symmetric pair and no efficiency pass.
 @np.errstate(over="ignore", invalid="ignore")
-def axiom_suite(game: CooperativeGame, values, pair=None, tol: float = 1e-9) -> dict:
+def axiom_suite(game: CooperativeGame, values, pair=None) -> dict:
     """Audit an attribution vector against the four Shapley axioms.
 
     Dummy and symmetry detection enumerate the utility table, so this
@@ -466,13 +467,13 @@ def axiom_suite(game: CooperativeGame, values, pair=None, tol: float = 1e-9) -> 
 
     span = game.u_full - game.u_empty
     eff_gap = abs(float(np.sum(vals)) - span)
-    efficiency = {"gap": eff_gap, "pass": bool(eff_gap <= tol * (1.0 + abs(span)))}
+    efficiency = {"gap": eff_gap, "pass": bool(eff_gap <= AXIOM_TOL * (1.0 + abs(span)))}
 
     dummy_players, dummy_ok = [], True
     for j in range(d):
         if float(np.max(np.abs(_marginal(table, j)))) <= detect_tol:
             dummy_players.append(j)
-            dummy_ok = dummy_ok and abs(vals[j]) <= tol * (1.0 + abs(span))
+            dummy_ok = dummy_ok and abs(vals[j]) <= AXIOM_TOL * (1.0 + abs(span))
     dummy = {"players": dummy_players, "pass": bool(dummy_ok)}
 
     sym_pairs, sym_ok = [], True
@@ -481,7 +482,7 @@ def axiom_suite(game: CooperativeGame, values, pair=None, tol: float = 1e-9) -> 
             face = _faces(table, j, i)     # [.., j, .., i, ..]: compare i in with j in
             if float(np.max(np.abs(face[:, 0, :, 1] - face[:, 1, :, 0]))) <= detect_tol:
                 sym_pairs.append((i, j))
-                sym_ok = sym_ok and abs(vals[i] - vals[j]) <= tol * (1.0 + abs(vals[i]))
+                sym_ok = sym_ok and abs(vals[i] - vals[j]) <= AXIOM_TOL * (1.0 + abs(vals[i]))
     symmetry = {"pairs": sym_pairs, "pass": bool(sym_ok)}
 
     other, alpha, beta = (game, 2.0, 0.0) if pair is None else pair
@@ -499,7 +500,7 @@ def axiom_suite(game: CooperativeGame, values, pair=None, tol: float = 1e-9) -> 
         rhs = rhs + beta * shapley_exact(other).values
     lin_err = float(np.max(np.abs(lhs - rhs)))
     linearity = {"max_err": lin_err,
-                 "pass": bool(lin_err <= tol * (1.0 + float(np.max(np.abs(lhs)))))}
+                 "pass": bool(lin_err <= AXIOM_TOL * (1.0 + float(np.max(np.abs(lhs)))))}
 
     report = {"efficiency": efficiency, "dummy": dummy, "symmetry": symmetry,
               "linearity": linearity}

@@ -7,6 +7,7 @@ emit P6, replicating a single gray plane across RGB.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,11 @@ class Image:
         return self.pixels.shape[2]
 
 
+# Whitespace (as bytes.isspace) and `#` comments to end of line; then a token.
+_SKIP = re.compile(rb"(?:\s|#[^\n\r]*)*")
+_TOKEN = re.compile(rb"\S+")
+
+
 class _HeaderScanner:
     """Tracks the byte offset while pulling whitespace-separated header
     tokens, so parse errors can say where the file went wrong."""
@@ -55,22 +61,12 @@ class _HeaderScanner:
         raise ValueError(f"malformed image file at byte {self.pos}: {reason}")
 
     def token(self, what: str) -> bytes:
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            ch = self.data[self.pos:self.pos + 1]
-            if ch == b"#":  # comment runs to end of line
-                while self.pos < n and data[self.pos:self.pos + 1] not in (b"\n", b"\r"):
-                    self.pos += 1
-            elif ch.isspace():
-                self.pos += 1
-            else:
-                break
-        if self.pos >= n:
+        self.pos = _SKIP.match(self.data, self.pos).end()
+        token = _TOKEN.match(self.data, self.pos)
+        if token is None:
             self.fail(f"ran out of data reading {what}")
-        start = self.pos
-        while self.pos < n and not data[self.pos:self.pos + 1].isspace():
-            self.pos += 1
-        return data[start:self.pos]
+        self.pos = token.end()
+        return token.group()
 
     def number(self, what: str) -> int:
         tok = self.token(what)

@@ -255,11 +255,11 @@ def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
     An image is skipped with its reason when a stage raises `ValueError` on
     it (a shape the model does not take, non-finite pixels, a heatmap source
     that fails) or when its target confidence is not positive (the drop
-    terms divide by it). A chunk that raises reruns the whole protocol one
-    image at a time, so only the failing images are left out, each with its
-    own message. Every stage maps rows to rows, each row bit-identical to
-    its own call, so every kept term is bit-identical to running the
-    protocol on that image alone."""
+    terms divide by it). A chunk of several images that raises reruns the
+    whole protocol one image at a time, so only the failing images are left
+    out, each with its own message. Every stage maps rows to rows, each row
+    bit-identical to its own call, so every kept term is bit-identical to
+    running the protocol on that image alone."""
     if len(images) == 0:
         raise ValueError("need at least one image")
     if not 0 <= spec.target_class < model.num_classes:
@@ -275,7 +275,10 @@ def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
         chunk = planes[first:first + step]
         try:
             runs = [_protocol_terms(model, chunk, first, spec, method)]
-        except ValueError:
+        except ValueError as err:
+            if len(chunk) == 1:
+                skipped[first] = str(err)
+                continue
             runs = []
             for index in range(first, first + len(chunk)):
                 try:

@@ -12,6 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .cam import _ensemble_pairs, explain
 from .game import (
+    AXIOM_TOL,
     CooperativeGame,
     axiom_suite,
     make_spatial_game,
@@ -82,7 +83,7 @@ def axiom_check(seed: int = 2024, n_games: int = 50) -> dict:
     for i in range(n_games):
         game = _random_table_game(seed, i)
         values = shapley_exact(game)
-        audit = axiom_suite(game, values, tol=1e-9)
+        audit = axiom_suite(game, values)
         n_pass += bool(audit["pass"])
         worst_gap = max(worst_gap, audit["efficiency"]["gap"])
         worst_lin = max(worst_lin, audit["linearity"]["max_err"])
@@ -93,7 +94,7 @@ def axiom_check(seed: int = 2024, n_games: int = 50) -> dict:
         "planted_dummies": int(dummies), "planted_symmetric_pairs": int(symmetric),
         "worst_efficiency_gap": float(worst_gap),
         "worst_linearity_err": float(worst_lin),
-        "tol": 1e-9, "pass": bool(n_pass == n_games),
+        "tol": AXIOM_TOL, "pass": bool(n_pass == n_games),
     }
 
 

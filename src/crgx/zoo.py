@@ -46,16 +46,11 @@ class ActivationStack:
 
     maps: np.ndarray          # (n_maps, d)
     spatial: tuple[int, int]  # (h, w) with h*w == d
-    layer: str
 
     def __post_init__(self):
         n, d = self.maps.shape
         if self.spatial[0] * self.spatial[1] != d:
             raise ValueError(f"activation stack: spatial {self.spatial} does not cover d={d}")
-
-    @property
-    def n_maps(self) -> int:
-        return self.maps.shape[0]
 
     @property
     def d(self) -> int:
@@ -231,7 +226,7 @@ class ToyModel:
         with tape:
             logits = self.head(x)
         tape.outputs["logits"] = logits
-        activations = ActivationStack(maps=stack, spatial=self.tap_spatial(), layer=TAP_LAYER)
+        activations = ActivationStack(maps=stack, spatial=self.tap_spatial())
         return TapRun(logits=logits.value, activations=activations, tape=tape)
 
 

@@ -74,12 +74,8 @@ PRIMITIVE_CASES = [
     ("mul_broadcast", lambda x, y: ad.sum(ad.mul(x, y)),
      {"x": np.arange(1.0, 7.0).reshape(2, 3), "y": [1.0, -2.0, 0.5]}),
     ("neg", lambda x: ad.sum(ad.neg(x)), {"x": [1.0, -4.0]}),
-    ("matmul_22", lambda a, b: ad.sum(ad.matmul(a, b)),
-     {"a": np.arange(6.0).reshape(2, 3) / 7, "b": np.arange(12.0).reshape(3, 4) / 11}),
     ("matmul_21", lambda a, b: ad.sum(ad.matmul(a, b)),
      {"a": np.arange(6.0).reshape(2, 3) / 7, "b": [0.2, -0.4, 0.8]}),
-    ("matmul_12", lambda a, b: ad.sum(ad.matmul(a, b)),
-     {"a": [0.2, -0.4, 0.8], "b": np.arange(12.0).reshape(3, 4) / 11}),
     ("matmul_11", lambda a, b: ad.matmul(a, b), {"a": [0.2, -0.4], "b": [0.7, 0.3]}),
     ("reciprocal", lambda x: ad.sum(ad.reciprocal(x)), {"x": [0.5, -2.0, 4.0]}),
     ("exp", lambda x: ad.sum(ad.exp(x)), {"x": [-1.0, 0.3, 2.0]}),
@@ -100,11 +96,6 @@ PRIMITIVE_CASES = [
     ("broadcast_to", lambda x: ad.sum(ad.mul(ad.broadcast_to(x, (4, 3)),
                                              np.arange(12.0).reshape(4, 3))),
      {"x": [0.3, -0.6, 0.9]}),
-    ("gather", lambda x: ad.sum(ad.mul(ad.gather(x, [0, 2, 2, 3]), [1.0, 2.0, 3.0, 4.0])),
-     {"x": [0.1, 0.2, 0.3, 0.4]}),
-    ("scatter_add", lambda x: ad.sum(ad.mul(ad.scatter_add(x, [0, 2, 2], 4),
-                                            [1.0, 2.0, 3.0, 4.0])),
-     {"x": [0.5, 0.25, -0.75]}),
     ("index", lambda x: ad.index(x, 2), {"x": [0.1, 0.2, 0.3, 0.4]}),
     ("softmax", lambda x: ad.index(ad.softmax(x), 1), {"x": [0.5, -0.3, 1.2]}),
     ("logsumexp", lambda x: ad.logsumexp(x), {"x": [0.5, -0.3, 1.2]}),
@@ -236,8 +227,31 @@ def test_domain_errors():
         ad.forward(lambda x: ad.reciprocal(x), {"x": [0.0]})
     with pytest.raises(ValueError, match="exp"):
         ad.forward(lambda x: ad.exp(x), {"x": [1000.0]})
-    with pytest.raises(ValueError, match="gather"):
-        ad.forward(lambda x: ad.gather(x, [5]), {"x": [1.0, 2.0]})
+    with pytest.raises(ValueError, match="index"):
+        ad.forward(lambda x: ad.index(x, 5), {"x": [1.0, 2.0]})
+
+
+def test_matmul_takes_a_vector_on_the_right():
+    with pytest.raises(ValueError) as err:
+        ad.matmul(np.ones((2, 3)), np.ones((3, 2)))
+    assert str(err.value) == "matmul: unsupported ranks 2 @ 2"
+    with pytest.raises(ValueError, match=r"matmul: shapes \(2, 3\) @ \(4,\) do not align"):
+        ad.matmul(np.ones((2, 3)), np.ones(4))
+
+
+def test_index_adjoint_lands_negative_zero_as_positive_zero():
+    _, tape = ad.forward(lambda x: ad.mul(ad.index(x, 1), -2.0), {"x": [0.5, 1.5, -2.5]})
+    grad = ad.gradient(tape, "out", "x")
+    assert np.array_equal(grad, [0.0, -2.0, 0.0])
+    assert not np.signbit(grad[[0, 2]]).any()
+    _, tape = ad.forward(lambda x: ad.mul(ad.index(x, 1), -0.0), {"x": [0.5, 1.5, -2.5]})
+    assert not np.signbit(ad.gradient(tape, "out", "x")).any()
+
+
+@pytest.mark.parametrize("position", [5, -1])
+def test_index_out_of_range_raises(position):
+    with pytest.raises(ValueError, match=f"index: position {position} out of range for size 2"):
+        ad.index(np.array([1.0, 2.0]), position)
 
 
 def test_hvp_shape_check():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from crgx.cam import CAM_METHODS, CamMethod, Heatmap, explain_batch
+from crgx.cam import CAM_METHODS, CamMethod, Heatmap, explain, explain_batch
 from crgx.imgio import Image
 from crgx.metrics import (
     MetricRecord,
@@ -489,3 +489,38 @@ def test_clean_batch_taps_chunk_by_chunk(monkeypatch):
     record = evaluate_batch(model, images, UtilitySpec(1, "rest"), "gradcam")
     assert record.n_images == 7
     assert sizes == [5, 10, 2, 4]
+
+
+# 3x160x160 images hold more than _BATCH_CELLS pixel values, so each is its
+# own chunk; a failing one is skipped with the chunk's own error, not rerun
+BIG = (3, 160, 160)
+
+
+def test_failing_one_image_chunk_runs_once(monkeypatch):
+    model = build_model("cnn-smooth", num_classes=3, seed=4, in_shape=BIG)
+    spec = UtilitySpec(1, "rest")
+    images = make_images(2, seed=33, shape=BIG)
+
+    def explain_unless_second(model, pixels, spec):
+        if np.array_equal(pixels, images[1]):
+            raise ValueError("source failed on this image")
+        return explain(model, pixels, spec, "gradcam")
+
+    sizes = count_taps(monkeypatch)
+    record = evaluate_batch(model, images, spec, explain_unless_second)
+    assert sizes == [1, 1, 2, 1, 1]
+    assert record.skipped == ((1, "source failed on this image"),)
+    assert_same_record(record, reference_evaluate_batch(model, images, spec,
+                                                        explain_unless_second))
+
+
+def test_mis_shaped_one_image_chunk_taps_once(monkeypatch):
+    model = build_model("cnn-smooth", num_classes=3, seed=4, in_shape=BIG)
+    spec = UtilitySpec(1, "rest")
+    images = [make_images(1, seed=34, shape=BIG)[0], np.zeros((3, 8, 8))]
+    sizes = count_taps(monkeypatch)
+    record = evaluate_batch(model, images, spec, "gradcam")
+    assert sizes == [1, 2, 1]
+    assert record.skipped == ((1, "image shape (3, 8, 8) does not match "
+                                  "model input (3, 160, 160)"),)
+    assert_same_record(record, reference_evaluate_batch(model, images, spec, "gradcam"))

@@ -229,6 +229,24 @@ def test_parse_rejects_bad_header_fields():
         parse_image_bytes(b"P6\n2 2")
 
 
+@pytest.mark.parametrize("data,message", [
+    (b"P6\t\x0b\x0c\rx 1 255\n", "byte 6: width must be a decimal integer, got b'x'"),
+    (b"P5\r2\r\r1\r255\r\x00", "byte 13: pixel payload truncated: expected 2 bytes, got 1"),
+    (b"P6\n2 2\n# no end", "byte 15: ran out of data reading maxval"),
+    (b"P6 # magic\n#", "byte 12: ran out of data reading width"),
+    (b"P6\n2#3 1\n255\n", "byte 3: width must be a decimal integer, got b'2#3'"),
+    (b"P5 1 1 255#\n\x00", "byte 7: maxval must be a decimal integer, got b'255#'"),
+    (b"P6", "byte 2: ran out of data reading width"),
+    (b"P6 -1 1 255\n", "byte 3: width must be a decimal integer, got b'-1'"),
+    (b"P6\n\xb2 1\n255\n", "byte 3: width must be a decimal integer, got b'\\xb2'"),
+], ids=["tab-vt-ff-cr", "cr-only", "comment-to-eof", "bare-comment", "hash-in-width",
+        "hash-in-maxval", "bare-magic", "negative-width", "high-byte-width"])
+def test_header_errors_name_the_byte(data, message):
+    with pytest.raises(ValueError) as err:
+        parse_image_bytes(data)
+    assert str(err.value) == f"malformed image file at {message}"
+
+
 _IMAGE_FILES = (b"P6\n# rgb\n3 2\n255\n" + bytes(range(0, 180, 10)),
                 b"P5 2 2 255\n" + bytes([0, 64, 128, 255]))
 
