@@ -2,7 +2,10 @@
 
 A game has any number d of players. The utility table holds U(S) at index
 sum_{j in S} 2^j, a (2,)*d hypercube with player j on axis d-1-j
-(`_faces`); what enumerates it stops at d = 20. Four routes to an
+(`_faces`); what enumerates it stops at d = 20. Exact values and the axiom
+audit read a (g, 2^d) stack of same-d tables in blocked scans: the faces of
+several players, or pairs, of every table are written into one buffer and
+reduced in one call per block (`_scan`). Four routes to an
 attribution vector live here: exact enumeration, permutation-sampling
 Monte Carlo, and the first- and second-order closed forms that contract a
 gradient (and optionally a Hessian-vector product) against an activation
@@ -28,8 +31,9 @@ _ENUM_LIMIT = 20
 AXIOM_TOL = 1e-9  # relative tolerance of every axiom_suite check
 # Batches follow zoo's cell budget `_BATCH_CELLS`: SpatialGame evaluates
 # rows x n_maps x d masked activations at a time, utility_table builds
-# coalitions x d membership flags, shapley_mc builds permutations x d x d
-# prefix flags, and its permutation stream words x lanes PCG64 outputs.
+# coalitions x d membership flags, _scan writes tables x players x face
+# differences, shapley_mc builds permutations x d x d prefix flags, and its
+# permutation stream words x lanes PCG64 outputs.
 
 
 @dataclass(frozen=True)
@@ -114,29 +118,67 @@ class CooperativeGame:
         return table
 
 
+@lru_cache(maxsize=None)
 def _coalition_weights(d: int) -> np.ndarray:
     """w[k] = k! (d-1-k)! / d! via log-factorials, for k = |S| of the
     coalition a player joins."""
-    k = np.arange(d, dtype=np.float64)
-    logw = np.array([math.lgamma(ki + 1.0) + math.lgamma(d - ki) - math.lgamma(d + 1.0)
-                     for ki in k])
-    return np.exp(logw)
+    w = np.exp([math.lgamma(k + 1.0) + math.lgamma(d - k) - math.lgamma(d + 1.0)
+                for k in range(d)])
+    w.setflags(write=False)                       # shared by every caller
+    return w
 
 
 def _faces(table: np.ndarray, *players: int) -> np.ndarray:
-    """The utility table with a length-2 axis for each of `players`, given in
-    descending order, and the players above, between and below them merged
-    into ascending axes: for one player j, shape (2^(d-1-j), 2, 2^j)."""
-    shape = [table.size]
+    """The utility table, or a (g, 2^d) stack of tables, with a length-2
+    axis for each of `players`, given in descending order, and the players
+    above, between and below them merged into ascending axes: for one
+    player j, shape (..., 2^(d-1-j), 2, 2^j)."""
+    shape = list(table.shape)
     for p in players:                   # split the last axis around bit p
         shape[-1:] = [shape[-1] >> (p + 1), 2, 1 << p]
     return table.reshape(shape)
 
 
-def _marginal(table: np.ndarray, j: int) -> np.ndarray:
-    """U(S + j) - U(S) for every coalition S without j, ascending by bitmask."""
-    face = _faces(table, j)
-    return (face[:, 1] - face[:, 0]).reshape(-1)
+def _scan(tables: np.ndarray, players: list[tuple[int, ...]], weights=None) -> np.ndarray:
+    """Reduce the face of each of `players` in every table of a (g, 2^d)
+    stack, (g, len(players)) out: for (j,) the marginals U(S + j) - U(S),
+    for a pair (i, j), i < j, U(S + i) - U(S + j), over the coalitions S
+    without them, to sum(weights * face) or, without weights, max |face|.
+    Faces go into blocks of one buffer, at most _BATCH_CELLS cells or one
+    face per table; each block reduces once over its contiguous last axis,
+    as np.sum or np.max of each face alone would."""
+    g, n = len(tables), len(players)
+    size = tables.shape[1] >> len(players[0]) if n else 1
+    block = min(n, _chunk_rows(g * size))
+    buf = np.empty((g, block, size))
+    out = np.empty((g, n))
+    for lo in range(0, n, max(block, 1)):
+        part = buf[:, :min(block, n - lo)]
+        for k, p in enumerate(players[lo:lo + block]):
+            f = _faces(tables, *p[::-1])
+            a, b = ((f[..., 1, :], f[..., 0, :]) if len(p) == 1 else
+                    (f[..., 0, :, 1, :], f[..., 1, :, 0, :]))
+            np.subtract(a, b, out=part[:, k].reshape(a.shape))
+        if weights is None:
+            np.max(np.abs(part, out=part), axis=-1, out=out[:, lo:lo + block])
+        else:
+            np.sum(np.multiply(part, weights, out=part), axis=-1, out=out[:, lo:lo + block])
+    return out
+
+
+# a finite table can still have marginals or sums past float64's range:
+# they come out as inf or NaN, which the check below refuses
+@np.errstate(over="ignore", invalid="ignore")
+def _exact(tables: np.ndarray) -> np.ndarray:
+    """Exact Shapley values of a (g, 2^d) stack of tables, (g, d)."""
+    d = tables.shape[1].bit_length() - 1
+    weights = _coalition_weights(d)[np.bitwise_count(np.arange(1 << (d - 1)))]
+    values = _scan(tables, [(j,) for j in range(d)], weights)
+    if not (np.isfinite(values).all() and np.isfinite(np.sum(values, axis=-1)).all()
+            and np.isfinite(tables[:, -1] - tables[:, 0]).all()):
+        raise ValueError("exact Shapley values overflow float64: the utility "
+                         "table's differences or sums exceed the float range")
+    return values
 
 
 def shapley_exact(game: CooperativeGame) -> ShapleyVector:
@@ -147,20 +189,10 @@ def shapley_exact(game: CooperativeGame) -> ShapleyVector:
         raise ValueError(f"exact Shapley needs 2^{d} = {1 << d} utility evaluations; "
                          f"refusing beyond d={_ENUM_LIMIT}")
     table = game.utility_table()
-    weights = _coalition_weights(d)[np.bitwise_count(np.arange(1 << (d - 1)))]
-    # a finite table can still have marginals or sums past float64's range:
-    # they come out as inf or NaN, which the check below refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.array([np.sum(weights * _marginal(table, j)) for j in range(d)])
-        total = float(np.sum(values))
-    span = game.u_full - game.u_empty
-    if not (np.isfinite(values).all() and math.isfinite(total) and math.isfinite(span)):
-        raise ValueError("exact Shapley values overflow float64: the utility "
-                         "table's differences or sums exceed the float range")
-    if abs(total - span) > 1e-9 * (1.0 + abs(span)):
-        raise RuntimeError("exact Shapley values do not add up to U(full) - U(empty); "
-                           "the utility callback is not deterministic")
-    return ShapleyVector(values=values, method="exact")
+    if table[0] != game.u_empty or table[-1] != game.u_full:
+        raise RuntimeError("the table's U(empty) or U(full) differs from its value at "
+                           "construction; the utility callback is not deterministic")
+    return ShapleyVector(values=_exact(table[None])[0], method="exact")
 
 
 # The Monte Carlo permutation stream. Permutation i of shapley_mc(seed) is
@@ -448,6 +480,47 @@ def make_spatial_game(model: ToyModel, image: np.ndarray, spec: UtilitySpec) -> 
 # A difference past float64's range reads inf (a gap NaN), which no tolerance
 # admits: it makes no dummy, no symmetric pair and no efficiency pass.
 @np.errstate(over="ignore", invalid="ignore")
+def _audit(tables: np.ndarray, spans: np.ndarray, vals: np.ndarray, pair=None) -> list[dict]:
+    """`axiom_suite` reports for a (g, 2^d) stack of same-d tables, their
+    (g,) spans U(full) - U(empty) and (g, d) attribution vectors, with one
+    scan of every player, one of every pair and one exact scan of the
+    linearity tables for the whole stack. `pair` applies to every game."""
+    d = vals.shape[1]
+    other, alpha, beta = (None, 2.0, 0.0) if pair is None else pair
+    if other is not None and other.d != d:
+        raise ValueError(f"linearity pair has d={other.d}, expected {d}")
+    combined = alpha * tables + beta * (tables if other is None else other.utility_table())
+    if not np.isfinite(combined).all():
+        raise ValueError(f"linearity check overflows float64: {alpha} * table + "
+                         f"{beta} * other table leaves the float range")
+    detect = 1e-12 * (1.0 + np.max(np.abs(tables), axis=-1, keepdims=True))
+    i, j = np.triu_indices(d, 1)
+    pairs = list(zip(i.tolist(), j.tolist()))
+    dummy = _scan(tables, [(p,) for p in range(d)]) <= detect
+    symmetric = _scan(tables, pairs) <= detect
+    lhs = _exact(combined)
+    rhs = alpha * vals
+    if beta != 0:
+        # a partner at beta = 0 contributes nothing, so its values (which
+        # may overflow on their own) are not computed
+        rhs = rhs + beta * shapley_exact(other).values
+    gaps = np.abs(np.sum(vals, axis=-1) - spans)
+    span_tol = AXIOM_TOL * (1.0 + np.abs(spans))
+    lin_err = np.max(np.abs(lhs - rhs), axis=-1)
+    eff = gaps <= span_tol
+    dum = (~dummy | (np.abs(vals) <= span_tol[:, None])).all(axis=-1)
+    sym = (~symmetric | (np.abs(vals[:, i] - vals[:, j])
+                         <= AXIOM_TOL * (1.0 + np.abs(vals[:, i])))).all(axis=-1)
+    lin = lin_err <= AXIOM_TOL * (1.0 + np.max(np.abs(lhs), axis=-1))
+    return [{"efficiency": {"gap": float(gaps[k]), "pass": bool(eff[k])},
+             "dummy": {"players": np.flatnonzero(dummy[k]).tolist(), "pass": bool(dum[k])},
+             "symmetry": {"pairs": [p for p, s in zip(pairs, symmetric[k]) if s],
+                          "pass": bool(sym[k])},
+             "linearity": {"max_err": float(lin_err[k]), "pass": bool(lin[k])},
+             "pass": bool(eff[k] and dum[k] and sym[k] and lin[k])}
+            for k in range(len(vals))]
+
+
 def axiom_suite(game: CooperativeGame, values, pair=None) -> dict:
     """Audit an attribution vector against the four Shapley axioms.
 
@@ -458,52 +531,7 @@ def axiom_suite(game: CooperativeGame, values, pair=None) -> dict:
     Returns a per-axiom report; no exceptions for failed axioms.
     """
     vals = values.values if isinstance(values, ShapleyVector) else np.asarray(values, np.float64)
-    d = game.d
-    if vals.shape != (d,):
-        raise ValueError(f"values must have shape ({d},), got {vals.shape}")
-    table = game.utility_table()
-    scale = 1.0 + float(np.max(np.abs(table)))
-    detect_tol = 1e-12 * scale
-
-    span = game.u_full - game.u_empty
-    eff_gap = abs(float(np.sum(vals)) - span)
-    efficiency = {"gap": eff_gap, "pass": bool(eff_gap <= AXIOM_TOL * (1.0 + abs(span)))}
-
-    dummy_players, dummy_ok = [], True
-    for j in range(d):
-        if float(np.max(np.abs(_marginal(table, j)))) <= detect_tol:
-            dummy_players.append(j)
-            dummy_ok = dummy_ok and abs(vals[j]) <= AXIOM_TOL * (1.0 + abs(span))
-    dummy = {"players": dummy_players, "pass": bool(dummy_ok)}
-
-    sym_pairs, sym_ok = [], True
-    for i in range(d):
-        for j in range(i + 1, d):
-            face = _faces(table, j, i)     # [.., j, .., i, ..]: compare i in with j in
-            if float(np.max(np.abs(face[:, 0, :, 1] - face[:, 1, :, 0]))) <= detect_tol:
-                sym_pairs.append((i, j))
-                sym_ok = sym_ok and abs(vals[i] - vals[j]) <= AXIOM_TOL * (1.0 + abs(vals[i]))
-    symmetry = {"pairs": sym_pairs, "pass": bool(sym_ok)}
-
-    other, alpha, beta = (game, 2.0, 0.0) if pair is None else pair
-    if other.d != d:
-        raise ValueError(f"linearity pair has d={other.d}, expected {d}")
-    combined = alpha * table + beta * other.utility_table()
-    if not np.isfinite(combined).all():
-        raise ValueError(f"linearity check overflows float64: {alpha} * table + "
-                         f"{beta} * other table leaves the float range")
-    lhs = shapley_exact(CooperativeGame.from_table(combined)).values
-    rhs = alpha * vals
-    if pair is not None and beta != 0:
-        # a partner at beta = 0 contributes nothing, so its values (which
-        # may overflow on their own) are not computed
-        rhs = rhs + beta * shapley_exact(other).values
-    lin_err = float(np.max(np.abs(lhs - rhs)))
-    linearity = {"max_err": lin_err,
-                 "pass": bool(lin_err <= AXIOM_TOL * (1.0 + float(np.max(np.abs(lhs)))))}
-
-    report = {"efficiency": efficiency, "dummy": dummy, "symmetry": symmetry,
-              "linearity": linearity}
-    report["pass"] = all(section["pass"] for section in
-                         (efficiency, dummy, symmetry, linearity))
-    return report
+    if vals.shape != (game.d,):
+        raise ValueError(f"values must have shape ({game.d},), got {vals.shape}")
+    return _audit(game.utility_table()[None], np.array([game.u_full - game.u_empty]),
+                  vals[None], pair)[0]

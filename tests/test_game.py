@@ -1,6 +1,7 @@
 """Game core: exact enumeration vs closed forms, MC convergence, axioms,
 spatial games over model taps."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -424,6 +425,16 @@ def test_axiom_suite_flags_broken_vector():
     assert not report["pass"]
 
 
+def test_axiom_suite_flags_a_broken_symmetric_pair():
+    g = planted_game()
+    bad = game.shapley_exact(g).values.copy()
+    bad[1] += 0.5  # players 1 and 2 are interchangeable; the sum is kept
+    bad[2] -= 0.5
+    report = game.axiom_suite(g, bad)
+    assert report["efficiency"]["pass"] and report["dummy"]["pass"]
+    assert not report["symmetry"]["pass"] and not report["pass"]
+
+
 def test_axiom_suite_linearity_with_explicit_pair():
     rng = np.random.default_rng(12)
     g1 = game.CooperativeGame.from_table(rng.normal(size=32))
@@ -533,8 +544,9 @@ def test_hypercube_scans_are_bit_identical_to_gather_oracles(g):
 
 
 def test_hypercube_scans_go_one_axis_at_a_time():
-    # d=16: a table is 512 KiB, one player's marginals 256 KiB; stacking all
-    # (d, 2^(d-1)) marginals at once would take 4 MiB
+    # d=16: a table is 512 KiB and one player's marginals 256 KiB; the scans
+    # write at most _BATCH_CELLS cells (512 KiB) of faces per block, where
+    # stacking all (d, 2^(d-1)) marginals at once would take 4 MiB
     _, _, sg = spatial_fixture(kind="rest")
     sv = game.shapley_exact(sg)
     for run in (lambda: game.shapley_exact(sg), lambda: game.axiom_suite(sg, sv)):
@@ -547,9 +559,76 @@ def test_hypercube_scans_go_one_axis_at_a_time():
         assert peak < 2 * 1024 * 1024
 
 
+def planted_stack(d, seed=0):
+    """Four tables of d players: random, with player d-1 a dummy, with
+    players 0 and d-1 interchangeable, and constant (every player a dummy,
+    every pair symmetric)."""
+    rng = np.random.default_rng(seed)
+    masks = np.arange(1 << d)
+    top = 1 << (d - 1)
+    tables = rng.normal(size=(4, 1 << d)) * 10.0 ** rng.integers(-6, 6, size=(4, 1))
+    tables[1] = tables[1][masks & ~top]
+    swapped = (masks & ~(1 | top)) | np.where(masks & 1, top, 0) | np.where(masks & top, 1, 0)
+    tables[2] = 0.5 * (tables[2] + tables[2][swapped])
+    tables[3] = 1.5
+    return tables
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_stacked_scans_are_bit_identical_to_gather_oracles(d):
+    # with four tables the pair blocks split from d = 11 and the player
+    # blocks from d = 12, and faces run from 1 to 2^15 cells, past pairwise
+    # summation's steps at 8 and 128
+    tables = planted_stack(d)
+    detect = 1e-12 * (1.0 + np.max(np.abs(tables), axis=-1))
+    values = game._exact(tables)
+    dummies = game._scan(tables, [(j,) for j in range(d)]) <= detect[:, None]
+    pairs = list(itertools.combinations(range(d), 2))
+    symmetric = game._scan(tables, pairs) <= detect[:, None]
+    for k, table in enumerate(tables):
+        assert np.array_equal(values[k], exact_oracle(table, d))
+        assert np.array_equal(np.flatnonzero(dummies[k]), dummy_oracle(table, d, detect[k]))
+        assert ([p for p, s in zip(pairs, symmetric[k]) if s]
+                == symmetry_oracle(table, d, detect[k]))
+    assert d - 1 in np.flatnonzero(dummies[1]) and dummies[3].all() and symmetric[3].all()
+    assert d == 1 or symmetric[2][pairs.index((0, d - 1))]
+
+
+def test_exact_values_of_a_cancelling_table():
+    # the values sum to 0.5 only up to float rounding: a tolerance on that
+    # sum once reported this table game as not deterministic
+    table = [0.0, 1e17, -1e17, 0.5]
+    values = game.shapley_exact(game.CooperativeGame.from_table(table)).values
+    assert np.array_equal(values, exact_oracle(np.array(table), 2))
+
+
+def test_exact_refuses_a_utility_that_changes_between_calls():
+    calls = itertools.count()
+
+    def utility(masks):
+        # U(full) grows by one at every call
+        return np.where(masks.all(axis=1), float(next(calls)), 0.0)
+
+    g = game.CooperativeGame(3, utility)
+    with pytest.raises(RuntimeError, match="not deterministic"):
+        game.shapley_exact(g)
+
+
+def test_axiom_suite_checks_the_pair_before_scanning(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scanned before checking the pair")
+
+    monkeypatch.setattr(game, "_scan", no_scan)
+    g = game.CooperativeGame.from_table(np.arange(4.0))
+    other = game.CooperativeGame.from_table(np.arange(8.0))
+    with pytest.raises(ValueError, match="linearity pair has d=3, expected 2"):
+        game.axiom_suite(g, np.zeros(2), pair=(other, 1.0, 1.0))
+
+
 def test_coalition_weights_sum_to_one():
     for d in (2, 5, 12, 20):
         w = game._coalition_weights(d)
+        assert w is game._coalition_weights(d) and not w.flags.writeable
         # summing w over all coalitions a player can join must give 1
         from math import comb
         total = sum(comb(d - 1, k) * w[k] for k in range(d))

@@ -1,7 +1,11 @@
 import json
 
+import pytest
+
+from crgx.game import AXIOM_TOL, axiom_suite, shapley_exact
 from crgx.suites import (
     PROBE_CONFIG,
+    _random_table_game,
     axiom_check,
     hvp_suite,
     linear_check,
@@ -21,6 +25,29 @@ def test_axiom_check_passes_and_sees_planted_structure():
     assert report["planted_dummies"] >= 10
     assert report["planted_symmetric_pairs"] >= 7
     assert report["worst_efficiency_gap"] <= 1e-9
+
+
+def axiom_check_oracle(seed, n_games):
+    """axiom_check as a loop of shapley_exact and axiom_suite, game by game."""
+    n_pass, worst_gap, worst_lin, dummies, symmetric = 0, 0.0, 0.0, 0, 0
+    for i in range(n_games):
+        g = _random_table_game(seed, i)
+        audit = axiom_suite(g, shapley_exact(g))
+        n_pass += bool(audit["pass"])
+        worst_gap = max(worst_gap, audit["efficiency"]["gap"])
+        worst_lin = max(worst_lin, audit["linearity"]["max_err"])
+        dummies += len(audit["dummy"]["players"])
+        symmetric += len(audit["symmetry"]["pairs"])
+    return {"n_games": n_games, "n_pass": n_pass, "planted_dummies": dummies,
+            "planted_symmetric_pairs": symmetric, "worst_efficiency_gap": worst_gap,
+            "worst_linearity_err": worst_lin, "tol": AXIOM_TOL,
+            "pass": n_pass == n_games}
+
+
+@pytest.mark.parametrize("n_games", [1, 7, 50])
+@pytest.mark.parametrize("seed", [2024, 7, 99])
+def test_stacked_axiom_check_equals_the_game_by_game_loop(seed, n_games):
+    assert axiom_check(seed, n_games) == axiom_check_oracle(seed, n_games)
 
 
 def test_quadratic_check_reports_exactness():
