@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._floatrepr import float_texts
 from .cam import CAM_METHODS, CamMethod, explain_batch
 from .imgio import Image, read_image, write_image
 from .metrics import evaluate_batch
@@ -27,24 +28,26 @@ from .zoo import ARCHS, build_model
 
 def _encode(value, indent: str) -> str:
     """`json.dumps(value, indent=2, sort_keys=True)` at nesting `indent`,
-    for str-keyed reports. With an indent, json runs its pure-Python
-    encoder, so a list of floats goes through the C encoder in one call,
-    is split at its separators (no float's text holds ", ") and is indented
-    here."""
+    for str-keyed reports, with a 1-D float64 array written as the list
+    `value.tolist()` would be. With an indent, json runs its pure-Python
+    encoder, so such an array's elements get their text from
+    `_floatrepr.float_texts` in one call and are indented here."""
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
         brackets = "{}"
         items = [f"{json.dumps(key)}: {_encode(value[key], inner)}" for key in sorted(value)]
+    elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
+        if not value.size:
+            return "[]"
+        brackets = "[]"
+        items = float_texts(value)
     elif isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         brackets = "[]"
-        if all(type(v) is float for v in value):
-            items = json.dumps(value)[1:-1].split(", ")
-        else:
-            items = [_encode(v, inner) for v in value]
+        items = [_encode(v, inner) for v in value]
     else:
         return json.dumps(value)
     body = (",\n" + inner).join(items)
@@ -118,7 +121,7 @@ def _cmd_explain(parser: argparse.ArgumentParser, args) -> int:
         "tap": heatmap.layer,
         "spatial": list(heatmap.spatial),
         "alpha": args.alpha,
-        "pre_relu": heatmap.pre_relu.tolist(),
+        "pre_relu": heatmap.pre_relu,
         "outputs": {"heatmap": heat_path.name, "overlay": over_path.name},
     }
     json_path.write_text(_report_text(sidecar))

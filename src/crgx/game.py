@@ -128,6 +128,15 @@ def _coalition_weights(d: int) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=None)
+def _subset_weights(d: int) -> np.ndarray:
+    """_coalition_weights(d)[|S|] for each coalition S of the other d - 1
+    players, in table order: the (2^(d-1),) weights of a player's face."""
+    w = _coalition_weights(d)[np.bitwise_count(np.arange(1 << (d - 1)))]
+    w.setflags(write=False)
+    return w
+
+
 def _faces(table: np.ndarray, *players: int) -> np.ndarray:
     """The utility table, or a (g, 2^d) stack of tables, with a length-2
     axis for each of `players`, given in descending order, and the players
@@ -172,8 +181,7 @@ def _scan(tables: np.ndarray, players: list[tuple[int, ...]], weights=None) -> n
 def _exact(tables: np.ndarray) -> np.ndarray:
     """Exact Shapley values of a (g, 2^d) stack of tables, (g, d)."""
     d = tables.shape[1].bit_length() - 1
-    weights = _coalition_weights(d)[np.bitwise_count(np.arange(1 << (d - 1)))]
-    values = _scan(tables, [(j,) for j in range(d)], weights)
+    values = _scan(tables, [(j,) for j in range(d)], _subset_weights(d))
     if not (np.isfinite(values).all() and np.isfinite(np.sum(values, axis=-1)).all()
             and np.isfinite(tables[:, -1] - tables[:, 0]).all()):
         raise ValueError("exact Shapley values overflow float64: the utility "

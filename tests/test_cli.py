@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from crgx.cam import CamMethod
+from crgx.cam import CAM_METHODS, CamMethod
 from crgx.cli import _report_text, main
 from crgx.imgio import Image, read_image, write_image
 from crgx.zoo import build_model
@@ -146,6 +146,19 @@ def test_explain_outputs_are_deterministic(tmp_path):
         blobs.append(tuple((out / f"s.randomcam.{kind}").read_bytes()
                            for kind in ("heatmap.ppm", "overlay.ppm", "json")))
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("arch", ["cnn-relu", "cnn-smooth", "mlp-smooth"])
+@pytest.mark.parametrize("utility", ["pre-softmax", "post-softmax", "log-softmax", "rest"])
+def test_explain_sidecar_is_a_json_dumps_fixed_point(tmp_path, arch, utility):
+    put_image(tmp_path / "s.ppm", 64, shape=(3, 64, 64))
+    for method in CAM_METHODS:
+        extra = ["--method-seed", "5"] if method == "randomcam" else []
+        assert main(["explain", "--image", str(tmp_path / "s.ppm"), "--method", method,
+                     "--arch", arch, "--utility", utility, "--seed", "2",
+                     "--out-dir", str(tmp_path)] + extra) == 0
+        text = (tmp_path / f"s.{method}.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_evaluate_report_and_csv(tmp_path):

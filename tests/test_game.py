@@ -635,6 +635,14 @@ def test_coalition_weights_sum_to_one():
         assert abs(total - 1.0) <= 1e-12
 
 
+def test_subset_weights_are_cached_read_only_and_exact():
+    for d in (1, 2, 5, 12):
+        w = game._subset_weights(d)
+        assert w is game._subset_weights(d) and not w.flags.writeable
+        expected = game._coalition_weights(d)[np.bitwise_count(np.arange(1 << (d - 1)))]
+        assert w.dtype == expected.dtype and w.tobytes() == expected.tobytes()
+
+
 def test_game_validation():
     with pytest.raises(ValueError, match="player"):
         game.CooperativeGame(0, lambda masks: np.zeros(len(masks)))
