@@ -18,13 +18,13 @@ yield all K of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .utility import UtilitySpec, softmax_rows, utility_derivatives
-from .zoo import TAP_LAYER, ToyModel
+from .zoo import ToyModel
 
 # name -> (weight order, assembly scheme)
 _METHOD_TABLE = {
@@ -77,24 +77,21 @@ def _as_method(method) -> CamMethod:
 @dataclass(frozen=True)
 class Heatmap:
     """Per-position relevance at the tap layer, before and after the outer
-    ReLU. `pre_relu` keeps signs; `post_relu` is what gets rendered."""
+    ReLU. `pre_relu` keeps signs; `post_relu`, derived from it as
+    max(pre_relu, 0), is what gets rendered."""
 
     pre_relu: np.ndarray
-    post_relu: np.ndarray
     spatial: tuple[int, int]
     method: str
-    layer: str
     target_class: Optional[int] = None
     utility: Optional[str] = None
+    post_relu: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.pre_relu.shape != self.post_relu.shape:
-            raise ValueError("heatmap views disagree in shape")
-        if not np.array_equal(self.post_relu, np.maximum(self.pre_relu, 0.0)):
-            raise ValueError("post_relu must equal max(pre_relu, 0)")
         if self.spatial[0] * self.spatial[1] != self.pre_relu.shape[0]:
             raise ValueError(f"spatial {self.spatial} does not cover "
                              f"{self.pre_relu.shape[0]} positions")
+        object.__setattr__(self, "post_relu", np.maximum(self.pre_relu, 0.0))
 
     def grid(self, view: str = "post") -> np.ndarray:
         values = self.post_relu if view == "post" else self.pre_relu
@@ -178,11 +175,9 @@ def explain_batch(model: ToyModel, stacks: np.ndarray, spec: UtilitySpec, method
     weights = None
     if method.scheme != "random":
         weights = tap_weights(model, stacks, spec, method.order)
-    pre = _assemble(weights, stacks, method)
-    post = np.maximum(pre, 0.0)
-    return [Heatmap(pre_relu=p, post_relu=q, spatial=model.tap_spatial(), method=method.name,
-                    layer=TAP_LAYER, target_class=spec.target_class, utility=spec.kind)
-            for p, q in zip(pre, post)]
+    return [Heatmap(pre_relu=p, spatial=model.tap_spatial(), method=method.name,
+                    target_class=spec.target_class, utility=spec.kind)
+            for p in _assemble(weights, stacks, method)]
 
 
 def explain(model: ToyModel, image: np.ndarray, spec: UtilitySpec, method) -> Heatmap:
@@ -220,7 +215,7 @@ def _ensemble_pairs(model: ToyModel, image: np.ndarray, c: int, method,
             pre = p[c] * _add_correction(np.zeros_like(per_class[c]), p, per_class, c)
         else:
             pre = _add_correction(per_class[c], p, per_class, c)
-        pairs.append((direct, replace(direct, pre_relu=pre, post_relu=np.maximum(pre, 0.0))))
+        pairs.append((direct, replace(direct, pre_relu=pre)))
     return pairs
 
 

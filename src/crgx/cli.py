@@ -23,7 +23,7 @@ from .metrics import evaluate_batch
 from .postprocess import OverlayStyle, _blend, apply_colormap, normalize_minmax, upsample_bilinear
 from .suites import hvp_suite, shapley_suite, theorem_suite
 from .utility import UTILITY_KINDS, UtilitySpec
-from .zoo import ARCHS, build_model
+from .zoo import ARCHS, TAP_LAYER, build_model
 
 
 def _encode(value, indent: str) -> str:
@@ -85,7 +85,9 @@ def _resolve_method(parser: argparse.ArgumentParser, args):
 
 
 def _cmd_explain(parser: argparse.ArgumentParser, args) -> int:
-    style = OverlayStyle(alpha=args.alpha)  # a bad alpha fails before any file is written
+    # usage errors and a bad alpha end the run before any file is read or written
+    method = _resolve_method(parser, args)
+    style = OverlayStyle(alpha=args.alpha)
     image = read_image(args.image)
     model = build_model(args.arch, num_classes=args.classes, seed=args.seed,
                         in_shape=image.pixels.shape)
@@ -93,8 +95,6 @@ def _cmd_explain(parser: argparse.ArgumentParser, args) -> int:
     target = (int(np.argmax(model.head_batch(stack)[0])) if args.target_class is None
               else args.target_class)
     spec = UtilitySpec(target, args.utility)
-    method = _resolve_method(parser, args)
-
     heatmap = explain_batch(model, stack, spec, method)[0]
     grid = normalize_minmax(heatmap.grid("post"))
     upsampled = upsample_bilinear(grid, image.height, image.width)
@@ -118,7 +118,7 @@ def _cmd_explain(parser: argparse.ArgumentParser, args) -> int:
         "method_seed": args.method_seed,
         "utility": heatmap.utility,
         "target_class": heatmap.target_class,
-        "tap": heatmap.layer,
+        "tap": TAP_LAYER,
         "spatial": list(heatmap.spatial),
         "alpha": args.alpha,
         "pre_relu": heatmap.pre_relu,
@@ -130,6 +130,7 @@ def _cmd_explain(parser: argparse.ArgumentParser, args) -> int:
 
 
 def _cmd_evaluate(parser: argparse.ArgumentParser, args) -> int:
+    method = _resolve_method(parser, args)  # a usage error ends the run before any file is read
     image_dir = Path(args.images)
     paths = sorted(p for p in image_dir.glob("*")
                    if p.suffix.lower() in (".ppm", ".pgm"))
@@ -145,7 +146,6 @@ def _cmd_evaluate(parser: argparse.ArgumentParser, args) -> int:
     model = build_model(args.arch, num_classes=args.classes, seed=args.seed,
                         in_shape=in_shape)
     spec = UtilitySpec(args.target_class, args.utility)
-    method = _resolve_method(parser, args)
     record = evaluate_batch(model, images, spec, method)
 
     report = record.to_report()

@@ -362,18 +362,17 @@ def _lane_permutations(seed: int, lanes: np.ndarray, d: int, n_words: int) -> np
 
 def _permutations(seed, lo: int, hi: int, d: int) -> np.ndarray:
     """Row i - lo is default_rng(SeedSequence((seed, i))).permutation(d) for
-    lo <= i < hi. Entropy outside two uint32 words, and d > 64, go to numpy."""
+    lo <= i < hi. Entropy outside two uint32 words, and d > 64, go to numpy.
+    The lanes draw 2d + 4 words each, all at once: `shapley_mc` bounds
+    hi - lo by the cell budget of those words."""
     stop = lo
     if isinstance(seed, (int, np.integer)) and 0 <= seed <= _M32 and d <= 64:
         stop = min(hi, max(lo, 1 << 32))
     perms = np.empty((hi - lo, d), dtype=np.int64)
-    # 2d + 4 words leave a lane short with probability below 1e-4 for any d
-    n_words = 2 * d + 4
-    step = _chunk_rows(n_words)
-    for a in range(lo, stop, step):
-        b = min(a + step, stop)
-        perms[a - lo:b - lo] = _lane_permutations(
-            int(seed), np.arange(a, b).astype(np.uint32), d, n_words)
+    if stop > lo:
+        # 2d + 4 words leave a lane short with probability below 1e-4 for any d
+        perms[:stop - lo] = _lane_permutations(
+            int(seed), np.arange(lo, stop).astype(np.uint32), d, 2 * d + 4)
     for i in range(stop, hi):
         perms[i - lo] = np.random.default_rng(np.random.SeedSequence((seed, i))).permutation(d)
     return perms
@@ -398,7 +397,7 @@ def shapley_mc(game: CooperativeGame, samples: int, seed: int) -> ShapleyVector:
     sums = np.zeros(d)
     sumsq = np.zeros(d)
     steps = np.arange(1, d + 1)
-    block = _chunk_rows(d * d)
+    block = _chunk_rows(max(d * d, 2 * d + 4))  # prefix masks; lane words
     for lo in range(0, samples, block):
         perms = _permutations(seed, lo, min(lo + block, samples), d)
         # prefix k of a permutation holds the players it ranks below k

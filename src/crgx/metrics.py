@@ -8,7 +8,7 @@ heatmap with the one recomputed on the explanation-masked image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -22,28 +22,23 @@ from .zoo import ToyModel, _chunk_rows
 HeatmapSource = Union[str, CamMethod, Callable[..., Heatmap]]
 
 
-def _match_resolution(pixels: np.ndarray, h: np.ndarray):
-    pixels = np.asarray(pixels, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if pixels.ndim != 3:
-        raise ValueError(f"expected pixel planes (C, H, W), got shape {pixels.shape}")
-    if h.shape != pixels.shape[1:]:
-        raise ValueError(f"heatmap resolution {h.shape} does not match "
-                         f"image {pixels.shape[1:]}")
-    return pixels, h
-
-
 def explanation_map(pixels: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Keep pixels in proportion to their relevance: x * h, heatmap
-    broadcast across channels."""
-    pixels, h = _match_resolution(pixels, h)
-    return pixels * h[None]
+    broadcast across channels. Pixels are (..., C, H, W) and heatmaps
+    (..., H, W), with broadcastable leading dimensions."""
+    pixels = np.asarray(pixels, dtype=np.float64)
+    h = np.asarray(h, dtype=np.float64)
+    if pixels.ndim < 3:
+        raise ValueError(f"expected pixel planes (..., C, H, W), got shape {pixels.shape}")
+    if h.ndim < 2 or h.shape[-2:] != pixels.shape[-2:]:
+        raise ValueError(f"heatmap resolution {h.shape[-2:]} does not match "
+                         f"image {pixels.shape[-2:]}")
+    return pixels * h[..., None, :, :]
 
 
 def anti_explanation_map(pixels: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Remove the relevant pixels instead: x * (1 - h)."""
-    pixels, h = _match_resolution(pixels, h)
-    return pixels * (1.0 - h)[None]
+    return explanation_map(pixels, 1.0 - np.asarray(h, dtype=np.float64))
 
 
 def _paired_scores(conf_full, conf_other, positive_full: bool):
@@ -59,18 +54,29 @@ def _paired_scores(conf_full, conf_other, positive_full: bool):
     return y, o
 
 
+def _drops(y: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Per-image relative confidence lost, max(0, y - o) / y: the AD term
+    on the explanation map, the ADD term on the anti-explanation map."""
+    return np.maximum(0.0, y - o) / y
+
+
+def _increases(y: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Per-image IC term: 1 where the confidence strictly rises, else 0."""
+    return np.where(y < o, 1.0, 0.0)
+
+
 def average_drop(conf_full, conf_expl) -> float:
     """Mean relative confidence lost on the explanation map:
     mean max(0, y - o) / y."""
     y, o = _paired_scores(conf_full, conf_expl, positive_full=True)
-    return float(np.mean(np.maximum(0.0, y - o) / y))
+    return float(np.mean(_drops(y, o)))
 
 
 def increase_confidence(conf_full, conf_expl) -> float:
     """Fraction of images whose confidence strictly rises on the
     explanation map."""
     y, o = _paired_scores(conf_full, conf_expl, positive_full=False)
-    return float(np.mean(y < o))
+    return float(np.mean(_increases(y, o)))
 
 
 def average_drop_deletion(conf_full, conf_anti) -> float:
@@ -115,37 +121,37 @@ def adcc(ad: float, coh: float, com: float) -> float:
 @dataclass(frozen=True)
 class MetricRecord:
     """Batch metrics as fractions in [0,1]; `to_report` scales to
-    percentages. Per-image terms are kept for inspection, and `skipped`
-    names each image left out as (index, reason)."""
+    percentages. Built from the per-image terms, which stay for inspection,
+    and `skipped`, which names each image left out as (index, reason). The
+    batch values are derived: `n_images` counts the terms, each metric is
+    the mean of its terms, and `adcc` is `adcc()` of the three means."""
 
     method: str
     utility: str
     arch: str
-    n_images: int
     skipped: tuple
-    ad: float
-    coherency: float
-    complexity: float
-    adcc: float
-    ic: float
-    add: float
     image_ad: tuple
     image_coherency: tuple
     image_complexity: tuple
     image_ic: tuple
     image_add: tuple
+    n_images: int = field(init=False)
+    ad: float = field(init=False)
+    coherency: float = field(init=False)
+    complexity: float = field(init=False)
+    adcc: float = field(init=False)
+    ic: float = field(init=False)
+    add: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("ad", "coherency", "complexity", "adcc", "ic", "add"):
-            value = getattr(self, name)
+        object.__setattr__(self, "n_images", len(self.image_ad))
+        for name in ("ad", "coherency", "complexity", "ic", "add"):
+            value = float(np.mean(np.asarray(getattr(self, "image_" + name),
+                                             dtype=np.float64)))
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} out of range: {value}")
-        # a harmonic mean is throttled by its worst term: it sits between
-        # min and 3 * min of the three components
-        worst = min(self.coherency, 1.0 - self.complexity, 1.0 - self.ad)
-        if not worst - 1e-12 <= self.adcc <= 3.0 * worst + 1e-12:
-            raise ValueError(f"adcc {self.adcc} violates harmonic bounds for "
-                             f"worst term {worst}")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "adcc", adcc(self.ad, self.coherency, self.complexity))
 
     @property
     def n_failed(self) -> int:
@@ -225,18 +231,18 @@ def _protocol_terms(model: ToyModel, planes: list, first: int, spec: UtilitySpec
         raise ValueError(f"target confidence {float(y[np.argmin(y > 0.0)])!r} "
                          "is not positive")
     h1 = _pipeline_heatmaps(model, pixels, stacks, first, spec, method)
-    # x * h and x * (1 - h), heatmap broadcast across channels, as 2n images
-    masked = pixels[:, None] * np.stack([h1, 1.0 - h1], axis=1)[:, :, None]
+    # x * h and x * (1 - h), interleaved as 2n images
+    masked = explanation_map(pixels[:, None], np.stack([h1, 1.0 - h1], axis=1))
     masked = masked.reshape((-1,) + pixels.shape[1:])
     del pixels, stacks  # not read again; the 2n tap is the largest stage
     masked_stacks = model._tap_stack(masked)
     o, d = _target_scores(model, masked_stacks, c).reshape(-1, 2).T
     h2 = _pipeline_heatmaps(model, masked[::2], masked_stacks[::2], first, spec, method)
-    return [(np.maximum(0.0, y - o) / y).tolist(),
+    return [_drops(y, o).tolist(),
             [coherency(a, b) for a, b in zip(h1, h2)],
             [complexity(a) for a in h1],
-            np.where(y < o, 1.0, 0.0).tolist(),
-            (np.maximum(0.0, y - d) / y).tolist()]
+            _increases(y, o).tolist(),
+            _drops(y, d).tolist()]
 
 
 def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
@@ -292,21 +298,11 @@ def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
     if not columns[0]:
         raise ValueError(f"all {len(planes)} images failed: {skipped[0]}")
 
-    ad_mean, coh_mean, com_mean, ic_mean, add_mean = (
-        float(np.mean(np.asarray(col, dtype=np.float64))) for col in columns)
-
     return MetricRecord(
         method=_method_name(method),
         utility=spec.kind,
         arch=model.arch,
-        n_images=len(columns[0]),
         skipped=tuple(sorted(skipped.items())),
-        ad=ad_mean,
-        coherency=coh_mean,
-        complexity=com_mean,
-        adcc=adcc(ad_mean, coh_mean, com_mean),
-        ic=ic_mean,
-        add=add_mean,
         image_ad=tuple(columns[0]),
         image_coherency=tuple(columns[1]),
         image_complexity=tuple(columns[2]),

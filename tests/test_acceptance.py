@@ -132,8 +132,7 @@ def test_criterion_10_sanity_metrics():
 
     def fake(model, pixels, spec):
         flat = grid.ravel()
-        return Heatmap(pre_relu=flat, post_relu=flat.copy(),
-                       spatial=grid.shape, method="fake", layer="input")
+        return Heatmap(pre_relu=flat, spatial=grid.shape, method="fake")
 
     fake.cam_name = "fake-cam"
     record = evaluate_batch(model, images, UtilitySpec(0, "post-softmax"), fake)

@@ -22,7 +22,7 @@ from crgx.cam import (
 from crgx.game import make_spatial_game, shapley_exact
 from crgx.utility import (UTILITY_KINDS, UtilitySpec, compute_utility,
                           compute_utility_batch, utility_derivatives)
-from crgx.zoo import build_model
+from crgx.zoo import ARCHS, build_model
 
 
 def rel_err(actual, expected):
@@ -268,18 +268,35 @@ def test_shapley_weights_combines_curvature():
 
 
 def test_heatmap_invariants():
-    with pytest.raises(ValueError, match="post_relu"):
-        Heatmap(pre_relu=np.array([-1.0, 2.0]), post_relu=np.array([-1.0, 2.0]),
-                spatial=(1, 2), method="gradcam", layer="act")
     with pytest.raises(ValueError, match="spatial"):
-        Heatmap(pre_relu=np.zeros(4), post_relu=np.zeros(4),
-                spatial=(3, 2), method="gradcam", layer="act")
-    hm = Heatmap(pre_relu=np.array([-1.0, 2.0, 0.5, -0.25]),
-                 post_relu=np.array([0.0, 2.0, 0.5, 0.0]),
-                 spatial=(2, 2), method="gradcam", layer="act")
+        Heatmap(pre_relu=np.zeros(4), spatial=(3, 2), method="gradcam")
+    hm = Heatmap(pre_relu=np.array([-1.0, 2.0, 0.5, -0.25]), spatial=(2, 2), method="gradcam")
     assert hm.grid("pre").shape == (2, 2)
     assert np.array_equal(hm.grid("pre").ravel(), hm.pre_relu)
     assert np.array_equal(hm.grid(), np.maximum(hm.grid("pre"), 0.0))
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_post_relu_is_the_relu_of_pre_relu_bit_for_bit(arch):
+    # tobytes tells -0.0 from 0.0, so the sign bit of every zero agrees too
+    model = build_model(arch, num_classes=3, seed=8)
+    image = make_image(9)
+    for name in CAM_METHODS:
+        method = CamMethod(name, seed=4) if name == "randomcam" else name
+        for kind in UTILITY_KINDS:
+            hm = explain(model, image, UtilitySpec(1, kind), method)
+            assert hm.post_relu.tobytes() == np.maximum(hm.pre_relu, 0.0).tobytes()
+    for direct, ensemble in (theorem3_ensemble(model, image, UtilitySpec(1, "post-softmax"),
+                                               "gradcam"),
+                             rest_decomposition(model, image, 1, "hirescam")):
+        for hm in (direct, ensemble):
+            assert hm.post_relu.tobytes() == np.maximum(hm.pre_relu, 0.0).tobytes()
+
+
+@pytest.mark.parametrize("name", ["post_relu", "layer"])
+def test_heatmap_takes_no_derived_or_constant_fields(name):
+    with pytest.raises(TypeError):
+        Heatmap(pre_relu=np.zeros(4), spatial=(2, 2), method="gradcam", **{name: np.zeros(4)})
 
 
 # ------------------------------------------------- first/second order collapse

@@ -36,6 +36,29 @@ def test_seedless_randomcam_exits_2(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["explain", "evaluate"])
+def test_seedless_randomcam_exits_2_before_reading_a_file(tmp_path, monkeypatch, command):
+    from crgx import cli
+
+    for i in range(3):
+        put_image(tmp_path / f"{i}.ppm", i)
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return read_image(path)
+
+    monkeypatch.setattr(cli, "read_image", counted)
+    out = str(tmp_path / "out")
+    argv = {"explain": ["explain", "--image", str(tmp_path / "0.ppm"), "--out-dir", out],
+            "evaluate": ["evaluate", "--images", str(tmp_path), "--report", out]}[command]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--method", "randomcam"])
+    assert err.value.code == 2
+    assert reads == []
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("argv", [
     ["evaluate", "--images", ".", "--method", "gradcam", "--limit"],

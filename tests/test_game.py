@@ -143,6 +143,21 @@ def test_mc_is_bit_identical_to_scalar_oracle(case):
         assert sv.stderr.tobytes() == stderr.tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mc_on_few_players_is_bit_identical_to_scalar_oracle(d):
+    # below d = 4 the 2d + 4 lane words, not the d x d prefix masks, bound
+    # the block; two rows past the first block boundary show the sum order
+    table = np.random.default_rng(30 + d).normal(size=1 << d)
+    powers = 1 << np.arange(d, dtype=np.int64)
+    g = game.CooperativeGame.from_table(table)
+    samples = game._chunk_rows(2 * d + 4) + 2
+    sv = game.shapley_mc(g, samples, seed=13)
+    values, stderr = scalar_mc(lambda mask: table[int(np.dot(mask.astype(np.int64), powers))],
+                               d, g.u_empty, samples, seed=13)
+    assert sv.values.tobytes() == values.tobytes()
+    assert sv.stderr.tobytes() == stderr.tobytes()
+
+
 def numpy_permutation(seed, i, d):
     return np.random.default_rng(np.random.SeedSequence((seed, i))).permutation(d)
 

@@ -57,6 +57,22 @@ def test_mask_resolution_checked():
         explanation_map(np.zeros((3, 4, 4)), np.zeros((3, 3)))
 
 
+def test_stacked_masks_match_per_image_bit_for_bit():
+    rng = np.random.default_rng(12)
+    x = rng.uniform(0.0, 1.0, (4, 1, 3, 5, 6))
+    h = rng.uniform(0.0, 1.0, (4, 2, 5, 6))
+    for fn in (explanation_map, anti_explanation_map):
+        got = fn(x, h)
+        assert got.shape == (4, 2, 3, 5, 6)
+        for i in range(4):
+            for k in range(2):
+                assert got[i, k].tobytes() == fn(x[i, 0], h[i, k]).tobytes()
+        flat = fn(x[:, 0], h[:, 1])
+        assert all(flat[i].tobytes() == fn(x[i, 0], h[i, 1]).tobytes() for i in range(4))
+    with pytest.raises(ValueError, match="resolution"):
+        explanation_map(x, h[..., :5])
+
+
 # ------------------------------------------------------------- scalar metrics
 
 def test_average_drop_examples():
@@ -128,8 +144,7 @@ def fixed_heatmap_method(grid):
 
     def method(model, pixels, spec):
         flat = grid.ravel()
-        return Heatmap(pre_relu=flat, post_relu=np.maximum(flat, 0.0),
-                       spatial=grid.shape, method="fixed", layer="input")
+        return Heatmap(pre_relu=flat, spatial=grid.shape, method="fixed")
 
     method.cam_name = "fixed"
     return method
@@ -184,6 +199,27 @@ def test_batch_record_fields_and_bound():
     assert record.ad == pytest.approx(float(np.mean(record.image_ad)), abs=1e-15)
 
 
+def record_terms(**image_terms):
+    terms = dict(method="gradcam", utility="rest", arch="cnn-smooth", skipped=(),
+                 image_ad=(0.25, 0.5), image_coherency=(0.75, 0.5),
+                 image_complexity=(0.125, 0.25), image_ic=(0.0, 1.0), image_add=(0.5, 1.0))
+    terms.update(image_terms)
+    return terms
+
+
+def test_record_derives_its_batch_values():
+    record = MetricRecord(**record_terms())
+    assert record.n_images == 2
+    assert (record.ad, record.coherency, record.complexity, record.ic, record.add) == (
+        0.375, 0.625, 0.1875, 0.5, 0.75)
+    assert record.adcc == adcc(0.375, 0.625, 0.1875)
+    for name in ("n_images", "ad", "coherency", "complexity", "adcc", "ic", "add"):
+        with pytest.raises(TypeError):
+            MetricRecord(**record_terms(), **{name: getattr(record, name)})
+    with pytest.raises(ValueError, match="ad out of range: 1.25"):
+        MetricRecord(**record_terms(image_ad=(1.0, 1.5)))
+
+
 def test_report_schema_and_percent_scaling():
     model = build_model("cnn-smooth", num_classes=3, seed=1)
     images = make_images(3, seed=6)
@@ -221,16 +257,14 @@ def failing_on(bad_pixels, heatmap):
             return heatmap
         flat = np.full(36, 0.5)
         flat[0] = 1.0
-        return Heatmap(pre_relu=flat, post_relu=flat, spatial=(6, 6),
-                       method="flaky", layer="input")
+        return Heatmap(pre_relu=flat, spatial=(6, 6), method="flaky")
 
     return method
 
 
 @pytest.mark.parametrize("heatmap", [
     None,
-    Heatmap(pre_relu=np.zeros(0), post_relu=np.zeros(0), spatial=(0, 0),
-            method="flaky", layer="input"),
+    Heatmap(pre_relu=np.zeros(0), spatial=(0, 0), method="flaky"),
 ], ids=["raises", "no-positions"])
 def test_later_stage_failure_skips_only_that_image(heatmap):
     model = build_model("cnn-smooth", num_classes=3, seed=1)
@@ -349,21 +383,11 @@ def reference_evaluate_batch(model, images, spec, method):
         raise ValueError(f"all {len(results)} images failed: {skipped[0][1]}")
 
     columns = list(zip(*kept))
-    ad_mean, coh_mean, com_mean, ic_mean, add_mean = (
-        float(np.mean(np.asarray(col, dtype=np.float64))) for col in columns)
-
     return MetricRecord(
         method=_method_name(method),
         utility=spec.kind,
         arch=model.arch,
-        n_images=len(kept),
         skipped=skipped,
-        ad=ad_mean,
-        coherency=coh_mean,
-        complexity=com_mean,
-        adcc=adcc(ad_mean, coh_mean, com_mean),
-        ic=ic_mean,
-        add=add_mean,
         image_ad=tuple(columns[0]),
         image_coherency=tuple(columns[1]),
         image_complexity=tuple(columns[2]),
@@ -380,6 +404,39 @@ def assert_same_record(record, reference):
         got = np.asarray(getattr(record, name), dtype=np.float64)
         want = np.asarray(getattr(reference, name), dtype=np.float64)
         assert got.tobytes() == want.tobytes(), name
+
+
+def reference_confidences(model, images, spec, method):
+    """Target confidences (y, o, d) of each image as the oracle computes
+    them: on the image, on its explanation map and on its anti-explanation
+    map."""
+    c = spec.target_class
+    rows = []
+    for index, x in enumerate(images):
+        stack = model._tap_stack(x[None])
+        h1 = reference_pipeline_heatmap(model, x, stack, spec, _per_image_method(method, index))
+        masked = model._tap_stack(np.stack([explanation_map(x, h1), anti_explanation_map(x, h1)]))
+        rows.append(np.concatenate([_target_scores(model, stack, c),
+                                    _target_scores(model, masked, c)]))
+    return np.array(rows).T
+
+
+@pytest.mark.parametrize("size", [6, 64])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_exported_scores_are_the_record_means_bit_for_bit(arch, size):
+    # seven 64x64 images run as two chunks; the scores see all seven at once
+    model = build_model(arch, num_classes=4, seed=3, in_shape=(3, size, size))
+    images = make_images(7, seed=40 + size, shape=(3, size, size))
+    for method in ("gradcam", "shapleycam-e", CamMethod("randomcam", seed=6)):
+        for kind in UTILITY_KINDS:
+            spec = UtilitySpec(2, kind)
+            record = evaluate_batch(model, images, spec, method)
+            assert record.n_failed == 0
+            y, o, d = reference_confidences(model, images, spec, method)
+            for got, want in ((average_drop(y, o), record.ad),
+                              (increase_confidence(y, o), record.ic),
+                              (average_drop_deletion(y, d), record.add)):
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("size,n", [(6, 4), (64, 2)])
@@ -436,8 +493,7 @@ def test_chunked_batch_matches_oracle():
 
 @pytest.mark.parametrize("heatmap", [
     None,
-    Heatmap(pre_relu=np.zeros(0), post_relu=np.zeros(0), spatial=(0, 0),
-            method="flaky", layer="input"),
+    Heatmap(pre_relu=np.zeros(0), spatial=(0, 0), method="flaky"),
 ], ids=["raises", "no-positions"])
 def test_failing_source_matches_oracle(heatmap):
     model = build_model("mlp-smooth", num_classes=3, seed=1)
