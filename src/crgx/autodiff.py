@@ -239,13 +239,15 @@ def log(x):
 
 def _sigmoid_fw(xv):
     """Overflow-free logistic in float64: with e = e^-|x|, 1/(1+e) for
-    x >= 0 and e/(1+e) below. Both branches divide by the same 1 + e, so
-    picking the numerator first and dividing once gives the bits of
-    `np.where(x >= 0, 1/(1+e), e/(1+e))` in seven array passes, not nine."""
+    x >= 0 and e/(1+e) below. Both branches divide by the same 1 + e, and
+    their numerator is e^min(x, 0) (exactly 1 for x >= 0, exactly e below),
+    so one division gives the bits of `np.where(x >= 0, 1/(1+e), e/(1+e))`
+    with no per-element branch."""
     e = np.abs(xv, out=np.empty_like(xv, dtype=np.float64))
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(xv >= 0, 1.0, e)
+    out = np.minimum(xv, 0.0, out=np.empty_like(e))
+    np.exp(out, out=out)
     e += 1.0
     out /= e
     return out

@@ -9,11 +9,12 @@ estimates of the masked-utility game over tap positions.
 
 Derivatives are closed forms, not tapes: every head is affine in the tap,
 so the gradient is Jᵀ ∇_y u and the curvature term Jᵀ H_y (J·A), with the
-K×K logit-space formulas of `utility.utility_derivatives`. `explain_batch`
-turns N tap stacks into N heatmaps with a few matmuls. The same affinity
-gives the softmax identities their class heatmaps: class k's pre-softmax
-weights are Jᵀe_k, so one back-map of the K×K identity and one assembly
-yield all K of them.
+K×K logit-space formulas of `utility.utility_derivatives`. The same
+affinity gives the softmax identities their class heatmaps: class k's
+pre-softmax weights are Jᵀe_k, so the K×K identity back-maps and
+assembles with the rest. `_heatmap_sets` does all of it for several
+methods and utilities over N tap stacks in a few matmuls; `explain_batch`
+and the identity functions are its one-method case.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .utility import UtilitySpec, softmax_rows, utility_derivatives
+from .utility import (UtilitySpec, _checked_logits, _logit_derivatives, softmax_rows,
+                      utility_derivatives)
 from .zoo import ToyModel
 
 # name -> (weight order, assembly scheme)
@@ -74,7 +76,7 @@ def _as_method(method) -> CamMethod:
     return method if isinstance(method, CamMethod) else CamMethod(method)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class Heatmap:
     """Per-position relevance at the tap layer, before and after the outer
     ReLU. `pre_relu` keeps signs; `post_relu`, derived from it as
@@ -157,27 +159,101 @@ def tap_weights(model: ToyModel, stacks: np.ndarray, spec: UtilitySpec,
     return model.head_transpose(shapley_weights(grad_y, hvp_y))
 
 
+def _utility_kind(method: CamMethod, kind: str) -> str:
+    # the original cam-gap reads the class weight row directly, which is
+    # the pre-softmax gradient at a GAP tap
+    return "pre-softmax" if method.name == "cam-gap" else kind
+
+
+def _heatmap_sets(model: ToyModel, stacks: np.ndarray, target_class: int, methods,
+                  kinds: tuple[str, ...], ensembles: bool = False,
+                  linear: Optional[np.ndarray] = None) -> dict:
+    """Pre-ReLU heatmaps of n tap stacks of `model`, (n, n_maps, d), for
+    several methods and the utility kinds of one target class c:
+    {name: (direct, composed)} in method order, each (n, len(kinds), d).
+
+    The methods share their work: the logits and their softmax are
+    computed once, the logit-space weights once per (utility, order), and
+    the methods of one weight order map all their weight rows back through
+    Jᵀ in one call (cam-gap, whose utility is always pre-softmax, makes its
+    own call), then assemble once each. With `ensembles` those rows
+    also carry the K×K identity, whose back-maps Jᵀe_k are the pre-softmax
+    class weights, so the same assembly yields the class heatmaps E_k, and
+    composed[:, i] is kind i's heatmap from them and the probabilities p:
+    p_c * sum_{k != c} p_k (E_c - E_k) for "post-softmax", E_c plus that
+    sum for "rest". Without `ensembles` composed is None. `linear` is the
+    stacks' J·A when the caller has it."""
+    methods = [_as_method(m) for m in methods]
+    if ensembles:
+        for method in methods:
+            if method.order != "first" or method.scheme not in ("mean", "elementwise"):
+                raise ValueError(f"{method.name}: ensemble identities hold for first-order "
+                                 "mean-broadcast or elementwise methods only")
+    n_classes = model.num_classes
+    c = target_class
+    # randomcam never scores a utility, so the class is checked here for
+    # every method rather than left to the logit kernels
+    if c >= n_classes:
+        raise ValueError(f"target_class {c} out of range for {n_classes} classes")
+    stacks = np.asarray(stacks, dtype=np.float64)
+    n, tail = len(stacks), stacks.shape[1:]
+    reps = len(kinds) + (n_classes if ensembles else 0)
+    maps = (stacks if reps == 1 else
+            np.broadcast_to(stacks[:, None], (n, reps) + tail).reshape((n * reps,) + tail))
+    layouts: dict = {}  # (order, utility of each kind) -> methods; None for randomcam
+    for method in methods:
+        key = None if method.order is None else (
+            method.order, tuple(_utility_kind(method, k) for k in kinds))
+        layouts.setdefault(key, []).append(method)
+    if any(key is not None for key in layouts):
+        if linear is None:
+            linear = model.head_linear(stacks)
+        # non-finite logits are rejected before the softmax sees them
+        logits = _checked_logits(linear + model.head_bias, UtilitySpec(c, kinds[0]))
+        p = softmax_rows(logits)
+    vectors: dict = {}  # (utility, order) -> (n, K) logit-space weights
+    heat = {}
+    for key, group in layouts.items():
+        weights = None
+        if key is not None:
+            order, utilities = key
+            for u in utilities:
+                if (u, order) not in vectors:
+                    derivatives = _logit_derivatives(logits, p, UtilitySpec(c, u),
+                                                     linear if order == "second" else None)
+                    vectors[u, order] = shapley_weights(*derivatives)
+            rows = np.stack([vectors[u, order] for u in utilities], axis=1)
+            if ensembles:
+                rows = np.concatenate(
+                    [rows, np.broadcast_to(np.eye(n_classes), (n, n_classes, n_classes))], axis=1)
+            weights = model.head_transpose(rows.reshape(n * reps, n_classes))
+        for method in group:
+            heat[method.name] = _assemble(weights, maps, method).reshape(n, reps, -1)
+    if not ensembles:
+        return {method.name: (heat[method.name], None) for method in methods}
+    post = np.array([kind == "post-softmax" for kind in kinds])[:, None]
+    sets = {}
+    for method in methods:
+        direct, per_class = heat[method.name][:, :len(kinds)], heat[method.name][:, len(kinds):]
+        # start + sum_{k != c} p_k (E_c - E_k), added in class order
+        composed = np.where(post, 0.0, per_class[:, c, None])
+        for k in range(n_classes):
+            if k != c:
+                composed += p[:, k, None, None] * (per_class[:, c] - per_class[:, k])[:, None]
+        sets[method.name] = (direct, np.where(post, p[:, c, None, None] * composed, composed))
+    return sets
+
+
 def explain_batch(model: ToyModel, stacks: np.ndarray, spec: UtilitySpec, method) -> list:
     """N heatmaps from N tap stacks of `model`, (n, n_maps, d), as from
     `model._tap_stack(images)`: closed-form weights for the whole batch,
     then one assembly. randomcam uses the same draw on every stack."""
     method = _as_method(method)
-    # randomcam never scores a utility, so the class is checked here for
-    # every method rather than left to the logit kernels
-    if spec.target_class >= model.num_classes:
-        raise ValueError(f"target_class {spec.target_class} out of range "
-                         f"for {model.num_classes} classes")
-    if method.name == "cam-gap":
-        # the original formulation reads the class weight row directly,
-        # which is the pre-softmax gradient at a GAP tap
-        spec = replace(spec, kind="pre-softmax")
-    stacks = np.asarray(stacks, dtype=np.float64)
-    weights = None
-    if method.scheme != "random":
-        weights = tap_weights(model, stacks, spec, method.order)
+    direct, _ = _heatmap_sets(model, stacks, spec.target_class, (method,),
+                              (spec.kind,))[method.name]
     return [Heatmap(pre_relu=p, spatial=model.tap_spatial(), method=method.name,
-                    target_class=spec.target_class, utility=spec.kind)
-            for p in _assemble(weights, stacks, method)]
+                    target_class=spec.target_class, utility=_utility_kind(method, spec.kind))
+            for p in direct[:, 0]]
 
 
 def explain(model: ToyModel, image: np.ndarray, spec: UtilitySpec, method) -> Heatmap:
@@ -191,42 +267,18 @@ def explain(model: ToyModel, image: np.ndarray, spec: UtilitySpec, method) -> He
 def _ensemble_pairs(model: ToyModel, image: np.ndarray, c: int, method,
                     kinds: tuple[str, ...]) -> list[tuple[Heatmap, Heatmap]]:
     """For each utility kind in `kinds`, the heatmap of class c and its
-    composition from the class probabilities p and the pre-softmax class
-    heatmaps E_k, (K, d): the ensemble p_c * sum_{k != c} p_k (E_c - E_k)
-    for "post-softmax", E_c plus that sum for "rest". The kinds share one
-    tap stack, one softmax, and one back-map Jᵀ of the identity with one
-    assembly. The direct heatmaps go first: their utility rejects
-    non-finite logits before the softmax sees them."""
+    composition from the class probabilities and the pre-softmax class
+    heatmaps (see `_heatmap_sets`), from one tap stack."""
     method = _as_method(method)
-    if method.order != "first" or method.scheme not in ("mean", "elementwise"):
-        raise ValueError(f"{method.name}: ensemble identities hold for first-order "
-                         "mean-broadcast or elementwise methods only")
-    n_classes = model.num_classes
-    if c >= n_classes:
-        raise ValueError(f"target_class {c} out of range")
     stack = model._tap_stack(np.asarray(image, dtype=np.float64)[None])
-    directs = [explain_batch(model, stack, UtilitySpec(c, kind), method)[0] for kind in kinds]
-    p = softmax_rows(model.head_batch(stack))[0]
-    per_class = _assemble(model.head_transpose(np.eye(n_classes)),
-                          np.broadcast_to(stack, (n_classes,) + stack.shape[1:]), method)
+    direct, composed = _heatmap_sets(model, stack, c, (method,), kinds,
+                                     ensembles=True)[method.name]
     pairs = []
-    for kind, direct in zip(kinds, directs):
-        if kind == "post-softmax":
-            pre = p[c] * _add_correction(np.zeros_like(per_class[c]), p, per_class, c)
-        else:
-            pre = _add_correction(per_class[c], p, per_class, c)
-        pairs.append((direct, replace(direct, pre_relu=pre)))
+    for i, kind in enumerate(kinds):
+        hm = Heatmap(pre_relu=direct[0, i], spatial=model.tap_spatial(), method=method.name,
+                     target_class=c, utility=_utility_kind(method, kind))
+        pairs.append((hm, replace(hm, pre_relu=composed[0, i])))
     return pairs
-
-
-def _add_correction(start: np.ndarray, p: np.ndarray, per_class: np.ndarray,
-                    c: int) -> np.ndarray:
-    """start + sum_{k != c} p_k (E_c - E_k), added in class order."""
-    acc = start.copy()
-    for k in range(len(p)):
-        if k != c:
-            acc += p[k] * (per_class[c] - per_class[k])
-    return acc
 
 
 def theorem3_ensemble(model: ToyModel, image: np.ndarray, spec: UtilitySpec,

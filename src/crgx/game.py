@@ -36,7 +36,7 @@ AXIOM_TOL = 1e-9  # relative tolerance of every axiom_suite check
 # permutation stream words x lanes PCG64 outputs.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class ShapleyVector:
     """Per-player attribution plus how it was obtained."""
 

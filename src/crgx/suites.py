@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .cam import _ensemble_pairs, explain
+from .cam import _heatmap_sets, explain
 from .game import (
     AXIOM_TOL,
     CooperativeGame,
@@ -282,6 +282,7 @@ def hvp_suite(seed: int = 77, graphs: int = 100) -> dict:
 THEOREM_ARCHS = ("cnn-smooth", "mlp-smooth")
 THEOREM_CLASSES = (2, 3, 5)
 THEOREM_METHODS = ("gradcam", "hirescam")
+COLLAPSE_METHODS = ("gradcam", "hirescam", "shapleycam", "shapleycam-h")
 PROBE_CONFIG = {"arch": "cnn-smooth", "classes": 2, "model_seed": 110,
                 "image_seed": 0, "scale": 50.0}
 
@@ -296,6 +297,15 @@ def _probe_model():
     return model, image
 
 
+def _class_heatmaps(model, image: np.ndarray, methods, kinds, ensembles: bool = False):
+    """The image's argmax class, from the logits of its one tap stack, and
+    the `_heatmap_sets` of that class on the same stack."""
+    stack = model._tap_stack(image[None])
+    linear = model.head_linear(stack)
+    c = int(np.argmax(linear[0] + model.head_bias))
+    return c, _heatmap_sets(model, stack, c, methods, kinds, ensembles, linear)
+
+
 def theorem_suite(seeds: int = 5) -> dict:
     """Ensemble and residual-decomposition identities over the full model
     matrix, the saturated-softmax probe, and the degenerate-collapse
@@ -308,21 +318,20 @@ def theorem_suite(seeds: int = 5) -> dict:
     ens_worst = 0.0
     rest_worst = 0.0
     n_cases = 0
+    # every case takes build_model's default (3, 6, 6) input, so a seed's
+    # image is the same for every arch and class count
+    images = [np.random.default_rng(1000 + s).uniform(0.0, 1.0, (3, 6, 6))
+              for s in range(seeds)]
     for arch in THEOREM_ARCHS:
         for n_classes in THEOREM_CLASSES:
-            for s in range(seeds):
+            for s, image in enumerate(images):
                 model = build_model(arch, num_classes=n_classes, seed=s)
-                image = np.random.default_rng(1000 + s).uniform(0.0, 1.0, model.in_shape)
-                c = int(np.argmax(model.forward(image)))
-                for method in THEOREM_METHODS:
-                    # the ensemble and rest identities of one case share
-                    # their tap stack, softmax and class heatmaps
-                    (direct, ensemble), (rest_direct, composed) = _ensemble_pairs(
-                        model, image, c, method, ("post-softmax", "rest"))
-                    ens_worst = max(ens_worst, float(np.max(np.abs(
-                        direct.pre_relu - ensemble.pre_relu))))
-                    rest_worst = max(rest_worst, float(np.max(np.abs(
-                        rest_direct.pre_relu - composed.pre_relu))))
+                _, sets = _class_heatmaps(model, image, THEOREM_METHODS,
+                                          ("post-softmax", "rest"), ensembles=True)
+                for direct, composed in sets.values():
+                    ens_err, rest_err = np.max(np.abs(direct[0] - composed[0]), axis=1)
+                    ens_worst = max(ens_worst, float(ens_err))
+                    rest_worst = max(rest_worst, float(rest_err))
                     n_cases += 1
     report["ensemble"] = {"n_cases": int(n_cases), "worst_err": float(ens_worst),
                           "tol": 1e-8, "pass": bool(ens_worst <= 1e-8)}
@@ -330,18 +339,18 @@ def theorem_suite(seeds: int = 5) -> dict:
                       "tol": 1e-8, "pass": bool(rest_worst <= 1e-8)}
 
     model, image = _probe_model()
-    c = int(np.argmax(model.forward(image)))
-    (direct, ensemble), (rest_direct, composed) = _ensemble_pairs(
-        model, image, c, "gradcam", ("post-softmax", "rest"))
-    direct_norm = float(np.max(np.abs(direct.pre_relu)))
-    rest_norm = float(np.max(np.abs(rest_direct.pre_relu)))
+    c, sets = _class_heatmaps(model, image, ("gradcam",), ("post-softmax", "rest"),
+                              ensembles=True)
+    direct, composed = sets["gradcam"]
+    direct_norm, rest_norm = np.max(np.abs(direct[0]), axis=1)
+    ensemble_err, rest_err = np.max(np.abs(direct[0] - composed[0]), axis=1)
     probe = dict(PROBE_CONFIG)
     probe.update({
         "target_class": c,
-        "direct_norm": direct_norm,
-        "rest_norm": rest_norm,
-        "ensemble_err": float(np.max(np.abs(direct.pre_relu - ensemble.pre_relu))),
-        "rest_err": float(np.max(np.abs(rest_direct.pre_relu - composed.pre_relu))),
+        "direct_norm": float(direct_norm),
+        "rest_norm": float(rest_norm),
+        "ensemble_err": float(ensemble_err),
+        "rest_err": float(rest_err),
         "pass": bool(direct_norm < 1e-8 and rest_norm > 1e-3),
     })
     probe["pass"] = bool(probe["pass"] and probe["ensemble_err"] <= 1e-8
@@ -354,17 +363,12 @@ def theorem_suite(seeds: int = 5) -> dict:
     for s in range(seeds):
         model = build_model("cnn-relu", num_classes=3, seed=s)
         image = np.random.default_rng(3000 + s).uniform(0.0, 1.0, model.in_shape)
-        spec = UtilitySpec(int(np.argmax(model.forward(image))), "pre-softmax")
-        gradcam = explain(model, image, spec, "gradcam")
-        hirescam = explain(model, image, spec, "hirescam")
-        shapleycam = explain(model, image, spec, "shapleycam")
-        shapleycam_h = explain(model, image, spec, "shapleycam-h")
-        mean_exact = mean_exact and bool(
-            np.array_equal(gradcam.pre_relu, shapleycam.pre_relu))
-        elementwise_exact = elementwise_exact and bool(
-            np.array_equal(hirescam.pre_relu, shapleycam_h.pre_relu))
-        gap_worst = max(gap_worst, float(np.max(np.abs(
-            gradcam.pre_relu - hirescam.pre_relu))))
+        _, sets = _class_heatmaps(model, image, COLLAPSE_METHODS, ("pre-softmax",))
+        gradcam, hirescam, shapleycam, shapleycam_h = (
+            sets[name][0][0, 0] for name in COLLAPSE_METHODS)
+        mean_exact = mean_exact and bool(np.array_equal(gradcam, shapleycam))
+        elementwise_exact = elementwise_exact and bool(np.array_equal(hirescam, shapleycam_h))
+        gap_worst = max(gap_worst, float(np.max(np.abs(gradcam - hirescam))))
     report["collapse"] = {
         "n_seeds": int(seeds),
         "mean_scheme_exact": bool(mean_exact),

@@ -123,11 +123,17 @@ def utility_derivatives(logits, spec: UtilitySpec, v=None):
     post-softmax  ∇ = p_c r,          H v = p_c (r (r·v) - F v), r = e_c - p
     """
     logits = _checked_logits(logits, spec)
+    p = None if spec.kind == "pre-softmax" else softmax_rows(logits)
+    return _logit_derivatives(logits, p, spec, v)
+
+
+def _logit_derivatives(logits: np.ndarray, p, spec: UtilitySpec, v=None):
+    """`utility_derivatives` of checked logits whose softmax p the caller
+    already has (p may be None for pre-softmax)."""
     onehot = np.zeros_like(logits)
     onehot[:, spec.target_class] = 1.0
     if spec.kind == "pre-softmax":
         return onehot, None if v is None else np.zeros_like(logits)
-    p = softmax_rows(logits)
     r = onehot - p
     if spec.kind == "post-softmax":
         p_c = p[:, spec.target_class, None]

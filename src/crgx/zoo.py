@@ -40,7 +40,7 @@ def _chunk_rows(cells_per_row: int) -> int:
     return max(1, _BATCH_CELLS // cells_per_row)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class ActivationStack:
     """Tap-layer output as maps: one row per map, one column per position."""
 
@@ -99,7 +99,7 @@ def _tensor_specs(arch: str, num_classes: int, in_shape: tuple[int, int, int]):
     raise ValueError(f"unknown architecture {arch!r}; expected one of {ARCHS}")
 
 
-@dataclass
+@dataclass(eq=False)  # holds arrays: equal and hashed by identity
 class ToyModel:
     """A tiny classifier with a designated tap layer."""
 
@@ -125,15 +125,19 @@ class ToyModel:
         if self.arch in ("cnn-relu", "cnn-smooth"):
             # valid cross-correlation as im2col: rows ordered (channel,
             # kernel row, kernel col) like conv_w, one column per position;
-            # the columns of at most _BATCH_CELLS cells are built at a time
+            # the columns of at most _BATCH_CELLS cells are copied at a time
+            # into one reused buffer
             w = self.weights["conv_w"]
             kernel = w.reshape(len(w), -1)
             h, wd = self.tap_spatial()
             out = np.empty((n, len(w), h * wd))
             step = _chunk_rows(kernel.shape[1] * h * wd)
+            windows = sliding_window_view(images, w.shape[2:], axis=(2, 3))
+            windows = windows.transpose(0, 1, 4, 5, 2, 3)
+            buffer = np.empty((min(step, n),) + windows.shape[1:])
             for start in range(0, n, step):
-                windows = sliding_window_view(images[start:start + step], w.shape[2:], axis=(2, 3))
-                cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
+                cols = buffer[:min(step, n - start)]
+                np.copyto(cols, windows[start:start + step])
                 z = np.matmul(kernel, cols.reshape(len(cols), kernel.shape[1], -1),
                               out=out[start:start + step])
                 z += self.weights["conv_b"].reshape(-1, 1)

@@ -14,7 +14,9 @@ from crgx.cam import (
     Heatmap,
     _as_method,
     _assemble,
+    _heatmap_sets,
     explain,
+    explain_batch,
     rest_decomposition,
     shapley_weights,
     theorem3_ensemble,
@@ -517,6 +519,37 @@ def test_shared_ensemble_inputs_give_both_identities_bit_for_bit(arch, method):
                 assert hm.pre_relu.tobytes() == hm_ref.pre_relu.tobytes()
                 assert (hm.method, hm.target_class, hm.utility) == (
                     hm_ref.method, hm_ref.target_class, hm_ref.utility)
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("num_classes", [2, 3, 5])
+def test_heatmap_sets_equal_the_single_method_functions_bit_for_bit(arch, num_classes):
+    # one call for every method and utility shares logits, weights and
+    # back-maps; each of its heatmaps must be the one-method call's
+    model = build_model(arch, num_classes=num_classes, seed=31)
+    images = np.stack([make_image(3031), make_image(3032)])
+    stacks = model._tap_stack(images)
+    methods = [CamMethod(name, seed=6) if name == "randomcam" else CamMethod(name)
+               for name in CAM_METHODS]
+    ensemble_methods = ("cam-gap", "gradcam", "hirescam")
+    for c in range(num_classes):
+        sets = _heatmap_sets(model, stacks, c, methods, UTILITY_KINDS)
+        for method in methods:
+            direct, composed = sets[method.name]
+            assert composed is None
+            for i, kind in enumerate(UTILITY_KINDS):
+                single = explain_batch(model, stacks, UtilitySpec(c, kind), method)
+                for row, hm in zip(direct[:, i], single):
+                    assert row.tobytes() == hm.pre_relu.tobytes()
+        sets = _heatmap_sets(model, stacks[:1], c, ensemble_methods,
+                             ("post-softmax", "rest"), ensembles=True)
+        for name in ensemble_methods:
+            direct, composed = sets[name]
+            pairs = [theorem3_ensemble(model, images[0], UtilitySpec(c, "post-softmax"), name),
+                     rest_decomposition(model, images[0], c, name)]
+            for i, pair in enumerate(pairs):
+                assert direct[0, i].tobytes() == pair[0].pre_relu.tobytes()
+                assert composed[0, i].tobytes() == pair[1].pre_relu.tobytes()
 
 
 def scaled_probe_model():

@@ -1,5 +1,6 @@
 """Normalization, upsampling, colormap overlay, and PPM/PGM round-trips."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -8,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crgx import postprocess as pp
+from crgx.cam import Heatmap
+from crgx.game import ShapleyVector
 from crgx.imgio import Image, encode_image_bytes, parse_image_bytes, read_image, write_image
+from crgx.zoo import ActivationStack, build_model
 
 
 # ------------------------------------------------------------- normalization
@@ -312,3 +316,26 @@ def test_image_validation():
         Image(np.full((1, 2, 2), 1.5))
     with pytest.raises(ValueError, match="finite"):
         Image(np.full((1, 2, 2), np.nan))
+
+
+ARRAY_RECORDS = {
+    "Heatmap": lambda: Heatmap(pre_relu=np.array([1.0, -2.0]), spatial=(1, 2), method="gradcam"),
+    "ActivationStack": lambda: ActivationStack(maps=np.ones((2, 4)), spatial=(2, 2)),
+    "ToyModel": lambda: build_model("cnn-relu", num_classes=3, seed=0),
+    "ShapleyVector": lambda: ShapleyVector(values=np.array([0.5, 0.5]), method="exact"),
+    "Image": lambda: Image(np.full((1, 2, 2), 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_RECORDS))
+def test_array_records_compare_and_hash_by_identity(name):
+    # a generated __eq__ compares the arrays inside a tuple compare and
+    # raises on their ambiguous truth value; these records go by identity
+    record = ARRAY_RECORDS[name]()
+    copy = dataclasses.replace(record)
+    assert type(copy) is type(record)
+    assert record == record
+    assert (record == copy) is False
+    assert record != copy
+    assert hash(record) == hash(record)
+    assert len({record, copy, record}) == 2

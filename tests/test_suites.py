@@ -1,10 +1,16 @@
 import json
 
+import numpy as np
 import pytest
 
+from crgx.cam import _ensemble_pairs, explain
 from crgx.game import AXIOM_TOL, axiom_suite, shapley_exact
 from crgx.suites import (
     PROBE_CONFIG,
+    THEOREM_ARCHS,
+    THEOREM_CLASSES,
+    THEOREM_METHODS,
+    _probe_model,
     _random_table_game,
     axiom_check,
     hvp_suite,
@@ -15,6 +21,8 @@ from crgx.suites import (
     spatial_check,
     theorem_suite,
 )
+from crgx.utility import UtilitySpec
+from crgx.zoo import build_model
 
 
 def test_axiom_check_passes_and_sees_planted_structure():
@@ -107,6 +115,77 @@ def test_theorem_suite_sections():
     assert collapse["mean_scheme_exact"] is True
     assert collapse["elementwise_scheme_exact"] is True
     assert collapse["gap_tap_err"] <= 1e-12
+
+
+def theorem_suite_oracle(seeds):
+    """theorem_suite as a loop of per-method calls: each case draws its own
+    image, runs forward for its class and the ensemble pairs of each method,
+    and the collapse section runs explain once per heatmap."""
+    report = {
+        "suite": "theorem-check", "seeds": int(seeds), "archs": list(THEOREM_ARCHS),
+        "classes": list(THEOREM_CLASSES), "methods": list(THEOREM_METHODS),
+    }
+    ens_worst, rest_worst, n_cases = 0.0, 0.0, 0
+    for arch in THEOREM_ARCHS:
+        for n_classes in THEOREM_CLASSES:
+            for s in range(seeds):
+                model = build_model(arch, num_classes=n_classes, seed=s)
+                image = np.random.default_rng(1000 + s).uniform(0.0, 1.0, model.in_shape)
+                c = int(np.argmax(model.forward(image)))
+                for method in THEOREM_METHODS:
+                    (direct, ensemble), (rest_direct, composed) = _ensemble_pairs(
+                        model, image, c, method, ("post-softmax", "rest"))
+                    ens_worst = max(ens_worst, float(np.max(np.abs(
+                        direct.pre_relu - ensemble.pre_relu))))
+                    rest_worst = max(rest_worst, float(np.max(np.abs(
+                        rest_direct.pre_relu - composed.pre_relu))))
+                    n_cases += 1
+    report["ensemble"] = {"n_cases": n_cases, "worst_err": ens_worst,
+                          "tol": 1e-8, "pass": ens_worst <= 1e-8}
+    report["rest"] = {"n_cases": n_cases, "worst_err": rest_worst,
+                      "tol": 1e-8, "pass": rest_worst <= 1e-8}
+
+    model, image = _probe_model()
+    c = int(np.argmax(model.forward(image)))
+    (direct, ensemble), (rest_direct, composed) = _ensemble_pairs(
+        model, image, c, "gradcam", ("post-softmax", "rest"))
+    probe = dict(PROBE_CONFIG)
+    probe.update({
+        "target_class": c,
+        "direct_norm": float(np.max(np.abs(direct.pre_relu))),
+        "rest_norm": float(np.max(np.abs(rest_direct.pre_relu))),
+        "ensemble_err": float(np.max(np.abs(direct.pre_relu - ensemble.pre_relu))),
+        "rest_err": float(np.max(np.abs(rest_direct.pre_relu - composed.pre_relu))),
+    })
+    probe["pass"] = bool(probe["direct_norm"] < 1e-8 and probe["rest_norm"] > 1e-3
+                         and probe["ensemble_err"] <= 1e-8 and probe["rest_err"] <= 1e-8)
+    report["probe"] = probe
+
+    mean_exact, elementwise_exact, gap_worst = True, True, 0.0
+    for s in range(seeds):
+        model = build_model("cnn-relu", num_classes=3, seed=s)
+        image = np.random.default_rng(3000 + s).uniform(0.0, 1.0, model.in_shape)
+        spec = UtilitySpec(int(np.argmax(model.forward(image))), "pre-softmax")
+        gradcam, hirescam, shapleycam, shapleycam_h = (
+            explain(model, image, spec, name).pre_relu
+            for name in ("gradcam", "hirescam", "shapleycam", "shapleycam-h"))
+        mean_exact = mean_exact and bool(np.array_equal(gradcam, shapleycam))
+        elementwise_exact = elementwise_exact and bool(np.array_equal(hirescam, shapleycam_h))
+        gap_worst = max(gap_worst, float(np.max(np.abs(gradcam - hirescam))))
+    report["collapse"] = {
+        "n_seeds": int(seeds), "mean_scheme_exact": mean_exact,
+        "elementwise_scheme_exact": elementwise_exact,
+        "gap_tap_err": gap_worst, "gap_tap_tol": 1e-12,
+        "pass": mean_exact and elementwise_exact and gap_worst <= 1e-12,
+    }
+    report["pass"] = all(report[k]["pass"] for k in ("ensemble", "rest", "probe", "collapse"))
+    return report
+
+
+@pytest.mark.parametrize("seeds", [1, 2, 5])
+def test_theorem_suite_equals_the_per_method_loop(seeds):
+    assert (json.dumps(theorem_suite(seeds), sort_keys=True)
+            == json.dumps(theorem_suite_oracle(seeds), sort_keys=True))
 
 
 def test_suite_reports_are_reproducible_and_serializable():
