@@ -24,8 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .utility import (UtilitySpec, _checked_logits, _logit_derivatives, softmax_rows,
-                      utility_derivatives)
+from .utility import UtilitySpec, _checked_logits, softmax_rows, utility_derivatives
 from .zoo import ToyModel
 
 # name -> (weight order, assembly scheme)
@@ -144,21 +143,6 @@ def _assemble(weights: Optional[np.ndarray], maps: np.ndarray, method: CamMethod
     return np.matmul(coeff[:, None, :], maps)[:, 0]
 
 
-def tap_weights(model: ToyModel, stacks: np.ndarray, spec: UtilitySpec,
-                order: str = "first") -> np.ndarray:
-    """Per-position weights of n tap stacks in closed form, (n, n_maps, d).
-
-    The head is affine in the tap, y = J·A + b, so the utility's gradient
-    at the tap is Jᵀ ∇_y u, and its Hessian applied to the stack is
-    Jᵀ H_y (J·A). Second order gives W = Jᵀ (∇_y u - H_y (J·A) / 2): one
-    K-vector per image in logit space, mapped back once. No tape is built.
-    """
-    linear = model.head_linear(stacks)
-    grad_y, hvp_y = utility_derivatives(linear + model.head_bias, spec,
-                                        linear if order == "second" else None)
-    return model.head_transpose(shapley_weights(grad_y, hvp_y))
-
-
 def _utility_kind(method: CamMethod, kind: str) -> str:
     # the original cam-gap reads the class weight row directly, which is
     # the pre-softmax gradient at a GAP tap
@@ -219,9 +203,8 @@ def _heatmap_sets(model: ToyModel, stacks: np.ndarray, target_class: int, method
             order, utilities = key
             for u in utilities:
                 if (u, order) not in vectors:
-                    derivatives = _logit_derivatives(logits, p, UtilitySpec(c, u),
-                                                     linear if order == "second" else None)
-                    vectors[u, order] = shapley_weights(*derivatives)
+                    vectors[u, order] = shapley_weights(*utility_derivatives(
+                        logits, p, UtilitySpec(c, u), linear if order == "second" else None))
             rows = np.stack([vectors[u, order] for u in utilities], axis=1)
             if ensembles:
                 rows = np.concatenate(

@@ -26,38 +26,22 @@ from .utility import UTILITY_KINDS, UtilitySpec
 from .zoo import ARCHS, TAP_LAYER, build_model
 
 
-def _encode(value, indent: str) -> str:
-    """`json.dumps(value, indent=2, sort_keys=True)` at nesting `indent`,
-    for str-keyed reports, with a 1-D float64 array written as the list
-    `value.tolist()` would be. With an indent, json runs its pure-Python
-    encoder, so such an array's elements get their text from
-    `_floatrepr.float_texts` in one call and are indented here."""
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        brackets = "{}"
-        items = [f"{json.dumps(key)}: {_encode(value[key], inner)}" for key in sorted(value)]
-    elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
-        if not value.size:
-            return "[]"
-        brackets = "[]"
-        items = float_texts(value)
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        brackets = "[]"
-        items = [_encode(v, inner) for v in value]
-    else:
-        return json.dumps(value)
-    body = (",\n" + inner).join(items)
-    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
-
-
-def _report_text(report: dict) -> str:
-    """The report as `json.dumps(report, indent=2, sort_keys=True)` writes
-    it, plus a newline."""
-    return _encode(report, "") + "\n"
+def _report_text(report) -> str:
+    """`json.dumps(report, indent=2, sort_keys=True)` plus a newline, with
+    a top-level 1-D float64 array written as its list would be: json
+    writes a placeholder string in its place, which holds NUL and so is no
+    report string, and the list's text replaces it, its elements from
+    `_floatrepr.float_texts` in one call."""
+    arrays = {}
+    if isinstance(report, dict):
+        arrays = {key: value for key, value in report.items() if isinstance(value, np.ndarray)
+                  and value.ndim == 1 and value.dtype == np.float64}
+        report = {**report, **{key: f"\0{key}\0" for key in arrays}}
+    text = json.dumps(report, indent=2, sort_keys=True)
+    for key, values in arrays.items():
+        listed = "[\n    " + ",\n    ".join(float_texts(values)) + "\n  ]" if values.size else "[]"
+        text = text.replace(json.dumps(f"\0{key}\0"), listed, 1)
+    return text + "\n"
 
 
 def _emit_report(report: dict, path) -> None:
@@ -70,9 +54,14 @@ def _emit_report(report: dict, path) -> None:
 
 def positive_int(text: str) -> int:
     """argparse type of a count flag: 0 or less is a usage error."""
+    return non_negative_int(text, floor=1)
+
+
+def non_negative_int(text: str, floor: int = 0) -> int:
+    """argparse type of a seed or class flag: below `floor` is a usage error."""
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < floor:
+        raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
     return value
 
 
@@ -151,11 +140,9 @@ def _cmd_evaluate(parser: argparse.ArgumentParser, args) -> int:
     report = record.to_report()
     _emit_report(report, args.report)
     if args.csv is not None:
-        keys = ("method", "utility", "arch", "n_images",
-                "ad", "coherency", "complexity", "adcc", "ic", "add")
-        row = [str(report[k]) if k in ("method", "utility", "arch", "n_images")
-               else f"{report[k]:.4f}" for k in keys]
-        Path(args.csv).write_text(",".join(keys) + "\n" + ",".join(row) + "\n")
+        columns = {k: v for k, v in report.items() if k != "n_failed"}
+        row = [f"{v:.4f}" if isinstance(v, float) else str(v) for v in columns.values()]
+        Path(args.csv).write_text(",".join(columns) + "\n" + ",".join(row) + "\n")
     for index, reason in record.skipped:
         sys.stderr.write(f"skipped {paths[index]}: {reason}\n")
     return 0
@@ -188,9 +175,9 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--arch", default="cnn-smooth", choices=ARCHS)
     sub.add_argument("--classes", type=int, default=3,
                      help="number of output classes (default 3)")
-    sub.add_argument("--seed", type=int, default=0,
+    sub.add_argument("--seed", type=non_negative_int, default=0,
                      help="model weight seed (default 0)")
-    sub.add_argument("--method-seed", type=int, default=None,
+    sub.add_argument("--method-seed", type=non_negative_int, default=None,
                      help="map-coefficient seed, required for randomcam")
 
 
@@ -205,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explain", help="write heatmap, overlay, and JSON sidecar for one image")
     explain_cmd.add_argument("--image", required=True, help="PPM/PGM input file")
     _add_model_flags(explain_cmd)
-    explain_cmd.add_argument("--class", dest="target_class", type=int, default=None,
+    explain_cmd.add_argument("--class", dest="target_class", type=non_negative_int,
                              help="target class (default: predicted class)")
     explain_cmd.add_argument("--alpha", type=float, default=0.35,
                              help="overlay blend weight (default 0.35)")
@@ -218,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate_cmd.add_argument("--images", required=True,
                               help="directory of PPM/PGM files")
     _add_model_flags(evaluate_cmd)
-    evaluate_cmd.add_argument("--class", dest="target_class", type=int, default=0,
+    evaluate_cmd.add_argument("--class", dest="target_class", type=non_negative_int, default=0,
                               help="target class for every image (default 0)")
     evaluate_cmd.add_argument("--limit", type=positive_int, default=None,
                               help="use only the first N images")
@@ -230,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     shapley_cmd = commands.add_parser(
         "shapley-verify", help="exact/approximate attribution checks")
-    shapley_cmd.add_argument("--seed", type=int, default=2024)
+    shapley_cmd.add_argument("--seed", type=non_negative_int, default=2024)
     shapley_cmd.add_argument("--mc-seeds", type=positive_int, default=10,
                              help="estimator seeds for the sampling check")
     shapley_cmd.add_argument("--mc-samples", type=positive_int, default=50000,
@@ -240,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     hvp_cmd = commands.add_parser(
         "hvp-check", help="curvature products against finite differences")
-    hvp_cmd.add_argument("--seed", type=int, default=77)
+    hvp_cmd.add_argument("--seed", type=non_negative_int, default=77)
     hvp_cmd.add_argument("--graphs", type=positive_int, default=100)
     hvp_cmd.add_argument("--report", default=None)
     hvp_cmd.set_defaults(handler=_cmd_hvp_check)

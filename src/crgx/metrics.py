@@ -36,11 +36,6 @@ def explanation_map(pixels: np.ndarray, h: np.ndarray) -> np.ndarray:
     return pixels * h[..., None, :, :]
 
 
-def anti_explanation_map(pixels: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Remove the relevant pixels instead: x * (1 - h)."""
-    return explanation_map(pixels, 1.0 - np.asarray(h, dtype=np.float64))
-
-
 def _paired_scores(conf_full, conf_other, positive_full: bool):
     y = np.asarray(conf_full, dtype=np.float64)
     o = np.asarray(conf_other, dtype=np.float64)
@@ -158,18 +153,10 @@ class MetricRecord:
         return len(self.skipped)
 
     def to_report(self) -> dict:
-        report = {
-            "method": self.method,
-            "utility": self.utility,
-            "arch": self.arch,
-            "n_images": self.n_images,
-            "ad": round(self.ad * 100.0, 4),
-            "coherency": round(self.coherency * 100.0, 4),
-            "complexity": round(self.complexity * 100.0, 4),
-            "adcc": round(self.adcc * 100.0, 4),
-            "ic": round(self.ic * 100.0, 4),
-            "add": round(self.add * 100.0, 4),
-        }
+        report = {"method": self.method, "utility": self.utility, "arch": self.arch,
+                  "n_images": self.n_images}
+        for name in ("ad", "coherency", "complexity", "adcc", "ic", "add"):
+            report[name] = round(getattr(self, name) * 100.0, 4)
         if self.n_failed:
             report["n_failed"] = self.n_failed
         return report

@@ -2,11 +2,13 @@
 
 Values come from one numpy kernel, `compute_utility_batch`, which scores
 rows of logits; `compute_utility` is that kernel on a single row.
-`utility_derivatives` gives each utility's logit-space gradient and
-Hessian-vector product in closed form, which is what `cam` differentiates
-with. The taped `utility_node` builds the same formula as a node graph in
-the kernel's op order, so the value a game enumerates and the value the
-suites and the oracle tests differentiate agree bit for bit.
+The post-softmax value is a column of `softmax_rows`, the one softmax
+`cam` shares too. `utility_derivatives` gives each utility's logit-space
+gradient and Hessian-vector product in closed form from the logits and
+that softmax, which is what `cam` differentiates with. The taped
+`utility_node` builds the same formula as a node graph in the kernel's op
+order, so the value a game enumerates and the value the suites and the
+oracle tests differentiate agree bit for bit.
 """
 
 from __future__ import annotations
@@ -93,12 +95,10 @@ def compute_utility_batch(logits, spec: UtilitySpec) -> np.ndarray:
     y = logits[:, c]
     if spec.kind == "pre-softmax":
         return y.copy()
-    m = np.max(logits, axis=1)
-    e = np.exp(logits - m[:, None])
-    total = np.sum(e, axis=1)
     if spec.kind == "post-softmax":
-        return e[:, c] * (1.0 / total)
-    lse = np.log(total) + m
+        return softmax_rows(logits)[:, c]
+    m = np.max(logits, axis=1)
+    lse = np.log(np.sum(np.exp(logits - m[:, None]), axis=1)) + m
     if spec.kind == "log-softmax":
         return y - lse
     return 2.0 * y - lse
@@ -106,30 +106,23 @@ def compute_utility_batch(logits, spec: UtilitySpec) -> np.ndarray:
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax of (n, K) logits: max shift, exp, times the
-    reciprocal of the row sum, the op order of `compute_utility_batch`."""
+    reciprocal of the row sum, the op order of `utility_node`."""
     e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
     return e * (1.0 / np.sum(e, axis=1, keepdims=True))
 
 
-def utility_derivatives(logits, spec: UtilitySpec, v=None):
+def utility_derivatives(logits: np.ndarray, p, spec: UtilitySpec, v=None):
     """Gradient ∇_y u and, given v, Hessian-vector product H_y v of n
-    logit rows in closed form: (n, K) -> (n, K), (n, K) or None.
+    checked logit rows whose `softmax_rows` p the caller already has, in
+    closed form: (n, K) -> (n, K), (n, K) or None.
 
-    With p = softmax(y) and the Fisher product F v = p⊙v - p (p·v):
+    With the Fisher product F v = p⊙v - p (p·v):
 
     pre-softmax   ∇ = e_c,            H v = 0 (exact zeros)
     log-softmax   ∇ = e_c - p,        H v = -F v
     rest          ∇ = 2 e_c - p,      H v = -F v
     post-softmax  ∇ = p_c r,          H v = p_c (r (r·v) - F v), r = e_c - p
     """
-    logits = _checked_logits(logits, spec)
-    p = None if spec.kind == "pre-softmax" else softmax_rows(logits)
-    return _logit_derivatives(logits, p, spec, v)
-
-
-def _logit_derivatives(logits: np.ndarray, p, spec: UtilitySpec, v=None):
-    """`utility_derivatives` of checked logits whose softmax p the caller
-    already has (p may be None for pre-softmax)."""
     onehot = np.zeros_like(logits)
     onehot[:, spec.target_class] = 1.0
     if spec.kind == "pre-softmax":

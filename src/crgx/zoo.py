@@ -15,6 +15,7 @@ gradients and HVPs against it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -34,6 +35,7 @@ _KERNEL = 3
 # columns for this many cells at a time, and the game layer chunks masked
 # activations, coalition flags and permutation prefixes by it.
 _BATCH_CELLS = 1 << 16
+_MAX_WEIGHT_BYTES = 1 << 30  # `build_model` refuses larger models before any draw
 
 
 def _chunk_rows(cells_per_row: int) -> int:
@@ -240,7 +242,8 @@ def build_model(arch: str, num_classes: int, seed: int,
 
     Each tensor draws uniform [-0.5, 0.5] scaled by 1/sqrt(fan_in) from one
     generator in a fixed order, so identical (arch, num_classes, seed,
-    in_shape) always yields bit-identical weights.
+    in_shape) always yields bit-identical weights. Weights of more than
+    `_MAX_WEIGHT_BYTES` (1 GiB) raise `ValueError` before any is drawn.
     """
     in_shape = tuple(int(v) for v in in_shape)
     if num_classes < 2:
@@ -250,6 +253,10 @@ def build_model(arch: str, num_classes: int, seed: int,
     if arch in ("cnn-relu", "cnn-smooth") and (in_shape[1] < _KERNEL or in_shape[2] < _KERNEL):
         raise ValueError(f"{arch} needs at least a {_KERNEL}x{_KERNEL} input, got {in_shape}")
     specs = _tensor_specs(arch, num_classes, in_shape)
+    size = 8 * sum(math.prod(shape) for _, shape, _ in specs)
+    if size > _MAX_WEIGHT_BYTES:
+        raise ValueError(f"{arch} with {num_classes} classes on in_shape {in_shape} needs "
+                         f"{size} bytes of weights, more than the {_MAX_WEIGHT_BYTES} allowed")
     rng = np.random.default_rng(seed)
     weights = {name: _init_tensor(rng, shape, fan_in) for name, shape, fan_in in specs}
     return ToyModel(arch=arch, num_classes=num_classes, seed=seed,

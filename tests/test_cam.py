@@ -23,7 +23,7 @@ from crgx.cam import (
 )
 from crgx.game import make_spatial_game, shapley_exact
 from crgx.utility import (UTILITY_KINDS, UtilitySpec, compute_utility,
-                          compute_utility_batch, utility_derivatives)
+                          compute_utility_batch, softmax_rows, utility_derivatives)
 from crgx.zoo import ARCHS, build_model
 
 
@@ -95,8 +95,8 @@ def test_softmax_shift_invariance(case, t):
     v = np.broadcast_to(np.array(v), logits.shape)
     for kind in UTILITY_KINDS:
         spec = UtilitySpec(c, kind)
-        grad, hvp = utility_derivatives(logits, spec, v)
-        grad_t, hvp_t = utility_derivatives(logits + t, spec, v)
+        grad, hvp = utility_derivatives(logits, softmax_rows(logits), spec, v)
+        grad_t, hvp_t = utility_derivatives(logits + t, softmax_rows(logits + t), spec, v)
         assert rel_err(grad_t, grad) <= 1e-12
         assert rel_err(hvp_t, hvp) <= 1e-12
         moved = t if kind in ("pre-softmax", "rest") else 0.0
@@ -123,13 +123,28 @@ def test_rest_and_ensemble_identities_on_drawn_logits(case):
         for kind in UTILITY_KINDS:
             spec = UtilitySpec(c, kind)
             value[kind] = compute_utility_batch(logits, spec)
-            grad[kind], hvp[kind] = utility_derivatives(logits, spec, v)
+            grad[kind], hvp[kind] = utility_derivatives(logits, softmax_rows(logits), spec, v)
         assert rel_err(value["rest"], value["pre-softmax"] + value["log-softmax"]) <= 1e-12
         assert rel_err(grad["rest"], grad["pre-softmax"] + grad["log-softmax"]) <= 1e-12
         assert rel_err(hvp["rest"], hvp["log-softmax"]) <= 1e-12
         ensemble = sum(p[:, c, None] * p[:, k, None] * (eye[c] - eye[k])
                        for k in range(len(eye)) if k != c)
         assert rel_err(grad["post-softmax"], ensemble) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda k: st.tuples(
+    st.lists(st.lists(st.floats(-800.0, 800.0, allow_nan=False), min_size=k, max_size=k),
+             min_size=1, max_size=4),
+    st.integers(0, k - 1))))
+def test_post_softmax_utility_is_the_softmax_column_bitwise(case):
+    # the utility kernel and the heatmap core share one softmax; spreads
+    # of hundreds saturate it to 0 and 1 up to underflow
+    rows, c = case
+    for logits in (np.array(rows), 30000.0 * np.array(rows)):
+        spec = UtilitySpec(c, "post-softmax")
+        assert (compute_utility_batch(logits, spec).tobytes()
+                == softmax_rows(logits)[:, c].tobytes())
 
 
 def test_utility_spec_validation():
@@ -616,26 +631,25 @@ HEAD_WEIGHT = {"cnn-relu": "fc_w", "cnn-smooth": "fc_w", "mlp-smooth": "fc2_w"}
 @pytest.mark.parametrize("kind", UTILITY_KINDS)
 @pytest.mark.parametrize("arch", ["cnn-relu", "cnn-smooth", "mlp-smooth"])
 def test_closed_form_matches_taped_oracle(arch, kind, num_classes, saturate):
-    from crgx.cam import CAM_METHODS, tap_weights
-
+    # every method at once through the shared core, and each alone through
+    # `explain`, against the taped weights assembled per method
     model = build_model(arch, num_classes=num_classes, seed=num_classes)
     if saturate:
         # softmax saturates: probabilities are 0 or 1 up to underflow
         model.weights[HEAD_WEIGHT[arch]] *= 30000
     image = make_image(40 + num_classes)
+    methods = [CamMethod(name, seed=3 if name == "randomcam" else None) for name in CAM_METHODS]
     for c in range(num_classes):
         spec = UtilitySpec(c, kind)
         activations, grad, second = taped_weights(model, image, spec)
-        stack = activations.maps[None]
-        assert_rel_close(tap_weights(model, stack, spec, "first")[0], grad)
-        assert_rel_close(tap_weights(model, stack, spec, "second")[0], second)
+        sets = _heatmap_sets(model, activations.maps[None], c, methods, (kind,))
         # cam-gap explains the pre-softmax logit whatever the utility
         gap_grad = taped_weights(model, image, UtilitySpec(c, "pre-softmax"))[1]
-        for name in CAM_METHODS:
-            method = CamMethod(name, seed=3 if name == "randomcam" else None)
+        for method in methods:
             weights = {"cam-gap": gap_grad, "randomcam": None}.get(
-                name, second if method.order == "second" else grad)
+                method.name, second if method.order == "second" else grad)
             expected = assemble(weights, activations.maps, method)
+            assert_rel_close(sets[method.name][0][0, 0], expected)
             assert_rel_close(explain(model, image, spec, method).pre_relu, expected)
 
 

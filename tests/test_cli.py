@@ -118,23 +118,48 @@ def test_explain_out_of_range_class_exits_1(tmp_path, capsys, method):
 
 
 def test_explain_unallocatable_class_count_exits_1(tmp_path, capsys):
-    # 2^44 classes need a 512 TiB weight matrix, beyond any 64-bit user
-    # address space, so the allocation is refused before touching memory
+    # 2^44 classes need a 640 TiB head; build_model refuses it
+    # before drawing any weight
     put_image(tmp_path / "a.ppm", 6)
     code = main(["explain", "--image", str(tmp_path / "a.ppm"), "--method", "gradcam",
                  "--classes", str(2**44), "--out-dir", str(tmp_path / "out")])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: Unable to allocate 512. TiB")
+    assert capsys.readouterr().err == (
+        "error: cnn-smooth with 17592186044416 classes on in_shape (3, 6, 6) needs "
+        "703687441777536 bytes of weights, more than the 1073741824 allowed\n")
     assert not (tmp_path / "out").exists()
 
 
-def test_negative_randomcam_seed_exits_1(tmp_path, capsys):
-    for i in range(3):
-        put_image(tmp_path / f"{i}.ppm", i)
-    code = main(["evaluate", "--images", str(tmp_path), "--method", "randomcam",
-                 "--method-seed", "-1"])
+def test_evaluate_oversized_model_exits_1(tmp_path, capsys):
+    put_image(tmp_path / "a.ppm", 6)
+    code = main(["evaluate", "--images", str(tmp_path), "--method", "gradcam",
+                 "--arch", "mlp-smooth", "--classes", str(2**40)])
     assert code == 1
-    assert capsys.readouterr().err == "error: randomcam seed must be non-negative, got -1\n"
+    assert capsys.readouterr().err.startswith("error: mlp-smooth with 1099511627776 classes")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("explain", "--seed"), ("explain", "--method-seed"), ("explain", "--class"),
+    ("evaluate", "--seed"), ("evaluate", "--method-seed"), ("evaluate", "--class"),
+    ("shapley-verify", "--seed"), ("hvp-check", "--seed"),
+], ids=lambda v: v.lstrip("-"))
+def test_negative_seed_or_class_exits_2(tmp_path, monkeypatch, capsys, command, flag):
+    # the flag is named, before any file is read or any suite runs
+    from crgx import cli
+
+    put_image(tmp_path / "0.ppm", 0)
+    reads = []
+    monkeypatch.setattr(cli, "read_image", reads.append)
+    for suite in ("shapley_suite", "hvp_suite"):
+        monkeypatch.setattr(cli, suite, lambda **kwargs: reads.append(kwargs))
+    method = ["--method", "randomcam" if flag == "--method-seed" else "gradcam"]
+    argv = {"explain": ["explain", "--image", str(tmp_path / "0.ppm")] + method,
+            "evaluate": ["evaluate", "--images", str(tmp_path)] + method}.get(command, [command])
+    with pytest.raises(SystemExit) as err:
+        main(argv + [flag, "-1"])
+    assert err.value.code == 2
+    assert f"argument {flag}: must be at least 0, got -1" in capsys.readouterr().err
+    assert reads == []
 
 
 def test_explain_bad_alpha_writes_nothing(tmp_path, capsys):
@@ -210,6 +235,25 @@ def test_evaluate_report_and_csv(tmp_path):
     assert cells[0] == "gradcam"
     assert float(cells[4]) == report["ad"]
     assert float(cells[7]) == report["adcc"]
+
+
+def test_csv_columns_are_the_report_keys_without_n_failed(tmp_path):
+    from crgx.metrics import evaluate_batch
+    from crgx.utility import UtilitySpec
+
+    for i, (name, size) in enumerate((("a", 8), ("b", 8), ("c", 6))):
+        put_image(tmp_path / f"{name}.ppm", i, (3, size, size))
+    images = [read_image(tmp_path / f"{name}.ppm") for name in "abc"]
+    csv_path = tmp_path / "out.csv"
+    assert main(["evaluate", "--images", str(tmp_path), "--method", "gradcam",
+                 "--report", str(tmp_path / "out.json"), "--csv", str(csv_path)]) == 0
+    report = evaluate_batch(build_model("cnn-smooth", 3, 0, (3, 8, 8)), images,
+                            UtilitySpec(0, "rest"), "gradcam").to_report()
+    assert report["n_failed"] == 1
+    header, row = csv_path.read_text().splitlines()
+    assert header.split(",") == [k for k in report if k != "n_failed"]
+    assert row.split(",")[:4] == ["gradcam", "rest", "cnn-smooth", "2"]
+    assert row.split(",")[4:] == [f"{report[k]:.4f}" for k in header.split(",")[4:]]
 
 
 def test_main_reuses_one_parser(tmp_path, monkeypatch, capsys):

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -34,6 +35,19 @@ def test_report_text_of_an_array_is_json_dumps_of_its_list(floats):
     arr = np.array(floats, dtype=np.float64)
     assert _report_text({"v": arr}) == json.dumps({"v": arr.tolist()}, indent=2,
                                                    sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("size", [0, 1, 3844])
+def test_report_text_of_a_sidecar_is_json_dumps_of_its_list(size):
+    # the array sits between other keys, beside strings that look like the
+    # placeholder json writes in its place
+    values = np.random.default_rng(size).normal(0.0, 1.0, size)
+    values[:6] = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300][:size]
+    sidecar = {"image": "\\u0000pre_relu\\u0000", "method": "pre_relu", "alpha": 0.35,
+               "pre_relu": values, "spatial": [62, 62], "tap": "[]",
+               "outputs": {"heatmap": "\\u0000", "overlay": "a.ppm"}}
+    listed = dict(sidecar, pre_relu=values.tolist())
+    assert _report_text(sidecar) == json.dumps(listed, indent=2, sort_keys=True) + "\n"
 
 
 def test_random_bit_patterns_match_repr():

@@ -13,7 +13,6 @@ from crgx.metrics import (
     _per_image_method,
     _target_scores,
     adcc,
-    anti_explanation_map,
     average_drop,
     average_drop_deletion,
     coherency,
@@ -38,18 +37,18 @@ def test_explanation_map_hand_values():
     x = np.array([[[2.0, 4.0]]])
     h = np.array([[0.5, 1.0]])
     assert np.array_equal(explanation_map(x, h), [[[1.0, 4.0]]])
-    assert np.array_equal(anti_explanation_map(x, h), [[[1.0, 0.0]]])
+    assert np.array_equal(explanation_map(x, 1.0 - h), [[[1.0, 0.0]]])
 
 
 def test_masks_partition_the_image():
     rng = np.random.default_rng(1)
     x = rng.uniform(0, 1, (3, 5, 4))
     h = rng.uniform(0, 1, (5, 4))
-    total = explanation_map(x, h) + anti_explanation_map(x, h)
+    total = explanation_map(x, h) + explanation_map(x, 1.0 - h)
     assert np.max(np.abs(total - x)) <= 1e-15
     assert np.array_equal(explanation_map(x, np.ones((5, 4))), x)
     assert np.array_equal(explanation_map(x, np.zeros((5, 4))), np.zeros_like(x))
-    assert np.array_equal(anti_explanation_map(x, np.ones((5, 4))), np.zeros_like(x))
+    assert np.array_equal(explanation_map(x, 1.0 - np.ones((5, 4))), np.zeros_like(x))
 
 
 def test_mask_resolution_checked():
@@ -61,14 +60,15 @@ def test_stacked_masks_match_per_image_bit_for_bit():
     rng = np.random.default_rng(12)
     x = rng.uniform(0.0, 1.0, (4, 1, 3, 5, 6))
     h = rng.uniform(0.0, 1.0, (4, 2, 5, 6))
-    for fn in (explanation_map, anti_explanation_map):
-        got = fn(x, h)
+    for masks in (h, 1.0 - h):  # explanation and anti-explanation maps
+        got = explanation_map(x, masks)
         assert got.shape == (4, 2, 3, 5, 6)
         for i in range(4):
             for k in range(2):
-                assert got[i, k].tobytes() == fn(x[i, 0], h[i, k]).tobytes()
-        flat = fn(x[:, 0], h[:, 1])
-        assert all(flat[i].tobytes() == fn(x[i, 0], h[i, 1]).tobytes() for i in range(4))
+                assert got[i, k].tobytes() == explanation_map(x[i, 0], masks[i, k]).tobytes()
+        flat = explanation_map(x[:, 0], masks[:, 1])
+        assert all(flat[i].tobytes() == explanation_map(x[i, 0], masks[i, 1]).tobytes()
+                   for i in range(4))
     with pytest.raises(ValueError, match="resolution"):
         explanation_map(x, h[..., :5])
 
@@ -360,7 +360,7 @@ def reference_evaluate_batch(model, images, spec, method):
         per_method = _per_image_method(method, index)
         h1 = reference_pipeline_heatmap(model, x, stack, spec, per_method)
         ex = explanation_map(x, h1)
-        masked = model._tap_stack(np.stack([ex, anti_explanation_map(x, h1)]))
+        masked = model._tap_stack(np.stack([ex, explanation_map(x, 1.0 - h1)]))
         o, d = (float(v) for v in _target_scores(model, masked, c))
         h2 = reference_pipeline_heatmap(model, ex, masked[:1], spec, per_method)
         return (max(0.0, y - o) / y,
@@ -415,7 +415,8 @@ def reference_confidences(model, images, spec, method):
     for index, x in enumerate(images):
         stack = model._tap_stack(x[None])
         h1 = reference_pipeline_heatmap(model, x, stack, spec, _per_image_method(method, index))
-        masked = model._tap_stack(np.stack([explanation_map(x, h1), anti_explanation_map(x, h1)]))
+        masked = model._tap_stack(np.stack([explanation_map(x, h1),
+                                            explanation_map(x, 1.0 - h1)]))
         rows.append(np.concatenate([_target_scores(model, stack, c),
                                     _target_scores(model, masked, c)]))
     return np.array(rows).T

@@ -121,6 +121,26 @@ def test_tap_stack_bounds_its_im2col_buffer():
     assert peak < 3 * 2 ** 20, peak
 
 
+def test_oversized_model_is_refused_before_any_draw():
+    # 10^8 classes need 4.0 GB of weights (3.2 GB of it fc_w); the refusal
+    # allocates none of it
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            zoo.build_model("cnn-smooth", 10**8, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == ("cnn-smooth with 100000000 classes on in_shape (3, 6, 6) "
+                              "needs 4000000896 bytes of weights, more than the "
+                              "1073741824 allowed")
+    assert peak < 2 ** 20, peak
+    # the largest model any command builds stays well below the bound
+    zoo.build_model("mlp-smooth", 3, 0, in_shape=(3, 64, 64))
+
+
 def test_tap_stack_takes_a_stack_of_images():
     m = zoo.build_model("cnn-smooth", 3, 0)
     with pytest.raises(ValueError, match=r"image shape \(6, 6\) does not match"):

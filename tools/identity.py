@@ -1,0 +1,170 @@
+"""Check that a change leaves every crgx output byte-identical.
+
+    python tools/identity.py --base REV    # this checkout's crgx against REV's
+    python tools/identity.py --corpus DIR  # write the corpus with the importable crgx
+
+The corpus is a fixed set of `crgx` commands run in process through
+`crgx.cli.main` from DIR with relative paths, so two runs of one tree write
+the same bytes, stderr included:
+
+- `explain` for every method, architecture and utility on one seeded 64x64
+  image;
+- `evaluate` (report, CSV and stderr) for gradcam, shapleycam and randomcam
+  on each architecture, on a clean directory of six 64x64 images and on a
+  mixed one (16, 16 and 8 px);
+- the `hvp-check`, `theorem-check` and `shapley-verify` reports at the CI's
+  flags, and `shapley-verify` at its defaults.
+
+Each command's stderr goes to `<name>.err`, and `commands.txt` lists every
+command with its exit code. The inputs are written into DIR too, and are
+compared with the rest.
+
+`--base REV` checks REV out with `git worktree add --detach` into a
+temporary directory and writes the corpus once per tree, each in its own
+subprocess with `PYTHONPATH=<tree>/src`. It lists every file that differs
+or exists on one side only, exits 1 if there is any, and removes the
+worktree. The corpus may grow; it must never shrink to hide a difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import filecmp
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+EXPLAIN_ARCHS = ("cnn-relu", "cnn-smooth", "mlp-smooth")
+EVALUATE_METHODS = ("gradcam", "shapleycam", "randomcam")
+
+
+def _write_inputs() -> None:
+    import numpy as np
+
+    from crgx.imgio import Image, write_image
+
+    rng = np.random.default_rng(2024)
+    Path("inputs/clean").mkdir(parents=True)
+    Path("inputs/mixed").mkdir()
+    write_image("inputs/photo.ppm", Image(rng.uniform(0.0, 1.0, (3, 64, 64))))
+    for i in range(6):
+        write_image(f"inputs/clean/img{i}.ppm", Image(rng.uniform(0.0, 1.0, (3, 64, 64))))
+    for name, size in (("a", 16), ("b", 16), ("c", 8)):
+        write_image(f"inputs/mixed/{name}.ppm", Image(rng.uniform(0.0, 1.0, (3, size, size))))
+
+
+def _commands() -> list[tuple[str, list[str]]]:
+    """(output stem, argv) of every corpus command."""
+    from crgx.cam import CAM_METHODS
+    from crgx.utility import UTILITY_KINDS
+
+    def seeded(method):
+        return ["--method", method] + (["--method-seed", "3"] if method == "randomcam" else [])
+
+    commands = []
+    for arch in EXPLAIN_ARCHS:
+        for kind in UTILITY_KINDS:
+            out = f"explain/{arch}.{kind}"
+            for method in CAM_METHODS:
+                commands.append((f"{out}/{method}", [
+                    "explain", "--image", "inputs/photo.ppm", "--arch", arch, "--utility", kind,
+                    "--out-dir", out] + seeded(method)))
+    for images in ("clean", "mixed"):
+        for arch in EXPLAIN_ARCHS:
+            for method in EVALUATE_METHODS:
+                stem = f"evaluate/{images}.{arch}.{method}"
+                commands.append((stem, [
+                    "evaluate", "--images", f"inputs/{images}", "--arch", arch,
+                    "--report", f"{stem}.json", "--csv", f"{stem}.csv"] + seeded(method)))
+    for stem, argv in (("hvp", ["hvp-check", "--graphs", "10"]),
+                       ("theorem", ["theorem-check"]),
+                       ("shapley", ["shapley-verify", "--mc-seeds", "1", "--mc-samples", "1000"]),
+                       ("shapley-default", ["shapley-verify"])):
+        commands.append((f"suites/{stem}", argv + ["--report", f"suites/{stem}.json"]))
+    return commands
+
+
+def write_corpus(out_dir: Path) -> int:
+    """Run the corpus from `out_dir`, which must not exist yet; returns the
+    number of files written."""
+    import crgx.cli
+
+    out_dir.mkdir(parents=True)
+    os.chdir(out_dir)
+    _write_inputs()
+    for folder in ("evaluate", "suites"):
+        Path(folder).mkdir()
+    lines = []
+    for stem, argv in _commands():
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = crgx.cli.main(argv)
+            except SystemExit as exit_:
+                code = exit_.code
+        Path(f"{stem}.err").write_text(err.getvalue())
+        lines.append(f"{code} crgx {' '.join(argv)}\n")
+    Path("commands.txt").write_text("".join(lines))
+    print(f"{len(lines)} commands with crgx from {Path(crgx.__file__).resolve().parent}")
+    return sum(1 for p in Path().rglob("*") if p.is_file())
+
+
+def _differing(left: Path, right: Path, prefix: str = "") -> list[str]:
+    cmp = filecmp.dircmp(left, right)
+    out = [prefix + name for name in cmp.left_only + cmp.right_only + cmp.common_funny]
+    _, mismatch, errors = filecmp.cmpfiles(left, right, cmp.common_files, shallow=False)
+    out += [prefix + name for name in mismatch + errors]
+    for name in cmp.common_dirs:
+        out += _differing(left / name, right / name, f"{prefix}{name}/")
+    return sorted(out)
+
+
+def _run_tree(tree: Path, out_dir: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--corpus", str(out_dir)],
+                         env=env, capture_output=True, text=True)
+    sys.stdout.write(f"{tree}: {run.stdout}")
+    if run.returncode != 0:
+        sys.exit(f"corpus run in {tree} failed:\n{run.stderr}")
+    if f"crgx from {(tree / 'src' / 'crgx').resolve()}\n" not in run.stdout:
+        sys.exit(f"corpus run in {tree} did not import its own crgx")
+
+
+def compare_with(base: str) -> int:
+    with tempfile.TemporaryDirectory(prefix="crgx-identity-") as tmp:
+        tmp = Path(tmp)
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                        str(tmp / "base"), base], check=True)
+        try:
+            _run_tree(tmp / "base", tmp / "out-base")
+            _run_tree(ROOT, tmp / "out-head")
+            files = sum(1 for p in (tmp / "out-head").rglob("*") if p.is_file())
+            differing = _differing(tmp / "out-base", tmp / "out-head")
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                            str(tmp / "base")], check=True)
+    for name in differing:
+        print(f"differs: {name}")
+    print(f"{len(differing)} of {files} files differ from {base}")
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--base", help="git revision to compare this checkout with")
+    mode.add_argument("--corpus", type=Path, help="write the corpus into this new directory")
+    args = parser.parse_args(argv)
+    if args.corpus is not None:
+        print(f"{write_corpus(args.corpus.resolve())} files")
+        return 0
+    return compare_with(args.base)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
