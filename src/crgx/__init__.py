@@ -33,7 +33,6 @@ from .metrics import (
     increase_confidence,
 )
 from .postprocess import (
-    OverlayStyle,
     apply_colormap,
     normalize_minmax,
     overlay,
@@ -53,7 +52,6 @@ __all__ = [
     "Heatmap",
     "Image",
     "MetricRecord",
-    "OverlayStyle",
     "ShapleyVector",
     "ToyModel",
     "UTILITY_KINDS",

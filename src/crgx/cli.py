@@ -20,7 +20,7 @@ from ._floatrepr import float_texts
 from .cam import CAM_METHODS, CamMethod, explain_batch
 from .imgio import Image, read_image, write_image
 from .metrics import evaluate_batch
-from .postprocess import OverlayStyle, _blend, apply_colormap, normalize_minmax, upsample_bilinear
+from .postprocess import _blend, apply_colormap, normalize_minmax, upsample_bilinear
 from .suites import hvp_suite, shapley_suite, theorem_suite
 from .utility import UTILITY_KINDS, UtilitySpec
 from .zoo import ARCHS, TAP_LAYER, build_model
@@ -57,6 +57,11 @@ def positive_int(text: str) -> int:
     return non_negative_int(text, floor=1)
 
 
+def two_or_more(text: str) -> int:
+    """argparse type of --classes and --mc-samples: below 2 is a usage error."""
+    return non_negative_int(text, floor=2)
+
+
 def non_negative_int(text: str, floor: int = 0) -> int:
     """argparse type of a seed or class flag: below `floor` is a usage error."""
     value = int(text)
@@ -65,7 +70,20 @@ def non_negative_int(text: str, floor: int = 0) -> int:
     return value
 
 
+def unit_interval(text: str) -> float:
+    """argparse type of --alpha: a value outside [0, 1] is a usage error."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0,1], got {value}")
+    return value
+
+
 def _resolve_method(parser: argparse.ArgumentParser, args):
+    """The CamMethod of explain's or evaluate's flags, once the flags that
+    depend on each other are checked."""
+    if args.target_class is not None and args.target_class >= args.classes:
+        parser.error(f"argument --class: must be below --classes {args.classes}, "
+                     f"got {args.target_class}")
     if args.method == "randomcam":
         if args.method_seed is None:
             parser.error("randomcam needs --method-seed")
@@ -74,9 +92,7 @@ def _resolve_method(parser: argparse.ArgumentParser, args):
 
 
 def _cmd_explain(parser: argparse.ArgumentParser, args) -> int:
-    # usage errors and a bad alpha end the run before any file is read or written
-    method = _resolve_method(parser, args)
-    style = OverlayStyle(alpha=args.alpha)
+    method = _resolve_method(parser, args)  # a usage error ends the run before any file is read
     image = read_image(args.image)
     model = build_model(args.arch, num_classes=args.classes, seed=args.seed,
                         in_shape=image.pixels.shape)
@@ -97,7 +113,7 @@ def _cmd_explain(parser: argparse.ArgumentParser, args) -> int:
 
     colored = apply_colormap(upsampled)
     write_image(heat_path, Image(colored))
-    write_image(over_path, Image(_blend(image.pixels, colored, style.alpha)))
+    write_image(over_path, Image(_blend(image.pixels, colored, args.alpha)))
     sidecar = {
         "image": Path(args.image).name,
         "arch": model.arch,
@@ -173,7 +189,7 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--method", required=True, choices=CAM_METHODS)
     sub.add_argument("--utility", default="rest", choices=UTILITY_KINDS)
     sub.add_argument("--arch", default="cnn-smooth", choices=ARCHS)
-    sub.add_argument("--classes", type=int, default=3,
+    sub.add_argument("--classes", type=two_or_more, default=3,
                      help="number of output classes (default 3)")
     sub.add_argument("--seed", type=non_negative_int, default=0,
                      help="model weight seed (default 0)")
@@ -194,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(explain_cmd)
     explain_cmd.add_argument("--class", dest="target_class", type=non_negative_int,
                              help="target class (default: predicted class)")
-    explain_cmd.add_argument("--alpha", type=float, default=0.35,
+    explain_cmd.add_argument("--alpha", type=unit_interval, default=0.35,
                              help="overlay blend weight (default 0.35)")
     explain_cmd.add_argument("--out-dir", default=None,
                              help="output directory (default: next to the image)")
@@ -220,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     shapley_cmd.add_argument("--seed", type=non_negative_int, default=2024)
     shapley_cmd.add_argument("--mc-seeds", type=positive_int, default=10,
                              help="estimator seeds for the sampling check")
-    shapley_cmd.add_argument("--mc-samples", type=positive_int, default=50000,
+    shapley_cmd.add_argument("--mc-samples", type=two_or_more, default=50000,
                              help="permutations per estimator seed")
     shapley_cmd.add_argument("--report", default=None)
     shapley_cmd.set_defaults(handler=_cmd_shapley_verify)

@@ -4,8 +4,6 @@ These take a tap-resolution heatmap to a full-resolution rendering."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # The jet lookup table, (256, 3) RGB in [0,1]. Read-only, so no caller can
@@ -13,18 +11,6 @@ import numpy as np
 JET = np.round(np.clip(1.5 - np.abs(np.arange(256)[:, None] * (4.0 / 255.0)
                                     - np.array([3.0, 2.0, 1.0])), 0.0, 1.0), 6)
 JET.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class OverlayStyle:
-    """Blend weight for the colormap layer; 0 keeps the image, 1 shows
-    only the rendered heatmap."""
-
-    alpha: float = 0.35
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0,1], got {self.alpha}")
 
 
 def normalize_minmax(h: np.ndarray) -> np.ndarray:
@@ -88,16 +74,19 @@ def apply_colormap(h: np.ndarray) -> np.ndarray:
     return np.moveaxis(JET[idx], -1, 0)
 
 
-def overlay(pixels: np.ndarray, h: np.ndarray, style: OverlayStyle = OverlayStyle()) -> np.ndarray:
-    """Blend (1 - alpha) * image + alpha * colormap(h). Accepts 1- or
-    3-channel pixel planes (C, H, W) and always returns 3 channels."""
+def overlay(pixels: np.ndarray, h: np.ndarray, alpha: float = 0.35) -> np.ndarray:
+    """Blend (1 - alpha) * image + alpha * colormap(h): alpha 0 keeps the
+    image, 1 shows only the rendered heatmap. Accepts 1- or 3-channel pixel
+    planes (C, H, W) and always returns 3 channels."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
     pixels = np.asarray(pixels, dtype=np.float64)
     if pixels.ndim != 3 or pixels.shape[0] not in (1, 3):
         raise ValueError(f"expected pixel planes (1|3, H, W), got shape {pixels.shape}")
     if pixels.shape[1:] != np.shape(h):
         raise ValueError(f"heatmap resolution {np.shape(h)} does not match "
                          f"image {pixels.shape[1:]}")
-    return _blend(pixels, apply_colormap(h), style.alpha)
+    return _blend(pixels, apply_colormap(h), alpha)
 
 
 def _blend(pixels: np.ndarray, colored: np.ndarray, alpha: float) -> np.ndarray:

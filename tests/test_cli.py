@@ -71,7 +71,26 @@ def test_count_flag_below_one_exits_2(argv, value, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv + [value])
     assert err.value.code == 2
-    assert f"{argv[-1]}: must be at least 1, got {value}" in capsys.readouterr().err
+    floor = 2 if argv[-1] == "--mc-samples" else 1
+    assert f"{argv[-1]}: must be at least {floor}, got {value}" in capsys.readouterr().err
+
+
+def test_evaluate_and_explain_one_channel_pgms(tmp_path):
+    img_dir = tmp_path / "gray"
+    img_dir.mkdir()
+    for name, step in (("a", 1), ("b", 3)):
+        body = bytes((7 * i * step + 13 * (i // 16)) % 256 for i in range(256))
+        (img_dir / f"{name}.pgm").write_bytes(b"P5\n16 16\n255\n" + body)
+    report_path = tmp_path / "gray.json"
+    assert main(["evaluate", "--images", str(img_dir), "--method", "gradcam",
+                 "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["n_images"] == 2 and "n_failed" not in report
+    out = tmp_path / "out"
+    assert main(["explain", "--image", str(img_dir / "a.pgm"), "--method", "shapleycam",
+                 "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "a.shapleycam.heatmap.ppm", "a.shapleycam.json", "a.shapleycam.overlay.ppm"]
 
 
 def test_evaluate_empty_dir_exits_1(tmp_path, capsys):
@@ -104,17 +123,6 @@ def test_explain_writes_three_files(tmp_path):
     assert meta["arch"] == "cnn-smooth"
     assert meta["spatial"] == [4, 4]
     assert len(meta["pre_relu"]) == 16
-
-
-@pytest.mark.parametrize("method", [["gradcam"], ["randomcam", "--method-seed", "1"]],
-                         ids=["gradcam", "randomcam"])
-def test_explain_out_of_range_class_exits_1(tmp_path, capsys, method):
-    put_image(tmp_path / "c.ppm", 5)
-    code = main(["explain", "--image", str(tmp_path / "c.ppm"), "--classes", "3",
-                 "--class", "99", "--out-dir", str(tmp_path / "out"), "--method"] + method)
-    assert code == 1
-    assert capsys.readouterr().err == "error: target_class 99 out of range for 3 classes\n"
-    assert not (tmp_path / "out").exists()
 
 
 def test_explain_unallocatable_class_count_exits_1(tmp_path, capsys):
@@ -162,14 +170,42 @@ def test_negative_seed_or_class_exits_2(tmp_path, monkeypatch, capsys, command, 
     assert reads == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["explain", "--classes", "1"], "--classes: must be at least 2, got 1"),
+    (["evaluate", "--classes", "-3"], "--classes: must be at least 2, got -3"),
+    (["explain", "--class", "3"], "--class: must be below --classes 3, got 3"),
+    (["evaluate", "--classes", "4", "--class", "4"], "--class: must be below --classes 4, got 4"),
+    (["explain", "--alpha", "nan"], "--alpha: must lie in [0,1], got nan"),
+    (["shapley-verify", "--mc-samples", "1"], "--mc-samples: must be at least 2, got 1"),
+], ids=["explain-classes", "evaluate-classes", "explain-class", "evaluate-class",
+        "explain-alpha-nan", "shapley-verify-mc-samples"])
+def test_bad_flag_exits_2_before_any_read(tmp_path, monkeypatch, capsys, argv, message):
+    # a flag out of range, or out of range of another flag, is a usage
+    # error: no file is read and no suite section runs
+    from crgx import cli
+
+    put_image(tmp_path / "0.ppm", 0)
+    reads = []
+    monkeypatch.setattr(cli, "read_image", reads.append)
+    monkeypatch.setattr(cli, "shapley_suite", lambda **kwargs: reads.append(kwargs))
+    where = {"explain": ["--image", str(tmp_path / "0.ppm"), "--method", "gradcam"],
+             "evaluate": ["--images", str(tmp_path), "--method", "gradcam"]}
+    with pytest.raises(SystemExit) as err:
+        main(argv + where.get(argv[0], []))
+    assert err.value.code == 2
+    assert f"argument {message}\n" in capsys.readouterr().err
+    assert reads == []
+
+
 def test_explain_bad_alpha_writes_nothing(tmp_path, capsys):
     put_image(tmp_path / "a.ppm", 6)
     out = tmp_path / "out"
     out.mkdir()
-    code = main(["explain", "--image", str(tmp_path / "a.ppm"), "--method", "gradcam",
-                 "--alpha", "2", "--out-dir", str(out)])
-    assert code == 1
-    assert capsys.readouterr().err == "error: alpha must lie in [0,1], got 2.0\n"
+    with pytest.raises(SystemExit) as err:
+        main(["explain", "--image", str(tmp_path / "a.ppm"), "--method", "gradcam",
+              "--alpha", "2", "--out-dir", str(out)])
+    assert err.value.code == 2
+    assert "argument --alpha: must lie in [0,1], got 2.0\n" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -311,6 +347,25 @@ def test_evaluate_names_each_skipped_image(tmp_path, capsys):
         "model input (3, 6, 6)\n")
 
 
+@pytest.mark.parametrize("method", [
+    ["gradcam"], ["shapleycam"], ["randomcam", "--method-seed", "3"],
+], ids=["gradcam", "shapleycam", "randomcam"])
+@pytest.mark.parametrize("arch", ["cnn-relu", "cnn-smooth", "mlp-smooth"])
+def test_evaluate_skips_the_odd_shape_on_every_arch(tmp_path, capsys, arch, method):
+    img_dir = tmp_path / "imgs"
+    img_dir.mkdir()
+    for i, (name, size) in enumerate((("a", 16), ("b", 16), ("c", 8))):
+        put_image(img_dir / f"{name}.ppm", 80 + i, shape=(3, size, size))
+    report_path = tmp_path / "r.json"
+    assert main(["evaluate", "--images", str(img_dir), "--arch", arch,
+                 "--report", str(report_path), "--method"] + method) == 0
+    report = json.loads(report_path.read_text())
+    assert report["n_images"] == 2 and report["n_failed"] == 1
+    assert capsys.readouterr().err == (
+        f"skipped {img_dir / 'c.ppm'}: image shape (3, 8, 8) does not match "
+        "model input (3, 16, 16)\n")
+
+
 def test_malformed_image_error_names_the_file(tmp_path, capsys):
     img_dir = tmp_path / "imgs"
     img_dir.mkdir()
@@ -389,24 +444,6 @@ def test_shapley_verify_fast_variant(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["pass"] is True
     assert report["mc"]["samples"] == 4000
-
-
-def test_shapley_verify_single_sample_exits_1_before_any_section(tmp_path, capsys,
-                                                                 monkeypatch):
-    # one permutation gives every stderr 0, and the sigma ratio would divide by it
-    import crgx.suites as suites
-
-    def no_work(*args):
-        raise AssertionError("a section ran before the sample count was checked")
-
-    for name in ("axiom_check", "quadratic_check", "linear_check", "spatial_check"):
-        monkeypatch.setattr(suites, name, no_work)
-    report_path = tmp_path / "sv.json"
-    assert main(["shapley-verify", "--mc-samples", "1", "--report", str(report_path)]) == 1
-    assert capsys.readouterr().err == (
-        "error: one sample cannot estimate a standard error; "
-        "the sampling check needs at least 2, got 1\n")
-    assert not report_path.exists()
 
 
 def test_theorem_check_exit_0(tmp_path, capsys):

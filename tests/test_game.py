@@ -450,14 +450,6 @@ def test_axiom_suite_flags_a_broken_symmetric_pair():
     assert not report["symmetry"]["pass"] and not report["pass"]
 
 
-def test_axiom_suite_linearity_with_explicit_pair():
-    rng = np.random.default_rng(12)
-    g1 = game.CooperativeGame.from_table(rng.normal(size=32))
-    g2 = game.CooperativeGame.from_table(rng.normal(size=32))
-    report = game.axiom_suite(g1, game.shapley_exact(g1), pair=(g2, 1.5, -2.0))
-    assert report["linearity"]["pass"]
-
-
 def test_doubling_scales_values():
     g = game.CooperativeGame.from_table([0.0, 1.0, 2.0, 4.0])
     doubled = game.CooperativeGame.from_table([0.0, 2.0, 4.0, 8.0])
@@ -505,7 +497,7 @@ def symmetry_oracle(table, d, detect_tol):
     return pairs
 
 
-def axiom_oracle(g, vals, pair=None, tol=1e-9):
+def axiom_oracle(g, vals, tol=1e-9):
     d, table = g.d, g.utility_table()
     detect_tol = 1e-12 * (1.0 + float(np.max(np.abs(table))))
     span = g.u_full - g.u_empty
@@ -517,9 +509,8 @@ def axiom_oracle(g, vals, pair=None, tol=1e-9):
     pairs = symmetry_oracle(table, d, detect_tol)
     symmetry = {"pairs": pairs, "pass": all(abs(vals[i] - vals[j]) <= tol * (1.0 + abs(vals[i]))
                                             for i, j in pairs)}
-    other, alpha, beta = (g, 2.0, 0.0) if pair is None else pair
-    lhs = exact_oracle(alpha * table + beta * other.utility_table(), d)
-    rhs = alpha * vals + beta * exact_oracle(other.utility_table(), d)
+    lhs = exact_oracle(2.0 * table, d)
+    rhs = 2.0 * vals
     lin_err = float(np.max(np.abs(lhs - rhs)))
     linearity = {"max_err": lin_err,
                  "pass": bool(lin_err <= tol * (1.0 + float(np.max(np.abs(lhs)))))}
@@ -550,12 +541,9 @@ def oracle_games():
 def test_hypercube_scans_are_bit_identical_to_gather_oracles(g):
     sv = game.shapley_exact(g)
     assert np.array_equal(sv.values, exact_oracle(g.utility_table(), g.d))
-    other = game.CooperativeGame.from_table(np.random.default_rng(g.d).normal(size=1 << g.d))
     broken = sv.values + np.where(np.arange(g.d) == 0, 0.25, 0.0)
     for vals in (sv.values, broken):
         assert game.axiom_suite(g, vals) == axiom_oracle(g, vals)
-        assert (game.axiom_suite(g, vals, pair=(other, 1.5, -2.0))
-                == axiom_oracle(g, vals, pair=(other, 1.5, -2.0)))
 
 
 def test_hypercube_scans_go_one_axis_at_a_time():
@@ -629,17 +617,6 @@ def test_exact_refuses_a_utility_that_changes_between_calls():
         game.shapley_exact(g)
 
 
-def test_axiom_suite_checks_the_pair_before_scanning(monkeypatch):
-    def no_scan(*args):
-        raise AssertionError("scanned before checking the pair")
-
-    monkeypatch.setattr(game, "_scan", no_scan)
-    g = game.CooperativeGame.from_table(np.arange(4.0))
-    other = game.CooperativeGame.from_table(np.arange(8.0))
-    with pytest.raises(ValueError, match="linearity pair has d=3, expected 2"):
-        game.axiom_suite(g, np.zeros(2), pair=(other, 1.0, 1.0))
-
-
 def test_coalition_weights_sum_to_one():
     for d in (2, 5, 12, 20):
         w = game._coalition_weights(d)
@@ -709,24 +686,6 @@ def test_axiom_suite_names_an_overflowing_linearity_table():
     g = overflowing_game(0)
     with pytest.raises(ValueError, match="linearity check overflows float64"):
         game.axiom_suite(g, np.zeros(4))
-    # a halved pair stays in range; the scans meet overflowing differences,
-    # which make no player a dummy and no pair symmetric
-    zero = game.CooperativeGame.from_table(np.zeros(16))
-    report = game.axiom_suite(g, np.zeros(4), pair=(zero, 0.5, 1.0))
-    assert report["dummy"]["players"] == [] and report["symmetry"]["pairs"] == []
-    assert not report["efficiency"]["pass"] and not report["pass"]
-
-
-def test_axiom_suite_skips_an_overflowing_partner_at_beta_zero():
-    g = game.CooperativeGame.from_table(np.random.default_rng(3).uniform(-1.0, 1.0, 16))
-    values = game.shapley_exact(g)
-    partner = overflowing_game(1)
-    report = game.axiom_suite(g, values, pair=(partner, 1.0, 0.0))
-    assert report["pass"]
-    alone = game.axiom_suite(g, values, pair=(g, 1.0, 0.0))
-    assert report["linearity"]["max_err"] == alone["linearity"]["max_err"]
-    with pytest.raises(ValueError, match="exact Shapley values overflow float64"):
-        game.axiom_suite(g, values, pair=(partner, 1.0, 1e-300))
 
 
 def test_utility_must_return_one_value_per_coalition():

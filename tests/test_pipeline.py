@@ -163,8 +163,8 @@ def test_overlay_alpha_extremes():
     rng = np.random.default_rng(4)
     x = rng.uniform(0, 1, (3, 2, 2))
     h = np.array([[0.0, 0.25], [0.5, 1.0]])
-    assert np.array_equal(pp.overlay(x, h, pp.OverlayStyle(alpha=0.0)), x)
-    assert np.array_equal(pp.overlay(x, h, pp.OverlayStyle(alpha=1.0)),
+    assert np.array_equal(pp.overlay(x, h, alpha=0.0), x)
+    assert np.array_equal(pp.overlay(x, h, alpha=1.0),
                           pp.apply_colormap(h))
 
 
@@ -172,7 +172,7 @@ def test_overlay_midpoint_pixel():
     x = np.full((3, 1, 1), 0.2)
     h = np.array([[1.0]])
     entry = pp.JET[255]
-    out = pp.overlay(x, h, pp.OverlayStyle(alpha=0.5))
+    out = pp.overlay(x, h, alpha=0.5)
     assert np.max(np.abs(out[:, 0, 0] - 0.5 * (0.2 + entry))) <= 1e-15
 
 
@@ -187,7 +187,7 @@ def test_overlay_validation():
     with pytest.raises(ValueError, match="resolution"):
         pp.overlay(np.zeros((3, 2, 2)), np.zeros((3, 3)))
     with pytest.raises(ValueError, match="alpha"):
-        pp.OverlayStyle(alpha=1.5)
+        pp.overlay(np.zeros((3, 2, 2)), np.zeros((2, 2)), alpha=1.5)
 
 
 # ------------------------------------------------------------------ image IO

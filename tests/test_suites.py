@@ -85,6 +85,20 @@ def test_mc_check_small_variant():
     assert report["worst_sigma_ratio"] <= 4.0
 
 
+def test_shapley_suite_refuses_a_single_sample_before_any_section(monkeypatch):
+    # one permutation gives every stderr 0, and the sigma ratio would divide by it
+    import crgx.suites as suites
+
+    def no_work(*args):
+        raise AssertionError("a section ran before the sample count was checked")
+
+    for name in ("axiom_check", "quadratic_check", "linear_check", "spatial_check"):
+        monkeypatch.setattr(suites, name, no_work)
+    with pytest.raises(ValueError, match="^one sample cannot estimate a standard error; "
+                                         "the sampling check needs at least 2, got 1$"):
+        shapley_suite(mc_samples=1)
+
+
 def test_shapley_suite_composes_sections():
     report = shapley_suite(seed=9, mc_seeds=1, mc_samples=2000)
     assert report["suite"] == "shapley-verify"

@@ -8,16 +8,22 @@ The corpus is a fixed set of `crgx` commands run in process through
 the same bytes, stderr included:
 
 - `explain` for every method, architecture and utility on one seeded 64x64
-  image;
+  image, and with `--class 1` and `--alpha 0.6`;
 - `evaluate` (report, CSV and stderr) for gradcam, shapleycam and randomcam
   on each architecture, on a clean directory of six 64x64 images and on a
-  mixed one (16, 16 and 8 px);
+  mixed one (16, 16 and 8 px), and with `--limit 2`;
+- both commands on one-channel 16x16 PGMs, and `evaluate` on two 160x160
+  images and one 150x150, each of which is a chunk of its own;
 - the `hvp-check`, `theorem-check` and `shapley-verify` reports at the CI's
-  flags, and `shapley-verify` at its defaults.
+  flags, and `shapley-verify` at its defaults;
+- an `evaluate` and an `hvp-check` report written to stdout;
+- the runtime errors (exit 1) of an empty directory and a truncated PPM;
+- usage errors (exit 2): an unknown flag, randomcam without a seed, and a
+  value out of range for each kind of flag check.
 
-Each command's stderr goes to `<name>.err`, and `commands.txt` lists every
-command with its exit code. The inputs are written into DIR too, and are
-compared with the rest.
+Each command's stdout goes to `<name>.out` and its stderr to `<name>.err`,
+and `commands.txt` lists every command with its exit code. The inputs are
+written into DIR too, and are compared with the rest.
 
 `--base REV` checks REV out with `git worktree add --detach` into a
 temporary directory and writes the corpus once per tree, each in its own
@@ -49,13 +55,20 @@ def _write_inputs() -> None:
     from crgx.imgio import Image, write_image
 
     rng = np.random.default_rng(2024)
-    Path("inputs/clean").mkdir(parents=True)
-    Path("inputs/mixed").mkdir()
+    for folder in ("clean", "mixed", "gray", "empty", "bad", "large"):
+        Path(f"inputs/{folder}").mkdir(parents=True)
     write_image("inputs/photo.ppm", Image(rng.uniform(0.0, 1.0, (3, 64, 64))))
     for i in range(6):
         write_image(f"inputs/clean/img{i}.ppm", Image(rng.uniform(0.0, 1.0, (3, 64, 64))))
     for name, size in (("a", 16), ("b", 16), ("c", 8)):
         write_image(f"inputs/mixed/{name}.ppm", Image(rng.uniform(0.0, 1.0, (3, size, size))))
+    for name, step in (("a", 1), ("b", 3)):
+        body = bytes((7 * i * step + 13 * (i // 16)) % 256 for i in range(256))
+        Path(f"inputs/gray/{name}.pgm").write_bytes(b"P5\n16 16\n255\n" + body)
+    write_image("inputs/bad/a.ppm", Image(rng.uniform(0.0, 1.0, (3, 16, 16))))
+    Path("inputs/bad/b.ppm").write_bytes(b"P6\n16 16\n255\n0123456789")
+    for name, size in (("a", 160), ("b", 150), ("c", 160)):
+        write_image(f"inputs/large/{name}.ppm", Image(rng.uniform(0.0, 1.0, (3, size, size))))
 
 
 def _commands() -> list[tuple[str, list[str]]]:
@@ -86,6 +99,36 @@ def _commands() -> list[tuple[str, list[str]]]:
                        ("shapley", ["shapley-verify", "--mc-seeds", "1", "--mc-samples", "1000"]),
                        ("shapley-default", ["shapley-verify"])):
         commands.append((f"suites/{stem}", argv + ["--report", f"suites/{stem}.json"]))
+    photo = ["explain", "--image", "inputs/photo.ppm", "--method", "gradcam"]
+    clean = ["evaluate", "--images", "inputs/clean", "--method", "gradcam"]
+    commands += [
+        ("paths/explain-class", photo + ["--class", "1", "--alpha", "0.6", "--out-dir", "paths"]),
+        ("paths/evaluate-limit", clean + ["--limit", "2",
+                                          "--report", "paths/evaluate-limit.json"]),
+        ("paths/evaluate-stdout", clean),
+        ("paths/hvp-stdout", ["hvp-check", "--graphs", "2"]),
+        ("paths/gray", ["evaluate", "--images", "inputs/gray", "--method", "gradcam",
+                        "--report", "paths/gray.json"]),
+        ("paths/gray-explain", ["explain", "--image", "inputs/gray/a.pgm",
+                                "--method", "shapleycam", "--out-dir", "paths"]),
+        ("paths/large", ["evaluate", "--images", "inputs/large", "--method", "gradcam",
+                         "--report", "paths/large.json"]),
+        ("errors/empty", ["evaluate", "--images", "inputs/empty", "--method", "gradcam"]),
+        ("errors/truncated", ["evaluate", "--images", "inputs/bad", "--method", "gradcam",
+                              "--report", "errors/truncated.json"]),
+        ("errors/truncated-explain", ["explain", "--image", "inputs/bad/b.ppm",
+                                      "--method", "gradcam", "--out-dir", "errors"]),
+        ("usage/unknown-flag", photo + ["--bogus"]),
+        ("usage/randomcam-seedless", ["explain", "--image", "inputs/photo.ppm",
+                                      "--method", "randomcam"]),
+        ("usage/seed", clean + ["--seed", "-1"]),
+        ("usage/limit", clean + ["--limit", "0"]),
+        ("usage/alpha", photo + ["--alpha", "1.5", "--out-dir", "usage"]),
+        ("usage/classes", photo + ["--classes", "1", "--out-dir", "usage"]),
+        ("usage/class", photo + ["--class", "3", "--out-dir", "usage"]),
+        ("usage/mc-samples", ["shapley-verify", "--mc-samples", "1",
+                              "--report", "usage/mc-samples.json"]),
+    ]
     return commands
 
 
@@ -96,17 +139,19 @@ def write_corpus(out_dir: Path) -> int:
 
     out_dir.mkdir(parents=True)
     os.chdir(out_dir)
+    os.environ["COLUMNS"] = "80"  # argparse wraps usage text to the terminal's width
     _write_inputs()
-    for folder in ("evaluate", "suites"):
+    for folder in ("evaluate", "suites", "paths", "errors", "usage"):
         Path(folder).mkdir()
     lines = []
     for stem, argv in _commands():
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = crgx.cli.main(argv)
             except SystemExit as exit_:
                 code = exit_.code
+        Path(f"{stem}.out").write_text(out.getvalue())
         Path(f"{stem}.err").write_text(err.getvalue())
         lines.append(f"{code} crgx {' '.join(argv)}\n")
     Path("commands.txt").write_text("".join(lines))

@@ -1,0 +1,90 @@
+"""List the lines of crgx that the identity corpus never runs.
+
+    python tools/reach.py
+
+Writes the `tools/identity.py` corpus into a temporary directory with this
+checkout's `src/crgx`, under `sys.settrace` on crgx frames only, and prints
+per module, grouped by function, every executable line that no command
+reached. A line inside a `raise` statement is marked `raise`: those are the
+error paths the corpus does not provoke.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import sys
+import tempfile
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "crgx"
+
+
+def _line_owners(code, owner: str, out: dict[int, str]) -> None:
+    """Map each executable line of `code` and its nested code objects to
+    the innermost named function; comprehensions and lambdas count as the
+    function that holds them."""
+    if not code.co_name.startswith("<") or code.co_name == "<module>":
+        owner = getattr(code, "co_qualname", code.co_name)
+    for start, end, line in code.co_lines():
+        if line is not None and start < end:
+            out[line] = owner
+    for const in code.co_consts:
+        if hasattr(const, "co_lines"):
+            _line_owners(const, owner, out)
+
+
+def _raise_lines(tree: ast.AST) -> set[int]:
+    return {line for node in ast.walk(tree) if isinstance(node, ast.Raise)
+            for line in range(node.lineno, node.end_lineno + 1)}
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "tools"))
+    import identity
+
+    reached: dict[str, set[int]] = defaultdict(set)
+    prefix = str(PACKAGE) + os.sep
+
+    def local(frame, event, arg):
+        reached[frame.f_code.co_filename].add(frame.f_lineno)
+        return local
+
+    def tracer(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(prefix):
+            return None
+        return local(frame, event, arg)
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="crgx-reach-") as tmp:
+        sys.settrace(tracer)
+        try:
+            identity.write_corpus(Path(tmp) / "corpus")
+        finally:
+            sys.settrace(None)
+            os.chdir(cwd)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        owners: dict[int, str] = {}
+        _line_owners(compile(source, str(path), "exec"), "<module>", owners)
+        raises = _raise_lines(ast.parse(source))
+        missed = sorted(set(owners) - reached[str(path)])
+        print(f"{path.relative_to(ROOT)}: {len(missed)} of {len(owners)} lines not reached")
+        text = source.splitlines()
+        by_owner: dict[str, list[int]] = defaultdict(list)
+        for line in missed:
+            by_owner[owners[line]].append(line)
+        for owner, lines in by_owner.items():
+            print(f"  {owner}")
+            for line in lines:
+                mark = "raise" if line in raises else ""
+                print(f"    {line:4d} {mark:5s} {text[line - 1].strip()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
