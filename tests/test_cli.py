@@ -125,6 +125,25 @@ def test_explain_writes_three_files(tmp_path):
     assert len(meta["pre_relu"]) == 16
 
 
+@pytest.mark.parametrize("method", [["gradcam"], ["randomcam", "--method-seed", "1"]],
+                         ids=["gradcam", "randomcam"])
+def test_explain_out_of_range_class_exits_2(tmp_path, monkeypatch, capsys, method):
+    # whatever the method, the class is checked against --classes
+    # before the image is read or the output directory made
+    from crgx import cli
+
+    put_image(tmp_path / "c.ppm", 5)
+    reads = []
+    monkeypatch.setattr(cli, "read_image", reads.append)
+    with pytest.raises(SystemExit) as err:
+        main(["explain", "--image", str(tmp_path / "c.ppm"), "--classes", "3",
+              "--class", "99", "--out-dir", str(tmp_path / "out"), "--method"] + method)
+    assert err.value.code == 2
+    assert "argument --class: must be below --classes 3, got 99\n" in capsys.readouterr().err
+    assert reads == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_explain_unallocatable_class_count_exits_1(tmp_path, capsys):
     # 2^44 classes need a 640 TiB head; build_model refuses it
     # before drawing any weight
