@@ -3,15 +3,19 @@
 Every operation builds a `Node` linked to its parents by reference and
 recorded, in creation order, on the active `Tape`; plain array arguments
 are wrapped as constant nodes. Backward rules are themselves written in
-terms of these operations, so gradients are ordinary node graphs and can be
-differentiated again; `hvp` exploits this to compute Hessian-vector
+terms of these operations, so a gradient can be an ordinary node graph and
+be differentiated again; `hvp` exploits this to compute Hessian-vector
 products by double backward.
 
-A backward pass builds only what its result needs: adjoints flow only
-into nodes that depend on the variable differentiated against, so no
-graph is built for the adjoint of a constant such as a weight matrix, and
-a tape keeps each first-order gradient graph it has built, which
-`gradient` and every `hvp` on that tape share.
+A backward pass builds nodes only when its result will be differentiated
+again. Today that is one graph: the first-order gradient graph that `hvp`
+builds once per (output, wrt) pair and keeps on the tape, where `gradient`
+and every later `hvp` read it. `hvp`'s second backward, and `gradient` on
+a tape that holds no such graph, run values-only: the same backward rules
+on plain arrays, each op returning its numpy value bare, so they add no
+node to the tape and give the same bits. Values-only or not, adjoints flow
+only into nodes that depend on the variable differentiated against, so
+nothing is computed for the adjoint of a constant such as a weight matrix.
 
 This module only serves derivatives, and no library hot path uses it:
 `cam.explain` takes the head's derivatives in closed form. It serves the
@@ -30,7 +34,17 @@ import numpy as np
 
 Array = np.ndarray
 
-_STACK = threading.local()
+
+class _State(threading.local):
+    """Per-thread engine state: the stack of active tapes, and whether a
+    values-only backward is running (then every op returns a plain array)."""
+
+    def __init__(self):
+        self.tapes: list[Tape] = []
+        self.values = False
+
+
+_STATE = _State()
 
 
 def as_tensor(x) -> Array:
@@ -39,46 +53,37 @@ def as_tensor(x) -> Array:
 
 
 def _check_finite(name: str, value: Array) -> None:
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise ValueError(f"{name}: non-finite values are not allowed")
-
-
-def _active_tape():
-    stack = getattr(_STACK, "stack", None)
-    return stack[-1] if stack else None
 
 
 class Node:
     """One value in a differentiable computation.
 
     `parents` are the nodes this value was computed from, and `_vjp` maps an
-    adjoint node and one flag per parent to one adjoint contribution per
-    parent; a parent whose flag is False gets None, and nothing is built
-    for it. Leaves (inputs and constants) have no parents and no backward
-    rule.
+    adjoint and one flag per parent to one adjoint contribution per parent;
+    a parent whose flag is False gets None, and nothing is computed for it.
+    Leaves (inputs and constants) have no parents and no backward rule.
     """
 
-    __slots__ = ("value", "parents", "op", "_vjp")
+    __slots__ = ("value", "shape", "parents", "op", "_vjp")
 
     def __init__(self, value: Array, parents: tuple = (), op: str = "const"):
         self.value = value
+        self.shape = value.shape
         self.parents = parents
         self.op = op
         self._vjp = None
-        tape = _active_tape()
-        if tape is not None:
-            tape.nodes.append(self)
-
-    @property
-    def shape(self):
-        return self.value.shape
+        tapes = _STATE.tapes
+        if tapes:
+            tapes[-1].nodes.append(self)
 
     @property
     def ndim(self):
-        return self.value.ndim
+        return len(self.shape)
 
     def __repr__(self):
-        return f"Node(op={self.op!r}, shape={self.value.shape})"
+        return f"Node(op={self.op!r}, shape={self.shape})"
 
 
 class Tape:
@@ -105,14 +110,11 @@ class Tape:
         return node
 
     def __enter__(self):
-        stack = getattr(_STACK, "stack", None)
-        if stack is None:
-            stack = _STACK.stack = []
-        stack.append(self)
+        _STATE.tapes.append(self)
         return self
 
     def __exit__(self, *exc):
-        _STACK.stack.pop()
+        _STATE.tapes.pop()
         return False
 
 
@@ -122,11 +124,25 @@ def _as_node(x) -> Node:
     return Node(as_tensor(x), (), "const")
 
 
+_F64 = np.dtype(np.float64)
+
+
+def _value(x) -> Array:
+    if isinstance(x, Node):
+        return x.value
+    if x.__class__ is np.float64 or (x.__class__ is np.ndarray and x.dtype is _F64):
+        return x  # a values-only backward's adjoints are float64 already
+    return as_tensor(x)
+
+
 def _broadcast_shape(op: str, a_shape, b_shape):
     if a_shape == b_shape or not b_shape:
         return a_shape
     if not a_shape:
         return b_shape
+    if len(a_shape) == len(b_shape) and all(a == b or a == 1 or b == 1
+                                            for a, b in zip(a_shape, b_shape)):
+        return tuple(a if b == 1 else b for a, b in zip(a_shape, b_shape))
     try:
         return np.broadcast_shapes(a_shape, b_shape)
     except ValueError:
@@ -135,6 +151,9 @@ def _broadcast_shape(op: str, a_shape, b_shape):
 
 # ---------------------------------------------------------------------------
 # primitives
+#
+# Each op checks its operands and computes its value once; in a values-only
+# backward it returns that value, otherwise it wraps it in a Node.
 
 
 def _unbroadcast(g, shape):
@@ -153,57 +172,81 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b):
+    av, bv = _value(a), _value(b)
+    if av.shape != bv.shape:
+        _broadcast_shape("add", av.shape, bv.shape)
+    value = av + bv
+    if _STATE.values:
+        return value
     a, b = _as_node(a), _as_node(b)
-    _broadcast_shape("add", a.shape, b.shape)
-    out = Node(a.value + b.value, (a, b), "add")
+    out = Node(value, (a, b), "add")
     out._vjp = lambda g, needs: (_unbroadcast(g, a.shape) if needs[0] else None,
                                  _unbroadcast(g, b.shape) if needs[1] else None)
     return out
 
 
 def sub(a, b):
+    av, bv = _value(a), _value(b)
+    if av.shape != bv.shape:
+        _broadcast_shape("sub", av.shape, bv.shape)
+    value = av - bv
+    if _STATE.values:
+        return value
     a, b = _as_node(a), _as_node(b)
-    _broadcast_shape("sub", a.shape, b.shape)
-    out = Node(a.value - b.value, (a, b), "sub")
+    out = Node(value, (a, b), "sub")
     out._vjp = lambda g, needs: (_unbroadcast(g, a.shape) if needs[0] else None,
                                  _unbroadcast(neg(g), b.shape) if needs[1] else None)
     return out
 
 
 def neg(x):
-    x = _as_node(x)
-    out = Node(-x.value, (x,), "neg")
+    value = -_value(x)
+    if _STATE.values:
+        return value
+    out = Node(value, (_as_node(x),), "neg")
     out._vjp = lambda g, _: (neg(g),)
     return out
 
 
 def mul(a, b):
+    av, bv = _value(a), _value(b)
+    if av.shape != bv.shape:
+        _broadcast_shape("mul", av.shape, bv.shape)
+    value = av * bv
+    if _STATE.values:
+        return value
     a, b = _as_node(a), _as_node(b)
-    _broadcast_shape("mul", a.shape, b.shape)
-    out = Node(a.value * b.value, (a, b), "mul")
+    out = Node(value, (a, b), "mul")
     out._vjp = lambda g, needs: (_unbroadcast(mul(g, b), a.shape) if needs[0] else None,
                                  _unbroadcast(mul(g, a), b.shape) if needs[1] else None)
     return out
 
 
 def reciprocal(x):
-    x = _as_node(x)
-    if np.any(x.value == 0.0):
+    xv = _value(x)
+    if (xv == 0.0).any():
         raise ValueError("reciprocal: zero input")
-    out = Node(1.0 / x.value, (x,), "reciprocal")
+    value = 1.0 / xv
+    if _STATE.values:
+        return value
+    out = Node(value, (_as_node(x),), "reciprocal")
     out._vjp = lambda g, _: (neg(mul(g, mul(out, out))),)
     return out
 
 
 def matmul(a, b):
     """Matrix-vector (m, k) @ (k,) or dot product (k,) @ (k,)."""
-    a, b = _as_node(a), _as_node(b)
-    na, nb = a.ndim, b.ndim
+    av, bv = _value(a), _value(b)
+    na, nb = av.ndim, bv.ndim
     if na not in (1, 2) or nb != 1:
         raise ValueError(f"matmul: unsupported ranks {na} @ {nb}")
-    if a.shape[-1] != b.shape[0]:
-        raise ValueError(f"matmul: shapes {a.shape} @ {b.shape} do not align")
-    out = Node(np.matmul(a.value, b.value), (a, b), "matmul")
+    if av.shape[-1] != bv.shape[0]:
+        raise ValueError(f"matmul: shapes {av.shape} @ {bv.shape} do not align")
+    value = np.matmul(av, bv)
+    if _STATE.values:
+        return value
+    a, b = _as_node(a), _as_node(b)
+    out = Node(value, (a, b), "matmul")
 
     def vjp(g, needs):
         need_a, need_b = needs
@@ -218,21 +261,26 @@ def matmul(a, b):
 
 
 def exp(x):
-    x = _as_node(x)
     with np.errstate(over="ignore"):
-        value = np.exp(x.value)
-    if not np.all(np.isfinite(value)):
+        value = np.exp(_value(x))
+    if not np.isfinite(value).all():
         raise ValueError("exp: overflow")
-    out = Node(value, (x,), "exp")
+    if _STATE.values:
+        return value
+    out = Node(value, (_as_node(x),), "exp")
     out._vjp = lambda g, _: (mul(g, out),)
     return out
 
 
 def log(x):
-    x = _as_node(x)
-    if np.any(x.value <= 0.0):
+    xv = _value(x)
+    if (xv <= 0.0).any():
         raise ValueError("log: input must be positive")
-    out = Node(np.log(x.value), (x,), "log")
+    value = np.log(xv)
+    if _STATE.values:
+        return value
+    x = _as_node(x)
+    out = Node(value, (x,), "log")
     out._vjp = lambda g, _: (mul(g, reciprocal(x)),)
     return out
 
@@ -254,22 +302,29 @@ def _sigmoid_fw(xv):
 
 
 def sigmoid(x):
-    x = _as_node(x)
-    out = Node(_sigmoid_fw(x.value), (x,), "sigmoid")
+    value = _sigmoid_fw(_value(x))
+    if _STATE.values:
+        return value
+    out = Node(value, (_as_node(x),), "sigmoid")
     out._vjp = lambda g, _: (mul(g, mul(out, sub(1.0, out))),)
     return out
 
 
 def tanh(x):
-    x = _as_node(x)
-    out = Node(np.tanh(x.value), (x,), "tanh")
+    value = np.tanh(_value(x))
+    if _STATE.values:
+        return value
+    out = Node(value, (_as_node(x),), "tanh")
     out._vjp = lambda g, _: (mul(g, sub(1.0, mul(out, out))),)
     return out
 
 
 def softplus(x):
+    value = np.logaddexp(0.0, _value(x))
+    if _STATE.values:
+        return value
     x = _as_node(x)
-    out = Node(np.logaddexp(0.0, x.value), (x,), "softplus")
+    out = Node(value, (x,), "softplus")
     out._vjp = lambda g, _: (mul(g, sigmoid(x)),)
     return out
 
@@ -279,53 +334,67 @@ def silu(x):
 
 
 def sum(x, axis=None, keepdims=False):  # noqa: A001 - numpy-style name on purpose
-    x = _as_node(x)
+    xv = _value(x)
     if axis is None:
-        axes = tuple(range(x.ndim))
+        axes = tuple(range(xv.ndim))
     elif isinstance(axis, int):
-        axes = (axis % x.ndim,)
+        axes = (axis % xv.ndim,)
     else:
-        axes = tuple(a % x.ndim for a in axis)
+        axes = tuple(a % xv.ndim for a in axis)
+    value = np.add.reduce(xv, axis=axes, keepdims=keepdims)  # np.sum's kernel
+    if _STATE.values:
+        return value
+    x = _as_node(x)
     kd_shape = tuple(1 if i in axes else s for i, s in enumerate(x.shape))
-    out = Node(np.sum(x.value, axis=axes, keepdims=keepdims), (x,), "sum")
+    out = Node(value, (x,), "sum")
     src_shape = x.shape
     out._vjp = lambda g, _: (broadcast_to(reshape(g, kd_shape), src_shape),)
     return out
 
 
 def mean(x, axis=None, keepdims=False):
-    x = _as_node(x)
     total = sum(x, axis=axis, keepdims=keepdims)
-    return mul(total, 1.0 / (x.value.size // total.value.size))
+    return mul(total, 1.0 / (_value(x).size // _value(total).size))
 
 
 def reshape(x, shape):
-    x = _as_node(x)
+    xv = _value(x)
     shape = tuple(shape)
-    if x.shape == shape:
-        return x
-    if math.prod(x.shape) != math.prod(shape):
-        raise ValueError(f"reshape: cannot reshape {x.shape} to {shape}")
-    out = Node(np.reshape(x.value, shape), (x,), "reshape")
+    if xv.shape == shape:
+        return xv if _STATE.values else _as_node(x)
+    if math.prod(xv.shape) != math.prod(shape):
+        raise ValueError(f"reshape: cannot reshape {xv.shape} to {shape}")
+    value = xv.reshape(shape)
+    if _STATE.values:
+        return value
+    x = _as_node(x)
+    out = Node(value, (x,), "reshape")
     src_shape = x.shape
     out._vjp = lambda g, _: (reshape(g, src_shape),)
     return out
 
 
 def transpose(x):
-    x = _as_node(x)
-    out = Node(np.ascontiguousarray(np.transpose(x.value)), (x,), "transpose")
+    value = np.ascontiguousarray(_value(x).transpose())
+    if _STATE.values:
+        return value
+    out = Node(value, (_as_node(x),), "transpose")
     out._vjp = lambda g, _: (transpose(g),)
     return out
 
 
 def broadcast_to(x, shape):
-    x = _as_node(x)
+    xv = _value(x)
     shape = tuple(shape)
-    if x.shape == shape:
-        return x
-    _broadcast_shape("broadcast_to", x.shape, shape)
-    out = Node(np.ascontiguousarray(np.broadcast_to(x.value, shape)), (x,), "broadcast_to")
+    if xv.shape == shape:
+        return xv if _STATE.values else _as_node(x)
+    _broadcast_shape("broadcast_to", xv.shape, shape)
+    value = np.empty(shape)
+    value[...] = xv
+    if _STATE.values:
+        return value
+    x = _as_node(x)
+    out = Node(value, (x,), "broadcast_to")
     src_shape = x.shape
     out._vjp = lambda g, _: (_unbroadcast(g, src_shape),)
     return out
@@ -333,11 +402,15 @@ def broadcast_to(x, shape):
 
 def index(x, i):
     """Scalar element x.flat[i]."""
-    x = _as_node(x)
-    i, size = int(i), x.value.size
+    xv = _value(x)
+    i, size = int(i), xv.size
     if not 0 <= i < size:
         raise ValueError(f"index: position {i} out of range for size {size}")
-    out = Node(x.value.reshape(-1)[i], (x,), "index")
+    value = xv.reshape(-1)[i]
+    if _STATE.values:
+        return value
+    x = _as_node(x)
+    out = Node(value, (x,), "index")
     out._vjp = lambda g, _: (_place(g, i, x.shape),)
     return out
 
@@ -345,8 +418,10 @@ def index(x, i):
 def _place(g, i, shape):
     """`index`'s adjoint: zeros of `shape`, g added at flat i (-0.0 lands as +0.0)."""
     value = np.zeros(shape)
-    value.reshape(-1)[i] += g.value
-    out = Node(value, (g,), "place")
+    value.reshape(-1)[i] += _value(g)
+    if _STATE.values:
+        return value
+    out = Node(value, (_as_node(g),), "place")
     out._vjp = lambda gg, _: (index(gg, i),)
     return out
 
@@ -361,19 +436,19 @@ def softmax(x):
     The subtracted max is detached; softmax is shift-invariant, so this
     changes neither the value nor any derivative.
     """
-    x = _as_node(x)
-    if x.ndim != 1:
-        raise ValueError(f"softmax: expected a 1-D vector, got shape {x.shape}")
-    e = exp(sub(x, float(x.value.max())))
+    xv = _value(x)
+    if xv.ndim != 1:
+        raise ValueError(f"softmax: expected a 1-D vector, got shape {xv.shape}")
+    e = exp(sub(x, float(xv.max())))
     return mul(e, reciprocal(sum(e)))
 
 
 def logsumexp(x):
     """log(sum(exp(x))) of a 1-D vector via the shifted, overflow-free form."""
-    x = _as_node(x)
-    if x.ndim != 1:
-        raise ValueError(f"logsumexp: expected a 1-D vector, got shape {x.shape}")
-    m = float(x.value.max())
+    xv = _value(x)
+    if xv.ndim != 1:
+        raise ValueError(f"logsumexp: expected a 1-D vector, got shape {xv.shape}")
+    m = float(xv.max())
     return add(log(sum(exp(sub(x, m)))), m)
 
 
@@ -381,61 +456,80 @@ def logsumexp(x):
 # differentiation
 
 
-def _toposort(root: Node) -> list[Node]:
+def _toposort(root: Node, live: set | None = None) -> list[Node]:
+    """`root` and its ancestors, each after its parents, in depth-first
+    post-order: parents pushed in order, popped last first. With a set
+    `live`, only the nodes with a parent in it, each joining it as it is
+    found."""
     order: list[Node] = []
-    seen: set[int] = set()
+    seen: set[Node] = set()
     stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            if live is None:
+                order.append(node)
+                continue
+            for p in node.parents:
+                if p in live:
+                    live.add(node)
+                    order.append(node)
+                    break
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
     return order  # ancestors before descendants
 
 
-def grad_node(output: Node, wrt: Node) -> Node:
+def grad_node(output: Node, wrt: Node):
     """Adjoint of a scalar `output` with respect to `wrt`, as a node graph.
 
     The result is itself differentiable, which is what makes double
-    backward (and so `hvp`) possible. Unreachable `wrt` yields exact zeros.
+    backward (and so `hvp`) possible; in a values-only backward the same
+    rules give it as a plain array. Unreachable `wrt` yields exact zeros.
     Only nodes that depend on `wrt` are differentiated: every node that
     adds to such a node's adjoint depends on `wrt` as well, so the adjoint
     of `wrt` is the same sum, added in the same order, as when every
     node's adjoint is built.
     """
-    if output.value.shape != ():
-        raise ValueError(f"gradient: output must be scalar, got shape {output.value.shape}")
-    order = _toposort(output)
-    live = {id(wrt)}
-    for node in order:
-        for p in node.parents:
-            if id(p) in live:
-                live.add(id(node))
-                break
-    if id(output) not in live:
-        return _as_node(np.zeros(wrt.value.shape))
-    adjoint: dict[int, Node] = {id(output): _as_node(np.ones(()))}
-    for node in reversed(order):
-        if node is wrt:
-            break  # every descendant of wrt came before it
-        g = adjoint.get(id(node))
+    if output.shape != ():
+        raise ValueError(f"gradient: output must be scalar, got shape {output.shape}")
+    live = {wrt}
+    descendants = _toposort(output, live)  # of wrt
+    lift = (lambda value: value) if _STATE.values else _as_node
+    if output not in live:
+        return lift(np.zeros(wrt.shape))
+    adjoint = {output: lift(np.ones(()))}
+    for node in reversed(descendants):
+        g = adjoint.get(node)
         if g is None:
             continue
         parents = node.parents
-        needs = tuple(id(p) in live for p in parents)
+        if len(parents) == 2:
+            needs = (parents[0] in live, parents[1] in live)
+        else:
+            needs = (True,)  # a live node with one parent is live through it
         for parent, contrib in zip(parents, node._vjp(g, needs)):
             if contrib is None:
                 continue
-            held = adjoint.get(id(parent))
-            adjoint[id(parent)] = contrib if held is None else add(held, contrib)
-    return adjoint[id(wrt)]
+            held = adjoint.get(parent)
+            adjoint[parent] = contrib if held is None else add(held, contrib)
+    return adjoint[wrt]
+
+
+def _grad_values(output: Node, wrt: Node) -> Array:
+    """`grad_node`'s adjoint as a plain array, from a values-only backward
+    that builds no node."""
+    previous, _STATE.values = _STATE.values, True
+    try:
+        return grad_node(output, wrt)
+    finally:
+        _STATE.values = previous
 
 
 def _resolve(table: dict[str, Node], key) -> Node:
@@ -464,40 +558,37 @@ def forward(graph: Callable, inputs: dict) -> tuple[dict, Tape]:
     return {name: node.value for name, node in result.items()}, tape
 
 
-def _first_order(tape: Tape, out_node: Node, wrt_node: Node) -> Node:
-    """The tape's gradient graph of `out_node` w.r.t. `wrt_node`, built on
-    the first request and shared by every later one."""
-    key = (out_node, wrt_node)
-    g = tape.grads.get(key)
-    if g is None:
-        with tape:
-            g = tape.grads[key] = grad_node(out_node, wrt_node)
-    return g
-
-
 def gradient(tape: Tape, output, wrt) -> Array:
     """Gradient of a scalar tape output with respect to a tape input, as a
-    new array: the graph it comes from is shared by later calls."""
+    new array. It reads the first-order graph an `hvp` left on the tape,
+    and otherwise runs a values-only backward that leaves the tape as it
+    is."""
     out_node = _resolve(tape.outputs, output)
     wrt_node = _resolve(tape.inputs, wrt)
-    return _first_order(tape, out_node, wrt_node).value.copy()
+    g = tape.grads.get((out_node, wrt_node))
+    if g is not None:
+        return g.value.copy()
+    return _grad_values(out_node, wrt_node)
 
 
 def hvp(tape: Tape, output, wrt, v) -> Array:
     """Hessian-vector product H @ v of a scalar output w.r.t. one input.
 
     Computed as the gradient of <gradient(output), v>; needs nothing beyond
-    the backward rules already being differentiable node graphs. The
-    first-order graph is the tape's shared one, so a second `hvp` builds
-    only its own second backward.
+    the backward rules already being differentiable node graphs. The first
+    `hvp` on a tape builds the first-order graph and keeps it; every `hvp`
+    then records only the nodes of <g, v> and differentiates them
+    values-only.
     """
     out_node = _resolve(tape.outputs, output)
     wrt_node = _resolve(tape.inputs, wrt)
     v = as_tensor(v)
-    if v.shape != wrt_node.value.shape:
-        raise ValueError(f"hvp: v has shape {v.shape}, expected {wrt_node.value.shape}")
-    g = _first_order(tape, out_node, wrt_node)
+    if v.shape != wrt_node.shape:
+        raise ValueError(f"hvp: v has shape {v.shape}, expected {wrt_node.shape}")
+    key = (out_node, wrt_node)
     with tape:
+        g = tape.grads.get(key)
+        if g is None:
+            g = tape.grads[key] = grad_node(out_node, wrt_node)
         s = sum(mul(g, v))
-        h = grad_node(s, wrt_node)
-    return h.value
+    return _grad_values(s, wrt_node)

@@ -255,6 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     theorem_cmd.add_argument("--report", default=None)
     theorem_cmd.set_defaults(handler=_cmd_theorem_check)
 
+    for command in commands.choices.values():
+        command.set_defaults(parser=command)  # usage errors print the subcommand's usage
     return parser
 
 
@@ -267,10 +269,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.handler(parser, args)
+        return args.handler(args.parser, args)
     except (ValueError, OSError, MemoryError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1

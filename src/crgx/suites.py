@@ -38,7 +38,9 @@ def _seeded(*entropy) -> np.random.Generator:
 
 # ------------------------------------------------------------ shapley-verify
 
-def _random_table_game(seed: int, index: int) -> CooperativeGame:
+def _random_table(seed: int, index: int) -> np.ndarray:
+    """One seeded float64 utility table of `axiom_check`, indexed by
+    coalition bitmask (2 to 8 players)."""
     rng = _seeded(seed, 0, index)
     d = 2 + index % 7
     table = rng.normal(0.0, 1.0, 1 << d)
@@ -51,7 +53,7 @@ def _random_table_game(seed: int, index: int) -> CooperativeGame:
         b1, b2 = (masks >> 1) & 1, (masks >> 2) & 1
         swapped = (masks & ~6) | (b1 << 2) | (b2 << 1)
         table = 0.5 * (table + table[swapped])
-    return CooperativeGame.from_table(table)
+    return table
 
 
 def _quadratic_case(seed: int, index: int, d: int):
@@ -77,15 +79,15 @@ def _quadratic_case(seed: int, index: int, d: int):
 def axiom_check(seed: int = 2024, n_games: int = 50) -> dict:
     """Exact Shapley vectors audited against the four axioms on random
     table games (d up to 8), with planted dummies and symmetric pairs.
-    Games of the same d are enumerated and audited together, as one stack
-    of tables; each game's report is the one `axiom_suite` gives it."""
-    games = [_random_table_game(seed, i) for i in range(n_games)]
+    The seeded tables are audited directly: tables of the same d go
+    through as one stack, and each game's report is the one `axiom_suite`
+    gives it."""
+    tables = [_random_table(seed, i) for i in range(n_games)]
     by_game: dict = {}
-    for d in {game.d for game in games}:
-        index = [i for i, game in enumerate(games) if game.d == d]
-        tables = np.stack([games[i].utility_table() for i in index])
-        spans = np.array([games[i].u_full - games[i].u_empty for i in index])
-        by_game.update(zip(index, _audit(tables, spans, _exact(tables))))
+    for size in {table.size for table in tables}:
+        index = [i for i, table in enumerate(tables) if table.size == size]
+        stack = np.stack([tables[i] for i in index])
+        by_game.update(zip(index, _audit(stack, stack[:, -1] - stack[:, 0], _exact(stack))))
     audits = [by_game[i] for i in range(n_games)]
     n_pass = sum(bool(audit["pass"]) for audit in audits)
     return {
@@ -109,8 +111,8 @@ def quadratic_check(seed: int = 2024, n_games: int = 20) -> dict:
         exact = shapley_exact(CooperativeGame(d, utility))
         ones = np.ones(d)
         _, tape = ad.forward(lambda x: {"y": graph(x)}, {"x": ones})
-        grad = ad.gradient(tape, "y", "x")
         hvp_full = ad.hvp(tape, "y", "x", ones)
+        grad = ad.gradient(tape, "y", "x")  # read off the graph hvp keeps
         estimate = shapley_second_order(grad[None, :], hvp_full[None, :], ones[None, :])
         worst = max(worst, _rel_err(estimate.values, exact.values))
     return {

@@ -364,29 +364,84 @@ def test_second_hvp_reuses_the_first_order_graph(monkeypatch):
     fn, x = _random_smooth_case(3)
     rng = np.random.default_rng(7)
     v1, v2 = rng.normal(size=x.shape), rng.normal(size=x.shape)
+
+    graph_backwards = []
+    real = ad.grad_node
+
+    def counting(out, wrt):
+        if not ad._STATE.values:
+            graph_backwards.append(out)
+        return real(out, wrt)
+
+    monkeypatch.setattr(ad, "grad_node", counting)
     _, fresh = ad.forward(fn, {"x": x})
     expected = ad.hvp(fresh, "out", "x", v2)
 
-    _, alone = ad.forward(fn, {"x": x})
-    forward_nodes = len(alone.nodes)
-    ad.gradient(alone, "out", "x")
-    first_order_nodes = len(alone.nodes) - forward_nodes
-
-    calls = []
-    real = ad.grad_node
-    monkeypatch.setattr(ad, "grad_node", lambda out, wrt: calls.append(out) or real(out, wrt))
     _, tape = ad.forward(fn, {"x": x})
+    forward_nodes = len(tape.nodes)
     ad.hvp(tape, "out", "x", v1)
-    assert len(calls) == 2                 # first order, then the second backward
     first_hvp_nodes = len(tape.nodes) - forward_nodes
     second = ad.hvp(tape, "out", "x", v2)
-    assert len(calls) == 3                 # the second backward only
-    assert calls[2] is not tape.outputs["out"]
-    assert len(tape.nodes) - forward_nodes - first_hvp_nodes == first_hvp_nodes - first_order_nodes
+    # one graph backward per tape: the first-order graph, kept on the tape
+    assert graph_backwards == [fresh.outputs["out"], tape.outputs["out"]]
+    # each hvp records only <g, v>: v as a constant, the product, its sum
+    assert len(tape.nodes) - forward_nodes - first_hvp_nodes == 3
+    assert [node.op for node in tape.nodes[-3:]] == ["const", "mul", "sum"]
+    _, built = ad.forward(fn, {"x": x})
+    with built:
+        real(built.outputs["out"], built.inputs["x"])
+    assert first_hvp_nodes == len(built.nodes) - forward_nodes + 3
+    # the second hvp has the bits of the same hvp on a fresh tape
     assert second.tobytes() == expected.tobytes()
+
     n_nodes = len(tape.nodes)
+    _, alone = ad.forward(fn, {"x": x})
     assert ad.gradient(tape, "out", "x").tobytes() == ad.gradient(alone, "out", "x").tobytes()
-    assert len(calls) == 3 and len(tape.nodes) == n_nodes
+    assert len(graph_backwards) == 2 and len(tape.nodes) == n_nodes
+
+
+def _gradient_cases():
+    from crgx.suites import _random_smooth_graph
+
+    for seed in range(12):
+        fn, x = _random_smooth_case(seed)
+        yield pytest.param(fn, {"x": x}, id=f"smooth-{seed}")
+    for index in range(4):
+        graph, x0, _, _ = _random_smooth_graph(77, index)
+        yield pytest.param(graph, {"x": x0}, id=f"hvp-check-{index}")
+    yield pytest.param(lambda x, y: ad.sum(ad.mul(y, 2.0)), {"x": [1.0, 2.0], "y": [3.0, 4.0]},
+                       id="unreached")
+
+
+@pytest.mark.parametrize("fn,inputs", _gradient_cases())
+def test_gradient_on_a_fresh_tape_builds_no_node(fn, inputs):
+    _, tape = ad.forward(fn, inputs)
+    n_nodes = len(tape.nodes)
+    grad = ad.gradient(tape, "out", "x")
+    assert len(tape.nodes) == n_nodes and tape.grads == {}
+    with tape:
+        graph = ad.grad_node(tape.outputs["out"], tape.inputs["x"])
+    assert isinstance(grad, np.ndarray) and grad.tobytes() == graph.value.tobytes()
+
+
+@pytest.mark.parametrize("call", ["gradient", "hvp"])
+def test_values_mode_ends_when_a_backward_rule_raises(call):
+    _, tape = ad.forward(lambda x: ad.sum(ad.tanh(x)), {"x": [0.5, -1.0]})
+    if call == "hvp":
+        ad.hvp(tape, "out", "x", [1.0, 1.0])  # builds the first-order graph first
+    tanh = next(node for node in tape.nodes if node.op == "tanh")
+
+    def broken(g, needs):
+        raise ValueError("broken rule")
+
+    tanh._vjp = broken
+    with pytest.raises(ValueError, match="broken rule"):
+        if call == "hvp":
+            ad.hvp(tape, "out", "x", [1.0, 1.0])
+        else:
+            ad.gradient(tape, "out", "x")
+    assert ad._STATE.values is False
+    assert isinstance(ad.add(1.0, 2.0), ad.Node)
 
 
 def test_gradient_returns_a_new_array_each_call():
@@ -402,8 +457,10 @@ def test_pruned_backward_builds_no_adjoint_for_constants():
     w = np.arange(6.0).reshape(2, 3) / 7
     _, tape = ad.forward(lambda x: ad.sum(ad.matmul(w, x)), {"x": [0.5, -1.0, 2.0]})
     before = len(tape.nodes)
-    ad.gradient(tape, "out", "x")
-    ops = [node.op for node in tape.nodes[before:]]
+    ad.hvp(tape, "out", "x", np.ones(3))
+    # the first-order graph hvp keeps on the tape, then <g, v>
+    assert tape.nodes[-4] is tape.grads[(tape.outputs["out"], tape.inputs["x"])]
+    ops = [node.op for node in tape.nodes[before:-3]]
     # sum's backward (a reshape, a broadcast) and matmul's transpose for x;
     # no product building w's adjoint
     assert "mul" not in ops
@@ -426,6 +483,7 @@ def test_shapes_that_do_not_broadcast_raise(op, a_shape, b_shape):
 
 @pytest.mark.parametrize("a_shape,b_shape", [
     ((2, 3), (2, 3)), ((), (4,)), ((4,), ()), ((2, 3), (3,)), ((2, 1), (1, 3)), ((), ()),
+    ((0, 1), (1, 3)), ((2, 1), (2, 0)),
 ])
 def test_shapes_that_broadcast_give_numpys_shape(a_shape, b_shape):
     expected = np.broadcast_shapes(a_shape, b_shape)

@@ -216,6 +216,28 @@ def test_bad_flag_exits_2_before_any_read(tmp_path, monkeypatch, capsys, argv, m
     assert reads == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["explain", "--method", "gradcam", "--class", "3"],
+     "argument --class: must be below --classes 3, got 3"),
+    (["explain", "--method", "randomcam"], "randomcam needs --method-seed"),
+    (["evaluate", "--method", "gradcam", "--classes", "4", "--class", "4"],
+     "argument --class: must be below --classes 4, got 4"),
+    (["evaluate", "--method", "randomcam"], "randomcam needs --method-seed"),
+], ids=["explain-class", "explain-randomcam-seedless", "evaluate-class",
+        "evaluate-randomcam-seedless"])
+def test_cross_flag_usage_error_prints_the_subcommands_usage(tmp_path, capsys, argv, message):
+    # a check between two flags reports like a check of one flag: the
+    # subcommand's usage, then its own prog name
+    put_image(tmp_path / "0.ppm", 0)
+    where = {"explain": ["--image", str(tmp_path / "0.ppm")], "evaluate": ["--images", str(tmp_path)]}
+    with pytest.raises(SystemExit) as err:
+        main(argv + where[argv[0]])
+    assert err.value.code == 2
+    text = capsys.readouterr().err
+    assert text.startswith(f"usage: crgx {argv[0]} [-h] ")
+    assert text.endswith(f"\ncrgx {argv[0]}: error: {message}\n")
+
+
 def test_explain_bad_alpha_writes_nothing(tmp_path, capsys):
     put_image(tmp_path / "a.ppm", 6)
     out = tmp_path / "out"

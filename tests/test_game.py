@@ -528,7 +528,8 @@ def oracle_games():
     yield pytest.param(planted_game(), id="planted-d6")
     yield pytest.param(planted_game(seed=4, d=9), id="planted-d9")
     for i in (0, 3, 10, 24):
-        yield pytest.param(suites._random_table_game(2024, i), id=f"axiom-check-{i}")
+        yield pytest.param(game.CooperativeGame.from_table(suites._random_table(2024, i)),
+                           id=f"axiom-check-{i}")
     for arch in zoo.ARCHS:
         for shape in ((3, 5, 5), (3, 6, 6)):
             model = zoo.build_model(arch, 3, 1, in_shape=shape)

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from crgx.cam import _ensemble_pairs, explain
-from crgx.game import AXIOM_TOL, axiom_suite, shapley_exact
+from crgx.game import AXIOM_TOL, CooperativeGame, axiom_suite, shapley_exact
 from crgx.suites import (
     PROBE_CONFIG,
     THEOREM_ARCHS,
     THEOREM_CLASSES,
     THEOREM_METHODS,
     _probe_model,
-    _random_table_game,
+    _random_table,
     axiom_check,
     hvp_suite,
     linear_check,
@@ -39,7 +39,7 @@ def axiom_check_oracle(seed, n_games):
     """axiom_check as a loop of shapley_exact and axiom_suite, game by game."""
     n_pass, worst_gap, worst_lin, dummies, symmetric = 0, 0.0, 0.0, 0, 0
     for i in range(n_games):
-        g = _random_table_game(seed, i)
+        g = CooperativeGame.from_table(_random_table(seed, i))
         audit = axiom_suite(g, shapley_exact(g))
         n_pass += bool(audit["pass"])
         worst_gap = max(worst_gap, audit["efficiency"]["gap"])
