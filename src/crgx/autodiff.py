@@ -9,13 +9,13 @@ products by double backward.
 
 A backward pass builds nodes only when its result will be differentiated
 again. Today that is one graph: the first-order gradient graph that `hvp`
-builds once per (output, wrt) pair and keeps on the tape, where `gradient`
-and every later `hvp` read it. `hvp`'s second backward, and `gradient` on
-a tape that holds no such graph, run values-only: the same backward rules
-on plain arrays, each op returning its numpy value bare, so they add no
-node to the tape and give the same bits. Values-only or not, adjoints flow
-only into nodes that depend on the variable differentiated against, so
-nothing is computed for the adjoint of a constant such as a weight matrix.
+builds once per (output, wrt) pair and keeps on the tape, where every
+later `hvp` reads it. `hvp`'s second backward, and every `gradient`, run
+values-only: the same backward rules on plain arrays, each op returning
+its numpy value bare, so they add no node to the tape and give the same
+bits. Values-only or not, adjoints flow only into nodes that depend on the
+variable differentiated against, so nothing is computed for the adjoint
+of a constant such as a weight matrix.
 
 This module only serves derivatives, and no library hot path uses it:
 `cam.explain` takes the head's derivatives in closed form. It serves the
@@ -53,7 +53,7 @@ def as_tensor(x) -> Array:
 
 
 def _check_finite(name: str, value: Array) -> None:
-    if not np.isfinite(value).all():
+    if not np.all(np.isfinite(value)):
         raise ValueError(f"{name}: non-finite values are not allowed")
 
 
@@ -124,15 +124,8 @@ def _as_node(x) -> Node:
     return Node(as_tensor(x), (), "const")
 
 
-_F64 = np.dtype(np.float64)
-
-
 def _value(x) -> Array:
-    if isinstance(x, Node):
-        return x.value
-    if x.__class__ is np.float64 or (x.__class__ is np.ndarray and x.dtype is _F64):
-        return x  # a values-only backward's adjoints are float64 already
-    return as_tensor(x)
+    return x.value if isinstance(x, Node) else as_tensor(x)
 
 
 def _broadcast_shape(op: str, a_shape, b_shape):
@@ -140,9 +133,6 @@ def _broadcast_shape(op: str, a_shape, b_shape):
         return a_shape
     if not a_shape:
         return b_shape
-    if len(a_shape) == len(b_shape) and all(a == b or a == 1 or b == 1
-                                            for a, b in zip(a_shape, b_shape)):
-        return tuple(a if b == 1 else b for a, b in zip(a_shape, b_shape))
     try:
         return np.broadcast_shapes(a_shape, b_shape)
     except ValueError:
@@ -224,7 +214,7 @@ def mul(a, b):
 
 def reciprocal(x):
     xv = _value(x)
-    if (xv == 0.0).any():
+    if np.any(xv == 0.0):
         raise ValueError("reciprocal: zero input")
     value = 1.0 / xv
     if _STATE.values:
@@ -263,7 +253,7 @@ def matmul(a, b):
 def exp(x):
     with np.errstate(over="ignore"):
         value = np.exp(_value(x))
-    if not np.isfinite(value).all():
+    if not np.all(np.isfinite(value)):
         raise ValueError("exp: overflow")
     if _STATE.values:
         return value
@@ -274,7 +264,7 @@ def exp(x):
 
 def log(x):
     xv = _value(x)
-    if (xv <= 0.0).any():
+    if np.any(xv <= 0.0):
         raise ValueError("log: input must be positive")
     value = np.log(xv)
     if _STATE.values:
@@ -341,7 +331,7 @@ def sum(x, axis=None, keepdims=False):  # noqa: A001 - numpy-style name on purpo
         axes = (axis % xv.ndim,)
     else:
         axes = tuple(a % xv.ndim for a in axis)
-    value = np.add.reduce(xv, axis=axes, keepdims=keepdims)  # np.sum's kernel
+    value = np.sum(xv, axis=axes, keepdims=keepdims)
     if _STATE.values:
         return value
     x = _as_node(x)
@@ -364,7 +354,7 @@ def reshape(x, shape):
         return xv if _STATE.values else _as_node(x)
     if math.prod(xv.shape) != math.prod(shape):
         raise ValueError(f"reshape: cannot reshape {xv.shape} to {shape}")
-    value = xv.reshape(shape)
+    value = np.reshape(xv, shape)
     if _STATE.values:
         return value
     x = _as_node(x)
@@ -375,7 +365,7 @@ def reshape(x, shape):
 
 
 def transpose(x):
-    value = np.ascontiguousarray(_value(x).transpose())
+    value = np.ascontiguousarray(np.transpose(_value(x)))
     if _STATE.values:
         return value
     out = Node(value, (_as_node(x),), "transpose")
@@ -389,8 +379,7 @@ def broadcast_to(x, shape):
     if xv.shape == shape:
         return xv if _STATE.values else _as_node(x)
     _broadcast_shape("broadcast_to", xv.shape, shape)
-    value = np.empty(shape)
-    value[...] = xv
+    value = np.ascontiguousarray(np.broadcast_to(xv, shape))
     if _STATE.values:
         return value
     x = _as_node(x)
@@ -456,25 +445,14 @@ def logsumexp(x):
 # differentiation
 
 
-def _toposort(root: Node, live: set | None = None) -> list[Node]:
-    """`root` and its ancestors, each after its parents, in depth-first
-    post-order: parents pushed in order, popped last first. With a set
-    `live`, only the nodes with a parent in it, each joining it as it is
-    found."""
+def _toposort(root: Node) -> list[Node]:
     order: list[Node] = []
     seen: set[Node] = set()
     stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
-            if live is None:
-                order.append(node)
-                continue
-            for p in node.parents:
-                if p in live:
-                    live.add(node)
-                    order.append(node)
-                    break
+            order.append(node)
             continue
         if node in seen:
             continue
@@ -499,21 +477,25 @@ def grad_node(output: Node, wrt: Node):
     """
     if output.shape != ():
         raise ValueError(f"gradient: output must be scalar, got shape {output.shape}")
+    order = _toposort(output)
     live = {wrt}
-    descendants = _toposort(output, live)  # of wrt
+    for node in order:
+        for p in node.parents:
+            if p in live:
+                live.add(node)
+                break
     lift = (lambda value: value) if _STATE.values else _as_node
     if output not in live:
         return lift(np.zeros(wrt.shape))
     adjoint = {output: lift(np.ones(()))}
-    for node in reversed(descendants):
+    for node in reversed(order):
+        if node is wrt:
+            break  # every descendant of wrt came before it
         g = adjoint.get(node)
         if g is None:
             continue
         parents = node.parents
-        if len(parents) == 2:
-            needs = (parents[0] in live, parents[1] in live)
-        else:
-            needs = (True,)  # a live node with one parent is live through it
+        needs = tuple(p in live for p in parents)
         for parent, contrib in zip(parents, node._vjp(g, needs)):
             if contrib is None:
                 continue
@@ -560,15 +542,8 @@ def forward(graph: Callable, inputs: dict) -> tuple[dict, Tape]:
 
 def gradient(tape: Tape, output, wrt) -> Array:
     """Gradient of a scalar tape output with respect to a tape input, as a
-    new array. It reads the first-order graph an `hvp` left on the tape,
-    and otherwise runs a values-only backward that leaves the tape as it
-    is."""
-    out_node = _resolve(tape.outputs, output)
-    wrt_node = _resolve(tape.inputs, wrt)
-    g = tape.grads.get((out_node, wrt_node))
-    if g is not None:
-        return g.value.copy()
-    return _grad_values(out_node, wrt_node)
+    new array, from a values-only backward that leaves the tape as it is."""
+    return _grad_values(_resolve(tape.outputs, output), _resolve(tape.inputs, wrt))
 
 
 def hvp(tape: Tape, output, wrt, v) -> Array:

@@ -111,8 +111,8 @@ def quadratic_check(seed: int = 2024, n_games: int = 20) -> dict:
         exact = shapley_exact(CooperativeGame(d, utility))
         ones = np.ones(d)
         _, tape = ad.forward(lambda x: {"y": graph(x)}, {"x": ones})
+        grad = ad.gradient(tape, "y", "x")
         hvp_full = ad.hvp(tape, "y", "x", ones)
-        grad = ad.gradient(tape, "y", "x")  # read off the graph hvp keeps
         estimate = shapley_second_order(grad[None, :], hvp_full[None, :], ones[None, :])
         worst = max(worst, _rel_err(estimate.values, exact.values))
     return {

@@ -304,7 +304,7 @@ def full_gradient_and_hvps(tape, output, wrt, vs):
 def assert_same_bits_as_full_backward(make_tape, output, wrt, vs):
     grad_ref, hvps_ref = full_gradient_and_hvps(make_tape(), output, wrt, vs)
     tape = make_tape()
-    # hvp first, so the gradient comes from the graph the first hvp built
+    # hvp first, so the gradient runs on a tape that holds the kept graph
     hvps = [ad.hvp(tape, output, wrt, v) for v in vs]
     grad = ad.gradient(tape, output, wrt)
     assert grad.tobytes() == grad_ref.tobytes()
@@ -445,8 +445,8 @@ def test_values_mode_ends_when_a_backward_rule_raises(call):
 
 
 def test_gradient_returns_a_new_array_each_call():
-    # the first-order graph is shared, so writing to one returned gradient
-    # must not change what the next call returns
+    # writing to one returned gradient must not change what the next call
+    # returns
     _, tape = ad.forward(lambda x: ad.sum(ad.mul(x, x)), {"x": [1.0, -2.0]})
     first = ad.gradient(tape, "out", "x")
     first[:] = 0.0
