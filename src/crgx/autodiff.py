@@ -1,18 +1,22 @@
 """Reverse-mode automatic differentiation on dense float64 arrays.
 
-Every operation builds a `Node` linked to its parents by reference and
-recorded, in creation order, on the active `Tape`; plain array arguments
-are wrapped as constant nodes. Backward rules are themselves written in
-terms of these operations, so a gradient can be an ordinary node graph and
-be differentiated again; `hvp` exploits this to compute Hessian-vector
-products by double backward.
+Every operation checks its operands, computes its numpy value once and
+hands it to `_op`, the one place that decides what an op returns. `_op`
+builds a `Node` linked to its parents by reference and recorded, in
+creation order, on the active `Tape`; plain array arguments are wrapped as
+constant nodes, and the node keeps the op's backward rule. Backward rules
+are themselves written in terms of these operations, so a gradient can be
+an ordinary node graph and be differentiated again; `hvp` exploits this to
+compute Hessian-vector products by double backward. Tapes are opened by
+`forward`, which records the named inputs and the graph run on them; the
+same tape can be re-entered to add nodes on top.
 
 A backward pass builds nodes only when its result will be differentiated
 again. Today that is one graph: the first-order gradient graph that `hvp`
 builds once per (output, wrt) pair and keeps on the tape, where every
 later `hvp` reads it. `hvp`'s second backward, and every `gradient`, run
-values-only: the same backward rules on plain arrays, each op returning
-its numpy value bare, so they add no node to the tape and give the same
+values-only: the same backward rules on plain arrays, for which `_op`
+returns each value bare, so they add no node to the tape and give the same
 bits. Values-only or not, adjoints flow only into nodes that depend on the
 variable differentiated against, so nothing is computed for the adjoint
 of a constant such as a weight matrix.
@@ -52,17 +56,13 @@ def as_tensor(x) -> Array:
     return np.asarray(x, dtype=np.float64)
 
 
-def _check_finite(name: str, value: Array) -> None:
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"{name}: non-finite values are not allowed")
-
-
 class Node:
     """One value in a differentiable computation.
 
     `parents` are the nodes this value was computed from, and `_vjp` maps an
-    adjoint and one flag per parent to one adjoint contribution per parent;
-    a parent whose flag is False gets None, and nothing is computed for it.
+    adjoint, one flag per parent and the node itself to one adjoint
+    contribution per parent; a parent whose flag is False gets None, and
+    nothing is computed for it.
     Leaves (inputs and constants) have no parents and no backward rule.
     """
 
@@ -89,10 +89,11 @@ class Node:
 class Tape:
     """Ordered record of one computation: every node, parents first.
 
-    Entering the tape as a context manager routes node creation here; the
-    same tape may be re-entered later to append more nodes (a utility head,
-    a backward pass) on top of an existing forward. `grads` holds the
-    first-order gradient graph of each (output, wrt) pair built so far.
+    `forward` creates a tape and records its inputs. Entering the tape as a
+    context manager routes node creation here; the same tape may be
+    re-entered later to append more nodes (a utility head, a backward pass)
+    on top of an existing forward. `grads` holds the first-order gradient
+    graph of each (output, wrt) pair built so far.
     """
 
     def __init__(self):
@@ -100,14 +101,6 @@ class Tape:
         self.inputs: dict[str, Node] = {}
         self.outputs: dict[str, Node] = {}
         self.grads: dict[tuple[Node, Node], Node] = {}
-
-    def input(self, name: str, value) -> Node:
-        value = as_tensor(value)
-        _check_finite(f"input '{name}'", value)
-        with self:
-            node = Node(value, (), "input")
-        self.inputs[name] = node
-        return node
 
     def __enter__(self):
         _STATE.tapes.append(self)
@@ -128,22 +121,41 @@ def _value(x) -> Array:
     return x.value if isinstance(x, Node) else as_tensor(x)
 
 
-def _broadcast_shape(op: str, a_shape, b_shape):
-    if a_shape == b_shape or not b_shape:
-        return a_shape
-    if not a_shape:
-        return b_shape
-    try:
-        return np.broadcast_shapes(a_shape, b_shape)
-    except ValueError:
-        raise ValueError(f"{op}: shapes {a_shape} and {b_shape} do not broadcast") from None
+def _op(value: Array, parents: tuple, op: str, vjp):
+    """What every op returns: `value` itself in a values-only backward,
+    otherwise a node over `parents` (plain arrays wrapped as constant nodes,
+    in order) whose backward rule is `vjp`."""
+    if _STATE.values:
+        return value
+    out = Node(value, tuple(map(_as_node, parents)), op)
+    out._vjp = vjp
+    return out
+
+
+def _unchanged(x, xv: Array):
+    """`reshape` or `broadcast_to` onto the shape `x` already has: no new
+    op, just `x` as `_op` would give it (its value, or a node)."""
+    return xv if _STATE.values else _as_node(x)
+
+
+def _check_broadcast(op: str, a_shape, b_shape) -> None:
+    """Raise unless the two shapes broadcast with each other (a scalar's always does)."""
+    if a_shape and b_shape:
+        try:
+            np.broadcast_shapes(a_shape, b_shape)
+        except ValueError:
+            raise ValueError(f"{op}: shapes {a_shape} and {b_shape} do not broadcast") from None
 
 
 # ---------------------------------------------------------------------------
 # primitives
 #
-# Each op checks its operands and computes its value once; in a values-only
-# backward it returns that value, otherwise it wraps it in a Node.
+# Each op checks its operands, computes its value once and returns
+# `_op(value, parents, op, rule)`. A rule `(g, needs, out)` reads the parent
+# nodes from `out.parents` and returns one adjoint per parent, None where
+# `needs` is False. A rule that needs a parameter of the call (an axis, a
+# position) closes over it; the others are module functions, so a
+# values-only op builds no function object.
 
 
 def _unbroadcast(g, shape):
@@ -164,64 +176,59 @@ def _unbroadcast(g, shape):
 def add(a, b):
     av, bv = _value(a), _value(b)
     if av.shape != bv.shape:
-        _broadcast_shape("add", av.shape, bv.shape)
-    value = av + bv
-    if _STATE.values:
-        return value
-    a, b = _as_node(a), _as_node(b)
-    out = Node(value, (a, b), "add")
-    out._vjp = lambda g, needs: (_unbroadcast(g, a.shape) if needs[0] else None,
-                                 _unbroadcast(g, b.shape) if needs[1] else None)
-    return out
+        _check_broadcast("add", av.shape, bv.shape)
+    return _op(av + bv, (a, b), "add", _add_vjp)
+
+
+def _add_vjp(g, needs, out):
+    a, b = out.parents
+    return (_unbroadcast(g, a.shape) if needs[0] else None,
+            _unbroadcast(g, b.shape) if needs[1] else None)
 
 
 def sub(a, b):
     av, bv = _value(a), _value(b)
     if av.shape != bv.shape:
-        _broadcast_shape("sub", av.shape, bv.shape)
-    value = av - bv
-    if _STATE.values:
-        return value
-    a, b = _as_node(a), _as_node(b)
-    out = Node(value, (a, b), "sub")
-    out._vjp = lambda g, needs: (_unbroadcast(g, a.shape) if needs[0] else None,
-                                 _unbroadcast(neg(g), b.shape) if needs[1] else None)
-    return out
+        _check_broadcast("sub", av.shape, bv.shape)
+    return _op(av - bv, (a, b), "sub", _sub_vjp)
+
+
+def _sub_vjp(g, needs, out):
+    a, b = out.parents
+    return (_unbroadcast(g, a.shape) if needs[0] else None,
+            _unbroadcast(neg(g), b.shape) if needs[1] else None)
 
 
 def neg(x):
-    value = -_value(x)
-    if _STATE.values:
-        return value
-    out = Node(value, (_as_node(x),), "neg")
-    out._vjp = lambda g, _: (neg(g),)
-    return out
+    return _op(-_value(x), (x,), "neg", _neg_vjp)
+
+
+def _neg_vjp(g, needs, out):
+    return (neg(g),)
 
 
 def mul(a, b):
     av, bv = _value(a), _value(b)
     if av.shape != bv.shape:
-        _broadcast_shape("mul", av.shape, bv.shape)
-    value = av * bv
-    if _STATE.values:
-        return value
-    a, b = _as_node(a), _as_node(b)
-    out = Node(value, (a, b), "mul")
-    out._vjp = lambda g, needs: (_unbroadcast(mul(g, b), a.shape) if needs[0] else None,
-                                 _unbroadcast(mul(g, a), b.shape) if needs[1] else None)
-    return out
+        _check_broadcast("mul", av.shape, bv.shape)
+    return _op(av * bv, (a, b), "mul", _mul_vjp)
+
+
+def _mul_vjp(g, needs, out):
+    a, b = out.parents
+    return (_unbroadcast(mul(g, b), a.shape) if needs[0] else None,
+            _unbroadcast(mul(g, a), b.shape) if needs[1] else None)
 
 
 def reciprocal(x):
     xv = _value(x)
     if np.any(xv == 0.0):
         raise ValueError("reciprocal: zero input")
-    value = 1.0 / xv
-    if _STATE.values:
-        return value
-    out = Node(value, (_as_node(x),), "reciprocal")
-    out._vjp = lambda g, _: (neg(mul(g, mul(out, out))),)
-    return out
+    return _op(1.0 / xv, (x,), "reciprocal", _reciprocal_vjp)
+
+
+def _reciprocal_vjp(g, needs, out):
+    return (neg(mul(g, mul(out, out))),)
 
 
 def matmul(a, b):
@@ -232,22 +239,16 @@ def matmul(a, b):
         raise ValueError(f"matmul: unsupported ranks {na} @ {nb}")
     if av.shape[-1] != bv.shape[0]:
         raise ValueError(f"matmul: shapes {av.shape} @ {bv.shape} do not align")
-    value = np.matmul(av, bv)
-    if _STATE.values:
-        return value
-    a, b = _as_node(a), _as_node(b)
-    out = Node(value, (a, b), "matmul")
+    return _op(np.matmul(av, bv), (a, b), "matmul", _matmul_vjp)
 
-    def vjp(g, needs):
-        need_a, need_b = needs
-        if na == 2:
-            m, k = a.shape
-            return (mul(reshape(g, (m, 1)), reshape(b, (1, k))) if need_a else None,
-                    matmul(transpose(a), g) if need_b else None)
-        return mul(g, b) if need_a else None, mul(g, a) if need_b else None
 
-    out._vjp = vjp
-    return out
+def _matmul_vjp(g, needs, out):
+    a, b = out.parents
+    if a.ndim == 2:
+        m, k = a.shape
+        return (mul(reshape(g, (m, 1)), reshape(b, (1, k))) if needs[0] else None,
+                matmul(transpose(a), g) if needs[1] else None)
+    return mul(g, b) if needs[0] else None, mul(g, a) if needs[1] else None
 
 
 def exp(x):
@@ -255,24 +256,22 @@ def exp(x):
         value = np.exp(_value(x))
     if not np.all(np.isfinite(value)):
         raise ValueError("exp: overflow")
-    if _STATE.values:
-        return value
-    out = Node(value, (_as_node(x),), "exp")
-    out._vjp = lambda g, _: (mul(g, out),)
-    return out
+    return _op(value, (x,), "exp", _exp_vjp)
+
+
+def _exp_vjp(g, needs, out):
+    return (mul(g, out),)
 
 
 def log(x):
     xv = _value(x)
     if np.any(xv <= 0.0):
         raise ValueError("log: input must be positive")
-    value = np.log(xv)
-    if _STATE.values:
-        return value
-    x = _as_node(x)
-    out = Node(value, (x,), "log")
-    out._vjp = lambda g, _: (mul(g, reciprocal(x)),)
-    return out
+    return _op(np.log(xv), (x,), "log", _log_vjp)
+
+
+def _log_vjp(g, needs, out):
+    return (mul(g, reciprocal(out.parents[0])),)
 
 
 def _sigmoid_fw(xv):
@@ -292,31 +291,27 @@ def _sigmoid_fw(xv):
 
 
 def sigmoid(x):
-    value = _sigmoid_fw(_value(x))
-    if _STATE.values:
-        return value
-    out = Node(value, (_as_node(x),), "sigmoid")
-    out._vjp = lambda g, _: (mul(g, mul(out, sub(1.0, out))),)
-    return out
+    return _op(_sigmoid_fw(_value(x)), (x,), "sigmoid", _sigmoid_vjp)
+
+
+def _sigmoid_vjp(g, needs, out):
+    return (mul(g, mul(out, sub(1.0, out))),)
 
 
 def tanh(x):
-    value = np.tanh(_value(x))
-    if _STATE.values:
-        return value
-    out = Node(value, (_as_node(x),), "tanh")
-    out._vjp = lambda g, _: (mul(g, sub(1.0, mul(out, out))),)
-    return out
+    return _op(np.tanh(_value(x)), (x,), "tanh", _tanh_vjp)
+
+
+def _tanh_vjp(g, needs, out):
+    return (mul(g, sub(1.0, mul(out, out))),)
 
 
 def softplus(x):
-    value = np.logaddexp(0.0, _value(x))
-    if _STATE.values:
-        return value
-    x = _as_node(x)
-    out = Node(value, (x,), "softplus")
-    out._vjp = lambda g, _: (mul(g, sigmoid(x)),)
-    return out
+    return _op(np.logaddexp(0.0, _value(x)), (x,), "softplus", _softplus_vjp)
+
+
+def _softplus_vjp(g, needs, out):
+    return (mul(g, sigmoid(out.parents[0])),)
 
 
 def silu(x):
@@ -325,21 +320,22 @@ def silu(x):
 
 def sum(x, axis=None, keepdims=False):  # noqa: A001 - numpy-style name on purpose
     xv = _value(x)
+    ndim = xv.ndim
     if axis is None:
-        axes = tuple(range(xv.ndim))
-    elif isinstance(axis, int):
-        axes = (axis % xv.ndim,)
+        axes = tuple(range(ndim))
     else:
-        axes = tuple(a % xv.ndim for a in axis)
-    value = np.sum(xv, axis=axes, keepdims=keepdims)
-    if _STATE.values:
-        return value
-    x = _as_node(x)
-    kd_shape = tuple(1 if i in axes else s for i, s in enumerate(x.shape))
-    out = Node(value, (x,), "sum")
-    src_shape = x.shape
-    out._vjp = lambda g, _: (broadcast_to(reshape(g, kd_shape), src_shape),)
-    return out
+        axes = (axis,) if isinstance(axis, int) else tuple(axis)
+        for a in axes:
+            if not -ndim <= a < ndim:
+                raise ValueError(f"sum: axis {a} out of range for shape {xv.shape}")
+        axes = tuple(a % ndim for a in axes)
+
+    def vjp(g, needs, out):
+        src_shape = out.parents[0].shape
+        kd_shape = tuple(1 if i in axes else s for i, s in enumerate(src_shape))
+        return (broadcast_to(reshape(g, kd_shape), src_shape),)
+
+    return _op(np.sum(xv, axis=axes, keepdims=keepdims), (x,), "sum", vjp)
 
 
 def mean(x, axis=None, keepdims=False):
@@ -351,42 +347,39 @@ def reshape(x, shape):
     xv = _value(x)
     shape = tuple(shape)
     if xv.shape == shape:
-        return xv if _STATE.values else _as_node(x)
+        return _unchanged(x, xv)
     if math.prod(xv.shape) != math.prod(shape):
         raise ValueError(f"reshape: cannot reshape {xv.shape} to {shape}")
-    value = np.reshape(xv, shape)
-    if _STATE.values:
-        return value
-    x = _as_node(x)
-    out = Node(value, (x,), "reshape")
-    src_shape = x.shape
-    out._vjp = lambda g, _: (reshape(g, src_shape),)
-    return out
+    return _op(np.reshape(xv, shape), (x,), "reshape", _reshape_vjp)
+
+
+def _reshape_vjp(g, needs, out):
+    return (reshape(g, out.parents[0].shape),)
 
 
 def transpose(x):
-    value = np.ascontiguousarray(np.transpose(_value(x)))
-    if _STATE.values:
-        return value
-    out = Node(value, (_as_node(x),), "transpose")
-    out._vjp = lambda g, _: (transpose(g),)
-    return out
+    return _op(np.ascontiguousarray(np.transpose(_value(x))), (x,), "transpose", _transpose_vjp)
+
+
+def _transpose_vjp(g, needs, out):
+    return (transpose(g),)
 
 
 def broadcast_to(x, shape):
     xv = _value(x)
     shape = tuple(shape)
     if xv.shape == shape:
-        return xv if _STATE.values else _as_node(x)
-    _broadcast_shape("broadcast_to", xv.shape, shape)
-    value = np.ascontiguousarray(np.broadcast_to(xv, shape))
-    if _STATE.values:
-        return value
-    x = _as_node(x)
-    out = Node(value, (x,), "broadcast_to")
-    src_shape = x.shape
-    out._vjp = lambda g, _: (_unbroadcast(g, src_shape),)
-    return out
+        return _unchanged(x, xv)
+    # numpy's rule, one way: each trailing source extent is 1 or the target's
+    lead = len(shape) - xv.ndim
+    if lead < 0 or any(s not in (1, t) for s, t in zip(xv.shape, shape[lead:])):
+        raise ValueError(f"broadcast_to: shape {xv.shape} does not broadcast onto {shape}")
+    return _op(np.ascontiguousarray(np.broadcast_to(xv, shape)), (x,), "broadcast_to",
+               _broadcast_to_vjp)
+
+
+def _broadcast_to_vjp(g, needs, out):
+    return (_unbroadcast(g, out.parents[0].shape),)
 
 
 def index(x, i):
@@ -395,24 +388,15 @@ def index(x, i):
     i, size = int(i), xv.size
     if not 0 <= i < size:
         raise ValueError(f"index: position {i} out of range for size {size}")
-    value = xv.reshape(-1)[i]
-    if _STATE.values:
-        return value
-    x = _as_node(x)
-    out = Node(value, (x,), "index")
-    out._vjp = lambda g, _: (_place(g, i, x.shape),)
-    return out
+    return _op(xv.reshape(-1)[i], (x,), "index",
+               lambda g, needs, out: (_place(g, i, out.parents[0].shape),))
 
 
 def _place(g, i, shape):
     """`index`'s adjoint: zeros of `shape`, g added at flat i (-0.0 lands as +0.0)."""
     value = np.zeros(shape)
     value.reshape(-1)[i] += _value(g)
-    if _STATE.values:
-        return value
-    out = Node(value, (_as_node(g),), "place")
-    out._vjp = lambda gg, _: (index(gg, i),)
-    return out
+    return _op(value, (g,), "place", lambda gg, needs, out: (index(gg, i),))
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +468,9 @@ def grad_node(output: Node, wrt: Node):
             if p in live:
                 live.add(node)
                 break
-    lift = (lambda value: value) if _STATE.values else _as_node
     if output not in live:
-        return lift(np.zeros(wrt.shape))
-    adjoint = {output: lift(np.ones(()))}
+        return _op(np.zeros(wrt.shape), (), "const", None)
+    adjoint = {output: _op(np.ones(()), (), "const", None)}
     for node in reversed(order):
         if node is wrt:
             break  # every descendant of wrt came before it
@@ -496,7 +479,7 @@ def grad_node(output: Node, wrt: Node):
             continue
         parents = node.parents
         needs = tuple(p in live for p in parents)
-        for parent, contrib in zip(parents, node._vjp(g, needs)):
+        for parent, contrib in zip(parents, node._vjp(g, needs, node)):
             if contrib is None:
                 continue
             held = adjoint.get(parent)
@@ -526,12 +509,16 @@ def forward(graph: Callable, inputs: dict) -> tuple[dict, Tape]:
     """Run `graph` on named inputs, recording every node on a fresh tape.
 
     `graph` is called with one keyword argument per input and returns either
-    a single node or a dict of named nodes.
+    a single node or a dict of named nodes. Every input must be finite.
     """
     tape = Tape()
     with tape:
-        in_nodes = {name: tape.input(name, value) for name, value in inputs.items()}
-        result = graph(**in_nodes)
+        for name, value in inputs.items():
+            value = as_tensor(value)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"input '{name}': non-finite values are not allowed")
+            tape.inputs[name] = Node(value, (), "input")
+        result = graph(**tape.inputs)
     if isinstance(result, Node):
         result = {"out": result}
     if not isinstance(result, dict) or not all(isinstance(v, Node) for v in result.values()):

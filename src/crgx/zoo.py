@@ -227,13 +227,9 @@ class ToyModel:
         variable; gradient/hvp against it differentiate the head only.
         """
         stack = self._tap_stack(ad.as_tensor(image)[None])[0]
-        tape = ad.Tape()
-        x = tape.input("tap", stack)
-        with tape:
-            logits = self.head(x)
-        tape.outputs["logits"] = logits
+        outs, tape = ad.forward(lambda tap: {"logits": self.head(tap)}, {"tap": stack})
         activations = ActivationStack(maps=stack, spatial=self.tap_spatial())
-        return TapRun(logits=logits.value, activations=activations, tape=tape)
+        return TapRun(logits=outs["logits"], activations=activations, tape=tape)
 
 
 def build_model(arch: str, num_classes: int, seed: int,

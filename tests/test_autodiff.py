@@ -1,6 +1,8 @@
 """Autodiff engine: gradients and HVPs against central differences,
 forward determinism, and the error contracts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -280,7 +282,7 @@ def full_grad_node(output, wrt):
         if g is None or node._vjp is None:
             continue
         for parent, contrib in zip(node.parents,
-                                   node._vjp(g, (True,) * len(node.parents))):
+                                   node._vjp(g, (True,) * len(node.parents), node)):
             held = adjoint.get(id(parent))
             adjoint[id(parent)] = contrib if held is None else ad.add(held, contrib)
     result = adjoint.get(id(wrt))
@@ -431,7 +433,7 @@ def test_values_mode_ends_when_a_backward_rule_raises(call):
         ad.hvp(tape, "out", "x", [1.0, 1.0])  # builds the first-order graph first
     tanh = next(node for node in tape.nodes if node.op == "tanh")
 
-    def broken(g, needs):
+    def broken(g, needs, out):
         raise ValueError("broken rule")
 
     tanh._vjp = broken
@@ -442,6 +444,102 @@ def test_values_mode_ends_when_a_backward_rule_raises(call):
             ad.gradient(tape, "out", "x")
     assert ad._STATE.values is False
     assert isinstance(ad.add(1.0, 2.0), ad.Node)
+
+
+# The ops each primitive and composite records on a tape, in order: on the
+# forward, on the first hvp (the kept first-order graph, then <g, v>) and on
+# a second hvp (<g, v> alone); a gradient records none.
+_W = np.array([[0.5, -1.0], [2.0, 0.25]])
+TAPE_CASES = [
+    ("add", lambda x: ad.sum(ad.mul(ad.add(x, 1.0), x)),
+     ["input", "const", "add", "mul", "sum"],
+     ["const", "reshape", "broadcast_to", "mul", "mul", "add", "const", "mul", "sum"]),
+    ("sub", lambda x: ad.sum(ad.mul(ad.sub(1.0, x), x)),
+     ["input", "const", "sub", "mul", "sum"],
+     ["const", "reshape", "broadcast_to", "mul", "mul", "neg", "add", "const", "mul", "sum"]),
+    ("neg", lambda x: ad.sum(ad.mul(ad.neg(x), x)),
+     ["input", "neg", "mul", "sum"],
+     ["const", "reshape", "broadcast_to", "mul", "mul", "neg", "add", "const", "mul", "sum"]),
+    ("mul", lambda x: ad.sum(ad.mul(ad.mul(x, x), [2.0, 3.0])),
+     ["input", "mul", "const", "mul", "sum"],
+     ["const", "reshape", "broadcast_to", "mul", "mul", "mul", "add", "const", "mul", "sum"]),
+    ("reciprocal", lambda x: ad.sum(ad.reciprocal(x)),
+     ["input", "reciprocal", "sum"],
+     ["const", "reshape", "broadcast_to", "mul", "mul", "neg", "const", "mul", "sum"]),
+    ("matmul", lambda x: ad.matmul(x, ad.matmul(_W, x)),
+     ["input", "const", "matmul", "matmul"],
+     ["const", "mul", "mul", "transpose", "matmul", "add", "const", "mul", "sum"]),
+    ("exp", lambda x: ad.sum(ad.exp(x)),
+     ["input", "exp", "sum"],
+     ["const", "reshape", "broadcast_to", "mul", "const", "mul", "sum"]),
+    ("log", lambda x: ad.sum(ad.log(x)),
+     ["input", "log", "sum"],
+     ["const", "reshape", "broadcast_to", "reciprocal", "mul", "const", "mul", "sum"]),
+    ("sigmoid", lambda x: ad.sum(ad.sigmoid(x)),
+     ["input", "sigmoid", "sum"],
+     ["const", "reshape", "broadcast_to", "const", "sub", "mul", "mul", "const", "mul", "sum"]),
+    ("tanh", lambda x: ad.sum(ad.tanh(x)),
+     ["input", "tanh", "sum"],
+     ["const", "reshape", "broadcast_to", "mul", "const", "sub", "mul", "const", "mul", "sum"]),
+    ("softplus", lambda x: ad.sum(ad.softplus(x)),
+     ["input", "softplus", "sum"],
+     ["const", "reshape", "broadcast_to", "sigmoid", "mul", "const", "mul", "sum"]),
+    ("sum", lambda x: ad.sum(ad.mul(ad.sum(ad.mul(ad.reshape(x, (2, 1)), x), axis=0), x)),
+     ["input", "reshape", "mul", "sum", "mul", "sum"],
+     ["const", "reshape", "broadcast_to", "mul", "mul", "reshape", "broadcast_to", "mul", "sum",
+      "mul", "sum", "add", "reshape", "add", "const", "mul", "sum"]),
+    ("reshape", lambda x: ad.sum(ad.mul(ad.reshape(x, (1, 2)), ad.reshape(x, (2, 1)))),
+     ["input", "reshape", "reshape", "mul", "sum"],
+     ["const", "reshape", "broadcast_to", "mul", "sum", "mul", "sum", "reshape", "reshape", "add",
+      "const", "mul", "sum"]),
+    ("transpose", lambda x: ad.sum(ad.mul(ad.transpose(ad.reshape(x, (2, 1))), x)),
+     ["input", "reshape", "transpose", "mul", "sum"],
+     ["const", "reshape", "broadcast_to", "mul", "mul", "sum", "transpose", "reshape", "add",
+      "const", "mul", "sum"]),
+    ("broadcast_to", lambda x: ad.sum(ad.mul(ad.broadcast_to(x, (3, 2)), x)),
+     ["input", "broadcast_to", "mul", "sum"],
+     ["const", "reshape", "broadcast_to", "mul", "mul", "sum", "sum", "add", "const", "mul",
+      "sum"]),
+    ("index", lambda x: ad.mul(ad.index(x, 1), ad.index(x, 0)),
+     ["input", "index", "index", "mul"],
+     ["const", "mul", "mul", "place", "place", "add", "const", "mul", "sum"]),
+    ("place", lambda x: ad.sum(ad.mul(ad._place(ad.index(x, 0), 1, (2,)), x)),
+     ["input", "index", "place", "mul", "sum"],
+     ["const", "reshape", "broadcast_to", "mul", "mul", "index", "place", "add", "const", "mul",
+      "sum"]),
+    ("silu", lambda x: ad.sum(ad.silu(x)),
+     ["input", "sigmoid", "mul", "sum"],
+     ["const", "reshape", "broadcast_to", "mul", "mul", "const", "sub", "mul", "mul", "add",
+      "const", "mul", "sum"]),
+    ("mean", lambda x: ad.mul(ad.mean(x), ad.mean(x)),
+     ["input", "sum", "const", "mul", "sum", "const", "mul", "mul"],
+     ["const", "mul", "mul", "mul", "reshape", "broadcast_to", "mul", "reshape", "broadcast_to",
+      "add", "const", "mul", "sum"]),
+    ("softmax", lambda x: ad.index(ad.softmax(x), 0),
+     ["input", "const", "sub", "exp", "sum", "reciprocal", "mul", "index"],
+     ["const", "place", "mul", "mul", "sum", "mul", "mul", "neg", "reshape", "broadcast_to",
+      "add", "mul", "const", "mul", "sum"]),
+    ("logsumexp", lambda x: ad.logsumexp(x),
+     ["input", "const", "sub", "exp", "sum", "log", "const", "add"],
+     ["const", "reciprocal", "mul", "reshape", "broadcast_to", "mul", "const", "mul", "sum"]),
+]
+
+
+@pytest.mark.parametrize("name,graph,forward_ops,first_hvp_ops", TAPE_CASES,
+                         ids=[c[0] for c in TAPE_CASES])
+def test_every_op_records_the_same_nodes(name, graph, forward_ops, first_hvp_ops):
+    _, tape = ad.forward(graph, {"x": [0.5, 2.0]})
+
+    def ops():
+        return [node.op for node in tape.nodes]
+
+    assert ops() == forward_ops
+    ad.gradient(tape, "out", "x")
+    assert ops() == forward_ops
+    ad.hvp(tape, "out", "x", [1.0, -1.0])
+    assert ops() == forward_ops + first_hvp_ops
+    ad.hvp(tape, "out", "x", [0.5, 2.0])
+    assert ops() == forward_ops + first_hvp_ops + ["const", "mul", "sum"]
 
 
 def test_gradient_returns_a_new_array_each_call():
@@ -477,8 +575,9 @@ def test_shapes_that_do_not_broadcast_raise(op, a_shape, b_shape):
     with pytest.raises(ValueError) as err:
         getattr(ad, op)(np.ones(a_shape), np.ones(b_shape))
     assert str(err.value) == message
-    with pytest.raises(ValueError, match="broadcast_to: shapes"):
+    with pytest.raises(ValueError) as err:
         ad.broadcast_to(np.ones(a_shape), b_shape)
+    assert str(err.value) == f"broadcast_to: shape {a_shape} does not broadcast onto {b_shape}"
 
 
 @pytest.mark.parametrize("a_shape,b_shape", [
@@ -489,4 +588,35 @@ def test_shapes_that_broadcast_give_numpys_shape(a_shape, b_shape):
     expected = np.broadcast_shapes(a_shape, b_shape)
     for op in (ad.add, ad.sub, ad.mul):
         assert op(np.ones(a_shape), np.ones(b_shape)).shape == expected
-    assert ad._broadcast_shape("add", a_shape, b_shape) == expected
+    assert ad.broadcast_to(np.ones(a_shape), expected).shape == expected
+
+
+@pytest.mark.parametrize("src,target", [((3,), (1,)), ((2, 3), (3,)), ((0,), (1,)),
+                                        ((2, 2), (3, 2, 1))])
+def test_broadcast_to_only_broadcasts_onto_the_target(src, target):
+    # the two shapes broadcast with each other, but not src onto target
+    with pytest.raises(ValueError) as err:
+        ad.broadcast_to(np.ones(src), target)
+    assert str(err.value) == f"broadcast_to: shape {src} does not broadcast onto {target}"
+
+
+@pytest.mark.parametrize("src,target", [((1,), (3,)), ((3,), (2, 3)), ((), (2,)), ((1,), (0,))])
+def test_broadcast_to_onto_a_larger_shape(src, target):
+    x = np.arange(1.0, 1.0 + math.prod(src)).reshape(src)
+    assert np.array_equal(ad.broadcast_to(x, target).value, np.broadcast_to(x, target))
+
+
+@pytest.mark.parametrize("shape,axis", [((2, 3), 5), ((2, 3), -3), ((2, 3), 2), ((2, 3), (0, 2)),
+                                        ((), 0), ((), -1)])
+def test_sum_rejects_an_axis_out_of_range(shape, axis):
+    bad = axis if isinstance(axis, int) else axis[1]
+    for op in (ad.sum, ad.mean):
+        with pytest.raises(ValueError) as err:
+            op(np.ones(shape), axis=axis)
+        assert str(err.value) == f"sum: axis {bad} out of range for shape {shape}"
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1, -2, (0, 1), (-1,)])
+def test_sum_takes_every_axis_in_range(axis):
+    x = np.arange(6.0).reshape(2, 3)
+    assert np.array_equal(ad.sum(x, axis=axis).value, np.sum(x, axis=axis))
