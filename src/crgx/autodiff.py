@@ -340,7 +340,12 @@ def sum(x, axis=None, keepdims=False):  # noqa: A001 - numpy-style name on purpo
 
 def mean(x, axis=None, keepdims=False):
     total = sum(x, axis=axis, keepdims=keepdims)
-    return mul(total, 1.0 / (_value(x).size // _value(total).size))
+    shape = _value(x).shape
+    axes = range(len(shape)) if axis is None else (axis,) if isinstance(axis, int) else axis
+    count = math.prod(shape[a] for a in axes)  # `sum` has checked every axis
+    if count == 0:
+        raise ValueError(f"mean: axis {axis} of shape {shape} holds no elements")
+    return mul(total, 1.0 / count)
 
 
 def reshape(x, shape):

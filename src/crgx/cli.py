@@ -8,10 +8,11 @@ no timestamps, and every random draw is derived from explicit seed flags.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import sys
-from collections import Counter
+from collections import Counter, OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from .metrics import evaluate_batch
 from .postprocess import _blend, apply_colormap, normalize_minmax, upsample_bilinear
 from .suites import hvp_suite, shapley_suite, theorem_suite
 from .utility import UTILITY_KINDS, UtilitySpec
-from .zoo import ARCHS, TAP_LAYER, build_model
+from .zoo import ARCHS, TAP_LAYER, ToyModel, build_model
 
 
 def _report_text(report) -> str:
@@ -91,11 +92,36 @@ def _resolve_method(parser: argparse.ArgumentParser, args):
     return CamMethod(args.method)
 
 
+_MODELS: OrderedDict[tuple, ToyModel] = OrderedDict()  # least recently used first
+
+
+def _model(arch: str, classes: int, seed: int, in_shape) -> ToyModel:
+    """`build_model(arch, classes, seed, in_shape)` for `explain` and
+    `evaluate`, kept for the rest of the process with read-only weights.
+
+    The last two models asked for are reused, which covers a caller that
+    alternates two architectures. A third evicts the least recently used
+    one before it is drawn, so at worst 2 x `zoo._MAX_WEIGHT_BYTES` of
+    weights stay alive. Every later call shares a cached model, so its
+    weights must not change; `build_model` itself stays uncached, and
+    library callers that scale weights in place get fresh, writable ones.
+    """
+    key = (arch, classes, seed, tuple(in_shape))
+    model = _MODELS.pop(key, None)
+    if model is None:
+        if len(_MODELS) == 2:
+            _MODELS.popitem(last=False)
+        model = build_model(arch, num_classes=classes, seed=seed, in_shape=in_shape)
+        for weight in model.weights.values():
+            weight.flags.writeable = False
+    _MODELS[key] = model
+    return model
+
+
 def _cmd_explain(parser: argparse.ArgumentParser, args) -> int:
     method = _resolve_method(parser, args)  # a usage error ends the run before any file is read
     image = read_image(args.image)
-    model = build_model(args.arch, num_classes=args.classes, seed=args.seed,
-                        in_shape=image.pixels.shape)
+    model = _model(args.arch, args.classes, args.seed, image.pixels.shape)
     stack = model._tap_stack(image.pixels[None])
     target = (int(np.argmax(model.head_batch(stack)[0])) if args.target_class is None
               else args.target_class)
@@ -148,8 +174,7 @@ def _cmd_evaluate(parser: argparse.ArgumentParser, args) -> int:
     # the most common shape; Counter breaks ties by first appearance, i.e. name order
     in_shape = Counter(img.pixels.shape for img in images).most_common(1)[0][0]
 
-    model = build_model(args.arch, num_classes=args.classes, seed=args.seed,
-                        in_shape=in_shape)
+    model = _model(args.arch, args.classes, args.seed, in_shape)
     spec = UtilitySpec(args.target_class, args.utility)
     record = evaluate_batch(model, images, spec, method)
 
@@ -268,7 +293,32 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# glibc's M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1), as `mallopt`
+# parameter and value: 4 and 8 MiB. A 64x64 CNN call's working set (the
+# 830 KB im2col buffer, tap outputs of up to 983 KB, 786 KB of masked
+# images) stays under the mmap threshold, so it comes from the heap, and
+# the trim threshold keeps that much freed heap mapped for the next call.
+# Left dynamic, glibc hands it back to the kernel at the end of a call, and
+# the next call faults it in again page by page.
+_MALLOPT_PINS = ((-3, 4 << 20), (-1, 8 << 20))
+
+
+@functools.cache
+def _pin_allocator() -> None:
+    """Pin glibc's mmap and trim thresholds, once per process. Does
+    nothing where there is no glibc `mallopt` (macOS, musl, Windows)."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _MALLOPT_PINS:
+        mallopt(param, value)
+
+
 def main(argv=None) -> int:
+    _pin_allocator()
     args = _parser().parse_args(argv)
     try:
         return args.handler(args.parser, args)

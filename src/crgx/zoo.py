@@ -236,7 +236,7 @@ def build_model(arch: str, num_classes: int, seed: int,
                 in_shape: tuple[int, int, int] = (3, 6, 6)) -> ToyModel:
     """Construct a model with seeded uniform weights.
 
-    Each tensor draws uniform [-0.5, 0.5] scaled by 1/sqrt(fan_in) from one
+    Each tensor draws uniform [-0.5, 0.5) scaled by 1/sqrt(fan_in) from one
     generator in a fixed order, so identical (arch, num_classes, seed,
     in_shape) always yields bit-identical weights. Weights of more than
     `_MAX_WEIGHT_BYTES` (1 GiB) raise `ValueError` before any is drawn.

@@ -620,3 +620,14 @@ def test_sum_rejects_an_axis_out_of_range(shape, axis):
 def test_sum_takes_every_axis_in_range(axis):
     x = np.arange(6.0).reshape(2, 3)
     assert np.array_equal(ad.sum(x, axis=axis).value, np.sum(x, axis=axis))
+
+
+@pytest.mark.parametrize("shape,axis", [((0, 3), 0), ((2, 0), 1), ((0,), None)])
+def test_mean_over_no_elements_raises(shape, axis):
+    with pytest.raises(ValueError) as err:
+        ad.mean(np.ones(shape), axis=axis)
+    assert str(err.value) == f"mean: axis {axis} of shape {shape} holds no elements"
+
+
+def test_mean_to_an_empty_result_over_a_nonempty_axis():
+    assert ad.mean(np.ones((0, 3)), axis=1).value.shape == (0,)

@@ -1,4 +1,6 @@
 import json
+import platform
+import resource
 
 import numpy as np
 import pytest
@@ -568,3 +570,129 @@ _VALUES = st.recursive(
 @example([float("nan")])
 def test_report_text_is_json_dumps_with_sorted_keys(value):
     assert _report_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """An empty model cache, and the (arch, seed) of every model the CLI
+    builds."""
+    from crgx import cli
+
+    built = []
+
+    def counting(arch, num_classes, seed, in_shape):
+        built.append((arch, seed))
+        return build_model(arch, num_classes=num_classes, seed=seed, in_shape=in_shape)
+
+    monkeypatch.setattr(cli, "build_model", counting)
+    monkeypatch.setattr(cli, "_MODELS", type(cli._MODELS)())
+    return built
+
+
+def test_explain_twice_builds_the_model_once(tmp_path, builds):
+    put_image(tmp_path / "s.ppm", 9)
+    argv = ["explain", "--image", str(tmp_path / "s.ppm"), "--method", "shapleycam",
+            "--arch", "mlp-smooth", "--seed", "4"]
+    assert main(argv + ["--out-dir", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--out-dir", str(tmp_path / "b")]) == 0
+    assert builds == [("mlp-smooth", 4)]
+    for name in ("s.shapleycam.heatmap.ppm", "s.shapleycam.overlay.ppm", "s.shapleycam.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_model_cache_keeps_the_two_last_used(builds):
+    from crgx import cli
+
+    for seed in (1, 2, 1, 3, 1, 2):  # the hit on 1 leaves 2 the least recently used
+        cli._model("cnn-smooth", 3, seed, (3, 6, 6))
+    assert builds == [("cnn-smooth", 1), ("cnn-smooth", 2), ("cnn-smooth", 3),
+                      ("cnn-smooth", 2)]
+    assert len(cli._MODELS) == 2
+
+
+@pytest.mark.parametrize("arch", ["cnn-relu", "cnn-smooth", "mlp-smooth"])
+def test_cached_weights_are_read_only_copies_of_build_model(builds, arch):
+    from crgx import cli
+
+    cached = cli._model(arch, 3, 5, (3, 8, 8))
+    fresh = build_model(arch, num_classes=3, seed=5, in_shape=(3, 8, 8))
+    assert cached.weights.keys() == fresh.weights.keys()
+    for name, weight in cached.weights.items():
+        assert not weight.flags.writeable
+        assert np.array_equal(weight, fresh.weights[name])
+        assert fresh.weights[name].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            weight[...] = 0.0
+    assert cli._model(arch, 3, 5, (3, 8, 8)) is cached
+
+
+def test_main_pins_the_allocator_once_per_process(tmp_path, monkeypatch, request):
+    import ctypes
+
+    from crgx import cli
+
+    calls = []
+
+    class FakeLibc:
+        def __init__(self, name):
+            self.mallopt = lambda param, value: calls.append((param, value))
+
+    monkeypatch.setattr(ctypes, "CDLL", FakeLibc)
+    cli._pin_allocator.cache_clear()
+    request.addfinalizer(cli._pin_allocator.cache_clear)
+    put_image(tmp_path / "s.ppm", 10)
+    for _ in range(2):
+        assert main(["explain", "--image", str(tmp_path / "s.ppm"), "--method", "gradcam",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    assert calls == [(-3, 4 << 20), (-1, 8 << 20)]
+
+
+class _NoMallopt:
+    def __init__(self, name):
+        pass
+
+
+def _no_libc(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, _NoMallopt], ids=["no-libc", "no-mallopt"])
+def test_explain_without_glibc_writes_the_same_files(tmp_path, monkeypatch, request, cdll):
+    import ctypes
+
+    from crgx import cli
+
+    put_image(tmp_path / "s.ppm", 11)
+    argv = ["explain", "--image", str(tmp_path / "s.ppm"), "--method", "shapleycam"]
+    cli._pin_allocator.cache_clear()
+    assert main(argv + ["--out-dir", str(tmp_path / "pinned")]) == 0
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    cli._pin_allocator.cache_clear()
+    request.addfinalizer(cli._pin_allocator.cache_clear)
+    assert main(argv + ["--out-dir", str(tmp_path / "unpinned")]) == 0
+    names = sorted(p.name for p in (tmp_path / "pinned").iterdir())
+    assert len(names) == 3
+    assert names == sorted(p.name for p in (tmp_path / "unpinned").iterdir())
+    for name in names:
+        assert ((tmp_path / "pinned" / name).read_bytes()
+                == (tmp_path / "unpinned" / name).read_bytes())
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the pin needs glibc's mallopt")
+def test_a_repeated_evaluate_faults_in_no_fresh_memory(tmp_path):
+    # without the pin, glibc hands the call's freed heap back to the kernel,
+    # and each repeat pays about 600 minor faults to map it in again
+    from crgx import cli
+
+    cli._pin_allocator.cache_clear()
+    img_dir = tmp_path / "imgs"
+    img_dir.mkdir()
+    for i in range(4):
+        put_image(img_dir / f"img{i}.ppm", 90 + i, shape=(3, 64, 64))
+    argv = ["evaluate", "--images", str(img_dir), "--method", "gradcam",
+            "--arch", "cnn-smooth", "--report", str(tmp_path / "r.json")]
+    for _ in range(2):
+        assert main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
