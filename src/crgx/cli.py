@@ -8,7 +8,6 @@ no timestamps, and every random draw is derived from explicit seed flags.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import functools
 import json
 import sys
@@ -293,32 +292,28 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# glibc's M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1), as `mallopt`
-# parameter and value: 4 and 8 MiB. A 64x64 CNN call's working set (the
-# 830 KB im2col buffer, tap outputs of up to 983 KB, 786 KB of masked
-# images) stays under the mmap threshold, so it comes from the heap, and
-# the trim threshold keeps that much freed heap mapped for the next call.
-# Left dynamic, glibc hands it back to the kernel at the end of a call, and
-# the next call faults it in again page by page.
-_MALLOPT_PINS = ((-3, 4 << 20), (-1, 8 << 20))
+# glibc serves a block at or above its mmap threshold (128 KiB at start)
+# with a fresh mapping and unmaps it on free; freeing one larger than the
+# threshold (up to 32 MiB) raises the threshold to its size and the heap
+# trim threshold to twice that. Until then, a call's freed working set goes
+# back to the kernel and the next call faults it in again page by page.
+# Freeing one 4 MiB block first moves both thresholds above a 64x64 CNN
+# call's working set (the 830 KB im2col buffer, tap outputs of up to 983 KB,
+# 786 KB of masked images). The rule stays live, so a larger buffer (a
+# 224x224 image's 10.6 MB im2col chunk) raises them again on its first
+# free; `mallopt` would switch the rule off for the whole process.
+_MALLOC_PRIME_BYTES = 4 << 20
 
 
 @functools.cache
-def _pin_allocator() -> None:
-    """Pin glibc's mmap and trim thresholds, once per process. Does
-    nothing where there is no glibc `mallopt` (macOS, musl, Windows)."""
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    for param, value in _MALLOPT_PINS:
-        mallopt(param, value)
+def _raise_malloc_thresholds() -> None:
+    """Allocate and free one `_MALLOC_PRIME_BYTES` block, once per process.
+    `np.empty` writes no page; without glibc it is a spare allocation."""
+    np.empty(_MALLOC_PRIME_BYTES, np.uint8)
 
 
 def main(argv=None) -> int:
-    _pin_allocator()
+    _raise_malloc_thresholds()
     args = _parser().parse_args(argv)
     try:
         return args.handler(args.parser, args)
