@@ -53,12 +53,14 @@ class CamMethod:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.name not in _METHOD_TABLE:
+        if not isinstance(self.name, str) or self.name not in _METHOD_TABLE:
             raise ValueError(f"unknown CAM method {self.name!r}; "
                              f"expected one of {CAM_METHODS}")
         if self.name == "randomcam":
             if self.seed is None:
                 raise ValueError("randomcam needs a seed")
+            if not isinstance(self.seed, (int, np.integer)):
+                raise ValueError(f"randomcam seed must be an integer, got {self.seed!r}")
             if self.seed < 0:
                 raise ValueError(f"randomcam seed must be non-negative, got {self.seed}")
 

@@ -221,7 +221,11 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
                      help="map-coefficient seed, required for randomcam")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first call: parse_args leaves it
+    unchanged, and a build costs more than most commands' own work on small
+    inputs. Every call returns this same object; do not change it."""
     parser = argparse.ArgumentParser(
         prog="crgx",
         description="Gradient and Shapley heatmaps for small bundled models, "
@@ -284,14 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built on first use and kept for the process:
-    parse_args leaves a parser unchanged, and building one costs more than
-    most commands' own work on small inputs."""
-    return build_parser()
-
-
 # glibc serves a block at or above its mmap threshold (128 KiB at start)
 # with a fresh mapping and unmaps it on free; freeing one larger than the
 # threshold (up to 32 MiB) raises the threshold to its size and the heap
@@ -314,7 +310,7 @@ def _raise_malloc_thresholds() -> None:
 
 def main(argv=None) -> int:
     _raise_malloc_thresholds()
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args.parser, args)
     except (ValueError, OSError, MemoryError) as err:

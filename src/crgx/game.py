@@ -61,6 +61,8 @@ class CooperativeGame:
     _table: np.ndarray | None = None
 
     def __init__(self, d: int, utility: Callable[[np.ndarray], np.ndarray]):
+        if not isinstance(d, (int, np.integer)):
+            raise ValueError(f"d must be an integer, got {d!r}")
         if d < 1:
             raise ValueError(f"a game needs at least one player, got d={d}")
         self.d = int(d)
@@ -77,7 +79,7 @@ class CooperativeGame:
         if not np.isfinite(table).all():
             raise ValueError("utility table values must be finite")
         d = int(table.size).bit_length() - 1
-        if table.size != 1 << d:
+        if table.size == 0 or table.size != 1 << d:
             raise ValueError(f"table size {table.size} is not a power of two")
         powers = 1 << np.arange(d, dtype=np.int64)
         game = cls(d, lambda masks: table[masks @ powers])

@@ -162,19 +162,9 @@ class MetricRecord:
         return report
 
 
-def _method_name(method: HeatmapSource) -> str:
-    if isinstance(method, CamMethod):
-        return method.name
-    if isinstance(method, str):
-        return method
-    return getattr(method, "cam_name", getattr(method, "__name__", "custom"))
-
-
-def _per_image_method(method: HeatmapSource, index: int) -> HeatmapSource:
+def _per_image_method(method, index: int):
     """randomcam draws fresh map coefficients per image, derived from the
     batch seed and the image's position so runs stay reproducible."""
-    if isinstance(method, str):
-        method = CamMethod(method)
     if isinstance(method, CamMethod) and method.name == "randomcam":
         derived = int(np.random.SeedSequence((method.seed, index)).generate_state(1)[0])
         return CamMethod("randomcam", seed=derived)
@@ -182,15 +172,15 @@ def _per_image_method(method: HeatmapSource, index: int) -> HeatmapSource:
 
 
 def _pipeline_heatmaps(model: ToyModel, pixels: np.ndarray, stacks: np.ndarray,
-                       first: int, spec: UtilitySpec, method: HeatmapSource) -> np.ndarray:
+                       first: int, spec: UtilitySpec, method) -> np.ndarray:
     """Normalized heatmaps of n images upsampled to their resolution,
     (n, H, W), C-contiguous. Built-in methods read the images' tap stacks
     (n, n_maps, d) in one `explain_batch`; randomcam (a draw per image
     index `first`, `first + 1`, ...) and custom callables build each
     image's own."""
-    if callable(method) and not isinstance(method, (str, CamMethod)):
+    if not isinstance(method, CamMethod):
         heatmaps = [method(model, x, spec) for x in pixels]
-    elif _as_method(method).name == "randomcam":
+    elif method.name == "randomcam":
         heatmaps = [explain_batch(model, stacks[k:k + 1], spec,
                                   _per_image_method(method, first + k))[0]
                     for k in range(len(stacks))]
@@ -206,7 +196,7 @@ def _target_scores(model: ToyModel, stacks: np.ndarray, target_class: int) -> np
 
 
 def _protocol_terms(model: ToyModel, planes: list, first: int, spec: UtilitySpec,
-                    method: HeatmapSource) -> list:
+                    method) -> list:
     """The protocol over images `first`, `first + 1`, ... given as `planes`,
     one batched call per stage: the per-image (ad, coherency, complexity,
     ic, add) lists. Raises `ValueError` if any image fails a stage."""
@@ -252,7 +242,10 @@ def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
     whole protocol one image at a time, so only the failing images are left
     out, each with its own message. Every stage maps rows to rows, each row
     bit-identical to its own call, so every kept term is bit-identical to
-    running the protocol on that image alone."""
+    running the protocol on that image alone. A bad `method` (an unknown
+    name, a seedless randomcam, a non-callable) raises before any image is read."""
+    if not callable(method):  # a name becomes its CamMethod; CamMethod checks the rest
+        method = _as_method(method)
     if len(images) == 0:
         raise ValueError("need at least one image")
     if not 0 <= spec.target_class < model.num_classes:
@@ -286,7 +279,8 @@ def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
         raise ValueError(f"all {len(planes)} images failed: {skipped[0]}")
 
     return MetricRecord(
-        method=_method_name(method),
+        method=(method.name if isinstance(method, CamMethod)
+                else getattr(method, "cam_name", getattr(method, "__name__", "custom"))),
         utility=spec.kind,
         arch=model.arch,
         skipped=tuple(sorted(skipped.items())),

@@ -35,6 +35,9 @@ def upsample_bilinear(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         raise ValueError(f"source map must be 2-D or a stack (n, h, w), got shape {src.shape}")
     if src.shape[-2] < 1 or src.shape[-1] < 1:
         raise ValueError(f"source dims must be >= 1, got {src.shape[-2:]}")
+    for name, n in (("out_h", out_h), ("out_w", out_w)):
+        if not isinstance(n, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
     if out_h < 1 or out_w < 1:
         raise ValueError(f"target dims must be >= 1, got ({out_h}, {out_w})")
 

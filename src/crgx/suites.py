@@ -353,10 +353,9 @@ def theorem_suite(seeds: int = 5) -> dict:
         "rest_norm": float(rest_norm),
         "ensemble_err": float(ensemble_err),
         "rest_err": float(rest_err),
-        "pass": bool(direct_norm < 1e-8 and rest_norm > 1e-3),
+        "pass": bool(direct_norm < 1e-8 and rest_norm > 1e-3
+                     and ensemble_err <= 1e-8 and rest_err <= 1e-8),
     })
-    probe["pass"] = bool(probe["pass"] and probe["ensemble_err"] <= 1e-8
-                         and probe["rest_err"] <= 1e-8)
     report["probe"] = probe
 
     mean_exact = True

@@ -39,6 +39,8 @@ class UtilitySpec:
         if self.kind not in UTILITY_KINDS:
             raise ValueError(f"unknown utility kind {self.kind!r}; "
                              f"expected one of {UTILITY_KINDS}")
+        if not isinstance(self.target_class, (int, np.integer)):
+            raise ValueError(f"target_class must be an integer, got {self.target_class!r}")
         if self.target_class < 0:
             raise ValueError(f"target_class must be non-negative, got {self.target_class}")
 

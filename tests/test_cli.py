@@ -338,19 +338,11 @@ def test_csv_columns_are_the_report_keys_without_n_failed(tmp_path):
     assert row.split(",")[4:] == [f"{report[k]:.4f}" for k in header.split(",")[4:]]
 
 
-def test_main_reuses_one_parser(tmp_path, monkeypatch, capsys):
+def test_main_reuses_one_parser(tmp_path, capsys):
     # usage error, evaluate, --help, explain and evaluate in one process
     from crgx import cli
 
-    built = []
-    build = cli.build_parser
-
-    def counting():
-        built.append(1)
-        return build()
-
-    monkeypatch.setattr(cli, "build_parser", counting)
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
     img_dir = tmp_path / "imgs"
     img_dir.mkdir()
     for i in range(3):
@@ -366,12 +358,14 @@ def test_main_reuses_one_parser(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as err:
         main(["--help"])
     assert err.value.code == 0
-    assert capsys.readouterr().out == build().format_help()
+    assert capsys.readouterr().out == cli.build_parser.__wrapped__().format_help()
     assert main(["explain", "--image", str(img_dir / "img0.ppm"), "--method", "gradcam",
                  "--out-dir", str(tmp_path / "out")]) == 0
     assert main(evaluate + [str(tmp_path / "r2.json")]) == 0
     assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
-    assert len(built) == 1
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser.cache_info().hits == 4
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_evaluate_names_each_skipped_image(tmp_path, capsys):

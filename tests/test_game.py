@@ -200,6 +200,23 @@ def test_lane_stream_at_the_two_word_boundary(d):
     assert_stream_matches_numpy(top + 1, 0, 3, d)               # three-word entropy: numpy
 
 
+def test_player_count_must_be_an_integer():
+    def utility(masks):
+        return masks.sum(axis=1).astype(np.float64)
+
+    with pytest.raises(ValueError, match="d must be an integer, got 2.5"):
+        game.CooperativeGame(2.5, utility)
+    with pytest.raises(ValueError, match="d must be an integer"):
+        game.CooperativeGame(np.float64(2.0), utility)
+    for d in (2, np.int64(2), np.uint8(2)):
+        assert game.CooperativeGame(d, utility).d == 2
+
+
+def test_empty_table_names_the_table_size():
+    with pytest.raises(ValueError, match="table size 0 is not a power of two"):
+        game.CooperativeGame.from_table(np.array([]))
+
+
 def test_negative_seed_still_raises():
     g = game.CooperativeGame.from_table([0.0, 1.0, 2.0, 4.0])
     with pytest.raises(ValueError, match="non-negative"):

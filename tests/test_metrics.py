@@ -9,7 +9,6 @@ from crgx.cam import CAM_METHODS, CamMethod, Heatmap, explain, explain_batch
 from crgx.imgio import Image
 from crgx.metrics import (
     MetricRecord,
-    _method_name,
     _per_image_method,
     _target_scores,
     adcc,
@@ -341,6 +340,8 @@ def reference_pipeline_heatmap(model, pixels, stack, spec, method):
 def reference_evaluate_batch(model, images, spec, method):
     """The protocol as one loop over images, each run on its own: the
     oracle the stage-by-stage `evaluate_batch` must match bit for bit."""
+    if isinstance(method, str):
+        method = CamMethod(method)
     if len(images) == 0:
         raise ValueError("need at least one image")
     if not 0 <= spec.target_class < model.num_classes:
@@ -383,8 +384,14 @@ def reference_evaluate_batch(model, images, spec, method):
         raise ValueError(f"all {len(results)} images failed: {skipped[0][1]}")
 
     columns = list(zip(*kept))
+    if isinstance(method, CamMethod):
+        name = method.name
+    elif hasattr(method, "cam_name"):
+        name = method.cam_name
+    else:
+        name = getattr(method, "__name__", "custom")
     return MetricRecord(
-        method=_method_name(method),
+        method=name,
         utility=spec.kind,
         arch=model.arch,
         skipped=skipped,
@@ -410,6 +417,8 @@ def reference_confidences(model, images, spec, method):
     """Target confidences (y, o, d) of each image as the oracle computes
     them: on the image, on its explanation map and on its anti-explanation
     map."""
+    if isinstance(method, str):
+        method = CamMethod(method)
     c = spec.target_class
     rows = []
     for index, x in enumerate(images):
@@ -537,6 +546,20 @@ def test_clean_chunk_taps_once_for_images_and_once_for_masks(arch, monkeypatch):
             sizes.clear()
             evaluate_batch(model, images[:n], UtilitySpec(1, "rest"), method)
             assert sizes == [n, 2 * n], (name, n)
+
+
+@pytest.mark.parametrize("method,message", [
+    ("bogus", "unknown CAM method 'bogus'"),
+    ("randomcam", "randomcam needs a seed"),
+    (42, "unknown CAM method 42"),
+    (["gradcam"], r"unknown CAM method \['gradcam'\]"),
+], ids=["unknown-name", "seedless-randomcam", "int", "list"])
+def test_bad_source_raises_before_any_tap(method, message, monkeypatch):
+    model = build_model("cnn-smooth", num_classes=3, seed=4)
+    sizes = count_taps(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        evaluate_batch(model, make_images(7), UtilitySpec(1, "rest"), method)
+    assert sizes == []
 
 
 def test_clean_batch_taps_chunk_by_chunk(monkeypatch):

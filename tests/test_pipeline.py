@@ -106,6 +106,16 @@ def test_upsample_rejects_bad_dims():
         pp.upsample_bilinear(np.ones((1, 2, 2, 2)), 2, 2)
 
 
+def test_upsample_target_dims_must_be_integers():
+    with pytest.raises(ValueError, match="out_h must be an integer, got 2.5"):
+        pp.upsample_bilinear(np.ones((2, 2)), 2.5, 2)
+    with pytest.raises(ValueError, match="out_w must be an integer"):
+        pp.upsample_bilinear(np.ones((2, 2)), 2, np.float64(3.0))
+    want = pp.upsample_bilinear(np.eye(2), 3, 4)
+    for out_h, out_w in ((np.int64(3), np.int32(4)), (np.uint16(3), 4)):
+        assert pp.upsample_bilinear(np.eye(2), out_h, out_w).tobytes() == want.tobytes()
+
+
 # ------------------------------------------------------------------ colormap
 
 def test_colormap_table_shape_and_range():
