@@ -32,8 +32,7 @@ AXIOM_TOL = 1e-9  # relative tolerance of every axiom_suite check
 # Batches follow zoo's cell budget `_BATCH_CELLS`: SpatialGame evaluates
 # rows x n_maps x d masked activations at a time, utility_table builds
 # coalitions x d membership flags, _scan writes tables x players x face
-# differences, shapley_mc builds permutations x d x d prefix flags, and its
-# permutation stream words x lanes PCG64 outputs.
+# differences, and shapley_mc builds permutations x d x d prefix flags.
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
@@ -205,203 +204,33 @@ def shapley_exact(game: CooperativeGame) -> ShapleyVector:
     return ShapleyVector(values=_exact(table[None])[0], method="exact")
 
 
-# The Monte Carlo permutation stream. Permutation i of shapley_mc(seed) is
-# numpy's default_rng(SeedSequence((seed, i))).permutation(d): SeedSequence
-# hashes the entropy words into a 4-word pool, PCG64 is seeded from
-# generate_state(4, uint64), and Generator.permutation runs Fisher-Yates on
-# masked-rejection draws from next_uint32. For 0 <= seed, i < 2^32 the
-# entropy is the two words (seed, i), and for d <= 64 the functions below
-# compute the same numbers for many i at once, one lane per permutation.
-_M32 = 0xFFFFFFFF
-_M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_U16, _U32 = np.uint32(16), np.uint64(32)
-_LO32 = np.uint64(_M32)
-
-
-def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
-    """The xor and multiplier of n successive SeedSequence hashmix calls,
-    as a (2, n) uint32 array."""
-    consts = []
-    for _ in range(n):
-        consts.append((init, init * mult & _M32))
-        init = consts[-1][1]
-    return np.array(consts, np.uint32).T
-
-
-_POOL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-# mix round src hashes pool[src] into the three other words in order; a zero
-# column at src gives one (4, n) step per round
-_ROUNDS = np.stack([np.insert(_POOL[:, 4 + 3 * src:7 + 3 * src], src, 0, axis=1)
-                    for src in range(4)])[..., None]
-# generate_state(4, uint64) hashes 8 words, word k from pool[k % 4]
-_STATE = _hash_constants(0x8B51F9DD, 0x58F38DED, 8).reshape(2, 2, 4, 1)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hashmix(v: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    v = (v ^ consts[0]) * consts[1]
-    return v ^ (v >> _U16)
-
-
-@lru_cache(maxsize=None)
-def _skip_ahead(k: int) -> tuple[np.ndarray, ...]:
-    """PCG64 skip-ahead constants for outputs t = 1..k. Seeding leaves the
-    state at M*s + (M+1)*inc and each output steps once more, so output t
-    reads state A_t*s + B_t*inc with A_t = M^(t+1), B_t = sum_{u<t+2} M^u
-    (mod 2^128). With inc = 2*seq + 1 that is A_t*s + 2B_t*seq + B_t.
-    Returns the multipliers (A_t, 2B_t) as (2, k, 1) uint64 arrays of the
-    high limb, the low limb and its two 32-bit halves, then B_t's high and
-    low limbs as (k, 1) arrays."""
-    power, total, rows = _PCG_MULT, 1 + _PCG_MULT, []
-    for _ in range(k):
-        power = power * _PCG_MULT & _M128
-        total = (total + power) & _M128
-        rows.append((power, 2 * total & _M128, total))
-    limbs = np.array([[[v >> 64, v & _M64] for v in col] for col in zip(*rows)],
-                     dtype=np.uint64)[..., None]
-    hi, lo = limbs[:2, :, 0], limbs[:2, :, 1]
-    consts = (hi, lo, lo & _LO32, lo >> _U32, limbs[2, :, 0], limbs[2, :, 1])
-    for a in consts:                              # shared by every caller
-        a.setflags(write=False)
-    return consts
-
-
-def _lane_words(seed: int, lanes: np.ndarray, n_out: int) -> np.ndarray:
-    """The first 2 * n_out uint32 words next_uint32 returns from
-    default_rng(SeedSequence((seed, i))) for each i in the uint32 array
-    lanes; shape (2 * n_out, len(lanes))."""
-    n = len(lanes)
-    pool = np.zeros((4, n), np.uint32)
-    pool[0] = seed
-    pool[1] = lanes
-    pool = _hashmix(pool, _POOL[:, :4, None])
-    for src in range(4):
-        r = pool * _MIX_L - _hashmix(pool[src], _ROUNDS[src]) * _MIX_R
-        r ^= r >> _U16
-        r[src] = pool[src]
-        pool = r
-    w = _hashmix(pool, _STATE).astype(np.uint64).reshape(8, n)
-    # generate_state(4, uint64): little-endian word pairs, as (s, seq) x (hi, lo)
-    g = (w[0::2] | (w[1::2] << _U32)).reshape(2, 2, 1, n)
-    x_hi, x_lo = g[:, 0], g[:, 1]
-    c_hi, c_lo, c0, c1, b_hi, b_lo = _skip_ahead(n_out)
-    # A_t*s + 2B_t*seq + B_t mod 2^128 in uint64 limbs; the high limb takes
-    # the high half of each low-limb product, built from 32-bit halves
-    x0, x1 = x_lo & _LO32, x_lo >> _U32
-    t = c1 * x0 + ((c0 * x0) >> _U32)
-    u = c0 * x1 + (t & _LO32)
-    hi = c1 * x1 + (t >> _U32) + (u >> _U32) + c_lo * x_hi + c_hi * x_lo
-    lo = c_lo * x_lo
-    low = lo[0] + lo[1]
-    high = hi[0] + hi[1] + b_hi + (low < lo[0])
-    low += b_lo
-    high += low < b_lo
-    # XSL-RR output; next_uint32 hands out the low half first
-    x = high ^ low
-    rot = high >> np.uint64(58)
-    out = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-    words = np.empty((n_out, 2, n), np.uint32)
-    words[:, 0] = out
-    words[:, 1] = out >> _U32
-    return words.reshape(2 * n_out, n)
-
-
-@lru_cache(maxsize=None)
-def _interval_masks(d: int) -> tuple[np.ndarray, np.ndarray, tuple[bool, ...]]:
-    """For i = d-1..1: i and the mask random_interval(i) draws under, as
-    (d-1, 1) uint8 columns (d <= 64, so six bits hold both), and whether
-    the draw can be rejected (i is not all ones)."""
-    tops = np.arange(d - 1, 0, -1, dtype=np.uint8)[:, None]
-    masks = np.array([(1 << int(i).bit_length()) - 1 for i in tops.ravel()], np.uint8)[:, None]
-    tops.setflags(write=False)                    # shared by every caller
-    masks.setflags(write=False)
-    return tops, masks, tuple((masks != tops).ravel().tolist())
-
-
-def _fisher_yates(words: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's shuffle of arange(d) in each lane of a (W, n) word array:
-    for i = d-1..1, j is the first unread word masked to i's bit length
-    that is <= i, and a[i], a[j] swap. Returns the (n, d) permutations and
-    the lanes that ran out of words (their rows are not valid)."""
-    w, n = words.shape
-    lanes = np.arange(n)
-    tops, masks, rejects = _interval_masks(d)
-    low = np.zeros((w + 1, n), np.uint8)          # row w: a zero word past the end
-    low[:w] = words & np.uint32(63)
-    # (positions, rows * lanes): one long inner loop, not one per row
-    ok = ((low.reshape(-1) & masks) <= tops).reshape(d - 1, w + 1, n)
-    rows = np.arange(w + 1)[:, None]
-    rows[w] = w + 1                               # the zero word matches any cursor
-    used = np.empty((d - 1, n), np.intp)          # the word row each position draws
-    cur = np.zeros(n, np.intp)                    # each lane's next unread row
-    for p in range(d - 1):
-        if rejects[p]:
-            (ok[p] & (rows >= cur)).argmax(0, out=used[p])
-        else:
-            np.minimum(cur, w, out=used[p])
-        np.add(used[p], 1, out=cur)
-    # j as a flat index into the (d, n) permutations
-    j = (low.reshape(-1).take(used * n + lanes) & masks).astype(np.intp) * n + lanes
-    perms = np.repeat(np.arange(d, dtype=np.int64), n).reshape(d, n)
-    flat = perms.reshape(-1)
-    for p, i in enumerate(range(d - 1, 0, -1)):
-        pj = flat.take(j[p])
-        flat[j[p]] = perms[i]
-        perms[i] = pj
-    return perms.T, cur > w
-
-
-def _lane_permutations(seed: int, lanes: np.ndarray, d: int, n_words: int) -> np.ndarray:
-    """Permutations of the lanes from n_words words each, recomputing a lane
-    that rejections ran dry with twice as many words."""
-    perms, dry = _fisher_yates(_lane_words(seed, lanes, (n_words + 1) // 2), d)
-    if dry.any():
-        perms[dry] = _lane_permutations(seed, lanes[dry], d, 2 * n_words)
-    return perms
-
-
-def _permutations(seed, lo: int, hi: int, d: int) -> np.ndarray:
-    """Row i - lo is default_rng(SeedSequence((seed, i))).permutation(d) for
-    lo <= i < hi. Entropy outside two uint32 words, and d > 64, go to numpy.
-    The lanes draw 2d + 4 words each, all at once: `shapley_mc` bounds
-    hi - lo by the cell budget of those words."""
-    stop = lo
-    if isinstance(seed, (int, np.integer)) and 0 <= seed <= _M32 and d <= 64:
-        stop = min(hi, max(lo, 1 << 32))
-    perms = np.empty((hi - lo, d), dtype=np.int64)
-    if stop > lo:
-        # 2d + 4 words leave a lane short with probability below 1e-4 for any d
-        perms[:stop - lo] = _lane_permutations(
-            int(seed), np.arange(lo, stop).astype(np.uint32), d, 2 * d + 4)
-    for i in range(stop, hi):
-        perms[i - lo] = np.random.default_rng(np.random.SeedSequence((seed, i))).permutation(d)
-    return perms
-
-
 def shapley_mc(game: CooperativeGame, samples: int, seed: int) -> ShapleyVector:
     """Monte Carlo Shapley estimate from uniform permutations with replacement.
 
-    Permutation i is default_rng(SeedSequence((seed, i))).permutation(game.d),
-    so the estimate depends only on (seed, samples), not on execution order.
-    For 0 <= seed, i < 2^32 and d <= 64 that stream is computed over numpy
-    lanes, block by block, bit for bit; other entropy and larger d go through
-    numpy's generator. The d prefix coalitions of a block of permutations go
-    through one `utility_batch` call; each permutation's marginals are then
-    added in permutation order, so the result is bit-identical to walking
-    the permutations one coalition at a time. Standard errors are per-player
+    Permutation i is the stable argsort of row i of
+    `PCG64(seed).random_raw((samples, game.d))`: d raw 64-bit words ranked,
+    ties (probability below d^2 / 2^65) broken by player index. A block of
+    permutations draws its rows in one `random_raw` call, and split calls
+    return the same words as one, so the estimate depends only on (seed,
+    samples). The d prefix coalitions of a block go through one
+    `utility_batch` call; each permutation's marginals are then added in
+    permutation order, so the result is bit-identical to walking the
+    permutations one coalition at a time. Standard errors are per-player
     sample standard deviations over sqrt(n) (zero when n == 1).
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    d = game.d
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    samples, d = int(samples), game.d
+    bits = np.random.PCG64(seed)
     sums = np.zeros(d)
     sumsq = np.zeros(d)
     steps = np.arange(1, d + 1)
-    block = _chunk_rows(max(d * d, 2 * d + 4))  # prefix masks; lane words
+    block = _chunk_rows(d * d)                    # prefix masks
     for lo in range(0, samples, block):
-        perms = _permutations(seed, lo, min(lo + block, samples), d)
+        perms = np.argsort(bits.random_raw((min(block, samples - lo), d)), axis=1,
+                           kind="stable")
         # prefix k of a permutation holds the players it ranks below k
         prefixes = np.argsort(perms, axis=1)[:, None, :] < steps[:, None]
         u = game.utility_batch(prefixes.reshape(-1, d)).reshape(len(perms), d)

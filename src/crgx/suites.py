@@ -36,6 +36,13 @@ def _seeded(*entropy) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+def _require_ints(**args) -> None:
+    """A suite's counts and seeds must be Python or numpy integers."""
+    for name, value in args.items():
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 # ------------------------------------------------------------ shapley-verify
 
 def _random_table(seed: int, index: int) -> np.ndarray:
@@ -196,6 +203,7 @@ def shapley_suite(seed: int = 2024, mc_seeds: int = 10, mc_samples: int = 50000)
     """Exact-attribution checks: axioms on random tables, closed-form
     second-order equality on quadratics, first-order exactness on linear
     games, the d=16 spatial oracle, and Monte Carlo convergence."""
+    _require_ints(seed=seed, mc_seeds=mc_seeds, mc_samples=mc_samples)
     report: dict = {"suite": "shapley-verify", "seed": int(seed)}
     # sampling first: it rejects a sample count before any section does work
     report["mc"] = mc_check(seed, mc_seeds, mc_samples)
@@ -248,6 +256,7 @@ def _gradient_at(graph, x: np.ndarray) -> np.ndarray:
 def hvp_suite(seed: int = 77, graphs: int = 100) -> dict:
     """Hessian-vector products against finite differences of the gradient,
     plus the bilinear symmetry of the Hessian."""
+    _require_ints(seed=seed, graphs=graphs)
     worst_fd = 0.0
     worst_sym = 0.0
     n_pass = 0
@@ -312,6 +321,7 @@ def theorem_suite(seeds: int = 5) -> dict:
     """Ensemble and residual-decomposition identities over the full model
     matrix, the saturated-softmax probe, and the degenerate-collapse
     equalities on the relu CNN."""
+    _require_ints(seeds=seeds)
     report: dict = {
         "suite": "theorem-check", "seeds": int(seeds), "archs": list(THEOREM_ARCHS),
         "classes": list(THEOREM_CLASSES), "methods": list(THEOREM_METHODS),

@@ -6,8 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from crgx import autodiff as ad
 from crgx import game, suites, zoo
@@ -76,9 +74,9 @@ def scalar_mc(utility, d, u_empty, samples, seed):
     sums = np.zeros(d)
     sumsq = np.zeros(d)
     mask = np.zeros(d, dtype=bool)
-    for i in range(samples):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        perm = rng.permutation(d)
+    bits = np.random.PCG64(seed)
+    for _ in range(samples):
+        perm = np.argsort(bits.random_raw(d), kind="stable")
         mask[:] = False
         prev = u_empty
         for j in perm:
@@ -145,12 +143,12 @@ def test_mc_is_bit_identical_to_scalar_oracle(case):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_mc_on_few_players_is_bit_identical_to_scalar_oracle(d):
-    # below d = 4 the 2d + 4 lane words, not the d x d prefix masks, bound
-    # the block; two rows past the first block boundary show the sum order
+    # few players make long blocks; two rows past the first block boundary
+    # show the sum order, and the second block's words follow the first's
     table = np.random.default_rng(30 + d).normal(size=1 << d)
     powers = 1 << np.arange(d, dtype=np.int64)
     g = game.CooperativeGame.from_table(table)
-    samples = game._chunk_rows(2 * d + 4) + 2
+    samples = game._chunk_rows(d * d) + 2
     sv = game.shapley_mc(g, samples, seed=13)
     values, stderr = scalar_mc(lambda mask: table[int(np.dot(mask.astype(np.int64), powers))],
                                d, g.u_empty, samples, seed=13)
@@ -158,46 +156,40 @@ def test_mc_on_few_players_is_bit_identical_to_scalar_oracle(d):
     assert sv.stderr.tobytes() == stderr.tobytes()
 
 
-def numpy_permutation(seed, i, d):
-    return np.random.default_rng(np.random.SeedSequence((seed, i))).permutation(d)
+def drawn_permutations(d, samples, seed):
+    """The permutations shapley_mc draws, read off the prefix coalitions it
+    scores: a player is in d - k of a permutation's d prefixes when it
+    comes k-th."""
+    seen = []
+
+    def utility(masks):
+        seen.append(masks.copy())
+        return masks.sum(axis=1).astype(np.float64)
+
+    g = game.CooperativeGame(d, utility)
+    seen.clear()                                  # U(empty) and U(full)
+    game.shapley_mc(g, samples, seed)
+    prefixes = np.concatenate(seen).reshape(samples, d, d)
+    return np.argsort(d - prefixes.sum(axis=1), axis=1)
 
 
-def replayed_permutation(seed, i, d):
-    """numpy's Fisher-Yates replayed from PCG64's raw outputs, low uint32
-    half first: the permutation and the number of words it draws."""
-    raw = np.random.PCG64(np.random.SeedSequence((seed, i))).random_raw(4 * d)
-    words = [int(x) >> shift & 0xFFFFFFFF for x in raw for shift in (0, 32)]
-    perm, used = list(range(d)), 0
-    for top in range(d - 1, 0, -1):
-        mask = (1 << top.bit_length()) - 1
-        while words[used] & mask > top:
-            used += 1
-        j = words[used] & mask
-        used += 1
-        perm[top], perm[j] = perm[j], perm[top]
-    return perm, used
+def test_mc_permutations_are_a_known_answer():
+    # the stable argsort of PCG64(2024)'s raw words, four rows of five;
+    # PCG64's raw output and SeedSequence have numpy's own known-answer files
+    want = [[1, 2, 0, 3, 4], [1, 0, 4, 2, 3], [4, 2, 3, 0, 1], [4, 0, 3, 2, 1]]
+    assert drawn_permutations(5, 4, 2024).tolist() == want
+    words = np.random.PCG64(2024).random_raw((4, 5))
+    assert np.argsort(words, axis=1, kind="stable").tolist() == want
 
 
-def assert_stream_matches_numpy(seed, lo, hi, d):
-    got = game._permutations(seed, lo, hi, d)
-    want = np.array([numpy_permutation(seed, i, d) for i in range(lo, hi)]).reshape(-1, d)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(1, 40),
-       st.integers(1, 4))
-def test_lane_stream_matches_numpy(seed, i, d, count):
-    assert_stream_matches_numpy(seed, i, i + count, d)
-
-
-@pytest.mark.parametrize("d", [1, 2, 9, 17])
-def test_lane_stream_at_the_two_word_boundary(d):
-    top = 2**32 - 1
-    assert_stream_matches_numpy(top, top - 1, top + 1, d)       # lanes, seed at the top
-    assert_stream_matches_numpy(7, top - 2, top + 3, d)         # lanes, then numpy
-    assert_stream_matches_numpy(top + 1, 0, 3, d)               # three-word entropy: numpy
+def test_mc_permutations_are_uniform_over_the_six_orders():
+    # chi-square over the 3! orders of 6000 draws; the threshold is the
+    # 0.999 quantile of chi-square with 5 degrees of freedom
+    perms = drawn_permutations(3, 6000, 0)
+    orders = {p: k for k, p in enumerate(itertools.permutations(range(3)))}
+    counts = np.bincount([orders[tuple(p)] for p in perms.tolist()], minlength=6)
+    chi2 = float(np.sum((counts - 1000.0) ** 2 / 1000.0))
+    assert chi2 <= 20.515, (counts, chi2)
 
 
 def test_player_count_must_be_an_integer():
@@ -223,28 +215,22 @@ def test_negative_seed_still_raises():
         game.shapley_mc(g, 10, seed=-1)
 
 
-def test_lane_short_of_words_is_recomputed():
-    # at d=17 random_interval(16) rejects 15 draws in 32; lane (2024, 5135)
-    # draws more words than the 2d + 4 the lanes compute up front
-    perm, used = replayed_permutation(2024, 5135, 17)
-    assert used > 2 * 17 + 4
-    assert perm == numpy_permutation(2024, 5135, 17).tolist()
-    assert_stream_matches_numpy(2024, 5130, 5140, 17)
-    # a budget of two words runs every lane dry, more than once
-    for d in (17, 33):
-        got = game._lane_permutations(3, np.arange(200, dtype=np.uint32), d, 2)
-        assert np.array_equal(got, [numpy_permutation(3, i, d) for i in range(200)])
+@pytest.mark.parametrize("bad", [None, 1.5, -1, "3"])
+def test_mc_seed_and_samples_must_be_integers(bad):
+    g = game.CooperativeGame.from_table([0.0, 1.0, 2.0, 4.0])
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        game.shapley_mc(g, 10, seed=bad)
+    with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+        game.shapley_mc(g, bad, seed=0)
 
 
-@pytest.mark.parametrize("d", [64, 65, 257, 3844])
-def test_stream_beyond_the_lane_width_is_numpys(d):
-    # the lanes read six bits per draw, enough for d <= 64; larger games
-    # take numpy's own call, which defines the stream
-    assert_stream_matches_numpy(5, 0, 3, d)
-    assert_stream_matches_numpy(2**32 - 1, 2**32 - 2, 2**32 + 1, d)
-    if d <= 64:
-        got = game._lane_permutations(5, np.arange(3, dtype=np.uint32), d, 2 * d + 4)
-        assert np.array_equal(got, [numpy_permutation(5, i, d) for i in range(3)])
+def test_mc_takes_numpy_integers():
+    g = game.CooperativeGame.from_table(np.random.default_rng(8).normal(size=8))
+    a = game.shapley_mc(g, 300, seed=5)
+    b = game.shapley_mc(g, np.uint64(300), seed=np.uint64(5))
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.stderr.tobytes() == b.stderr.tobytes()
+    assert b.samples == 300 and type(b.samples) is int
 
 
 def test_mc_beyond_64_players_is_bit_identical_to_scalar_oracle():

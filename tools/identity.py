@@ -27,17 +27,21 @@ written into DIR too, and are compared with the rest.
 
 `--base REV` checks REV out with `git worktree add --detach` into a
 temporary directory and writes the corpus once per tree, each in its own
-subprocess with `PYTHONPATH=<tree>/src`. It lists every file that differs
-or exists on one side only, exits 1 if there is any, and removes the
-worktree. The corpus may grow; it must never shrink to hide a difference.
+subprocess with `PYTHONPATH=<tree>/src`. For each differing file that both
+sides wrote as UTF-8 text it prints the first 20 lines of a unified diff,
+then it lists every file that differs or exists on one side only, exits 1
+if there is any, and removes the worktree. The corpus may grow; it must
+never shrink to hide a difference.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import filecmp
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -169,6 +173,17 @@ def _differing(left: Path, right: Path, prefix: str = "") -> list[str]:
     return sorted(out)
 
 
+def _diff(left: Path, right: Path, name: str, limit: int = 20) -> list[str]:
+    """The first `limit` lines of a unified diff of `name` between the two
+    corpora; none if a side lacks it or it is not UTF-8 text."""
+    try:
+        texts = [(side / name).read_text(encoding="utf-8").splitlines() for side in (left, right)]
+    except (OSError, UnicodeDecodeError):
+        return []
+    return list(itertools.islice(difflib.unified_diff(
+        *texts, f"base/{name}", f"head/{name}", lineterm=""), limit))
+
+
 def _run_tree(tree: Path, out_dir: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     run = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--corpus", str(out_dir)],
@@ -190,6 +205,9 @@ def compare_with(base: str) -> int:
             _run_tree(ROOT, tmp / "out-head")
             files = sum(1 for p in (tmp / "out-head").rglob("*") if p.is_file())
             differing = _differing(tmp / "out-base", tmp / "out-head")
+            for name in differing:
+                for line in _diff(tmp / "out-base", tmp / "out-head", name):
+                    print(line)
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
                             str(tmp / "base")], check=True)
