@@ -11,7 +11,10 @@ Monte Carlo, and the first- and second-order closed forms that contract a
 gradient (and optionally a Hessian-vector product) against an activation
 stack. Every game scores coalitions through one batched utility, (n, d)
 bool -> (n,) float64: a table lookup, or for `SpatialGame` the model's
-numpy kernels. Games build no tape.
+numpy kernels. Each coalition is scored at most once: once a game holds
+its table (a `from_table` game from the start, any other after
+`utility_table()`), the read-only table answers every later query, the
+prefix coalitions of Monte Carlo included. Games build no tape.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,7 +35,8 @@ AXIOM_TOL = 1e-9  # relative tolerance of every axiom_suite check
 # Batches follow zoo's cell budget `_BATCH_CELLS`: SpatialGame evaluates
 # rows x n_maps x d masked activations at a time, utility_table builds
 # coalitions x d membership flags, _scan writes tables x players x face
-# differences, and shapley_mc builds permutations x d x d prefix flags.
+# differences, and shapley_mc builds permutations x d x d prefix flags
+# (or, on a game with a table, permutations x d bitmasks).
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
@@ -52,9 +56,10 @@ class CooperativeGame:
     one callable from an (n, d) bool array of coalitions to their (n,)
     values, e.g. `CooperativeGame(d, lambda masks: masks @ w)` for an
     additive game with weights w; it must be deterministic and side-effect
-    free. `utility_batch` is the only caller. Table games index the table,
-    spatial games run the model head on chunks of masked stacks. U(empty)
-    and U(full) are evaluated once at construction.
+    free. U(empty) and U(full) are evaluated once at construction. Once the
+    game holds its utility table (a `from_table` game from the start, any
+    other after `utility_table()`), the table is read-only and answers
+    every query; the utility is not called again.
     """
 
     _table: np.ndarray | None = None
@@ -80,17 +85,21 @@ class CooperativeGame:
         d = int(table.size).bit_length() - 1
         if table.size == 0 or table.size != 1 << d:
             raise ValueError(f"table size {table.size} is not a power of two")
-        powers = 1 << np.arange(d, dtype=np.int64)
+        table.setflags(write=False)
+        powers = _powers(d)
         game = cls(d, lambda masks: table[masks @ powers])
         game._table = table
         return game
 
     def utility_batch(self, masks: np.ndarray) -> np.ndarray:
-        """Utilities of the n coalitions in an (n, d) membership array."""
+        """Utilities of the n coalitions in an (n, d) membership array,
+        read off the table once the game holds one."""
         masks = np.asarray(masks, dtype=bool)
         if masks.ndim != 2 or masks.shape[1] != self.d:
             raise ValueError(f"coalition masks must have shape (n, {self.d}), "
                              f"got {masks.shape}")
+        if self._table is not None:
+            return self._table[masks @ _powers(self.d)]
         values = np.asarray(self._utility(masks), dtype=np.float64)
         if values.shape != (len(masks),):
             # a scalar here would broadcast across every coalition
@@ -101,22 +110,49 @@ class CooperativeGame:
         return values
 
     def utility_table(self) -> np.ndarray:
-        """All 2^d utilities, indexed by bitmask. Cached after the first call."""
+        """All 2^d utilities, indexed by bitmask, as one read-only array.
+        Enumerated on the first call; the game keeps it and answers every
+        later query from it, so a table whose ends differ from U(empty)
+        and U(full) raises RuntimeError and is not kept."""
         if self._table is not None:
             return self._table
         if self.d > _ENUM_LIMIT:
             raise ValueError(f"enumerating 2^{self.d} coalitions is over the "
                              f"d={_ENUM_LIMIT} limit")
         n = 1 << self.d
-        powers = 1 << np.arange(self.d, dtype=np.int64)
+        powers = _powers(self.d)
         step = _chunk_rows(self.d)
         table = np.empty(n, dtype=np.float64)
         for lo in range(0, n, step):
             coalitions = np.arange(lo, min(lo + step, n), dtype=np.int64)
             table[lo:lo + len(coalitions)] = self.utility_batch(
                 (coalitions[:, None] & powers) != 0)
+        if table[0] != self.u_empty or table[-1] != self.u_full:
+            raise RuntimeError("the table's U(empty) or U(full) differs from its value at "
+                               "construction; the utility callback is not deterministic")
+        table.setflags(write=False)
         self._table = table
         return table
+
+    def prefix_utilities(self, perms: np.ndarray) -> np.ndarray:
+        """U of the d prefix coalitions of each of n permutations, (n, d):
+        entry k is the utility of the first k + 1 players of the row. A game
+        with a table gathers them by bitmask; otherwise they go through
+        `utility_batch` as (n * d, d) membership masks."""
+        if self._table is not None:
+            return self._table[np.cumsum(1 << perms, axis=1)]
+        n, d = perms.shape
+        # prefix k of a permutation holds the players it ranks below k
+        prefixes = np.argsort(perms, axis=1)[:, None, :] < np.arange(1, d + 1)[:, None]
+        return self.utility_batch(prefixes.reshape(-1, d)).reshape(n, d)
+
+
+@lru_cache(maxsize=None)
+def _powers(d: int) -> np.ndarray:
+    """2^j for each player j: a coalition's table index is masks @ _powers(d)."""
+    powers = 1 << np.arange(d, dtype=np.int64)
+    powers.setflags(write=False)
+    return powers
 
 
 @lru_cache(maxsize=None)
@@ -149,7 +185,7 @@ def _faces(table: np.ndarray, *players: int) -> np.ndarray:
     return table.reshape(shape)
 
 
-def _scan(tables: np.ndarray, players: list[tuple[int, ...]], weights=None) -> np.ndarray:
+def _scan(tables: np.ndarray, players: Sequence[tuple[int, ...]], weights=None) -> np.ndarray:
     """Reduce the face of each of `players` in every table of a (g, 2^d)
     stack, (g, len(players)) out: for (j,) the marginals U(S + j) - U(S),
     for a pair (i, j), i < j, U(S + i) - U(S + j), over the coalitions S
@@ -197,11 +233,7 @@ def shapley_exact(game: CooperativeGame) -> ShapleyVector:
     if d > _ENUM_LIMIT:
         raise ValueError(f"exact Shapley needs 2^{d} = {1 << d} utility evaluations; "
                          f"refusing beyond d={_ENUM_LIMIT}")
-    table = game.utility_table()
-    if table[0] != game.u_empty or table[-1] != game.u_full:
-        raise RuntimeError("the table's U(empty) or U(full) differs from its value at "
-                           "construction; the utility callback is not deterministic")
-    return ShapleyVector(values=_exact(table[None])[0], method="exact")
+    return ShapleyVector(values=_exact(game.utility_table()[None])[0], method="exact")
 
 
 def shapley_mc(game: CooperativeGame, samples: int, seed: int) -> ShapleyVector:
@@ -212,8 +244,9 @@ def shapley_mc(game: CooperativeGame, samples: int, seed: int) -> ShapleyVector:
     ties (probability below d^2 / 2^65) broken by player index. A block of
     permutations draws its rows in one `random_raw` call, and split calls
     return the same words as one, so the estimate depends only on (seed,
-    samples). The d prefix coalitions of a block go through one
-    `utility_batch` call; each permutation's marginals are then added in
+    samples). The d prefix utilities of a block's permutations come from
+    one `game.prefix_utilities` call, a gather from the table on a game
+    that holds one; each permutation's marginals are then added in
     permutation order, so the result is bit-identical to walking the
     permutations one coalition at a time. Standard errors are per-player
     sample standard deviations over sqrt(n) (zero when n == 1).
@@ -226,14 +259,11 @@ def shapley_mc(game: CooperativeGame, samples: int, seed: int) -> ShapleyVector:
     bits = np.random.PCG64(seed)
     sums = np.zeros(d)
     sumsq = np.zeros(d)
-    steps = np.arange(1, d + 1)
     block = _chunk_rows(d * d)                    # prefix masks
     for lo in range(0, samples, block):
         perms = np.argsort(bits.random_raw((min(block, samples - lo), d)), axis=1,
                            kind="stable")
-        # prefix k of a permutation holds the players it ranks below k
-        prefixes = np.argsort(perms, axis=1)[:, None, :] < steps[:, None]
-        u = game.utility_batch(prefixes.reshape(-1, d)).reshape(len(perms), d)
+        u = game.prefix_utilities(perms)
         deltas = np.empty_like(u)
         np.put_along_axis(deltas, perms, np.diff(u, axis=1, prepend=game.u_empty), axis=1)
         # accumulate adds row after row, the order of one permutation at a
@@ -282,10 +312,11 @@ class SpatialGame(CooperativeGame):
     """Game induced by masking tap positions of a model on one image.
 
     Player j covers position j in every map; absent players are zeroed
-    (the ablation baseline). U(S) re-runs the head on the masked stack: the
-    utility is `ToyModel.head_batch` then `compute_utility_batch` on chunks
-    of at most _BATCH_CELLS masked activations, the batched form of
-    `forward` and `compute_utility`.
+    (the ablation baseline). The image is tapped once, into `maps`. U(S)
+    re-runs the head on the masked stack: the utility is
+    `ToyModel.head_batch` then `compute_utility_batch` on chunks of at most
+    _BATCH_CELLS masked activations, the batched form of `forward` and
+    `compute_utility`. After `utility_table()` the table answers instead.
     """
 
     def __init__(self, model: ToyModel, image: np.ndarray, spec: UtilitySpec):
@@ -303,9 +334,9 @@ class SpatialGame(CooperativeGame):
             return out
 
         super().__init__(maps.shape[1], utility)
-        # forward is the same kernel on the unmasked stack, and multiplying
-        # by an all-ones mask is exact, so anything but equality is a defect
-        direct = compute_utility(model.forward(image), spec)
+        # forward is this head on the same stack, and multiplying by an
+        # all-ones mask is exact, so anything but equality is a defect
+        direct = compute_utility(model.head_batch(maps[None])[0], spec)
         if self.u_full != direct:
             raise RuntimeError(f"unmasked spatial utility {self.u_full!r} does not "
                                f"reproduce the forward pass value {direct!r}")
@@ -313,6 +344,16 @@ class SpatialGame(CooperativeGame):
 
 def make_spatial_game(model: ToyModel, image: np.ndarray, spec: UtilitySpec) -> SpatialGame:
     return SpatialGame(model, image, spec)
+
+
+@lru_cache(maxsize=None)
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
+    """The player pairs i < j of a d-player game: read-only index arrays
+    i and j, and the pairs as tuples in the same order."""
+    i, j = np.triu_indices(d, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j, tuple(zip(i.tolist(), j.tolist()))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -328,8 +369,7 @@ def _audit(tables: np.ndarray, spans: np.ndarray, vals: np.ndarray) -> list[dict
     if not np.isfinite(doubled).all():
         raise ValueError("linearity check overflows float64: 2 * table leaves the float range")
     detect = 1e-12 * (1.0 + np.max(np.abs(tables), axis=-1, keepdims=True))
-    i, j = np.triu_indices(d, 1)
-    pairs = list(zip(i.tolist(), j.tolist()))
+    i, j, pairs = _pairs(d)
     dummy = _scan(tables, [(p,) for p in range(d)]) <= detect
     symmetric = _scan(tables, pairs) <= detect
     lhs = _exact(doubled)

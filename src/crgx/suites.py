@@ -43,6 +43,15 @@ def _require_ints(**args) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_counts(**counts) -> None:
+    """A suite's case counts must be integers >= 1: a suite that checks
+    nothing must not report a pass."""
+    _require_ints(**counts)
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
+
+
 # ------------------------------------------------------------ shapley-verify
 
 def _random_table(seed: int, index: int) -> np.ndarray:
@@ -89,6 +98,7 @@ def axiom_check(seed: int = 2024, n_games: int = 50) -> dict:
     The seeded tables are audited directly: tables of the same d go
     through as one stack, and each game's report is the one `axiom_suite`
     gives it."""
+    _require_counts(n_games=n_games)
     tables = [_random_table(seed, i) for i in range(n_games)]
     by_game: dict = {}
     for size in {table.size for table in tables}:
@@ -110,6 +120,7 @@ def axiom_check(seed: int = 2024, n_games: int = 50) -> dict:
 def quadratic_check(seed: int = 2024, n_games: int = 20) -> dict:
     """Curvature-corrected weights are exact on quadratic utilities; the
     estimate must match brute-force enumeration."""
+    _require_counts(n_games=n_games)
     dims = (4, 8, 12)
     worst = 0.0
     for i in range(n_games):
@@ -131,6 +142,7 @@ def quadratic_check(seed: int = 2024, n_games: int = 20) -> dict:
 
 def linear_check(seed: int = 2024, n_games: int = 10) -> dict:
     """Gradient-times-activation weights are exact on linear utilities."""
+    _require_counts(n_games=n_games)
     worst = 0.0
     for i in range(n_games):
         rng = _seeded(seed, 2, i)
@@ -177,6 +189,7 @@ def spatial_check(seed: int = 2024) -> dict:
 def mc_check(seed: int = 2024, n_seeds: int = 10, samples: int = 50000) -> dict:
     """Permutation sampling lands within four standard errors of the exact
     vector, coordinate-wise, for every estimator seed."""
+    _require_counts(n_seeds=n_seeds)
     if samples < 2:
         raise ValueError(f"one sample cannot estimate a standard error; "
                          f"the sampling check needs at least 2, got {samples}")
@@ -204,6 +217,7 @@ def shapley_suite(seed: int = 2024, mc_seeds: int = 10, mc_samples: int = 50000)
     second-order equality on quadratics, first-order exactness on linear
     games, the d=16 spatial oracle, and Monte Carlo convergence."""
     _require_ints(seed=seed, mc_seeds=mc_seeds, mc_samples=mc_samples)
+    _require_counts(mc_seeds=mc_seeds)
     report: dict = {"suite": "shapley-verify", "seed": int(seed)}
     # sampling first: it rejects a sample count before any section does work
     report["mc"] = mc_check(seed, mc_seeds, mc_samples)
@@ -256,7 +270,8 @@ def _gradient_at(graph, x: np.ndarray) -> np.ndarray:
 def hvp_suite(seed: int = 77, graphs: int = 100) -> dict:
     """Hessian-vector products against finite differences of the gradient,
     plus the bilinear symmetry of the Hessian."""
-    _require_ints(seed=seed, graphs=graphs)
+    _require_ints(seed=seed)
+    _require_counts(graphs=graphs)
     worst_fd = 0.0
     worst_sym = 0.0
     n_pass = 0
@@ -321,7 +336,7 @@ def theorem_suite(seeds: int = 5) -> dict:
     """Ensemble and residual-decomposition identities over the full model
     matrix, the saturated-softmax probe, and the degenerate-collapse
     equalities on the relu CNN."""
-    _require_ints(seeds=seeds)
+    _require_counts(seeds=seeds)
     report: dict = {
         "suite": "theorem-check", "seeds": int(seeds), "archs": list(THEOREM_ARCHS),
         "classes": list(THEOREM_CLASSES), "methods": list(THEOREM_METHODS),

@@ -2,6 +2,7 @@
 spatial games over model taps."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -334,8 +335,13 @@ def test_empty_coalition_is_bias_utility():
 
 
 def test_full_coalition_reproduces_forward():
-    model, image, sg = spatial_fixture(kind="rest")
-    assert sg.u_full == game.compute_utility(model.forward(image), sg.spec)
+    # bit for bit, for every arch and utility: the game checks U(full)
+    # against the head on its own tap stack, not against forward
+    for arch in zoo.ARCHS:
+        for kind in UTILITY_KINDS:
+            for seed in range(3):
+                model, image, sg = spatial_fixture(arch, kind, c=seed % 3, seed=seed)
+                assert sg.u_full == compute_utility(model.forward(image), sg.spec)
 
 
 def test_spatial_player_count_is_tap_positions():
@@ -408,6 +414,97 @@ def test_spatial_exact_efficiency():
     sv = game.shapley_exact(sg)
     span = sg.u_full - sg.u_empty
     assert abs(float(np.sum(sv.values)) - span) <= 1e-9 * (1.0 + abs(span))
+
+
+# -- each coalition scored once ---------------------------------------------
+
+
+def spatial_cases():
+    """(arch, d) for CNN taps of 2x2, 3x3 and 4x4 and the 4x4 MLP tap."""
+    for arch in zoo.ARCHS:
+        for d in ((16,) if arch == "mlp-smooth" else (4, 9, 16)):
+            yield pytest.param(arch, d, id=f"{arch}-d{d}")
+
+
+@pytest.mark.parametrize("kind", UTILITY_KINDS)
+@pytest.mark.parametrize("arch, d", spatial_cases())
+def test_spatial_game_answers_the_same_bits_after_its_table(arch, d, kind):
+    side = 6 if arch == "mlp-smooth" else math.isqrt(d) + 2
+    model = zoo.build_model(arch, 3, d, in_shape=(3, side, side))
+    image = np.random.default_rng(d).uniform(0.0, 1.0, model.in_shape)
+    sg = game.make_spatial_game(model, image, UtilitySpec(1, kind))
+    assert sg.d == d
+    masks = np.random.default_rng(1).uniform(size=(30, d)) < 0.5
+    # one block and a row past it, where a table could change the sum order
+    samples = (5, game._chunk_rows(d * d) + 1)
+    before = [game.shapley_mc(sg, n, seed=3) for n in samples] + [sg.utility_batch(masks)]
+    table = sg.utility_table()
+    after = [game.shapley_mc(sg, n, seed=3) for n in samples] + [sg.utility_batch(masks)]
+    for a, b in zip(before[:-1], after[:-1]):
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.stderr.tobytes() == b.stderr.tobytes()
+    assert before[-1].tobytes() == after[-1].tobytes()
+    assert after[-1].tobytes() == table[masks @ (1 << np.arange(d))].tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_table_and_callback_games_sample_the_same_bits(d):
+    powers = 1 << np.arange(d, dtype=np.int64)
+    block = game._chunk_rows(d * d)
+    for seed in (0, 7):
+        table = np.random.default_rng([d, seed]).normal(size=1 << d)
+        with_table = game.CooperativeGame.from_table(table)
+        callback = game.CooperativeGame(d, lambda m: table[m @ powers])
+        for samples in (1, 6, block, 2 * block + 3):
+            a = game.shapley_mc(with_table, samples, seed)
+            b = game.shapley_mc(callback, samples, seed)
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.stderr.tobytes() == b.stderr.tobytes()
+
+
+def test_an_audited_spatial_game_scores_each_coalition_once(monkeypatch):
+    taps, rows = [], []
+    tap_stack, utility = zoo.ToyModel._tap_stack, game.compute_utility_batch
+
+    def counted_tap(self, images):
+        taps.append(len(images))
+        return tap_stack(self, images)
+
+    def counted_utility(logits, spec):
+        rows.append(len(logits))
+        return utility(logits, spec)
+
+    monkeypatch.setattr(zoo.ToyModel, "_tap_stack", counted_tap)
+    monkeypatch.setattr(game, "compute_utility_batch", counted_utility)
+    model = zoo.build_model("cnn-smooth", 3, 4, in_shape=(3, 5, 5))
+    image = np.random.default_rng(4).uniform(0.0, 1.0, model.in_shape)
+    sg = game.make_spatial_game(model, image, UtilitySpec(0, "rest"))
+    exact = game.shapley_exact(sg)
+    assert game.axiom_suite(sg, exact)["pass"]
+    mc = game.shapley_mc(sg, 2 * game._chunk_rows(81) + 1, seed=8)    # three blocks
+    assert np.sum(mc.values) == pytest.approx(sg.u_full - sg.u_empty, abs=1e-12)
+    assert taps == [1] and sum(rows) == 2 + 512
+
+
+def test_utility_tables_are_read_only():
+    source = np.random.default_rng(0).normal(size=8)
+    _, _, sg = spatial_fixture(kind="rest")
+    for g in (game.CooperativeGame.from_table(source),
+              game.CooperativeGame(2, lambda masks: masks.sum(axis=1) * 1.5), sg):
+        table = g.utility_table()
+        assert table is g.utility_table() and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+    assert source.flags.writeable                 # from_table keeps its own copy
+
+
+def test_pair_indices_are_cached_and_read_only():
+    for d in (1, 2, 9):
+        i, j, pairs = game._pairs(d)
+        assert game._pairs(d)[0] is i and isinstance(pairs, tuple)
+        assert not i.flags.writeable and not j.flags.writeable
+        assert pairs == tuple(itertools.combinations(range(d), 2))
+        assert (i.tolist(), j.tolist()) == ([p for p, _ in pairs], [q for _, q in pairs])
 
 
 # -- axioms -----------------------------------------------------------------
@@ -619,6 +716,9 @@ def test_exact_refuses_a_utility_that_changes_between_calls():
     g = game.CooperativeGame(3, utility)
     with pytest.raises(RuntimeError, match="not deterministic"):
         game.shapley_exact(g)
+    # a table that later queries would read is not kept
+    with pytest.raises(RuntimeError, match="not deterministic"):
+        game.axiom_suite(g, np.zeros(3))
 
 
 def test_coalition_weights_sum_to_one():
