@@ -24,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .utility import UtilitySpec, _checked_logits, softmax_rows, utility_derivatives
+from .utility import (UtilitySpec, _check_class, _checked_int, _checked_logits, softmax_rows,
+                      utility_derivatives)
 from .zoo import ToyModel
 
 # name -> (weight order, assembly scheme)
@@ -59,10 +60,7 @@ class CamMethod:
         if self.name == "randomcam":
             if self.seed is None:
                 raise ValueError("randomcam needs a seed")
-            if not isinstance(self.seed, (int, np.integer)):
-                raise ValueError(f"randomcam seed must be an integer, got {self.seed!r}")
-            if self.seed < 0:
-                raise ValueError(f"randomcam seed must be non-negative, got {self.seed}")
+            object.__setattr__(self, "seed", _checked_int("randomcam seed", self.seed, 0))
 
     @property
     def order(self) -> Optional[str]:
@@ -91,10 +89,14 @@ class Heatmap:
     post_relu: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.spatial[0] * self.spatial[1] != self.pre_relu.shape[0]:
-            raise ValueError(f"spatial {self.spatial} does not cover "
-                             f"{self.pre_relu.shape[0]} positions")
-        object.__setattr__(self, "post_relu", np.maximum(self.pre_relu, 0.0))
+        pre = np.asarray(self.pre_relu, dtype=np.float64)
+        if pre.ndim != 1:
+            raise ValueError(f"pre_relu must be 1-D (one value per position), "
+                             f"got shape {pre.shape}")
+        if self.spatial[0] * self.spatial[1] != pre.shape[0]:
+            raise ValueError(f"spatial {self.spatial} does not cover {pre.shape[0]} positions")
+        object.__setattr__(self, "pre_relu", pre)
+        object.__setattr__(self, "post_relu", np.maximum(pre, 0.0))
 
     def grid(self, view: str = "post") -> np.ndarray:
         values = self.post_relu if view == "post" else self.pre_relu
@@ -179,8 +181,7 @@ def _heatmap_sets(model: ToyModel, stacks: np.ndarray, target_class: int, method
     c = target_class
     # randomcam never scores a utility, so the class is checked here for
     # every method rather than left to the logit kernels
-    if c >= n_classes:
-        raise ValueError(f"target_class {c} out of range for {n_classes} classes")
+    _check_class(c, n_classes)
     stacks = np.asarray(stacks, dtype=np.float64)
     n, tail = len(stacks), stacks.shape[1:]
     reps = len(kinds) + (n_classes if ensembles else 0)

@@ -11,10 +11,13 @@ Monte Carlo, and the first- and second-order closed forms that contract a
 gradient (and optionally a Hessian-vector product) against an activation
 stack. Every game scores coalitions through one batched utility, (n, d)
 bool -> (n,) float64: a table lookup, or for `SpatialGame` the model's
-numpy kernels. Each coalition is scored at most once: once a game holds
-its table (a `from_table` game from the start, any other after
-`utility_table()`), the read-only table answers every later query, the
-prefix coalitions of Monte Carlo included. Games build no tape.
+numpy kernels. Each coalition is scored at most once, except U(empty) and
+U(full) of an enumerated game: the constructor scores both, and
+`utility_table()` scores them again to check that the utility is
+deterministic. Once a game holds its table (a `from_table` game from the
+start, any other after `utility_table()`), the read-only table answers
+every later query, the prefix coalitions of Monte Carlo included. Games
+build no tape.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cam import shapley_weights
-from .utility import UtilitySpec, compute_utility, compute_utility_batch
+from .utility import UtilitySpec, _checked_int, compute_utility, compute_utility_batch
 from .zoo import ToyModel, _chunk_rows
 
 _ENUM_LIMIT = 20
@@ -56,20 +59,19 @@ class CooperativeGame:
     one callable from an (n, d) bool array of coalitions to their (n,)
     values, e.g. `CooperativeGame(d, lambda masks: masks @ w)` for an
     additive game with weights w; it must be deterministic and side-effect
-    free. U(empty) and U(full) are evaluated once at construction. Once the
-    game holds its utility table (a `from_table` game from the start, any
-    other after `utility_table()`), the table is read-only and answers
-    every query; the utility is not called again.
+    free. U(empty) and U(full) are evaluated at construction, and
+    `utility_table()` scores them a second time as table entries 0 and
+    2^d - 1, raising `RuntimeError` if either differs: an audited game runs
+    2 + 2^d utility rows. Once the game holds its utility table (a
+    `from_table` game from the start, any other after `utility_table()`),
+    the table is read-only and answers every query; the utility is not
+    called again.
     """
 
     _table: np.ndarray | None = None
 
     def __init__(self, d: int, utility: Callable[[np.ndarray], np.ndarray]):
-        if not isinstance(d, (int, np.integer)):
-            raise ValueError(f"d must be an integer, got {d!r}")
-        if d < 1:
-            raise ValueError(f"a game needs at least one player, got d={d}")
-        self.d = int(d)
+        self.d = _checked_int("d", d, 1)
         self._utility = utility
         ends = self.utility_batch(np.array([[False] * self.d, [True] * self.d]))
         self.u_empty, self.u_full = float(ends[0]), float(ends[1])
@@ -251,12 +253,8 @@ def shapley_mc(game: CooperativeGame, samples: int, seed: int) -> ShapleyVector:
     permutations one coalition at a time. Standard errors are per-player
     sample standard deviations over sqrt(n) (zero when n == 1).
     """
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    samples, d = int(samples), game.d
-    bits = np.random.PCG64(seed)
+    samples, d = _checked_int("samples", samples, 1), game.d
+    bits = np.random.PCG64(_checked_int("seed", seed, 0))
     sums = np.zeros(d)
     sumsq = np.zeros(d)
     block = _chunk_rows(d * d)                    # prefix masks

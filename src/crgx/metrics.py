@@ -16,7 +16,7 @@ import numpy as np
 from .cam import CamMethod, Heatmap, _as_method, explain_batch
 from .imgio import Image
 from .postprocess import normalize_minmax, upsample_bilinear
-from .utility import UtilitySpec, compute_utility_batch
+from .utility import UtilitySpec, _check_class, compute_utility_batch
 from .zoo import ToyModel, _chunk_rows
 
 HeatmapSource = Union[str, CamMethod, Callable[..., Heatmap]]
@@ -248,9 +248,7 @@ def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
         method = _as_method(method)
     if len(images) == 0:
         raise ValueError("need at least one image")
-    if not 0 <= spec.target_class < model.num_classes:
-        raise ValueError(f"target_class {spec.target_class} out of range for "
-                         f"{model.num_classes} classes")
+    _check_class(spec.target_class, model.num_classes)
 
     planes = [img.pixels if isinstance(img, Image) else np.asarray(img, dtype=np.float64)
               for img in images]

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .utility import _checked_int
+
 # The jet lookup table, (256, 3) RGB in [0,1]. Read-only, so no caller can
 # change the colours of another caller's renderings.
 JET = np.round(np.clip(1.5 - np.abs(np.arange(256)[:, None] * (4.0 / 255.0)
@@ -35,11 +37,7 @@ def upsample_bilinear(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         raise ValueError(f"source map must be 2-D or a stack (n, h, w), got shape {src.shape}")
     if src.shape[-2] < 1 or src.shape[-1] < 1:
         raise ValueError(f"source dims must be >= 1, got {src.shape[-2:]}")
-    for name, n in (("out_h", out_h), ("out_w", out_w)):
-        if not isinstance(n, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {n!r}")
-    if out_h < 1 or out_w < 1:
-        raise ValueError(f"target dims must be >= 1, got ({out_h}, {out_w})")
+    out_h, out_w = _checked_int("out_h", out_h, 1), _checked_int("out_w", out_w, 1)
 
     def axis_coords(n_src: int, n_out: int) -> np.ndarray:
         if n_out == 1 or n_src == 1:

@@ -22,7 +22,7 @@ from .game import (
     shapley_mc,
     shapley_second_order,
 )
-from .utility import UtilitySpec, utility_node
+from .utility import UtilitySpec, _checked_int, utility_node
 from .zoo import build_model
 
 
@@ -34,22 +34,6 @@ def _rel_err(actual: np.ndarray, expected: np.ndarray) -> float:
 
 def _seeded(*entropy) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def _require_ints(**args) -> None:
-    """A suite's counts and seeds must be Python or numpy integers."""
-    for name, value in args.items():
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _require_counts(**counts) -> None:
-    """A suite's case counts must be integers >= 1: a suite that checks
-    nothing must not report a pass."""
-    _require_ints(**counts)
-    for name, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value!r}")
 
 
 # ------------------------------------------------------------ shapley-verify
@@ -98,7 +82,7 @@ def axiom_check(seed: int = 2024, n_games: int = 50) -> dict:
     The seeded tables are audited directly: tables of the same d go
     through as one stack, and each game's report is the one `axiom_suite`
     gives it."""
-    _require_counts(n_games=n_games)
+    seed, n_games = _checked_int("seed", seed, 0), _checked_int("n_games", n_games, 1)
     tables = [_random_table(seed, i) for i in range(n_games)]
     by_game: dict = {}
     for size in {table.size for table in tables}:
@@ -108,7 +92,7 @@ def axiom_check(seed: int = 2024, n_games: int = 50) -> dict:
     audits = [by_game[i] for i in range(n_games)]
     n_pass = sum(bool(audit["pass"]) for audit in audits)
     return {
-        "n_games": int(n_games), "n_pass": int(n_pass),
+        "n_games": n_games, "n_pass": int(n_pass),
         "planted_dummies": sum(len(audit["dummy"]["players"]) for audit in audits),
         "planted_symmetric_pairs": sum(len(audit["symmetry"]["pairs"]) for audit in audits),
         "worst_efficiency_gap": max([0.0] + [audit["efficiency"]["gap"] for audit in audits]),
@@ -120,7 +104,7 @@ def axiom_check(seed: int = 2024, n_games: int = 50) -> dict:
 def quadratic_check(seed: int = 2024, n_games: int = 20) -> dict:
     """Curvature-corrected weights are exact on quadratic utilities; the
     estimate must match brute-force enumeration."""
-    _require_counts(n_games=n_games)
+    seed, n_games = _checked_int("seed", seed, 0), _checked_int("n_games", n_games, 1)
     dims = (4, 8, 12)
     worst = 0.0
     for i in range(n_games):
@@ -134,7 +118,7 @@ def quadratic_check(seed: int = 2024, n_games: int = 20) -> dict:
         estimate = shapley_second_order(grad[None, :], hvp_full[None, :], ones[None, :])
         worst = max(worst, _rel_err(estimate.values, exact.values))
     return {
-        "n_games": int(n_games), "dims": list(dims),
+        "n_games": n_games, "dims": list(dims),
         "worst_rel_err": float(worst), "tol": 1e-9,
         "pass": bool(worst <= 1e-9),
     }
@@ -142,7 +126,7 @@ def quadratic_check(seed: int = 2024, n_games: int = 20) -> dict:
 
 def linear_check(seed: int = 2024, n_games: int = 10) -> dict:
     """Gradient-times-activation weights are exact on linear utilities."""
-    _require_counts(n_games=n_games)
+    seed, n_games = _checked_int("seed", seed, 0), _checked_int("n_games", n_games, 1)
     worst = 0.0
     for i in range(n_games):
         rng = _seeded(seed, 2, i)
@@ -156,7 +140,7 @@ def linear_check(seed: int = 2024, n_games: int = 10) -> dict:
         estimate = shapley_first_order(grad[None, :], ones[None, :])
         worst = max(worst, _rel_err(estimate.values, exact.values))
     return {
-        "n_games": int(n_games), "worst_rel_err": float(worst),
+        "n_games": n_games, "worst_rel_err": float(worst),
         "tol": 1e-12, "pass": bool(worst <= 1e-12),
     }
 
@@ -164,6 +148,7 @@ def linear_check(seed: int = 2024, n_games: int = 10) -> dict:
 def spatial_check(seed: int = 2024) -> dict:
     """The 16-position masking game on the relu CNN: gradient weights and
     the second-order heatmap both reproduce brute-force enumeration."""
+    seed = _checked_int("seed", seed, 0)
     model = build_model("cnn-relu", num_classes=3, seed=seed % 1000)
     image = _seeded(seed, 4).uniform(0.0, 1.0, model.in_shape)
     target = int(np.argmax(model.forward(image)))
@@ -189,10 +174,9 @@ def spatial_check(seed: int = 2024) -> dict:
 def mc_check(seed: int = 2024, n_seeds: int = 10, samples: int = 50000) -> dict:
     """Permutation sampling lands within four standard errors of the exact
     vector, coordinate-wise, for every estimator seed."""
-    _require_counts(n_seeds=n_seeds)
-    if samples < 2:
-        raise ValueError(f"one sample cannot estimate a standard error; "
-                         f"the sampling check needs at least 2, got {samples}")
+    seed, n_seeds = _checked_int("seed", seed, 0), _checked_int("n_seeds", n_seeds, 1)
+    # one sample cannot estimate a standard error
+    samples = _checked_int("samples", samples, 2)
     worst_sigma = 0.0
     ok = True
     for s in range(n_seeds):
@@ -206,7 +190,7 @@ def mc_check(seed: int = 2024, n_seeds: int = 10, samples: int = 50000) -> dict:
         worst_sigma = max(worst_sigma, float(sigma))
         ok = ok and bool(np.all(gap <= 4.0 * estimate.stderr))
     return {
-        "d": 6, "n_seeds": int(n_seeds), "samples": int(samples),
+        "d": 6, "n_seeds": n_seeds, "samples": samples,
         "worst_sigma_ratio": float(worst_sigma), "limit": 4.0,
         "pass": bool(ok),
     }
@@ -216,10 +200,10 @@ def shapley_suite(seed: int = 2024, mc_seeds: int = 10, mc_samples: int = 50000)
     """Exact-attribution checks: axioms on random tables, closed-form
     second-order equality on quadratics, first-order exactness on linear
     games, the d=16 spatial oracle, and Monte Carlo convergence."""
-    _require_ints(seed=seed, mc_seeds=mc_seeds, mc_samples=mc_samples)
-    _require_counts(mc_seeds=mc_seeds)
-    report: dict = {"suite": "shapley-verify", "seed": int(seed)}
-    # sampling first: it rejects a sample count before any section does work
+    seed = _checked_int("seed", seed, 0)
+    mc_seeds = _checked_int("mc_seeds", mc_seeds, 1)
+    mc_samples = _checked_int("mc_samples", mc_samples, 2)
+    report: dict = {"suite": "shapley-verify", "seed": seed}
     report["mc"] = mc_check(seed, mc_seeds, mc_samples)
     report["axioms"] = axiom_check(seed)
     report["quadratics"] = quadratic_check(seed)
@@ -270,8 +254,7 @@ def _gradient_at(graph, x: np.ndarray) -> np.ndarray:
 def hvp_suite(seed: int = 77, graphs: int = 100) -> dict:
     """Hessian-vector products against finite differences of the gradient,
     plus the bilinear symmetry of the Hessian."""
-    _require_ints(seed=seed)
-    _require_counts(graphs=graphs)
+    seed, graphs = _checked_int("seed", seed, 0), _checked_int("graphs", graphs, 1)
     worst_fd = 0.0
     worst_sym = 0.0
     n_pass = 0
@@ -295,7 +278,7 @@ def hvp_suite(seed: int = 77, graphs: int = 100) -> dict:
         n_pass += bool(fd_err <= 1e-4 and sym_err <= 1e-9)
 
     return {
-        "suite": "hvp-check", "seed": int(seed), "n_graphs": int(graphs),
+        "suite": "hvp-check", "seed": seed, "n_graphs": graphs,
         "n_pass": int(n_pass),
         "worst_fd_rel_err": float(worst_fd), "fd_tol": 1e-4,
         "worst_symmetry_err": float(worst_sym), "symmetry_tol": 1e-9,
@@ -336,9 +319,9 @@ def theorem_suite(seeds: int = 5) -> dict:
     """Ensemble and residual-decomposition identities over the full model
     matrix, the saturated-softmax probe, and the degenerate-collapse
     equalities on the relu CNN."""
-    _require_counts(seeds=seeds)
+    seeds = _checked_int("seeds", seeds, 1)
     report: dict = {
-        "suite": "theorem-check", "seeds": int(seeds), "archs": list(THEOREM_ARCHS),
+        "suite": "theorem-check", "seeds": seeds, "archs": list(THEOREM_ARCHS),
         "classes": list(THEOREM_CLASSES), "methods": list(THEOREM_METHODS),
     }
 
@@ -396,7 +379,7 @@ def theorem_suite(seeds: int = 5) -> dict:
         elementwise_exact = elementwise_exact and bool(np.array_equal(hirescam, shapleycam_h))
         gap_worst = max(gap_worst, float(np.max(np.abs(gradcam - hirescam))))
     report["collapse"] = {
-        "n_seeds": int(seeds),
+        "n_seeds": seeds,
         "mean_scheme_exact": bool(mean_exact),
         "elementwise_scheme_exact": bool(elementwise_exact),
         "gap_tap_err": float(gap_worst), "gap_tap_tol": 1e-12,

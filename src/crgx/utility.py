@@ -22,6 +22,21 @@ from . import autodiff as ad
 UTILITY_KINDS = ("pre-softmax", "post-softmax", "log-softmax", "rest")
 
 
+def _checked_int(name: str, value, floor: int) -> int:
+    """`value` as an int, the one rule for every integer argument of the
+    API: a Python or numpy integer (a bool is not one) of at least `floor`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < floor:
+        raise ValueError(f"{name} must be at least {floor}, got {value!r}")
+    return int(value)
+
+
+def _check_class(target_class: int, n_classes: int) -> None:
+    if not 0 <= target_class < n_classes:
+        raise ValueError(f"target_class {target_class} out of range for {n_classes} classes")
+
+
 @dataclass(frozen=True)
 class UtilitySpec:
     """Which scalar to explain: a target class plus a logit transform.
@@ -39,20 +54,15 @@ class UtilitySpec:
         if self.kind not in UTILITY_KINDS:
             raise ValueError(f"unknown utility kind {self.kind!r}; "
                              f"expected one of {UTILITY_KINDS}")
-        if not isinstance(self.target_class, (int, np.integer)):
-            raise ValueError(f"target_class must be an integer, got {self.target_class!r}")
-        if self.target_class < 0:
-            raise ValueError(f"target_class must be non-negative, got {self.target_class}")
+        object.__setattr__(self, "target_class",
+                           _checked_int("target_class", self.target_class, 0))
 
 
 def utility_node(logits, spec: UtilitySpec):
     """Utility of a 1-D logits node as a node graph, for differentiation."""
     if logits.ndim != 1:
         raise ValueError(f"utility: logits must be 1-D, got shape {logits.shape}")
-    n = logits.shape[0]
-    if spec.target_class >= n:
-        raise ValueError(f"target_class {spec.target_class} out of range "
-                         f"for {n} classes")
+    _check_class(spec.target_class, logits.shape[0])
     c = spec.target_class
     if spec.kind == "pre-softmax":
         return ad.index(logits, c)
@@ -79,9 +89,7 @@ def _checked_logits(logits, spec: UtilitySpec) -> np.ndarray:
         raise ValueError(f"utility: logits must be 2-D (rows x classes), got {logits.shape}")
     if not np.all(np.isfinite(logits)):
         raise ValueError("utility: logits must be finite")
-    if spec.target_class >= logits.shape[1]:
-        raise ValueError(f"target_class {spec.target_class} out of range "
-                         f"for {logits.shape[1]} classes")
+    _check_class(spec.target_class, logits.shape[1])
     return logits
 
 

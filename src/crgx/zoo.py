@@ -23,6 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
+from .utility import _checked_int
 
 ARCHS = ("cnn-relu", "cnn-smooth", "mlp-smooth")
 TAP_LAYER = "act"  # every architecture taps its activation layer
@@ -241,15 +242,11 @@ def build_model(arch: str, num_classes: int, seed: int,
     in_shape) always yields bit-identical weights. Weights of more than
     `_MAX_WEIGHT_BYTES` (1 GiB) raise `ValueError` before any is drawn.
     """
-    if not isinstance(num_classes, (int, np.integer)) or num_classes < 2:
-        raise ValueError(f"num_classes must be an integer >= 2, got {num_classes!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if not all(isinstance(v, (int, np.integer)) for v in in_shape):
-        raise ValueError(f"in_shape must hold integers, got {in_shape!r}")
-    in_shape = tuple(int(v) for v in in_shape)
-    if len(in_shape) != 3 or in_shape[0] not in (1, 3):
-        raise ValueError(f"in_shape must be (channels in {{1,3}}, h, w), got {in_shape}")
+    num_classes = _checked_int("num_classes", num_classes, 2)
+    seed = _checked_int("seed", seed, 0)
+    if np.ndim(in_shape) != 1 or len(in_shape) != 3 or in_shape[0] not in (1, 3):
+        raise ValueError(f"in_shape must be (channels in {{1,3}}, h, w), got {in_shape!r}")
+    in_shape = tuple(_checked_int(f"in_shape[{i}]", v, 1) for i, v in enumerate(in_shape))
     if arch in ("cnn-relu", "cnn-smooth") and (in_shape[1] < _KERNEL or in_shape[2] < _KERNEL):
         raise ValueError(f"{arch} needs at least a {_KERNEL}x{_KERNEL} input, got {in_shape}")
     specs = _tensor_specs(arch, num_classes, in_shape)

@@ -268,7 +268,7 @@ def test_method_validation():
         CamMethod("scorecam")
     with pytest.raises(ValueError, match="seed"):
         CamMethod("randomcam")
-    with pytest.raises(ValueError, match="randomcam seed must be non-negative, got -1"):
+    with pytest.raises(ValueError, match="^randomcam seed must be at least 0, got -1$"):
         CamMethod("randomcam", seed=-1)
     with pytest.raises(ValueError, match=r"unknown CAM method \['gradcam'\]"):
         CamMethod(["gradcam"])  # unhashable: a name is checked as a str first
@@ -311,6 +311,13 @@ def test_heatmap_invariants():
     assert hm.grid("pre").shape == (2, 2)
     assert np.array_equal(hm.grid("pre").ravel(), hm.pre_relu)
     assert np.array_equal(hm.grid(), np.maximum(hm.grid("pre"), 0.0))
+    # any array-like of one value per position, stored as float64
+    listed = Heatmap(pre_relu=[-1.0, 2.0, 0.5, -0.25], spatial=(2, 2), method="gradcam")
+    assert listed.pre_relu.dtype == np.float64
+    assert listed.pre_relu.tobytes() == hm.pre_relu.tobytes()
+    for pre_relu in (np.float64(1.0), np.zeros((4, 1)), [[1.0, 2.0], [3.0, 4.0]]):
+        with pytest.raises(ValueError, match=r"^pre_relu must be 1-D \(one value per position\)"):
+            Heatmap(pre_relu=pre_relu, spatial=(2, 2), method="gradcam")
 
 
 @pytest.mark.parametrize("arch", ARCHS)

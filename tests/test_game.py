@@ -212,16 +212,16 @@ def test_empty_table_names_the_table_size():
 
 def test_negative_seed_still_raises():
     g = game.CooperativeGame.from_table([0.0, 1.0, 2.0, 4.0])
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
         game.shapley_mc(g, 10, seed=-1)
 
 
 @pytest.mark.parametrize("bad", [None, 1.5, -1, "3"])
 def test_mc_seed_and_samples_must_be_integers(bad):
     g = game.CooperativeGame.from_table([0.0, 1.0, 2.0, 4.0])
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+    with pytest.raises(ValueError, match="^seed must be (an integer|at least 0), got "):
         game.shapley_mc(g, 10, seed=bad)
-    with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+    with pytest.raises(ValueError, match="^samples must be (an integer|at least 1), got "):
         game.shapley_mc(g, bad, seed=0)
 
 
@@ -740,7 +740,7 @@ def test_subset_weights_are_cached_read_only_and_exact():
 
 
 def test_game_validation():
-    with pytest.raises(ValueError, match="player"):
+    with pytest.raises(ValueError, match="^d must be at least 1, got 0$"):
         game.CooperativeGame(0, lambda masks: np.zeros(len(masks)))
     with pytest.raises(ValueError, match="power of two"):
         game.CooperativeGame.from_table([0.0, 1.0, 2.0])

@@ -280,6 +280,37 @@ def test_later_stage_failure_skips_only_that_image(heatmap):
     assert record.image_coherency == good.image_coherency
 
 
+def test_a_list_heatmap_scores_as_its_array():
+    model = build_model("cnn-smooth", num_classes=3, seed=1)
+    images = make_images(3, seed=17)
+    values = np.random.default_rng(5).uniform(-1.0, 1.0, 16)
+
+    def source(as_list):
+        def method(model, pixels, spec):
+            pre_relu = values.tolist() if as_list else values
+            return Heatmap(pre_relu=pre_relu, spatial=(4, 4), method="fixed")
+        return method
+
+    listed = evaluate_batch(model, images, UtilitySpec(0, "rest"), source(True))
+    assert listed.n_images == 3
+    assert_same_record(listed, evaluate_batch(model, images, UtilitySpec(0, "rest"),
+                                              source(False)))
+
+
+def test_a_source_building_a_2d_heatmap_is_skipped_with_its_reason():
+    model = build_model("cnn-smooth", num_classes=3, seed=1)
+    images = make_images(3, seed=17)
+
+    def method(model, pixels, spec):
+        shape = (36, 1) if np.array_equal(pixels, images[1]) else (36,)
+        return Heatmap(pre_relu=np.full(shape, 0.5), spatial=(6, 6), method="flaky")
+
+    record = evaluate_batch(model, images, UtilitySpec(0, "rest"), method)
+    assert record.n_images == 2
+    assert record.skipped == ((1, "pre_relu must be 1-D (one value per position), "
+                                  "got shape (36, 1)"),)
+
+
 def test_zero_target_confidence_is_skipped_not_divided():
     # Scaled logits put the target's softmax at exactly 0.0 on the uniform
     # images, and the drop terms divide by it; the zero image still scores.

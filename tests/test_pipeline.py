@@ -1,7 +1,10 @@
-"""Normalization, upsampling, colormap overlay, and PPM/PGM round-trips."""
+"""Normalization, upsampling, colormap overlay, PPM/PGM round-trips, and
+the one rule for the integer arguments of the public API."""
 
 import dataclasses
 import hashlib
+import json
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crgx import postprocess as pp
-from crgx.cam import Heatmap
-from crgx.game import ShapleyVector
+from crgx import suites
+from crgx.cam import CamMethod, Heatmap, explain
+from crgx.game import CooperativeGame, ShapleyVector, shapley_exact, shapley_mc
 from crgx.imgio import Image, encode_image_bytes, parse_image_bytes, read_image, write_image
+from crgx.utility import UtilitySpec
 from crgx.zoo import ActivationStack, build_model
 
 
@@ -98,7 +103,7 @@ def test_upsample_stack_matches_single_maps():
 
 
 def test_upsample_rejects_bad_dims():
-    with pytest.raises(ValueError, match="target dims"):
+    with pytest.raises(ValueError, match="^out_h must be at least 1, got 0$"):
         pp.upsample_bilinear(np.ones((2, 2)), 0, 3)
     with pytest.raises(ValueError, match="2-D"):
         pp.upsample_bilinear(np.ones(4), 2, 2)
@@ -349,3 +354,85 @@ def test_array_records_compare_and_hash_by_identity(name):
     assert record != copy
     assert hash(record) == hash(record)
     assert len({record, copy, record}) == 2
+
+
+# ------------------------------------------------------- integer arguments
+
+_MODEL = build_model("cnn-smooth", num_classes=3, seed=2)
+_IMAGE = np.random.default_rng(4).uniform(0.0, 1.0, _MODEL.in_shape)
+_TABLE = CooperativeGame.from_table(np.random.default_rng(8).normal(size=8))
+
+
+def _model_bits(model):
+    return (model.num_classes, model.seed, model.in_shape,
+            [w.tobytes() for w in model.weights.values()])
+
+
+def _report(suite, **args):
+    return json.dumps(suite(**args), sort_keys=True)
+
+
+# (parameter as its message names it, floor, a valid value, call on a value)
+INTEGER_ARGUMENTS = {
+    "CamMethod.seed": ("randomcam seed", 0, 3, lambda v: explain(
+        _MODEL, _IMAGE, UtilitySpec(1), CamMethod("randomcam", seed=v)).pre_relu.tobytes()),
+    "CooperativeGame.d": ("d", 1, 3, lambda v: shapley_exact(CooperativeGame(
+        v, lambda masks: masks @ np.arange(1.0, 4.0))).values.tobytes()),
+    "shapley_mc.samples": ("samples", 1, 5, lambda v: shapley_mc(_TABLE, v, seed=5).stderr.tobytes()),
+    "shapley_mc.seed": ("seed", 0, 5, lambda v: shapley_mc(_TABLE, 5, seed=v).values.tobytes()),
+    "upsample_bilinear.out_h": ("out_h", 1, 3,
+                                lambda v: pp.upsample_bilinear(np.eye(2), v, 4).tobytes()),
+    "upsample_bilinear.out_w": ("out_w", 1, 3,
+                                lambda v: pp.upsample_bilinear(np.eye(2), 4, v).tobytes()),
+    "UtilitySpec.target_class": ("target_class", 0, 1, lambda v: explain(
+        _MODEL, _IMAGE, UtilitySpec(v, "rest"), "shapleycam").pre_relu.tobytes()),
+    "build_model.num_classes": ("num_classes", 2, 3,
+                                lambda v: _model_bits(build_model("mlp-smooth", v, 0))),
+    "build_model.seed": ("seed", 0, 3, lambda v: _model_bits(build_model("mlp-smooth", 3, v))),
+    "build_model.in_shape": ("in_shape[1]", 1, 6, lambda v: _model_bits(
+        build_model("cnn-smooth", 3, 0, in_shape=(3, v, 6)))),
+    "axiom_check.seed": ("seed", 0, 3, lambda v: _report(suites.axiom_check, seed=v, n_games=3)),
+    "axiom_check.n_games": ("n_games", 1, 3, lambda v: _report(suites.axiom_check, n_games=v)),
+    "quadratic_check.seed": ("seed", 0, 3,
+                             lambda v: _report(suites.quadratic_check, seed=v, n_games=2)),
+    "quadratic_check.n_games": ("n_games", 1, 2,
+                                lambda v: _report(suites.quadratic_check, n_games=v)),
+    "linear_check.seed": ("seed", 0, 3, lambda v: _report(suites.linear_check, seed=v, n_games=2)),
+    "linear_check.n_games": ("n_games", 1, 2, lambda v: _report(suites.linear_check, n_games=v)),
+    "spatial_check.seed": ("seed", 0, 3, lambda v: _report(suites.spatial_check, seed=v)),
+    "mc_check.seed": ("seed", 0, 3,
+                      lambda v: _report(suites.mc_check, seed=v, n_seeds=1, samples=20)),
+    "mc_check.n_seeds": ("n_seeds", 1, 2,
+                         lambda v: _report(suites.mc_check, n_seeds=v, samples=20)),
+    "mc_check.samples": ("samples", 2, 20,
+                         lambda v: _report(suites.mc_check, n_seeds=1, samples=v)),
+    "shapley_suite.seed": ("seed", 0, 3, lambda v: _report(
+        suites.shapley_suite, seed=v, mc_seeds=1, mc_samples=20)),
+    "shapley_suite.mc_seeds": ("mc_seeds", 1, 1, lambda v: _report(
+        suites.shapley_suite, mc_seeds=v, mc_samples=20)),
+    "shapley_suite.mc_samples": ("mc_samples", 2, 20, lambda v: _report(
+        suites.shapley_suite, mc_seeds=1, mc_samples=v)),
+    "hvp_suite.seed": ("seed", 0, 3, lambda v: _report(suites.hvp_suite, seed=v, graphs=3)),
+    "hvp_suite.graphs": ("graphs", 1, 3, lambda v: _report(suites.hvp_suite, graphs=v)),
+    "theorem_suite.seeds": ("seeds", 1, 1, lambda v: _report(suites.theorem_suite, seeds=v)),
+}
+
+
+@pytest.mark.parametrize("argument", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_follow_one_rule(argument):
+    name, floor, good, call = INTEGER_ARGUMENTS[argument]
+    for bad in (True, False, 2.5, "3", None, floor - 1):
+        if bad is None and name == "randomcam seed":
+            message = "randomcam needs a seed"
+        elif bad == floor - 1 and type(bad) is int:
+            message = f"{name} must be at least {floor}, got {bad}"
+        else:
+            message = f"{name} must be an integer, got {bad!r}"
+        # ValueError and nothing else: no TypeError or IndexError escapes
+        with pytest.raises(Exception) as caught:
+            call(bad)
+        assert caught.type is ValueError, (bad, caught.value)
+        assert re.fullmatch(re.escape(message), str(caught.value)), (bad, caught.value)
+    want = call(good)
+    for as_numpy in (np.int64, np.uint8):
+        assert call(as_numpy(good)) == want, as_numpy
