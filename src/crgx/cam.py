@@ -14,7 +14,10 @@ affinity gives the softmax identities their class heatmaps: class k's
 pre-softmax weights are Jᵀe_k, so the K×K identity back-maps and
 assembles with the rest. `_heatmap_sets` does all of it for several
 methods and utilities over N tap stacks in a few matmuls; `explain_batch`
-and the identity functions are its one-method case.
+is its one-method case, and both identity functions go through its
+one-spec case `_ensemble_pair`: one image tapped once, and the direct and
+composed heatmaps of one `UtilitySpec`, whose class is checked like any
+other.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .utility import (UtilitySpec, _check_class, _checked_int, _checked_logits, softmax_rows,
                       utility_derivatives)
-from .zoo import ToyModel
+from .zoo import ToyModel, _checked_grid
 
 # name -> (weight order, assembly scheme)
 _METHOD_TABLE = {
@@ -79,7 +82,8 @@ def _as_method(method) -> CamMethod:
 class Heatmap:
     """Per-position relevance at the tap layer, before and after the outer
     ReLU. `pre_relu` keeps signs; `post_relu`, derived from it as
-    max(pre_relu, 0), is what gets rendered."""
+    max(pre_relu, 0), is what gets rendered. `spatial` is stored as the
+    (h, w) ints of `zoo._checked_grid`; a non-finite value raises."""
 
     pre_relu: np.ndarray
     spatial: tuple[int, int]
@@ -93,14 +97,16 @@ class Heatmap:
         if pre.ndim != 1:
             raise ValueError(f"pre_relu must be 1-D (one value per position), "
                              f"got shape {pre.shape}")
-        if self.spatial[0] * self.spatial[1] != pre.shape[0]:
-            raise ValueError(f"spatial {self.spatial} does not cover {pre.shape[0]} positions")
+        object.__setattr__(self, "spatial", _checked_grid(self.spatial, pre.shape[0]))
+        if not np.isfinite(pre).all():
+            raise ValueError("pre_relu: non-finite values are not allowed")
         object.__setattr__(self, "pre_relu", pre)
         object.__setattr__(self, "post_relu", np.maximum(pre, 0.0))
 
     def grid(self, view: str = "post") -> np.ndarray:
-        values = self.post_relu if view == "post" else self.pre_relu
-        return values.reshape(self.spatial)
+        if view not in ("post", "pre"):
+            raise ValueError(f"unknown grid view {view!r}; expected 'post' or 'pre'")
+        return (self.post_relu if view == "post" else self.pre_relu).reshape(self.spatial)
 
 
 def shapley_weights(grad: np.ndarray, hvp_full: Optional[np.ndarray] = None) -> np.ndarray:
@@ -154,8 +160,7 @@ def _utility_kind(method: CamMethod, kind: str) -> str:
 
 
 def _heatmap_sets(model: ToyModel, stacks: np.ndarray, target_class: int, methods,
-                  kinds: tuple[str, ...], ensembles: bool = False,
-                  linear: Optional[np.ndarray] = None) -> dict:
+                  kinds: tuple[str, ...], ensembles: bool = False) -> dict:
     """Pre-ReLU heatmaps of n tap stacks of `model`, (n, n_maps, d), for
     several methods and the utility kinds of one target class c:
     {name: (direct, composed)} in method order, each (n, len(kinds), d).
@@ -169,8 +174,7 @@ def _heatmap_sets(model: ToyModel, stacks: np.ndarray, target_class: int, method
     class weights, so the same assembly yields the class heatmaps E_k, and
     composed[:, i] is kind i's heatmap from them and the probabilities p:
     p_c * sum_{k != c} p_k (E_c - E_k) for "post-softmax", E_c plus that
-    sum for "rest". Without `ensembles` composed is None. `linear` is the
-    stacks' J·A when the caller has it."""
+    sum for "rest". Without `ensembles` composed is None."""
     methods = [_as_method(m) for m in methods]
     if ensembles:
         for method in methods:
@@ -193,8 +197,7 @@ def _heatmap_sets(model: ToyModel, stacks: np.ndarray, target_class: int, method
             method.order, tuple(_utility_kind(method, k) for k in kinds))
         layouts.setdefault(key, []).append(method)
     if any(key is not None for key in layouts):
-        if linear is None:
-            linear = model.head_linear(stacks)
+        linear = model.head_linear(stacks)
         # non-finite logits are rejected before the softmax sees them
         logits = _checked_logits(linear + model.head_bias, UtilitySpec(c, kinds[0]))
         p = softmax_rows(logits)
@@ -250,21 +253,18 @@ def explain(model: ToyModel, image: np.ndarray, spec: UtilitySpec, method) -> He
     return explain_batch(model, stack, spec, method)[0]
 
 
-def _ensemble_pairs(model: ToyModel, image: np.ndarray, c: int, method,
-                    kinds: tuple[str, ...]) -> list[tuple[Heatmap, Heatmap]]:
-    """For each utility kind in `kinds`, the heatmap of class c and its
-    composition from the class probabilities and the pre-softmax class
-    heatmaps (see `_heatmap_sets`), from one tap stack."""
+def _ensemble_pair(model: ToyModel, image: np.ndarray, spec: UtilitySpec,
+                   method) -> tuple[Heatmap, Heatmap]:
+    """The heatmap of `spec` and its composition from the class
+    probabilities and the pre-softmax class heatmaps (see `_heatmap_sets`),
+    from one tap stack."""
     method = _as_method(method)
     stack = model._tap_stack(np.asarray(image, dtype=np.float64)[None])
-    direct, composed = _heatmap_sets(model, stack, c, (method,), kinds,
+    direct, composed = _heatmap_sets(model, stack, spec.target_class, (method,), (spec.kind,),
                                      ensembles=True)[method.name]
-    pairs = []
-    for i, kind in enumerate(kinds):
-        hm = Heatmap(pre_relu=direct[0, i], spatial=model.tap_spatial(), method=method.name,
-                     target_class=c, utility=_utility_kind(method, kind))
-        pairs.append((hm, replace(hm, pre_relu=composed[0, i])))
-    return pairs
+    hm = Heatmap(pre_relu=direct[0, 0], spatial=model.tap_spatial(), method=method.name,
+                 target_class=spec.target_class, utility=_utility_kind(method, spec.kind))
+    return hm, replace(hm, pre_relu=composed[0, 0])
 
 
 def theorem3_ensemble(model: ToyModel, image: np.ndarray, spec: UtilitySpec,
@@ -275,11 +275,11 @@ def theorem3_ensemble(model: ToyModel, image: np.ndarray, spec: UtilitySpec,
     if spec.kind != "post-softmax":
         raise ValueError(f"the ensemble identity is about post-softmax utilities, "
                          f"got {spec.kind!r}")
-    return _ensemble_pairs(model, image, spec.target_class, method, ("post-softmax",))[0]
+    return _ensemble_pair(model, image, spec, method)
 
 
 def rest_decomposition(model: ToyModel, image: np.ndarray, target_class: int,
                        method) -> tuple[Heatmap, Heatmap]:
     """The rest-utility heatmap equals the class's pre-softmax heatmap plus
     the ensemble correction sum_{k != c} p_k (E_c - E_k)."""
-    return _ensemble_pairs(model, image, int(target_class), method, ("rest",))[0]
+    return _ensemble_pair(model, image, UtilitySpec(target_class, "rest"), method)

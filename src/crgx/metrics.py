@@ -119,7 +119,8 @@ class MetricRecord:
     percentages. Built from the per-image terms, which stay for inspection,
     and `skipped`, which names each image left out as (index, reason). The
     batch values are derived: `n_images` counts the terms, each metric is
-    the mean of its terms, and `adcc` is `adcc()` of the three means."""
+    the mean of its terms, and `adcc` is `adcc()` of the three means. The
+    five term tuples must have one length of at least 1."""
 
     method: str
     utility: str
@@ -139,8 +140,13 @@ class MetricRecord:
     add: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_images", len(self.image_ad))
-        for name in ("ad", "coherency", "complexity", "ic", "add"):
+        names = ("ad", "coherency", "complexity", "ic", "add")
+        counts = [len(getattr(self, "image_" + name)) for name in names]
+        if min(counts) == 0 or len(set(counts)) != 1:
+            raise ValueError("per-image term counts must be equal and at least 1, got "
+                             + ", ".join(f"{n} {k}" for n, k in zip(names, counts)))
+        object.__setattr__(self, "n_images", counts[0])
+        for name in names:
             value = float(np.mean(np.asarray(getattr(self, "image_" + name),
                                              dtype=np.float64)))
             if not 0.0 <= value <= 1.0:

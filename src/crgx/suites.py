@@ -310,9 +310,8 @@ def _class_heatmaps(model, image: np.ndarray, methods, kinds, ensembles: bool = 
     """The image's argmax class, from the logits of its one tap stack, and
     the `_heatmap_sets` of that class on the same stack."""
     stack = model._tap_stack(image[None])
-    linear = model.head_linear(stack)
-    c = int(np.argmax(linear[0] + model.head_bias))
-    return c, _heatmap_sets(model, stack, c, methods, kinds, ensembles, linear)
+    c = int(np.argmax(model.head_batch(stack)[0]))
+    return c, _heatmap_sets(model, stack, c, methods, kinds, ensembles)
 
 
 def theorem_suite(seeds: int = 5) -> dict:

@@ -43,6 +43,19 @@ def _chunk_rows(cells_per_row: int) -> int:
     return max(1, _BATCH_CELLS // cells_per_row)
 
 
+def _checked_grid(spatial, d: int) -> tuple[int, int]:
+    """`spatial` as an (h, w) pair of ints that covers d positions: each
+    size an integer of at least 1 (`_checked_int`), and h * w == d."""
+    try:
+        h, w = spatial
+    except (TypeError, ValueError):
+        raise ValueError(f"spatial must be (h, w), got {spatial!r}") from None
+    grid = (_checked_int("spatial[0]", h, 1), _checked_int("spatial[1]", w, 1))
+    if grid[0] * grid[1] != d:
+        raise ValueError(f"spatial {grid} does not cover {d} positions")
+    return grid
+
+
 @dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class ActivationStack:
     """Tap-layer output as maps: one row per map, one column per position."""
@@ -51,9 +64,8 @@ class ActivationStack:
     spatial: tuple[int, int]  # (h, w) with h*w == d
 
     def __post_init__(self):
-        n, d = self.maps.shape
-        if self.spatial[0] * self.spatial[1] != d:
-            raise ValueError(f"activation stack: spatial {self.spatial} does not cover d={d}")
+        _, d = self.maps.shape
+        object.__setattr__(self, "spatial", _checked_grid(self.spatial, d))
 
     @property
     def d(self) -> int:

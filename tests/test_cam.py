@@ -318,6 +318,13 @@ def test_heatmap_invariants():
     for pre_relu in (np.float64(1.0), np.zeros((4, 1)), [[1.0, 2.0], [3.0, 4.0]]):
         with pytest.raises(ValueError, match=r"^pre_relu must be 1-D \(one value per position\)"):
             Heatmap(pre_relu=pre_relu, spatial=(2, 2), method="gradcam")
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"^pre_relu: non-finite values are not allowed$"):
+            Heatmap(pre_relu=[-1.0, 2.0, value, -0.25], spatial=(2, 2), method="gradcam")
+    for view in ("posts", "Pre", None):
+        with pytest.raises(ValueError) as caught:
+            hm.grid(view)
+        assert str(caught.value) == f"unknown grid view {view!r}; expected 'post' or 'pre'"
 
 
 @pytest.mark.parametrize("arch", ARCHS)
@@ -541,26 +548,6 @@ def test_ensembles_equal_the_per_class_formula_bit_for_bit(arch, num_classes, me
         assert (ensemble.method, ensemble.target_class, ensemble.utility) == (
             method, c, "post-softmax")
         assert (composed.method, composed.target_class, composed.utility) == (method, c, "rest")
-
-
-@pytest.mark.parametrize("arch", ["cnn-relu", "cnn-smooth", "mlp-smooth"])
-@pytest.mark.parametrize("method", ["gradcam", "hirescam"])
-def test_shared_ensemble_inputs_give_both_identities_bit_for_bit(arch, method):
-    # the check suite computes both identities of a case from one set of
-    # inputs; each pair must be the one the public function returns
-    from crgx.cam import _ensemble_pairs
-
-    model = build_model(arch, num_classes=4, seed=5)
-    image = make_image(2005)
-    for c in range(4):
-        shared = _ensemble_pairs(model, image, c, method, ("post-softmax", "rest"))
-        separate = [theorem3_ensemble(model, image, UtilitySpec(c, "post-softmax"), method),
-                    rest_decomposition(model, image, c, method)]
-        for pair, ref in zip(shared, separate):
-            for hm, hm_ref in zip(pair, ref):
-                assert hm.pre_relu.tobytes() == hm_ref.pre_relu.tobytes()
-                assert (hm.method, hm.target_class, hm.utility) == (
-                    hm_ref.method, hm_ref.target_class, hm_ref.utility)
 
 
 @pytest.mark.parametrize("arch", ARCHS)

@@ -219,6 +219,21 @@ def test_record_derives_its_batch_values():
         MetricRecord(**record_terms(image_ad=(1.0, 1.5)))
 
 
+@pytest.mark.parametrize("image_terms, counts", [
+    (dict(image_ad=(0.25,), image_coherency=(0.75, 0.5, 0.5), image_complexity=(0.125,),
+          image_ic=(0.0,), image_add=(0.5,)), "ad 1, coherency 3, complexity 1, ic 1, add 1"),
+    (dict(image_add=(0.5, 1.0, 0.25)), "ad 2, coherency 2, complexity 2, ic 2, add 3"),
+    (dict(image_ad=(), image_coherency=(), image_complexity=(), image_ic=(), image_add=()),
+     "ad 0, coherency 0, complexity 0, ic 0, add 0"),
+], ids=["one-ad-three-coherency", "one-more-add", "all-empty"])
+def test_record_refuses_term_counts_that_differ_or_are_zero(image_terms, counts):
+    # refused before any mean is taken: no "Mean of empty slice" warning
+    with pytest.raises(Exception) as caught:
+        MetricRecord(**record_terms(**image_terms))
+    assert caught.type is ValueError, caught.value
+    assert str(caught.value) == f"per-image term counts must be equal and at least 1, got {counts}"
+
+
 def test_report_schema_and_percent_scaling():
     model = build_model("cnn-smooth", num_classes=3, seed=1)
     images = make_images(3, seed=6)
@@ -246,14 +261,18 @@ def test_failed_images_are_skipped_and_counted():
         evaluate_batch(model, [np.zeros((3, 5, 5))], UtilitySpec(0, "rest"), "gradcam")
 
 
+def no_positions():
+    return Heatmap(pre_relu=np.zeros(0), spatial=(0, 0), method="flaky")
+
+
 def failing_on(bad_pixels, heatmap):
-    """A heatmap source that fails on one image: it raises, or returns a
-    heatmap with no positions, which cannot be normalized."""
+    """A heatmap source that fails on one image: it raises, or calls
+    `heatmap`, which builds a heatmap that `Heatmap` refuses."""
     def method(model, pixels, spec):
         if np.array_equal(pixels, bad_pixels):
             if heatmap is None:
                 raise ValueError("source failed on this image")
-            return heatmap
+            return heatmap()
         flat = np.full(36, 0.5)
         flat[0] = 1.0
         return Heatmap(pre_relu=flat, spatial=(6, 6), method="flaky")
@@ -261,10 +280,7 @@ def failing_on(bad_pixels, heatmap):
     return method
 
 
-@pytest.mark.parametrize("heatmap", [
-    None,
-    Heatmap(pre_relu=np.zeros(0), spatial=(0, 0), method="flaky"),
-], ids=["raises", "no-positions"])
+@pytest.mark.parametrize("heatmap", [None, no_positions], ids=["raises", "no-positions"])
 def test_later_stage_failure_skips_only_that_image(heatmap):
     model = build_model("cnn-smooth", num_classes=3, seed=1)
     images = make_images(3, seed=17)
@@ -272,8 +288,8 @@ def test_later_stage_failure_skips_only_that_image(heatmap):
                             failing_on(images[1], heatmap))
     assert record.n_images == 2
     assert [i for i, _ in record.skipped] == [1]
-    if heatmap is None:
-        assert record.skipped[0][1] == "source failed on this image"
+    assert record.skipped[0][1] == ("source failed on this image" if heatmap is None
+                                    else "spatial[0] must be at least 1, got 0")
     good = evaluate_batch(model, [images[0], images[2]], UtilitySpec(0, "rest"),
                           failing_on(images[1], heatmap))
     assert record.image_ad == good.image_ad
@@ -309,6 +325,29 @@ def test_a_source_building_a_2d_heatmap_is_skipped_with_its_reason():
     assert record.n_images == 2
     assert record.skipped == ((1, "pre_relu must be 1-D (one value per position), "
                                   "got shape (36, 1)"),)
+
+
+@pytest.mark.parametrize("spatial, value, reason", [
+    ((8.0, 2.0), 0.5, "spatial[0] must be an integer, got 8.0"),
+    ((-4, -4), 0.5, "spatial[0] must be at least 1, got -4"),
+    ((4, 4), np.nan, "pre_relu: non-finite values are not allowed"),
+    ((4, 4), np.inf, "pre_relu: non-finite values are not allowed"),
+], ids=["float-grid", "negative-grid", "nan", "inf"])
+def test_a_source_building_a_malformed_heatmap_is_skipped_with_its_reason(
+        spatial, value, reason):
+    model = build_model("cnn-smooth", num_classes=3, seed=1)
+    images = make_images(3, seed=17)
+
+    def method(model, pixels, spec):
+        flat = np.linspace(0.0, 1.0, 16)
+        if not np.array_equal(pixels, images[1]):
+            return Heatmap(pre_relu=flat, spatial=(4, 4), method="flaky")
+        flat[3] = value
+        return Heatmap(pre_relu=flat, spatial=spatial, method="flaky")
+
+    record = evaluate_batch(model, images, UtilitySpec(0, "rest"), method)
+    assert record.n_images == 2
+    assert record.skipped == ((1, reason),)
 
 
 def test_zero_target_confidence_is_skipped_not_divided():
@@ -532,10 +571,7 @@ def test_chunked_batch_matches_oracle():
         evaluate_batch(model, [images[2]] + images[5:11], spec, failing_on(images[10], None))
 
 
-@pytest.mark.parametrize("heatmap", [
-    None,
-    Heatmap(pre_relu=np.zeros(0), spatial=(0, 0), method="flaky"),
-], ids=["raises", "no-positions"])
+@pytest.mark.parametrize("heatmap", [None, no_positions], ids=["raises", "no-positions"])
 def test_failing_source_matches_oracle(heatmap):
     model = build_model("mlp-smooth", num_classes=3, seed=1)
     images = make_images(4, seed=17)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from crgx import postprocess as pp
 from crgx import suites
-from crgx.cam import CamMethod, Heatmap, explain
+from crgx.cam import CamMethod, Heatmap, explain, rest_decomposition
 from crgx.game import CooperativeGame, ShapleyVector, shapley_exact, shapley_mc
 from crgx.imgio import Image, encode_image_bytes, parse_image_bytes, read_image, write_image
 from crgx.utility import UtilitySpec
@@ -342,6 +342,32 @@ ARRAY_RECORDS = {
 }
 
 
+GRID_REFUSALS = [
+    ((8.0, 2.0), "spatial[0] must be an integer, got 8.0"),
+    ((-4, -4), "spatial[0] must be at least 1, got -4"),
+    ((4, True), "spatial[1] must be an integer, got True"),
+    ((3, 5), "spatial (3, 5) does not cover 16 positions"),
+    ((16,), "spatial must be (h, w), got (16,)"),
+    (None, "spatial must be (h, w), got None"),
+]
+
+
+@pytest.mark.parametrize("spatial, message", GRID_REFUSALS,
+                         ids=["float", "negative", "bool", "product", "one-size", "none"])
+def test_heatmap_and_activation_stack_share_one_grid_rule(spatial, message):
+    for build in (lambda: Heatmap(pre_relu=np.zeros(16), spatial=spatial, method="gradcam"),
+                  lambda: ActivationStack(maps=np.zeros((2, 16)), spatial=spatial)):
+        with pytest.raises(Exception) as caught:
+            build()
+        assert caught.type is ValueError, caught.value
+        assert str(caught.value) == message
+    for record in (Heatmap(pre_relu=np.zeros(16), spatial=(np.int64(2), np.uint8(8)),
+                           method="gradcam"),
+                   ActivationStack(maps=np.zeros((2, 16)), spatial=(np.int64(2), np.uint8(8)))):
+        assert record.spatial == (2, 8)
+        assert [type(v) for v in record.spatial] == [int, int]
+
+
 @pytest.mark.parametrize("name", sorted(ARRAY_RECORDS))
 def test_array_records_compare_and_hash_by_identity(name):
     # a generated __eq__ compares the arrays inside a tuple compare and
@@ -368,6 +394,10 @@ def _model_bits(model):
             [w.tobytes() for w in model.weights.values()])
 
 
+def _grid_bits(hm):
+    return hm.spatial, [type(v) for v in hm.spatial], hm.grid("pre").tobytes()
+
+
 def _report(suite, **args):
     return json.dumps(suite(**args), sort_keys=True)
 
@@ -386,6 +416,12 @@ INTEGER_ARGUMENTS = {
                                 lambda v: pp.upsample_bilinear(np.eye(2), 4, v).tobytes()),
     "UtilitySpec.target_class": ("target_class", 0, 1, lambda v: explain(
         _MODEL, _IMAGE, UtilitySpec(v, "rest"), "shapleycam").pre_relu.tobytes()),
+    "rest_decomposition.target_class": ("target_class", 0, 1, lambda v: tuple(
+        hm.pre_relu.tobytes() for hm in rest_decomposition(_MODEL, _IMAGE, v, "gradcam"))),
+    "Heatmap.spatial[0]": ("spatial[0]", 1, 4, lambda v: _grid_bits(Heatmap(
+        pre_relu=np.arange(16.0), spatial=(v, 4), method="gradcam"))),
+    "Heatmap.spatial[1]": ("spatial[1]", 1, 4, lambda v: _grid_bits(Heatmap(
+        pre_relu=np.arange(16.0), spatial=(4, v), method="gradcam"))),
     "build_model.num_classes": ("num_classes", 2, 3,
                                 lambda v: _model_bits(build_model("mlp-smooth", v, 0))),
     "build_model.seed": ("seed", 0, 3, lambda v: _model_bits(build_model("mlp-smooth", 3, v))),

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from crgx.cam import _ensemble_pairs, explain
+from crgx.cam import explain, rest_decomposition, theorem3_ensemble
 from crgx.game import AXIOM_TOL, CooperativeGame, axiom_suite, shapley_exact
 from crgx.suites import (
     PROBE_CONFIG,
@@ -163,8 +163,9 @@ def test_theorem_suite_sections():
 
 def theorem_suite_oracle(seeds):
     """theorem_suite as a loop of per-method calls: each case draws its own
-    image, runs forward for its class and the ensemble pairs of each method,
-    and the collapse section runs explain once per heatmap."""
+    image, runs forward for its class and `theorem3_ensemble` and
+    `rest_decomposition` for each method, and the collapse section runs
+    explain once per heatmap."""
     report = {
         "suite": "theorem-check", "seeds": int(seeds), "archs": list(THEOREM_ARCHS),
         "classes": list(THEOREM_CLASSES), "methods": list(THEOREM_METHODS),
@@ -177,8 +178,9 @@ def theorem_suite_oracle(seeds):
                 image = np.random.default_rng(1000 + s).uniform(0.0, 1.0, model.in_shape)
                 c = int(np.argmax(model.forward(image)))
                 for method in THEOREM_METHODS:
-                    (direct, ensemble), (rest_direct, composed) = _ensemble_pairs(
-                        model, image, c, method, ("post-softmax", "rest"))
+                    direct, ensemble = theorem3_ensemble(
+                        model, image, UtilitySpec(c, "post-softmax"), method)
+                    rest_direct, composed = rest_decomposition(model, image, c, method)
                     ens_worst = max(ens_worst, float(np.max(np.abs(
                         direct.pre_relu - ensemble.pre_relu))))
                     rest_worst = max(rest_worst, float(np.max(np.abs(
@@ -191,8 +193,8 @@ def theorem_suite_oracle(seeds):
 
     model, image = _probe_model()
     c = int(np.argmax(model.forward(image)))
-    (direct, ensemble), (rest_direct, composed) = _ensemble_pairs(
-        model, image, c, "gradcam", ("post-softmax", "rest"))
+    direct, ensemble = theorem3_ensemble(model, image, UtilitySpec(c, "post-softmax"), "gradcam")
+    rest_direct, composed = rest_decomposition(model, image, c, "gradcam")
     probe = dict(PROBE_CONFIG)
     probe.update({
         "target_class": c,
