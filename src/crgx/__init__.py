@@ -17,9 +17,7 @@ from .game import (
     axiom_suite,
     make_spatial_game,
     shapley_exact,
-    shapley_first_order,
     shapley_mc,
-    shapley_second_order,
 )
 from .imgio import Image, read_image, write_image
 from .metrics import (
@@ -75,9 +73,7 @@ __all__ = [
     "read_image",
     "rest_decomposition",
     "shapley_exact",
-    "shapley_first_order",
     "shapley_mc",
-    "shapley_second_order",
     "shapley_suite",
     "shapley_weights",
     "theorem3_ensemble",

@@ -5,13 +5,11 @@ sum_{j in S} 2^j, a (2,)*d hypercube with player j on axis d-1-j
 (`_faces`); what enumerates it stops at d = 20. Exact values and the axiom
 audit read a (g, 2^d) stack of same-d tables in blocked scans: the faces of
 several players, or pairs, of every table are written into one buffer and
-reduced in one call per block (`_scan`). Four routes to an
-attribution vector live here: exact enumeration, permutation-sampling
-Monte Carlo, and the first- and second-order closed forms that contract a
-gradient (and optionally a Hessian-vector product) against an activation
-stack. Every game scores coalitions through one batched utility, (n, d)
-bool -> (n,) float64: a table lookup, or for `SpatialGame` the model's
-numpy kernels. Each coalition is scored at most once, except U(empty) and
+reduced in one call per block (`_scan`). Two routes to an attribution
+vector live here: exact enumeration and permutation-sampling Monte Carlo.
+Every game scores coalitions through one batched utility, (n, d) bool ->
+(n,) float64: a table lookup, or for `SpatialGame` the model's numpy
+kernels. Each coalition is scored at most once, except U(empty) and
 U(full) of an enumerated game: the constructor scores both, and
 `utility_table()` scores them again to check that the utility is
 deterministic. Once a game holds its table (a `from_table` game from the
@@ -29,7 +27,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cam import shapley_weights
 from .utility import UtilitySpec, _checked_int, compute_utility, compute_utility_batch
 from .zoo import ToyModel, _chunk_rows
 
@@ -47,7 +44,7 @@ class ShapleyVector:
     """Per-player attribution plus how it was obtained."""
 
     values: np.ndarray
-    method: str                      # "exact" | "mc" | "first-order" | "second-order"
+    method: str                      # "exact" | "mc"
     samples: int | None = None
     stderr: np.ndarray | None = None
 
@@ -275,35 +272,6 @@ def shapley_mc(game: CooperativeGame, samples: int, seed: int) -> ShapleyVector:
     else:
         stderr = np.zeros(d)
     return ShapleyVector(values=values, method="mc", samples=samples, stderr=stderr)
-
-
-def _taylor(weights: np.ndarray, maps: np.ndarray, method: str) -> ShapleyVector:
-    maps = np.asarray(maps, dtype=np.float64)
-    if maps.ndim != 2 or weights.shape != maps.shape:
-        raise ValueError(f"weights shape {weights.shape} does not match "
-                         f"(maps x positions) stack shape {maps.shape}")
-    return ShapleyVector(values=np.sum(weights * maps, axis=0), method=method)
-
-
-def shapley_first_order(grad: np.ndarray, maps: np.ndarray) -> ShapleyVector:
-    """First-order Shapley estimate of an (n_maps, d) stack A:
-    value(j) = sum_i grad[i, j] * A[i, j].
-
-    Exact whenever the utility is linear in the stack.
-    """
-    return _taylor(shapley_weights(grad), maps, "first-order")
-
-
-def shapley_second_order(grad: np.ndarray, hvp_full: np.ndarray,
-                         maps: np.ndarray) -> ShapleyVector:
-    """Second-order Shapley estimate with the curvature correction:
-    value(j) = sum_i W[i, j] * A[i, j], W = grad - hvp_full / 2 from
-    `cam.shapley_weights`, hvp_full being the Hessian applied to the stack.
-
-    Exact for utilities quadratic in the stack (the Hessian is constant, so
-    the Taylor expansion terminates).
-    """
-    return _taylor(shapley_weights(grad, hvp_full), maps, "second-order")
 
 
 class SpatialGame(CooperativeGame):

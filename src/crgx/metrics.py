@@ -8,6 +8,7 @@ heatmap with the one recomputed on the explanation-masked image.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -97,14 +98,20 @@ def coherency(h_orig: np.ndarray, h_expl: np.ndarray) -> float:
 
 def complexity(h: np.ndarray) -> float:
     """Mean absolute heatmap value; L1 scaled by pixel count so the score
-    stays in [0,1] for normalized maps."""
-    return float(np.mean(np.abs(np.asarray(h, dtype=np.float64))))
+    stays in [0,1] for normalized maps. An empty map raises."""
+    h = np.asarray(h, dtype=np.float64)
+    if h.size == 0:
+        raise ValueError("h must hold at least one value, got an empty map")
+    return float(np.mean(np.abs(h)))
 
 
 def adcc(ad: float, coh: float, com: float) -> float:
     """Harmonic mean of coherency, 1 - complexity, and 1 - average drop;
-    defined as 0 when any term vanishes."""
+    defined as 0 when any term vanishes. Each term is a real number (not a
+    bool) in [0,1]."""
     for name, value in (("ad", ad), ("coh", coh), ("com", com)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0,1], got {value}")
     terms = (coh, 1.0 - com, 1.0 - ad)

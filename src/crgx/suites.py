@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .cam import _heatmap_sets, explain
+from .cam import CamMethod, _assemble, _heatmap_sets, explain_batch, shapley_weights
 from .game import (
     AXIOM_TOL,
     CooperativeGame,
@@ -18,11 +18,9 @@ from .game import (
     _exact,
     make_spatial_game,
     shapley_exact,
-    shapley_first_order,
     shapley_mc,
-    shapley_second_order,
 )
-from .utility import UtilitySpec, _checked_int, utility_node
+from .utility import UtilitySpec, _checked_int
 from .zoo import build_model
 
 
@@ -101,9 +99,16 @@ def axiom_check(seed: int = 2024, n_games: int = 50) -> dict:
     }
 
 
+def _elementwise(weights: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """sum_i W[i, j] * A[i, j] of one (n_maps, d) stack, through the
+    assembly that `hirescam` and `shapleycam-h` ship."""
+    return _assemble(weights[None], maps[None], CamMethod("hirescam"))[0]
+
+
 def quadratic_check(seed: int = 2024, n_games: int = 20) -> dict:
-    """Curvature-corrected weights are exact on quadratic utilities; the
-    estimate must match brute-force enumeration."""
+    """Curvature-corrected weights are exact on quadratic utilities: the
+    taped gradient and HVP, weighted by `cam.shapley_weights` and
+    assembled elementwise, must match brute-force enumeration."""
     seed, n_games = _checked_int("seed", seed, 0), _checked_int("n_games", n_games, 1)
     dims = (4, 8, 12)
     worst = 0.0
@@ -115,8 +120,8 @@ def quadratic_check(seed: int = 2024, n_games: int = 20) -> dict:
         _, tape = ad.forward(lambda x: {"y": graph(x)}, {"x": ones})
         grad = ad.gradient(tape, "y", "x")
         hvp_full = ad.hvp(tape, "y", "x", ones)
-        estimate = shapley_second_order(grad[None, :], hvp_full[None, :], ones[None, :])
-        worst = max(worst, _rel_err(estimate.values, exact.values))
+        estimate = _elementwise(shapley_weights(grad, hvp_full)[None], ones[None])
+        worst = max(worst, _rel_err(estimate, exact.values))
     return {
         "n_games": n_games, "dims": list(dims),
         "worst_rel_err": float(worst), "tol": 1e-9,
@@ -125,7 +130,8 @@ def quadratic_check(seed: int = 2024, n_games: int = 20) -> dict:
 
 
 def linear_check(seed: int = 2024, n_games: int = 10) -> dict:
-    """Gradient-times-activation weights are exact on linear utilities."""
+    """Gradient-times-activation weights, assembled elementwise, are exact
+    on linear utilities."""
     seed, n_games = _checked_int("seed", seed, 0), _checked_int("n_games", n_games, 1)
     worst = 0.0
     for i in range(n_games):
@@ -137,8 +143,8 @@ def linear_check(seed: int = 2024, n_games: int = 10) -> dict:
         ones = np.ones(d)
         _, tape = ad.forward(lambda x: {"y": ad.sum(ad.mul(w, x))}, {"x": ones})
         grad = ad.gradient(tape, "y", "x")
-        estimate = shapley_first_order(grad[None, :], ones[None, :])
-        worst = max(worst, _rel_err(estimate.values, exact.values))
+        estimate = _elementwise(shapley_weights(grad)[None], ones[None])
+        worst = max(worst, _rel_err(estimate, exact.values))
     return {
         "n_games": n_games, "worst_rel_err": float(worst),
         "tol": 1e-12, "pass": bool(worst <= 1e-12),
@@ -146,23 +152,19 @@ def linear_check(seed: int = 2024, n_games: int = 10) -> dict:
 
 
 def spatial_check(seed: int = 2024) -> dict:
-    """The 16-position masking game on the relu CNN: gradient weights and
-    the second-order heatmap both reproduce brute-force enumeration."""
+    """The 16-position masking game on the relu CNN: the shipped first-order
+    `hirescam` and second-order `shapleycam` heatmaps, from `explain_batch`,
+    both reproduce brute-force enumeration. The image is tapped once for
+    its class and both heatmaps, and once by the game."""
     seed = _checked_int("seed", seed, 0)
     model = build_model("cnn-relu", num_classes=3, seed=seed % 1000)
     image = _seeded(seed, 4).uniform(0.0, 1.0, model.in_shape)
-    target = int(np.argmax(model.forward(image)))
-    spec = UtilitySpec(target, "pre-softmax")
+    stack = model._tap_stack(image[None])
+    spec = UtilitySpec(int(np.argmax(model.head_batch(stack)[0])), "pre-softmax")
     game = make_spatial_game(model, image, spec)
-    exact = shapley_exact(game)
-    run = model.forward_with_tap(image)
-    with run.tape:
-        u = utility_node(run.tape.outputs["logits"], spec)
-    grad = ad.gradient(run.tape, u, "tap")
-    first = shapley_first_order(grad, run.activations.maps)
-    cam = explain(model, image, spec, "shapleycam")
-    first_err = _rel_err(first.values, exact.values)
-    cam_err = _rel_err(cam.pre_relu, exact.values)
+    exact = shapley_exact(game).values
+    first_err, cam_err = (_rel_err(explain_batch(model, stack, spec, method)[0].pre_relu, exact)
+                          for method in ("hirescam", "shapleycam"))
     return {
         "arch": "cnn-relu", "d": int(game.d),
         "first_order_rel_err": float(first_err),
@@ -197,9 +199,10 @@ def mc_check(seed: int = 2024, n_seeds: int = 10, samples: int = 50000) -> dict:
 
 
 def shapley_suite(seed: int = 2024, mc_seeds: int = 10, mc_samples: int = 50000) -> dict:
-    """Exact-attribution checks: axioms on random tables, closed-form
-    second-order equality on quadratics, first-order exactness on linear
-    games, the d=16 spatial oracle, and Monte Carlo convergence."""
+    """Exact-attribution checks: axioms on random tables, second-order
+    equality on quadratics and first-order exactness on linear games
+    through `cam`'s own weights and assembly, the shipped heatmaps on the
+    d=16 spatial oracle, and Monte Carlo convergence."""
     seed = _checked_int("seed", seed, 0)
     mc_seeds = _checked_int("mc_seeds", mc_seeds, 1)
     mc_samples = _checked_int("mc_samples", mc_samples, 2)

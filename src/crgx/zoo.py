@@ -58,14 +58,25 @@ def _checked_grid(spatial, d: int) -> tuple[int, int]:
 
 @dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class ActivationStack:
-    """Tap-layer output as maps: one row per map, one column per position."""
+    """Tap-layer output as maps: one row per map, one column per position.
+    `maps` is stored as float64 and must be 2-D and finite; `spatial` is
+    stored as the (h, w) ints of `_checked_grid`."""
 
     maps: np.ndarray          # (n_maps, d)
     spatial: tuple[int, int]  # (h, w) with h*w == d
 
     def __post_init__(self):
-        _, d = self.maps.shape
-        object.__setattr__(self, "spatial", _checked_grid(self.spatial, d))
+        try:
+            maps = np.asarray(self.maps, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"maps must be a numeric (n_maps, d) array, got "
+                             f"{type(self.maps).__name__}") from None
+        if maps.ndim != 2:
+            raise ValueError(f"maps must be 2-D (n_maps, d), got shape {maps.shape}")
+        if not np.isfinite(maps).all():
+            raise ValueError("maps: non-finite values are not allowed")
+        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "spatial", _checked_grid(self.spatial, maps.shape[1]))
 
     @property
     def d(self) -> int:

@@ -10,6 +10,7 @@ import pytest
 
 from crgx import autodiff as ad
 from crgx import game, suites, zoo
+from crgx.cam import shapley_weights
 from crgx.utility import (UTILITY_KINDS, UtilitySpec, compute_utility,
                           compute_utility_batch, utility_node)
 
@@ -275,11 +276,11 @@ def test_bilinear_first_order_overshoots_and_second_order_corrects():
     outs, tape = ad.forward(lambda z: ad.mul(ad.index(z, 0), ad.index(z, 1)), {"z": x})
     grad = ad.gradient(tape, "out", "z")
     hv = ad.hvp(tape, "out", "z", x)
-    first = game.shapley_first_order(grad[None, :], x[None, :])
-    second = game.shapley_second_order(grad[None, :], hv[None, :], x[None, :])
-    np.testing.assert_allclose(first.values, [1.0, 1.0], atol=1e-15)
+    first = suites._elementwise(shapley_weights(grad)[None], x[None])
+    second = suites._elementwise(shapley_weights(grad, hv)[None], x[None])
+    np.testing.assert_allclose(first, [1.0, 1.0], atol=1e-15)
     np.testing.assert_allclose(exact.values, [0.5, 0.5], atol=1e-12)
-    np.testing.assert_allclose(second.values, exact.values, atol=1e-12)
+    np.testing.assert_allclose(second, exact.values, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [4, 8])
@@ -301,8 +302,8 @@ def test_second_order_exact_on_random_quadratics(d):
         {"z": x})
     grad = ad.gradient(tape, "out", "z")
     hv = ad.hvp(tape, "out", "z", x)
-    second = game.shapley_second_order(grad[None, :], hv[None, :], x[None, :])
-    assert rel_gap(second.values, exact) <= 1e-9
+    second = suites._elementwise(shapley_weights(grad, hv)[None], x[None])
+    assert rel_gap(second, exact) <= 1e-9
 
 
 def test_first_order_exact_on_linear_utilities():
@@ -314,8 +315,8 @@ def test_first_order_exact_on_linear_utilities():
     exact = game.shapley_exact(g).values
     outs, tape = ad.forward(lambda z: ad.matmul(a, z), {"z": x})
     grad = ad.gradient(tape, "out", "z")
-    first = game.shapley_first_order(grad[None, :], x[None, :])
-    assert rel_gap(first.values, exact) <= 1e-12
+    first = suites._elementwise(shapley_weights(grad)[None], x[None])
+    assert rel_gap(first, exact) <= 1e-12
 
 
 # -- spatial games ----------------------------------------------------------
@@ -356,8 +357,8 @@ def test_spatial_first_order_matches_exact_for_linear_head():
     with run.tape:
         u = utility_node(run.tape.outputs["logits"], sg.spec)
     grad = ad.gradient(run.tape, u, "tap")
-    first = game.shapley_first_order(grad, run.activations.maps)
-    assert rel_gap(first.values, exact) <= 1e-9
+    first = suites._elementwise(shapley_weights(grad), run.activations.maps)
+    assert rel_gap(first, exact) <= 1e-9
 
 
 @pytest.mark.parametrize("kind", UTILITY_KINDS)
@@ -753,8 +754,6 @@ def test_game_validation():
             g.utility_batch(masks)
     with pytest.raises(ValueError, match="samples"):
         game.shapley_mc(g, 0, seed=0)
-    with pytest.raises(ValueError, match="shape"):
-        game.shapley_first_order(np.ones((2, 3)), np.ones((2, 4)))
 
 
 def test_non_finite_table_is_rejected():

@@ -112,6 +112,14 @@ def test_complexity_cases():
     assert complexity([0.0, 0.5, 1.0, 0.5]) == 0.5
 
 
+@pytest.mark.parametrize("h", [np.zeros(0), np.zeros((0, 4)), []], ids=["1-d", "2-d", "list"])
+def test_complexity_of_an_empty_map_is_refused(h):
+    # np.mean of no values is nan after a RuntimeWarning, which would
+    # become the image's term
+    with pytest.raises(ValueError, match="^h must hold at least one value, got an empty map$"):
+        complexity(h)
+
+
 def test_adcc_cases():
     assert adcc(0.0, 1.0, 0.0) == 1.0
     assert adcc(0.5, 0.5, 0.5) == pytest.approx(0.5, abs=1e-15)
@@ -123,6 +131,19 @@ def test_adcc_cases():
     assert adcc(0.5, 0.5, 1.0) == 0.0
     with pytest.raises(ValueError, match="coh"):
         adcc(0.5, 1.5, 0.5)
+
+
+@pytest.mark.parametrize("position, name", [(0, "ad"), (1, "coh"), (2, "com")])
+@pytest.mark.parametrize("bad", [None, "x", True, [0.5]], ids=["none", "str", "bool", "list"])
+def test_adcc_terms_must_be_real_numbers(bad, position, name):
+    terms = [0.5, 0.5, 0.5]
+    terms[position] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+        adcc(*terms)
+
+
+def test_adcc_takes_numpy_and_integer_terms():
+    assert adcc(np.float64(0.5), np.float32(0.5), 0) == adcc(0.5, 0.5, 0.0)
 
 
 def test_adcc_sandwiched_by_worst_term():

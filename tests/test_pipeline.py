@@ -368,6 +368,27 @@ def test_heatmap_and_activation_stack_share_one_grid_rule(spatial, message):
         assert [type(v) for v in record.spatial] == [int, int]
 
 
+MAPS_REFUSALS = [
+    (np.ones(16), r"^maps must be 2-D \(n_maps, d\), got shape \(16,\)$"),
+    ([[1.0] * 16, [1.0] * 8], r"^maps must be a numeric \(n_maps, d\) array, got list$"),
+    (np.full((2, 16), np.nan), "^maps: non-finite values are not allowed$"),
+    (np.full((2, 16), -np.inf), "^maps: non-finite values are not allowed$"),
+]
+
+
+@pytest.mark.parametrize("maps, message", MAPS_REFUSALS,
+                         ids=["one-d", "ragged-list", "all-nan", "minus-inf"])
+def test_activation_stack_refuses_malformed_maps(maps, message):
+    with pytest.raises(ValueError, match=message):
+        ActivationStack(maps=maps, spatial=(4, 4))
+
+
+def test_activation_stack_takes_nested_lists_as_float64():
+    stack = ActivationStack(maps=[[1] * 16, [2] * 16], spatial=(4, 4))
+    assert stack.maps.dtype == np.float64
+    assert stack.maps.shape == (2, 16) and stack.d == 16
+
+
 @pytest.mark.parametrize("name", sorted(ARRAY_RECORDS))
 def test_array_records_compare_and_hash_by_identity(name):
     # a generated __eq__ compares the arrays inside a tuple compare and

@@ -79,6 +79,42 @@ def test_spatial_check_matches_enumeration():
     assert report["shapleycam_rel_err"] <= 1e-9
 
 
+def test_exactness_checks_score_the_shipped_elementwise_assembly(monkeypatch):
+    # a fault in the elementwise scheme that `hirescam` and `shapleycam-h`
+    # ship must fail every check that claims to audit it
+    import crgx.cam as cam
+    import crgx.suites as suites
+
+    shipped = cam._assemble
+
+    def faulty(weights, maps, method):
+        heat = shipped(weights, maps, method)
+        return heat * (1.0 + 1e-6) if method.scheme == "elementwise" else heat
+
+    for module in (cam, suites):  # every module that holds the name
+        monkeypatch.setattr(module, "_assemble", faulty, raising=False)
+    for report in (quadratic_check(seed=2024, n_games=6), linear_check(seed=2024, n_games=5),
+                   spatial_check(seed=2024)):
+        assert report["pass"] is False, report
+    assert spatial_check(seed=2024)["shapleycam_rel_err"] <= 1e-9  # a mean-scheme method
+
+
+def test_spatial_check_taps_twice_and_builds_no_tape(monkeypatch):
+    import crgx.autodiff as ad
+    from crgx.zoo import ToyModel
+
+    def no_tape(*args, **kwargs):
+        raise AssertionError("spatial_check built a tape")
+
+    taps = []
+    shipped = ToyModel._tap_stack
+    monkeypatch.setattr(ad, "forward", no_tape)
+    monkeypatch.setattr(ToyModel, "_tap_stack",
+                        lambda self, images: taps.append(len(images)) or shipped(self, images))
+    assert spatial_check(seed=2024)["pass"] is True
+    assert taps == [1, 1]  # the class and both heatmaps, then the game
+
+
 def test_mc_check_small_variant():
     report = mc_check(seed=2024, n_seeds=2, samples=4000)
     assert report["pass"] is True
