@@ -5,8 +5,11 @@ sum_{j in S} 2^j, a (2,)*d hypercube with player j on axis d-1-j
 (`_faces`); what enumerates it stops at d = 20. Exact values and the axiom
 audit read a (g, 2^d) stack of same-d tables in blocked scans: the faces of
 several players, or pairs, of every table are written into one buffer and
-reduced in one call per block (`_scan`). Two routes to an attribution
-vector live here: exact enumeration and permutation-sampling Monte Carlo.
+reduced in one call per block (`_scan`). The audit first reads each dummy
+and symmetry face's empty-coalition entry off the singleton coalitions and
+scans only the players and pairs that entry leaves undecided. Two routes
+to an attribution vector live here: exact enumeration and
+permutation-sampling Monte Carlo.
 Every game scores coalitions through one batched utility, (n, d) bool ->
 (n,) float64: a table lookup, or for `SpatialGame` the model's numpy
 kernels. Each coalition is scored at most once, except U(empty) and
@@ -191,7 +194,8 @@ def _scan(tables: np.ndarray, players: Sequence[tuple[int, ...]], weights=None) 
     without them, to sum(weights * face) or, without weights, max |face|.
     Faces go into blocks of one buffer, at most _BATCH_CELLS cells or one
     face per table; each block reduces once over its contiguous last axis,
-    as np.sum or np.max of each face alone would."""
+    as np.sum or np.max of each face alone would, so a player's or pair's
+    result does not depend on which others are scanned with it."""
     g, n = len(tables), len(players)
     size = tables.shape[1] >> len(players[0]) if n else 1
     block = min(n, _chunk_rows(g * size))
@@ -295,8 +299,10 @@ class SpatialGame(CooperativeGame):
             out = np.empty(len(masks), dtype=np.float64)
             for lo in range(0, len(masks), chunk):
                 part = masks[lo:lo + chunk]
+                # a float64 mask multiplies in numpy's direct loop (a bool
+                # one goes through a buffered cast) and gives the same bits
                 out[lo:lo + len(part)] = compute_utility_batch(
-                    model.head_batch(maps * part[:, None, :]), spec)
+                    model.head_batch(maps * part[:, None, :].astype(np.float64)), spec)
             return out
 
         super().__init__(maps.shape[1], utility)
@@ -322,12 +328,29 @@ def _pairs(d: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]
     return i, j, tuple(zip(i.tolist(), j.tolist()))
 
 
+def _flags(tables: np.ndarray, players: Sequence[tuple[int, ...]], first: np.ndarray,
+           detect: np.ndarray) -> np.ndarray:
+    """max |face| <= detect for each of `players` in every table of a
+    (g, 2^d) stack, (g, len(players)) out, given `first`, the (g,
+    len(players)) |face| entries at the empty coalition. A face whose first
+    entry exceeds detect has a larger max, so it is False unscanned; only
+    the players that some table leaves undecided go to `_scan`."""
+    flags = first <= detect
+    keep = np.flatnonzero(flags.any(axis=0)).tolist()
+    if keep:
+        flags[:, keep] = _scan(tables, [players[k] for k in keep]) <= detect
+    return flags
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _audit(tables: np.ndarray, spans: np.ndarray, vals: np.ndarray) -> list[dict]:
     """`axiom_suite` reports for a (g, 2^d) stack of same-d tables, their
-    (g,) spans U(full) - U(empty) and (g, d) attribution vectors, with one
-    scan of every player, one of every pair and one exact scan of the
-    doubled tables for the whole stack."""
+    (g,) spans U(full) - U(empty) and (g, d) attribution vectors. One
+    gather of the singletons U({p}) gives the empty-coalition entry of
+    every dummy face, |U({p}) - U(empty)|, and pair face, |U({i}) -
+    U({j})|, for `_flags`; one exact scan reads the doubled tables. On a
+    table no singleton decides, a constant one say, every player and pair
+    is scanned, and the screen adds O(g d^2)."""
     d = vals.shape[1]
     doubled = 2.0 * tables
     # |a - b| <= 2 max(|a|, |b|): with the doubled table finite, every
@@ -336,8 +359,9 @@ def _audit(tables: np.ndarray, spans: np.ndarray, vals: np.ndarray) -> list[dict
         raise ValueError("linearity check overflows float64: 2 * table leaves the float range")
     detect = 1e-12 * (1.0 + np.max(np.abs(tables), axis=-1, keepdims=True))
     i, j, pairs = _pairs(d)
-    dummy = _scan(tables, [(p,) for p in range(d)]) <= detect
-    symmetric = _scan(tables, pairs) <= detect
+    singles = tables[:, _powers(d)]
+    dummy = _flags(tables, [(p,) for p in range(d)], np.abs(singles - tables[:, :1]), detect)
+    symmetric = _flags(tables, pairs, np.abs(singles[:, i] - singles[:, j]), detect)
     lhs = _exact(doubled)
     rhs = 2.0 * vals
     gaps = np.abs(np.sum(vals, axis=-1) - spans)
@@ -360,9 +384,12 @@ def _audit(tables: np.ndarray, spans: np.ndarray, vals: np.ndarray) -> list[dict
 def axiom_suite(game: CooperativeGame, values) -> dict:
     """Audit an attribution vector against the four Shapley axioms.
 
-    Dummy and symmetry detection enumerate the utility table, so this
-    inherits the d <= 20 enumeration limit. Linearity is checked against the
-    doubled game (homogeneity).
+    Dummy and symmetry detection read the enumerated utility table, so
+    this inherits the d <= 20 enumeration limit: a player is a dummy, and
+    a pair symmetric, when every marginal, or every difference U(S + i) -
+    U(S + j), is within 1e-12 of the table's scale. The singleton
+    coalitions decide most flags; only the rest are scanned. Linearity is
+    checked against the doubled game (homogeneity).
     Returns a per-axiom report; no exceptions for failed axioms.
     """
     vals = values.values if isinstance(values, ShapleyVector) else np.asarray(values, np.float64)

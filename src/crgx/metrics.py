@@ -83,12 +83,15 @@ def average_drop_deletion(conf_full, conf_anti) -> float:
 def coherency(h_orig: np.ndarray, h_expl: np.ndarray) -> float:
     """Pearson correlation between the heatmap and its re-explanation,
     mapped to [0,1] as 0.5 corr + 0.5. Zero variance on either side is
-    read as corr = 0."""
+    read as corr = 0; a NaN or infinite value raises."""
     a = np.asarray(h_orig, dtype=np.float64).ravel()
     b = np.asarray(h_expl, dtype=np.float64).ravel()
     if a.shape != b.shape:
         raise ValueError(f"heatmap resolutions differ: {np.shape(h_orig)} "
                          f"vs {np.shape(h_expl)}")
+    for name, h in (("h_orig", a), ("h_expl", b)):
+        if not np.isfinite(h).all():
+            raise ValueError(f"{name}: non-finite values are not allowed")
     da = a - a.mean()
     db = b - b.mean()
     denom = np.sqrt(np.sum(da * da) * np.sum(db * db))

@@ -4,6 +4,8 @@ These take a tap-resolution heatmap to a full-resolution rendering."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .utility import _checked_int
@@ -16,10 +18,13 @@ JET.setflags(write=False)
 
 
 def normalize_minmax(h: np.ndarray) -> np.ndarray:
-    """Affine rescale to [0,1]; a constant map becomes all zeros."""
+    """Affine rescale to [0,1]; a constant map becomes all zeros. A NaN or
+    infinite value raises."""
     h = np.asarray(h, dtype=np.float64)
     lo = float(np.min(h))
     hi = float(np.max(h))
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # min and max propagate NaN
+        raise ValueError("h: non-finite values are not allowed")
     if hi == lo:
         return np.zeros_like(h)
     return (h - lo) / (hi - lo)
@@ -30,13 +35,16 @@ def upsample_bilinear(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     stack (n, h, w); the result is C-contiguous either way.
 
     Source corners land exactly on destination corners; a dimension of 1
-    (either side) degenerates to constant replication along that axis.
+    (either side) degenerates to constant replication along that axis. A
+    NaN or infinite source value raises.
     """
     src = np.asarray(src, dtype=np.float64)
     if src.ndim not in (2, 3):
         raise ValueError(f"source map must be 2-D or a stack (n, h, w), got shape {src.shape}")
     if src.shape[-2] < 1 or src.shape[-1] < 1:
         raise ValueError(f"source dims must be >= 1, got {src.shape[-2:]}")
+    if not np.isfinite(src).all():
+        raise ValueError("src: non-finite values are not allowed")
     out_h, out_w = _checked_int("out_h", out_h, 1), _checked_int("out_w", out_w, 1)
 
     def axis_coords(n_src: int, n_out: int) -> np.ndarray:

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crgx import autodiff as ad
 from crgx import game, suites, zoo
@@ -487,6 +489,41 @@ def test_an_audited_spatial_game_scores_each_coalition_once(monkeypatch):
     assert taps == [1] and sum(rows) == 2 + 512
 
 
+def bool_mask_game(sg):
+    """`sg`'s utility with its coalition masks multiplied in as bools."""
+    return game.CooperativeGame(sg.d, lambda masks: compute_utility_batch(
+        sg.model.head_batch(sg.maps * masks[:, None, :]), sg.spec))
+
+
+@pytest.mark.parametrize("kind", UTILITY_KINDS)
+@pytest.mark.parametrize("arch", zoo.ARCHS)
+def test_float_masks_score_the_bits_of_bool_masks(arch, kind, monkeypatch):
+    shape = (3, 6, 6) if arch == "mlp-smooth" else (3, 5, 5)
+    model = zoo.build_model(arch, 3, 4, in_shape=shape)
+    image = np.random.default_rng(6).uniform(0.0, 1.0, shape)
+    sg = game.make_spatial_game(model, image, UtilitySpec(2, kind))
+    oracle = bool_mask_game(sg)
+    stacks, head = [], zoo.ToyModel.head_batch
+
+    def recorded(self, masked):
+        stacks.append(masked.copy())
+        return head(self, masked)
+
+    monkeypatch.setattr(zoo.ToyModel, "head_batch", recorded)
+    masks = np.random.default_rng(1).uniform(size=(40, sg.d)) < 0.5
+    sg.utility_batch(masks)
+    monkeypatch.undo()
+    assert stacks[0].tobytes() == (sg.maps * masks[:, None, :]).tobytes()
+    # the smooth archs tap negative activations, which mask to -0.0
+    negative_zeros = np.signbit(stacks[0]) & (stacks[0] == 0.0)
+    assert negative_zeros.any() == (arch != "cnn-relu")
+    # no table yet, so the prefix coalitions go through the utility
+    mc, want = (game.shapley_mc(g, 30, seed=5) for g in (sg, oracle))
+    assert mc.values.tobytes() == want.values.tobytes()
+    assert mc.stderr.tobytes() == want.stderr.tobytes()
+    assert sg.utility_table().tobytes() == oracle.utility_table().tobytes()
+
+
 def test_utility_tables_are_read_only():
     source = np.random.default_rng(0).normal(size=8)
     _, _, sg = spatial_fixture(kind="rest")
@@ -697,6 +734,118 @@ def test_stacked_scans_are_bit_identical_to_gather_oracles(d):
                 == symmetry_oracle(table, d, detect[k]))
     assert d - 1 in np.flatnonzero(dummies[1]) and dummies[3].all() and symmetric[3].all()
     assert d == 1 or symmetric[2][pairs.index((0, d - 1))]
+
+
+# -- the singleton screen of the axiom audit ----------------------------------
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def unscreened_audit(tables, spans, vals):
+    """`game._audit` without the singleton screen: every player and every
+    pair of every table goes through `game._scan`."""
+    d = vals.shape[1]
+    doubled = 2.0 * tables
+    if not np.isfinite(doubled).all():
+        raise ValueError("linearity check overflows float64: 2 * table leaves the float range")
+    detect = 1e-12 * (1.0 + np.max(np.abs(tables), axis=-1, keepdims=True))
+    i, j, pairs = game._pairs(d)
+    dummy = game._scan(tables, [(p,) for p in range(d)]) <= detect
+    symmetric = game._scan(tables, pairs) <= detect
+    lhs = game._exact(doubled)
+    rhs = 2.0 * vals
+    gaps = np.abs(np.sum(vals, axis=-1) - spans)
+    span_tol = game.AXIOM_TOL * (1.0 + np.abs(spans))
+    lin_err = np.max(np.abs(lhs - rhs), axis=-1)
+    eff = gaps <= span_tol
+    dum = (~dummy | (np.abs(vals) <= span_tol[:, None])).all(axis=-1)
+    sym = (~symmetric | (np.abs(vals[:, i] - vals[:, j])
+                         <= game.AXIOM_TOL * (1.0 + np.abs(vals[:, i])))).all(axis=-1)
+    lin = lin_err <= game.AXIOM_TOL * (1.0 + np.max(np.abs(lhs), axis=-1))
+    return [{"efficiency": {"gap": float(gaps[k]), "pass": bool(eff[k])},
+             "dummy": {"players": np.flatnonzero(dummy[k]).tolist(), "pass": bool(dum[k])},
+             "symmetry": {"pairs": [p for p, s in zip(pairs, symmetric[k]) if s],
+                          "pass": bool(sym[k])},
+             "linearity": {"max_err": float(lin_err[k]), "pass": bool(lin[k])},
+             "pass": bool(eff[k] and dum[k] and sym[k] and lin[k])}
+            for k in range(len(vals))]
+
+
+SCREEN_KINDS = ("random", "dummies", "pairs", "constant", "masked")
+
+
+def screened_table(rng, d, kind):
+    """One table of d players: "random"; "dummies" or "pairs", with planted
+    dummy players or interchangeable pairs; "constant", where no singleton
+    decides a flag; or "masked", planted dummies and pairs whose singleton
+    entries sit within the detection tolerance while one coalition of two
+    players breaks some of them."""
+    masks = np.arange(1 << d)
+    table = rng.normal(size=1 << d) * 10.0 ** rng.integers(-6, 6)
+    if kind == "constant":
+        return np.full(1 << d, table[0])
+    drop = int(rng.integers(1, 1 << d))           # a nonempty set of dummies
+    if kind in ("dummies", "masked"):
+        table = table[masks & ~drop]
+    if kind in ("pairs", "masked") and d >= 2:
+        for _ in range(int(rng.integers(1, 3))):
+            bi, bj = (1 << int(p) for p in rng.choice(d, 2, replace=False))
+            swapped = ((masks & ~(bi | bj)) | np.where(masks & bi, bj, 0)
+                       | np.where(masks & bj, bi, 0))
+            table = 0.5 * (table + table[swapped])
+    if kind == "masked":
+        scale = 1.0 + np.max(np.abs(table))
+        # singleton entries off by a tenth of the detection tolerance
+        table[1 << np.arange(d)] += rng.uniform(-1e-13, 1e-13, d) * scale
+        if d >= 2:
+            p = int(rng.choice(np.flatnonzero(drop & (1 << np.arange(d)))))
+            q = int(rng.choice([k for k in range(d) if k != p]))
+            table[(1 << p) | (1 << q)] += 1e-6 * scale
+    return table
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(1, 10), st.lists(st.sampled_from(SCREEN_KINDS), min_size=1, max_size=4),
+       st.integers(0, 2 ** 32 - 1))
+@example(4, ["constant"], 0)
+@example(6, ["masked", "random", "masked"], 1)
+@example(10, ["dummies", "pairs", "masked", "constant"], 2)
+def test_screened_audit_equals_the_unscreened_oracle(d, kinds, seed):
+    rng = np.random.default_rng(seed)
+    tables = np.stack([screened_table(rng, d, kind) for kind in kinds])
+    vals = game._exact(tables)
+    # a broken value in some tables, so dummy and symmetry can fail too
+    broken = rng.uniform(size=len(kinds)) < 0.5
+    vals[broken, rng.integers(d)] += 0.5 * (1.0 + np.max(np.abs(tables[broken]), axis=-1))
+    spans = tables[:, -1] - tables[:, 0]
+    assert game._audit(tables, spans, vals) == unscreened_audit(tables, spans, vals)
+
+
+def scanned(monkeypatch):
+    """Record the players and pairs each `game._scan` call reduces."""
+    calls, scan = [], game._scan
+
+    def spy(tables, players, weights=None):
+        calls.append(list(players))
+        return scan(tables, players, weights)
+
+    monkeypatch.setattr(game, "_scan", spy)
+    return calls
+
+
+def test_the_screen_scans_only_undecided_flags(monkeypatch):
+    # random marginals decide every flag from the singletons but the planted
+    # dummy's and the planted pair's
+    g = planted_game(d=7)
+    vals = game.shapley_exact(g).values
+    calls = scanned(monkeypatch)
+    report = game.axiom_suite(g, vals)
+    assert report["dummy"]["players"] == [0] and report["symmetry"]["pairs"] == [(1, 2)]
+    assert calls == [[(0,)], [(1, 2)], [(j,) for j in range(7)]]  # the last is exact
+    # a constant table decides nothing, so every player and pair is scanned
+    calls.clear()
+    report = game.axiom_suite(game.CooperativeGame.from_table(np.full(128, 2.0)), np.zeros(7))
+    assert calls[:2] == [[(p,) for p in range(7)], list(itertools.combinations(range(7), 2))]
+    assert report["dummy"]["players"] == list(range(7)) and len(report["symmetry"]["pairs"]) == 21
 
 
 def test_exact_values_of_a_cancelling_table():

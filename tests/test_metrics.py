@@ -106,6 +106,18 @@ def test_coherency_cases():
         coherency(h, np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_coherency_refuses_non_finite_maps(bad):
+    # a NaN map once scored nan, which would become the image's term
+    h = np.array([[0.0, 0.5], [1.0, 0.25]])
+    broken = h.copy()
+    broken[1, 0] = bad
+    with pytest.raises(ValueError, match="^h_orig: non-finite values are not allowed$"):
+        coherency(broken, h)
+    with pytest.raises(ValueError, match="^h_expl: non-finite values are not allowed$"):
+        coherency(h, broken)
+
+
 def test_complexity_cases():
     assert complexity(np.zeros((3, 3))) == 0.0
     assert complexity(np.ones((3, 3))) == 1.0

@@ -39,6 +39,22 @@ def test_normalize_affine_invariance():
         assert np.max(np.abs(base - moved)) <= 1e-12
 
 
+def non_finite_maps():
+    """(2, 3) maps that hold NaN or infinity: all NaN, one NaN, +inf, -inf."""
+    for value, where, name in ((np.nan, np.s_[:], "all-nan"), (np.nan, np.s_[1, 2], "nan"),
+                               (np.inf, np.s_[0, 1], "inf"), (-np.inf, np.s_[1, 0], "-inf")):
+        h = np.arange(6.0).reshape(2, 3)
+        h[where] = value
+        yield pytest.param(h, id=name)
+
+
+@pytest.mark.parametrize("h", non_finite_maps())
+def test_normalize_refuses_non_finite_maps(h):
+    # an all-NaN map once came back all NaN, and +inf came back as NaN
+    with pytest.raises(ValueError, match="^h: non-finite values are not allowed$"):
+        pp.normalize_minmax(h)
+
+
 # ---------------------------------------------------------------- upsampling
 
 def test_upsample_identity_same_size():
@@ -109,6 +125,15 @@ def test_upsample_rejects_bad_dims():
         pp.upsample_bilinear(np.ones(4), 2, 2)
     with pytest.raises(ValueError, match="2-D"):
         pp.upsample_bilinear(np.ones((1, 2, 2, 2)), 2, 2)
+
+
+@pytest.mark.parametrize("src", non_finite_maps())
+def test_upsample_refuses_non_finite_sources(src):
+    # an infinite source once came back as NaN next to the inf
+    with pytest.raises(ValueError, match="^src: non-finite values are not allowed$"):
+        pp.upsample_bilinear(src, 4, 5)
+    with pytest.raises(ValueError, match="^src: non-finite values are not allowed$"):
+        pp.upsample_bilinear(np.stack([np.ones((2, 3)), src]), 4, 5)
 
 
 def test_upsample_target_dims_must_be_integers():

@@ -2,6 +2,8 @@
 
     python tools/identity.py --base REV    # this checkout's crgx against REV's
     python tools/identity.py --corpus DIR  # write the corpus with the importable crgx
+    python tools/identity.py --setting NAME=VALUE [--setting ...]
+                                           # the files that depend on a setting
 
 The corpus is a fixed set of `crgx` commands run in process through
 `crgx.cli.main` from DIR with relative paths, so two runs of one tree write
@@ -32,6 +34,14 @@ sides wrote as UTF-8 text it prints the first 20 lines of a unified diff,
 then it lists every file that differs or exists on one side only, exits 1
 if there is any, and removes the worktree. The corpus may grow; it must
 never shrink to hide a difference.
+
+`--setting NAME=VALUE`, which may be repeated, writes this checkout's
+corpus natively and then once per setting, each in its own subprocess with
+NAME=VALUE added to that subprocess's environment only (nothing is set in
+this process), and lists the files that differ from the native corpus:
+say `NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"` for what
+numpy dispatches on an AVX2 machine, or `OPENBLAS_CORETYPE=Haswell`. The
+list says which outputs depend on the setting, so it exits 0 either way.
 """
 
 from __future__ import annotations
@@ -184,8 +194,9 @@ def _diff(left: Path, right: Path, name: str, limit: int = 20) -> list[str]:
         *texts, f"base/{name}", f"head/{name}", lineterm=""), limit))
 
 
-def _run_tree(tree: Path, out_dir: Path) -> None:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+def _run_tree(tree: Path, out_dir: Path, setting: dict[str, str] | None = None) -> None:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
+               **(setting or {}))
     run = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--corpus", str(out_dir)],
                          env=env, capture_output=True, text=True)
     sys.stdout.write(f"{tree}: {run.stdout}")
@@ -217,15 +228,41 @@ def compare_with(base: str) -> int:
     return 1 if differing else 0
 
 
+def under_settings(settings: list[tuple[str, str]]) -> int:
+    with tempfile.TemporaryDirectory(prefix="crgx-identity-") as tmp:
+        tmp = Path(tmp)
+        _run_tree(ROOT, tmp / "native")
+        files = sum(1 for p in (tmp / "native").rglob("*") if p.is_file())
+        for k, (name, value) in enumerate(settings):
+            out = tmp / f"setting-{k}"
+            _run_tree(ROOT, out, {name: value})
+            differing = _differing(tmp / "native", out)
+            for path in differing:
+                print(f"differs under {name}: {path}")
+            print(f"{len(differing)} of {files} files differ under {name}={value!r}")
+    return 0
+
+
+def _setting(text: str) -> tuple[str, str]:
+    name, sep, value = text.partition("=")
+    if not sep or not name:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+    return name, value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--base", help="git revision to compare this checkout with")
     mode.add_argument("--corpus", type=Path, help="write the corpus into this new directory")
+    mode.add_argument("--setting", type=_setting, action="append", metavar="NAME=VALUE",
+                      help="an environment variable of the corpus subprocess; repeatable")
     args = parser.parse_args(argv)
     if args.corpus is not None:
         print(f"{write_corpus(args.corpus.resolve())} files")
         return 0
+    if args.setting:
+        return under_settings(args.setting)
     return compare_with(args.base)
 
 
