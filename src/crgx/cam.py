@@ -27,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .utility import (UtilitySpec, _check_class, _checked_int, _checked_logits, softmax_rows,
-                      utility_derivatives)
+from .utility import (UtilitySpec, _check_class, _checked_array, _checked_int, _checked_logits,
+                      softmax_rows, utility_derivatives)
 from .zoo import ToyModel, _checked_grid
 
 # name -> (weight order, assembly scheme)
@@ -82,8 +82,9 @@ def _as_method(method) -> CamMethod:
 class Heatmap:
     """Per-position relevance at the tap layer, before and after the outer
     ReLU. `pre_relu` keeps signs; `post_relu`, derived from it as
-    max(pre_relu, 0), is what gets rendered. `spatial` is stored as the
-    (h, w) ints of `zoo._checked_grid`; a non-finite value raises."""
+    max(pre_relu, 0), is what gets rendered. `pre_relu` is stored as the
+    1-D array of `utility._checked_array`, and `spatial` as the (h, w) ints
+    of `zoo._checked_grid`."""
 
     pre_relu: np.ndarray
     spatial: tuple[int, int]
@@ -93,13 +94,8 @@ class Heatmap:
     post_relu: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        pre = np.asarray(self.pre_relu, dtype=np.float64)
-        if pre.ndim != 1:
-            raise ValueError(f"pre_relu must be 1-D (one value per position), "
-                             f"got shape {pre.shape}")
+        pre = _checked_array("pre_relu", self.pre_relu, 1)
         object.__setattr__(self, "spatial", _checked_grid(self.spatial, pre.shape[0]))
-        if not np.isfinite(pre).all():
-            raise ValueError("pre_relu: non-finite values are not allowed")
         object.__setattr__(self, "pre_relu", pre)
         object.__setattr__(self, "post_relu", np.maximum(pre, 0.0))
 
@@ -111,11 +107,11 @@ class Heatmap:
 
 def shapley_weights(grad: np.ndarray, hvp_full: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-position weights W = grad - hvp_full / 2 (just grad when no
-    curvature term is supplied)."""
-    grad = np.asarray(grad, dtype=np.float64)
+    curvature term is supplied), of one weight vector or a row each."""
+    grad = _checked_array("grad", grad, (1, 2))
     if hvp_full is None:
         return grad
-    hvp_full = np.asarray(hvp_full, dtype=np.float64)
+    hvp_full = _checked_array("hvp_full", hvp_full, (1, 2))
     if hvp_full.shape != grad.shape:
         raise ValueError(f"hvp shape {hvp_full.shape} does not match gradient {grad.shape}")
     return grad - 0.5 * hvp_full
@@ -249,8 +245,7 @@ def explain(model: ToyModel, image: np.ndarray, spec: UtilitySpec, method) -> He
     """One heatmap: the image's tap stack, then `explain_batch` on it. The
     gradient and, for second-order methods, the curvature term are closed
     forms in logit space; randomcam needs neither."""
-    stack = model._tap_stack(np.asarray(image, dtype=np.float64)[None])
-    return explain_batch(model, stack, spec, method)[0]
+    return explain_batch(model, model._tap_stack([image]), spec, method)[0]
 
 
 def _ensemble_pair(model: ToyModel, image: np.ndarray, spec: UtilitySpec,
@@ -259,9 +254,8 @@ def _ensemble_pair(model: ToyModel, image: np.ndarray, spec: UtilitySpec,
     probabilities and the pre-softmax class heatmaps (see `_heatmap_sets`),
     from one tap stack."""
     method = _as_method(method)
-    stack = model._tap_stack(np.asarray(image, dtype=np.float64)[None])
-    direct, composed = _heatmap_sets(model, stack, spec.target_class, (method,), (spec.kind,),
-                                     ensembles=True)[method.name]
+    direct, composed = _heatmap_sets(model, model._tap_stack([image]), spec.target_class,
+                                     (method,), (spec.kind,), ensembles=True)[method.name]
     hm = Heatmap(pre_relu=direct[0, 0], spatial=model.tap_spatial(), method=method.name,
                  target_class=spec.target_class, utility=_utility_kind(method, spec.kind))
     return hm, replace(hm, pre_relu=composed[0, 0])

@@ -30,7 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .utility import UtilitySpec, _checked_int, compute_utility, compute_utility_batch
+from .utility import (UtilitySpec, _checked_array, _checked_int, compute_utility,
+                      compute_utility_batch)
 from .zoo import ToyModel, _chunk_rows
 
 _ENUM_LIMIT = 20
@@ -79,13 +80,9 @@ class CooperativeGame:
     @classmethod
     def from_table(cls, table: np.ndarray) -> "CooperativeGame":
         """Game backed by a dense utility table indexed by coalition bitmask."""
-        table = np.array(table, dtype=np.float64)
-        if table.ndim != 1:
-            raise ValueError(f"utility table must be 1-D, got shape {table.shape}")
-        if not np.isfinite(table).all():
-            raise ValueError("utility table values must be finite")
+        table = _checked_array("table", table, 1).copy()
         d = int(table.size).bit_length() - 1
-        if table.size == 0 or table.size != 1 << d:
+        if table.size != 1 << d:
             raise ValueError(f"table size {table.size} is not a power of two")
         table.setflags(write=False)
         powers = _powers(d)
@@ -292,7 +289,7 @@ class SpatialGame(CooperativeGame):
     def __init__(self, model: ToyModel, image: np.ndarray, spec: UtilitySpec):
         self.model = model
         self.spec = spec
-        self.maps = maps = model._tap_stack(np.asarray(image, dtype=np.float64)[None])[0]
+        self.maps = maps = model._tap_stack([image])[0]
         chunk = _chunk_rows(maps.size)
 
         def utility(masks: np.ndarray) -> np.ndarray:
@@ -381,7 +378,7 @@ def _audit(tables: np.ndarray, spans: np.ndarray, vals: np.ndarray) -> list[dict
             for k in range(len(vals))]
 
 
-def axiom_suite(game: CooperativeGame, values) -> dict:
+def axiom_suite(game: CooperativeGame, values: ShapleyVector | np.ndarray) -> dict:
     """Audit an attribution vector against the four Shapley axioms.
 
     Dummy and symmetry detection read the enumerated utility table, so
@@ -392,7 +389,8 @@ def axiom_suite(game: CooperativeGame, values) -> dict:
     checked against the doubled game (homogeneity).
     Returns a per-axiom report; no exceptions for failed axioms.
     """
-    vals = values.values if isinstance(values, ShapleyVector) else np.asarray(values, np.float64)
+    vals = _checked_array("values", values.values if isinstance(values, ShapleyVector)
+                          else values, 1)
     if vals.shape != (game.d,):
         raise ValueError(f"values must have shape ({game.d},), got {vals.shape}")
     return _audit(game.utility_table()[None], np.array([game.u_full - game.u_empty]),

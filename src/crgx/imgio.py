@@ -12,22 +12,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .utility import _checked_array
+
 
 @dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class Image:
-    """Pixel planes (1 or 3, height, width) with values in [0,1]."""
+    """Pixel planes (1 or 3, height, width) with values in [0,1], stored
+    as the 3-D array of `utility._checked_array`."""
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.pixels, dtype=np.float64)
-        if p.ndim != 3 or p.shape[0] not in (1, 3):
+        p = _checked_array("pixels", self.pixels, 3)
+        if p.shape[0] not in (1, 3):
             raise ValueError(f"expected planes (1|3, H, W), got shape {p.shape}")
-        if p.shape[1] < 1 or p.shape[2] < 1:
-            raise ValueError(f"empty image shape {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("pixel values must be finite")
-        if np.min(p) < 0.0 or np.max(p) > 1.0:
+        if p.min() < 0.0 or p.max() > 1.0:
             raise ValueError("pixel values must lie in [0,1]; clamp first")
         object.__setattr__(self, "pixels", p)
 

@@ -8,16 +8,16 @@ heatmap with the one recomputed on the explanation-masked image.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .cam import CamMethod, Heatmap, _as_method, explain_batch
 from .imgio import Image
 from .postprocess import normalize_minmax, upsample_bilinear
-from .utility import UtilitySpec, _check_class, compute_utility_batch
+from .utility import (UtilitySpec, _check_class, _checked_array, _checked_unit,
+                      compute_utility_batch)
 from .zoo import ToyModel, _chunk_rows
 
 HeatmapSource = Union[str, CamMethod, Callable[..., Heatmap]]
@@ -25,27 +25,25 @@ HeatmapSource = Union[str, CamMethod, Callable[..., Heatmap]]
 
 def explanation_map(pixels: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Keep pixels in proportion to their relevance: x * h, heatmap
-    broadcast across channels. Pixels are (..., C, H, W) and heatmaps
-    (..., H, W), with broadcastable leading dimensions."""
-    pixels = np.asarray(pixels, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if pixels.ndim < 3:
-        raise ValueError(f"expected pixel planes (..., C, H, W), got shape {pixels.shape}")
-    if h.ndim < 2 or h.shape[-2:] != pixels.shape[-2:]:
+    broadcast across channels. Pixels are (C, H, W) with up to two leading
+    dimensions and heatmaps (H, W) with as many, broadcastable."""
+    pixels = _checked_array("pixels", pixels, (3, 4, 5))
+    h = _checked_array("h", h, (2, 3, 4))
+    if h.shape[-2:] != pixels.shape[-2:]:
         raise ValueError(f"heatmap resolution {h.shape[-2:]} does not match "
                          f"image {pixels.shape[-2:]}")
     return pixels * h[..., None, :, :]
 
 
-def _paired_scores(conf_full, conf_other, positive_full: bool):
-    y = np.asarray(conf_full, dtype=np.float64)
-    o = np.asarray(conf_other, dtype=np.float64)
-    if y.shape != o.shape or y.ndim != 1:
-        raise ValueError(f"score vectors must be 1-D and equal length, "
-                         f"got {y.shape} and {o.shape}")
-    if y.size == 0:
-        raise ValueError("need at least one score")
-    if positive_full and np.min(y) <= 0.0:
+def _paired_scores(conf_full, name: str, conf_other, positive_full: bool):
+    """The score vectors of `conf_full` and the one named `name`: 1-D and
+    of equal length."""
+    y = _checked_array("conf_full", conf_full, 1)
+    o = _checked_array(name, conf_other, 1)
+    if y.shape != o.shape:
+        raise ValueError(f"conf_full and {name} must have equal length, "
+                         f"got {y.size} and {o.size}")
+    if positive_full and y.min() <= 0.0:
         raise ValueError("full-image confidences must be positive")
     return y, o
 
@@ -61,37 +59,35 @@ def _increases(y: np.ndarray, o: np.ndarray) -> np.ndarray:
     return np.where(y < o, 1.0, 0.0)
 
 
-def average_drop(conf_full, conf_expl) -> float:
+def average_drop(conf_full: np.ndarray, conf_expl: np.ndarray) -> float:
     """Mean relative confidence lost on the explanation map:
     mean max(0, y - o) / y."""
-    y, o = _paired_scores(conf_full, conf_expl, positive_full=True)
+    y, o = _paired_scores(conf_full, "conf_expl", conf_expl, positive_full=True)
     return float(np.mean(_drops(y, o)))
 
 
-def increase_confidence(conf_full, conf_expl) -> float:
+def increase_confidence(conf_full: np.ndarray, conf_expl: np.ndarray) -> float:
     """Fraction of images whose confidence strictly rises on the
     explanation map."""
-    y, o = _paired_scores(conf_full, conf_expl, positive_full=False)
+    y, o = _paired_scores(conf_full, "conf_expl", conf_expl, positive_full=False)
     return float(np.mean(_increases(y, o)))
 
 
-def average_drop_deletion(conf_full, conf_anti) -> float:
+def average_drop_deletion(conf_full: np.ndarray, conf_anti: np.ndarray) -> float:
     """Average drop when the relevant pixels are removed; large is good."""
-    return average_drop(conf_full, conf_anti)
+    y, o = _paired_scores(conf_full, "conf_anti", conf_anti, positive_full=True)
+    return float(np.mean(_drops(y, o)))
 
 
 def coherency(h_orig: np.ndarray, h_expl: np.ndarray) -> float:
     """Pearson correlation between the heatmap and its re-explanation,
-    mapped to [0,1] as 0.5 corr + 0.5. Zero variance on either side is
-    read as corr = 0; a NaN or infinite value raises."""
-    a = np.asarray(h_orig, dtype=np.float64).ravel()
-    b = np.asarray(h_expl, dtype=np.float64).ravel()
+    mapped to [0,1] as 0.5 corr + 0.5, of two 1- or 2-D maps of one
+    shape. Zero variance on either side is read as corr = 0."""
+    a = _checked_array("h_orig", h_orig, (1, 2))
+    b = _checked_array("h_expl", h_expl, (1, 2))
     if a.shape != b.shape:
-        raise ValueError(f"heatmap resolutions differ: {np.shape(h_orig)} "
-                         f"vs {np.shape(h_expl)}")
-    for name, h in (("h_orig", a), ("h_expl", b)):
-        if not np.isfinite(h).all():
-            raise ValueError(f"{name}: non-finite values are not allowed")
+        raise ValueError(f"heatmap resolutions differ: {a.shape} vs {b.shape}")
+    a, b = a.ravel(), b.ravel()
     da = a - a.mean()
     db = b - b.mean()
     denom = np.sqrt(np.sum(da * da) * np.sum(db * db))
@@ -100,23 +96,17 @@ def coherency(h_orig: np.ndarray, h_expl: np.ndarray) -> float:
 
 
 def complexity(h: np.ndarray) -> float:
-    """Mean absolute heatmap value; L1 scaled by pixel count so the score
-    stays in [0,1] for normalized maps. An empty map raises."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.size == 0:
-        raise ValueError("h must hold at least one value, got an empty map")
-    return float(np.mean(np.abs(h)))
+    """Mean absolute value of a 1- or 2-D heatmap; L1 scaled by pixel
+    count so the score stays in [0,1] for normalized maps."""
+    return float(np.mean(np.abs(_checked_array("h", h, (1, 2)))))
 
 
 def adcc(ad: float, coh: float, com: float) -> float:
     """Harmonic mean of coherency, 1 - complexity, and 1 - average drop;
     defined as 0 when any term vanishes. Each term is a real number (not a
     bool) in [0,1]."""
-    for name, value in (("ad", ad), ("coh", coh), ("com", com)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0,1], got {value}")
+    ad, coh, com = (_checked_unit(name, value)
+                    for name, value in (("ad", ad), ("coh", coh), ("com", com)))
     terms = (coh, 1.0 - com, 1.0 - ad)
     if any(t == 0.0 for t in terms):
         return 0.0
@@ -217,7 +207,7 @@ def _protocol_terms(model: ToyModel, planes: list, first: int, spec: UtilitySpec
     one batched call per stage: the per-image (ad, coherency, complexity,
     ic, add) lists. Raises `ValueError` if any image fails a stage."""
     c = spec.target_class
-    pixels = np.stack(planes)
+    pixels = np.stack([_checked_array("image", plane, None) for plane in planes])
     stacks = model._tap_stack(pixels)
     y = _target_scores(model, stacks, c)
     if not np.all(y > 0.0):  # the drop terms divide by the confidence
@@ -238,7 +228,7 @@ def _protocol_terms(model: ToyModel, planes: list, first: int, spec: UtilitySpec
             _drops(y, d).tolist()]
 
 
-def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
+def evaluate_batch(model: ToyModel, images: Sequence[np.ndarray | Image], spec: UtilitySpec,
                    method: HeatmapSource) -> MetricRecord:
     """Run the protocol stage by stage over stacked images and aggregate.
 
@@ -252,9 +242,9 @@ def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
     batch. Batch ADCC is the harmonic mean of the batch-mean terms.
 
     An image is skipped with its reason when a stage raises `ValueError` on
-    it (a shape the model does not take, non-finite pixels, a heatmap source
-    that fails) or when its target confidence is not positive (the drop
-    terms divide by it). A chunk of several images that raises reruns the
+    it (an image `utility._checked_array` refuses, a shape the model does
+    not take, a heatmap source that fails) or when its target confidence
+    is not positive (the drop terms divide by it). A chunk of several images that raises reruns the
     whole protocol one image at a time, so only the failing images are left
     out, each with its own message. Every stage maps rows to rows, each row
     bit-identical to its own call, so every kept term is bit-identical to
@@ -262,12 +252,15 @@ def evaluate_batch(model: ToyModel, images, spec: UtilitySpec,
     name, a seedless randomcam, a non-callable) raises before any image is read."""
     if not callable(method):  # a name becomes its CamMethod; CamMethod checks the rest
         method = _as_method(method)
-    if len(images) == 0:
-        raise ValueError("need at least one image")
+    try:
+        planes = [img.pixels if isinstance(img, Image) else img for img in images]
+    except TypeError:
+        raise ValueError(f"images must be a sequence of images, got "
+                         f"{type(images).__name__}") from None
+    if not planes:
+        raise ValueError("images must hold at least one image")
     _check_class(spec.target_class, model.num_classes)
 
-    planes = [img.pixels if isinstance(img, Image) else np.asarray(img, dtype=np.float64)
-              for img in images]
     skipped: dict[int, str] = {}
     columns = [[], [], [], [], []]  # ad, coherency, complexity, ic, add
     step = _chunk_rows(int(np.prod(model.in_shape)))

@@ -4,11 +4,9 @@ These take a tap-resolution heatmap to a full-resolution rendering."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .utility import _checked_int
+from .utility import _checked_array, _checked_int, _checked_unit
 
 # The jet lookup table, (256, 3) RGB in [0,1]. Read-only, so no caller can
 # change the colours of another caller's renderings.
@@ -18,13 +16,11 @@ JET.setflags(write=False)
 
 
 def normalize_minmax(h: np.ndarray) -> np.ndarray:
-    """Affine rescale to [0,1]; a constant map becomes all zeros. A NaN or
-    infinite value raises."""
-    h = np.asarray(h, dtype=np.float64)
-    lo = float(np.min(h))
-    hi = float(np.max(h))
-    if not (math.isfinite(lo) and math.isfinite(hi)):  # min and max propagate NaN
-        raise ValueError("h: non-finite values are not allowed")
+    """Affine rescale of a 1- or 2-D map to [0,1]; a constant map becomes
+    all zeros."""
+    h = _checked_array("h", h, (1, 2))
+    lo = float(h.min())
+    hi = float(h.max())
     if hi == lo:
         return np.zeros_like(h)
     return (h - lo) / (hi - lo)
@@ -35,16 +31,9 @@ def upsample_bilinear(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     stack (n, h, w); the result is C-contiguous either way.
 
     Source corners land exactly on destination corners; a dimension of 1
-    (either side) degenerates to constant replication along that axis. A
-    NaN or infinite source value raises.
+    (either side) degenerates to constant replication along that axis.
     """
-    src = np.asarray(src, dtype=np.float64)
-    if src.ndim not in (2, 3):
-        raise ValueError(f"source map must be 2-D or a stack (n, h, w), got shape {src.shape}")
-    if src.shape[-2] < 1 or src.shape[-1] < 1:
-        raise ValueError(f"source dims must be >= 1, got {src.shape[-2:]}")
-    if not np.isfinite(src).all():
-        raise ValueError("src: non-finite values are not allowed")
+    src = _checked_array("src", src, (2, 3))
     out_h, out_w = _checked_int("out_h", out_h, 1), _checked_int("out_w", out_w, 1)
 
     def axis_coords(n_src: int, n_out: int) -> np.ndarray:
@@ -72,12 +61,8 @@ def upsample_bilinear(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def apply_colormap(h: np.ndarray) -> np.ndarray:
     """Map a [0,1] heatmap (H, W) through the jet table to RGB planes
     (3, H, W). Values are binned by round-half-up to the 256 entries."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2:
-        raise ValueError(f"heatmap must be 2-D, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("heatmap values must be finite")
-    if np.min(h) < 0.0 or np.max(h) > 1.0:
+    h = _checked_array("h", h, 2)
+    if h.min() < 0.0 or h.max() > 1.0:
         raise ValueError("heatmap values must lie in [0,1]; normalize first")
     idx = np.clip(np.floor(h * 255.0 + 0.5).astype(np.intp), 0, 255)
     return np.moveaxis(JET[idx], -1, 0)
@@ -86,16 +71,17 @@ def apply_colormap(h: np.ndarray) -> np.ndarray:
 def overlay(pixels: np.ndarray, h: np.ndarray, alpha: float = 0.35) -> np.ndarray:
     """Blend (1 - alpha) * image + alpha * colormap(h): alpha 0 keeps the
     image, 1 shows only the rendered heatmap. Accepts 1- or 3-channel pixel
-    planes (C, H, W) and always returns 3 channels."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
-    pixels = np.asarray(pixels, dtype=np.float64)
-    if pixels.ndim != 3 or pixels.shape[0] not in (1, 3):
+    planes (C, H, W) and always returns 3 channels. `alpha` is a real
+    number (not a bool) in [0,1]."""
+    alpha = _checked_unit("alpha", alpha)
+    pixels = _checked_array("pixels", pixels, 3)
+    if pixels.shape[0] not in (1, 3):
         raise ValueError(f"expected pixel planes (1|3, H, W), got shape {pixels.shape}")
-    if pixels.shape[1:] != np.shape(h):
-        raise ValueError(f"heatmap resolution {np.shape(h)} does not match "
+    colored = apply_colormap(h)
+    if pixels.shape[1:] != colored.shape[1:]:
+        raise ValueError(f"heatmap resolution {colored.shape[1:]} does not match "
                          f"image {pixels.shape[1:]}")
-    return _blend(pixels, apply_colormap(h), alpha)
+    return _blend(pixels, colored, alpha)
 
 
 def _blend(pixels: np.ndarray, colored: np.ndarray, alpha: float) -> np.ndarray:

@@ -13,6 +13,7 @@ oracle tests differentiate agree bit for bit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,41 @@ def _checked_int(name: str, value, floor: int) -> int:
     if value < floor:
         raise ValueError(f"{name} must be at least {floor}, got {value!r}")
     return int(value)
+
+
+def _checked_array(name: str, value, ndim) -> np.ndarray:
+    """`value` as a float64 array, the one rule for every array argument of
+    the API: real numbers (a bool or complex value is not one), a rank in
+    `ndim` (an int, a tuple of ints, or None where the caller checks the
+    whole shape), at least one value, and no NaN or infinity."""
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError):  # ragged nesting, say
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        got = (f"a {type(value).__name__} numpy cannot convert" if array is None
+               else f"dtype {array.dtype}")
+        raise ValueError(f"{name} must be an array of real numbers, got {got}")
+    ranks = (ndim,) if isinstance(ndim, int) else ndim
+    if ranks is not None and array.ndim not in ranks:
+        raise ValueError(f"{name} must be {' or '.join(f'{k}-D' for k in ranks)}, "
+                         f"got shape {array.shape}")
+    if array.size == 0:
+        raise ValueError(f"{name} must hold at least one value, got an empty array")
+    array = np.asarray(array, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name}: non-finite values are not allowed")
+    return array
+
+
+def _checked_unit(name: str, value) -> float:
+    """`value` as a float, the one rule for a fraction argument: a real
+    number (a bool is not one) in [0, 1]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0,1], got {value}")
+    return float(value)
 
 
 def _check_class(target_class: int, n_classes: int) -> None:
@@ -74,21 +110,16 @@ def utility_node(logits, spec: UtilitySpec):
     return ad.sub(ad.mul(2.0, ad.index(logits, c)), ad.logsumexp(logits))
 
 
-def compute_utility(logits, spec: UtilitySpec) -> float:
+def compute_utility(logits: np.ndarray, spec: UtilitySpec) -> float:
     """Scalar utility of a plain logits vector: one row of
     `compute_utility_batch`."""
-    logits = ad.as_tensor(logits)
-    if logits.ndim != 1:
-        raise ValueError(f"utility: logits must be 1-D, got shape {logits.shape}")
-    return float(compute_utility_batch(logits[None], spec)[0])
+    logits = _checked_array("logits", logits, 1)
+    _check_class(spec.target_class, logits.shape[0])
+    return float(_utility_rows(logits[None], spec)[0])
 
 
 def _checked_logits(logits, spec: UtilitySpec) -> np.ndarray:
-    logits = ad.as_tensor(logits)
-    if logits.ndim != 2:
-        raise ValueError(f"utility: logits must be 2-D (rows x classes), got {logits.shape}")
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("utility: logits must be finite")
+    logits = _checked_array("logits", logits, 2)
     _check_class(spec.target_class, logits.shape[1])
     return logits
 
@@ -100,7 +131,11 @@ def compute_utility_batch(logits, spec: UtilitySpec) -> np.ndarray:
     log, add the max back), so row i is bit-identical to the value of
     `utility_node` on that row.
     """
-    logits = _checked_logits(logits, spec)
+    return _utility_rows(_checked_logits(logits, spec), spec)
+
+
+def _utility_rows(logits: np.ndarray, spec: UtilitySpec) -> np.ndarray:
+    """`compute_utility_batch` on checked logits."""
     c = spec.target_class
     y = logits[:, c]
     if spec.kind == "pre-softmax":

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
-from .utility import _checked_int
+from .utility import _checked_array, _checked_int
 
 ARCHS = ("cnn-relu", "cnn-smooth", "mlp-smooth")
 TAP_LAYER = "act"  # every architecture taps its activation layer
@@ -59,22 +59,14 @@ def _checked_grid(spatial, d: int) -> tuple[int, int]:
 @dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class ActivationStack:
     """Tap-layer output as maps: one row per map, one column per position.
-    `maps` is stored as float64 and must be 2-D and finite; `spatial` is
-    stored as the (h, w) ints of `_checked_grid`."""
+    `maps` is stored as the 2-D array of `utility._checked_array`, and
+    `spatial` as the (h, w) ints of `_checked_grid`."""
 
     maps: np.ndarray          # (n_maps, d)
     spatial: tuple[int, int]  # (h, w) with h*w == d
 
     def __post_init__(self):
-        try:
-            maps = np.asarray(self.maps, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValueError(f"maps must be a numeric (n_maps, d) array, got "
-                             f"{type(self.maps).__name__}") from None
-        if maps.ndim != 2:
-            raise ValueError(f"maps must be 2-D (n_maps, d), got shape {maps.shape}")
-        if not np.isfinite(maps).all():
-            raise ValueError("maps: non-finite values are not allowed")
+        maps = _checked_array("maps", self.maps, 2)
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "spatial", _checked_grid(self.spatial, maps.shape[1]))
 
@@ -137,16 +129,15 @@ class ToyModel:
 
     # -- forward paths ------------------------------------------------------
 
-    def _tap_stack(self, images: np.ndarray) -> np.ndarray:
+    def _tap_stack(self, images) -> np.ndarray:
         """Plain-numpy run of n images up to and including the tap,
-        (n, *in_shape) -> (n, n_maps, d). Row i is bit-identical to the
-        call on image i alone."""
-        images = ad.as_tensor(images)
+        (n, *in_shape) -> (n, n_maps, d); `images` is an array or a
+        sequence of images, checked as `image` (`utility._checked_array`).
+        Row i is bit-identical to the call on image i alone."""
+        images = _checked_array("image", images, None)
         if images.ndim != 4 or images.shape[1:] != self.in_shape:
             raise ValueError(f"image shape {images.shape[1:]} does not match "
                              f"model input {self.in_shape}")
-        if not np.all(np.isfinite(images)):
-            raise ValueError("image: non-finite values are not allowed")
         n = len(images)
         if self.arch in ("cnn-relu", "cnn-smooth"):
             # valid cross-correlation as im2col: rows ordered (channel,
@@ -242,7 +233,7 @@ class ToyModel:
 
     def forward(self, image: np.ndarray) -> np.ndarray:
         """Image to logits, no taping."""
-        return self.head_batch(self._tap_stack(ad.as_tensor(image)[None]))[0]
+        return self.head_batch(self._tap_stack([image]))[0]
 
     def forward_with_tap(self, image: np.ndarray) -> TapRun:
         """Image to logits with the head taped against the tap stack.
@@ -250,7 +241,7 @@ class ToyModel:
         The tape's input "tap" is the activation stack treated as a free
         variable; gradient/hvp against it differentiate the head only.
         """
-        stack = self._tap_stack(ad.as_tensor(image)[None])[0]
+        stack = self._tap_stack([image])[0]
         outs, tape = ad.forward(lambda tap: {"logits": self.head(tap)}, {"tap": stack})
         activations = ActivationStack(maps=stack, spatial=self.tap_spatial())
         return TapRun(logits=outs["logits"], activations=activations, tape=tape)

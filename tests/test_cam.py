@@ -81,7 +81,7 @@ def test_non_finite_logits_rejected():
 _finite = st.floats(-30.0, 30.0, allow_nan=False)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(2, 6).flatmap(lambda k: st.tuples(
     st.lists(st.lists(_finite, min_size=k, max_size=k), min_size=1, max_size=4),
     st.lists(_finite, min_size=k, max_size=k),
@@ -104,7 +104,7 @@ def test_softmax_shift_invariance(case, t):
                        compute_utility_batch(logits, spec) + moved) <= 1e-12
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(2, 6).flatmap(lambda k: st.tuples(
     st.lists(st.lists(_finite, min_size=k, max_size=k), min_size=1, max_size=4),
     st.lists(_finite, min_size=k, max_size=k))))
@@ -132,7 +132,7 @@ def test_rest_and_ensemble_identities_on_drawn_logits(case):
         assert rel_err(grad["post-softmax"], ensemble) <= 1e-12
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(2, 6).flatmap(lambda k: st.tuples(
     st.lists(st.lists(st.floats(-800.0, 800.0, allow_nan=False), min_size=k, max_size=k),
              min_size=1, max_size=4),
@@ -214,7 +214,7 @@ def test_xgrad_zeroes_a_map_whose_mean_cancels_the_guard():
     assert np.max(np.abs(pre)) <= 1.0
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(1, 4).flatmap(lambda n: st.integers(1, 8).flatmap(lambda d: st.tuples(
     st.lists(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d), min_size=n, max_size=n),
     st.lists(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d), min_size=n, max_size=n),
@@ -315,12 +315,6 @@ def test_heatmap_invariants():
     listed = Heatmap(pre_relu=[-1.0, 2.0, 0.5, -0.25], spatial=(2, 2), method="gradcam")
     assert listed.pre_relu.dtype == np.float64
     assert listed.pre_relu.tobytes() == hm.pre_relu.tobytes()
-    for pre_relu in (np.float64(1.0), np.zeros((4, 1)), [[1.0, 2.0], [3.0, 4.0]]):
-        with pytest.raises(ValueError, match=r"^pre_relu must be 1-D \(one value per position\)"):
-            Heatmap(pre_relu=pre_relu, spatial=(2, 2), method="gradcam")
-    for value in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match=r"^pre_relu: non-finite values are not allowed$"):
-            Heatmap(pre_relu=[-1.0, 2.0, value, -0.25], spatial=(2, 2), method="gradcam")
     for view in ("posts", "Pre", None):
         with pytest.raises(ValueError) as caught:
             hm.grid(view)
@@ -683,7 +677,7 @@ def drawn_model_and_images(draw, arch):
     return model, images, draw(st.integers(0, num_classes - 1))
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.data())
 @pytest.mark.parametrize("arch", ["cnn-relu", "cnn-smooth", "mlp-smooth"])
 def test_permuting_the_tap_maps_leaves_every_heatmap_unchanged(arch, data):
@@ -712,7 +706,7 @@ def test_permuting_the_tap_maps_leaves_every_heatmap_unchanged(arch, data):
                 assert_rel_close(a.pre_relu, b.pre_relu)
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.data(), st.floats(0.01, 100.0))
 @pytest.mark.parametrize("arch", ["cnn-relu", "cnn-smooth", "mlp-smooth"])
 def test_scaling_the_head_scales_every_pre_softmax_heatmap(arch, data, t):

@@ -208,11 +208,6 @@ def test_player_count_must_be_an_integer():
         assert game.CooperativeGame(d, utility).d == 2
 
 
-def test_empty_table_names_the_table_size():
-    with pytest.raises(ValueError, match="table size 0 is not a power of two"):
-        game.CooperativeGame.from_table(np.array([]))
-
-
 def test_negative_seed_still_raises():
     g = game.CooperativeGame.from_table([0.0, 1.0, 2.0, 4.0])
     with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
@@ -803,7 +798,7 @@ def screened_table(rng, d, kind):
     return table
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.integers(1, 10), st.lists(st.sampled_from(SCREEN_KINDS), min_size=1, max_size=4),
        st.integers(0, 2 ** 32 - 1))
 @example(4, ["constant"], 0)

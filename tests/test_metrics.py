@@ -128,7 +128,7 @@ def test_complexity_cases():
 def test_complexity_of_an_empty_map_is_refused(h):
     # np.mean of no values is nan after a RuntimeWarning, which would
     # become the image's term
-    with pytest.raises(ValueError, match="^h must hold at least one value, got an empty map$"):
+    with pytest.raises(ValueError, match="^h must hold at least one value, got an empty array$"):
         complexity(h)
 
 
@@ -322,7 +322,8 @@ def test_later_stage_failure_skips_only_that_image(heatmap):
     assert record.n_images == 2
     assert [i for i, _ in record.skipped] == [1]
     assert record.skipped[0][1] == ("source failed on this image" if heatmap is None
-                                    else "spatial[0] must be at least 1, got 0")
+                                    else "pre_relu must hold at least one value, "
+                                         "got an empty array")
     good = evaluate_batch(model, [images[0], images[2]], UtilitySpec(0, "rest"),
                           failing_on(images[1], heatmap))
     assert record.image_ad == good.image_ad
@@ -356,8 +357,7 @@ def test_a_source_building_a_2d_heatmap_is_skipped_with_its_reason():
 
     record = evaluate_batch(model, images, UtilitySpec(0, "rest"), method)
     assert record.n_images == 2
-    assert record.skipped == ((1, "pre_relu must be 1-D (one value per position), "
-                                  "got shape (36, 1)"),)
+    assert record.skipped == ((1, "pre_relu must be 1-D, got shape (36, 1)"),)
 
 
 @pytest.mark.parametrize("spatial, value, reason", [

@@ -301,7 +301,7 @@ def _mutated(file_position_value):
     return data[:position] + bytes([value]) + data[position + 1:]
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(st.one_of(
     st.binary(max_size=64),
     st.tuples(st.sampled_from(_IMAGE_FILES), st.integers(0, 63),
@@ -394,8 +394,9 @@ def test_heatmap_and_activation_stack_share_one_grid_rule(spatial, message):
 
 
 MAPS_REFUSALS = [
-    (np.ones(16), r"^maps must be 2-D \(n_maps, d\), got shape \(16,\)$"),
-    ([[1.0] * 16, [1.0] * 8], r"^maps must be a numeric \(n_maps, d\) array, got list$"),
+    (np.ones(16), r"^maps must be 2-D, got shape \(16,\)$"),
+    ([[1.0] * 16, [1.0] * 8], "^maps must be an array of real numbers, got a list numpy "
+                              "cannot convert$"),
     (np.full((2, 16), np.nan), "^maps: non-finite values are not allowed$"),
     (np.full((2, 16), -np.inf), "^maps: non-finite values are not allowed$"),
 ]

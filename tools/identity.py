@@ -4,6 +4,8 @@
     python tools/identity.py --corpus DIR  # write the corpus with the importable crgx
     python tools/identity.py --setting NAME=VALUE [--setting ...]
                                            # the files that depend on a setting
+    python tools/identity.py --base REV --setting NAME=VALUE [--setting ...]
+                                           # both trees compared under each setting
 
 The corpus is a fixed set of `crgx` commands run in process through
 `crgx.cli.main` from DIR with relative paths, so two runs of one tree write
@@ -27,16 +29,18 @@ Each command's stdout goes to `<name>.out` and its stderr to `<name>.err`,
 and `commands.txt` lists every command with its exit code. The inputs are
 written into DIR too, and are compared with the rest.
 
-`--base REV` checks REV out with `git worktree add --detach` into a
-temporary directory and writes the corpus once per tree, each in its own
-subprocess with `PYTHONPATH=<tree>/src`. For each differing file that both
-sides wrote as UTF-8 text it prints the first 20 lines of a unified diff,
-then it lists every file that differs or exists on one side only, exits 1
-if there is any, and removes the worktree. The corpus may grow; it must
-never shrink to hide a difference.
+`--base REV` exports REV's files with `git archive` into a temporary
+directory, which it removes at exit, and writes the corpus once per tree,
+each in its own subprocess with `PYTHONPATH=<tree>/src`. For each differing
+file that both sides wrote as UTF-8 text it prints the first 20 lines of a
+unified diff, then it lists every file that differs or exists on one side
+only, and exits 1 if there is any. With `--setting` it does this once per
+setting, both trees written under that setting, and lists the differing
+files per setting. The corpus may grow; it must never shrink to hide a
+difference.
 
-`--setting NAME=VALUE`, which may be repeated, writes this checkout's
-corpus natively and then once per setting, each in its own subprocess with
+`--setting NAME=VALUE` alone, which may be repeated, writes this
+checkout's corpus natively and then once per setting, each in its own subprocess with
 NAME=VALUE added to that subprocess's environment only (nothing is set in
 this process), and lists the files that differ from the native corpus:
 say `NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"` for what
@@ -206,26 +210,38 @@ def _run_tree(tree: Path, out_dir: Path, setting: dict[str, str] | None = None) 
         sys.exit(f"corpus run in {tree} did not import its own crgx")
 
 
-def compare_with(base: str) -> int:
+def _export(rev: str, dest: Path) -> None:
+    """The files of git revision `rev`, written into the new directory
+    `dest` by `git archive`."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                             check=True, capture_output=True).stdout
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def compare_with(base: str, settings: list[tuple[str, str] | None]) -> int:
+    """This checkout's corpus against `base`'s, once for each setting (None:
+    natively); 1 if any file differs under any of them."""
+    any_differ = False
     with tempfile.TemporaryDirectory(prefix="crgx-identity-") as tmp:
         tmp = Path(tmp)
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                        str(tmp / "base"), base], check=True)
-        try:
-            _run_tree(tmp / "base", tmp / "out-base")
-            _run_tree(ROOT, tmp / "out-head")
-            files = sum(1 for p in (tmp / "out-head").rglob("*") if p.is_file())
-            differing = _differing(tmp / "out-base", tmp / "out-head")
+        _export(base, tmp / "base")
+        for k, setting in enumerate(settings):
+            env = dict([setting]) if setting else None
+            out_base, out_head = tmp / f"out-base-{k}", tmp / f"out-head-{k}"
+            _run_tree(tmp / "base", out_base, env)
+            _run_tree(ROOT, out_head, env)
+            files = sum(1 for p in out_head.rglob("*") if p.is_file())
+            differing = _differing(out_base, out_head)
             for name in differing:
-                for line in _diff(tmp / "out-base", tmp / "out-head", name):
+                for line in _diff(out_base, out_head, name):
                     print(line)
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(tmp / "base")], check=True)
-    for name in differing:
-        print(f"differs: {name}")
-    print(f"{len(differing)} of {files} files differ from {base}")
-    return 1 if differing else 0
+            under = f" under {setting[0]}={setting[1]!r}" if setting else ""
+            for name in differing:
+                print(f"differs{under}: {name}")
+            print(f"{len(differing)} of {files} files differ from {base}{under}")
+            any_differ = any_differ or bool(differing)
+    return 1 if any_differ else 0
 
 
 def under_settings(settings: list[tuple[str, str]]) -> int:
@@ -252,18 +268,21 @@ def _setting(text: str) -> tuple[str, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--base", help="git revision to compare this checkout with")
-    mode.add_argument("--corpus", type=Path, help="write the corpus into this new directory")
-    mode.add_argument("--setting", type=_setting, action="append", metavar="NAME=VALUE",
-                      help="an environment variable of the corpus subprocess; repeatable")
+    parser.add_argument("--base", help="git revision to compare this checkout with")
+    parser.add_argument("--corpus", type=Path, help="write the corpus into this new directory")
+    parser.add_argument("--setting", type=_setting, action="append", metavar="NAME=VALUE",
+                        help="an environment variable of the corpus subprocesses; repeatable")
     args = parser.parse_args(argv)
     if args.corpus is not None:
+        if args.base or args.setting:
+            parser.error("--corpus takes neither --base nor --setting")
         print(f"{write_corpus(args.corpus.resolve())} files")
         return 0
+    if args.base:
+        return compare_with(args.base, args.setting or [None])
     if args.setting:
         return under_settings(args.setting)
-    return compare_with(args.base)
+    parser.error("one of --base, --corpus or --setting is required")
 
 
 if __name__ == "__main__":
