@@ -23,12 +23,9 @@ from .imgio import Image, read_image, write_image
 from .metrics import (
     MetricRecord,
     adcc,
-    average_drop,
-    average_drop_deletion,
     coherency,
     complexity,
     evaluate_batch,
-    increase_confidence,
 )
 from .postprocess import (
     apply_colormap,
@@ -56,8 +53,6 @@ __all__ = [
     "UtilitySpec",
     "adcc",
     "apply_colormap",
-    "average_drop",
-    "average_drop_deletion",
     "axiom_suite",
     "build_model",
     "coherency",
@@ -66,7 +61,6 @@ __all__ = [
     "evaluate_batch",
     "explain",
     "hvp_suite",
-    "increase_confidence",
     "make_spatial_game",
     "normalize_minmax",
     "overlay",

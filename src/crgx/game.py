@@ -99,7 +99,10 @@ class CooperativeGame:
                              f"got {masks.shape}")
         if self._table is not None:
             return self._table[masks @ _powers(self.d)]
-        values = np.asarray(self._utility(masks), dtype=np.float64)
+        values = np.asarray(self._utility(masks))
+        if values.dtype.kind not in "biuf":  # complex, object, str: no float64 cast
+            raise ValueError(f"the utility must return real numbers, got dtype {values.dtype}")
+        values = values.astype(np.float64, copy=False)
         if values.shape != (len(masks),):
             # a scalar here would broadcast across every coalition
             raise ValueError(f"the utility must return shape ({len(masks)},) for "
@@ -249,7 +252,9 @@ def shapley_mc(game: CooperativeGame, samples: int, seed: int) -> ShapleyVector:
     that holds one; each permutation's marginals are then added in
     permutation order, so the result is bit-identical to walking the
     permutations one coalition at a time. Standard errors are per-player
-    sample standard deviations over sqrt(n) (zero when n == 1).
+    sample standard deviations over sqrt(n) (zero when n == 1). A value or
+    standard error past float64's range raises `ValueError`, as in
+    `shapley_exact`.
     """
     samples, d = _checked_int("samples", samples, 1), game.d
     bits = np.random.PCG64(_checked_int("seed", seed, 0))
@@ -260,18 +265,24 @@ def shapley_mc(game: CooperativeGame, samples: int, seed: int) -> ShapleyVector:
         perms = np.argsort(bits.random_raw((min(block, samples - lo), d)), axis=1,
                            kind="stable")
         u = game.prefix_utilities(perms)
-        deltas = np.empty_like(u)
-        np.put_along_axis(deltas, perms, np.diff(u, axis=1, prepend=game.u_empty), axis=1)
-        # accumulate adds row after row, the order of one permutation at a
-        # time (a sum or reduce may add pairwise)
-        sums = np.add.accumulate(np.vstack([sums, deltas]), axis=0)[-1]
-        sumsq = np.add.accumulate(np.vstack([sumsq, deltas * deltas]), axis=0)[-1]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            deltas = np.empty_like(u)
+            np.put_along_axis(deltas, perms, np.diff(u, axis=1, prepend=game.u_empty), axis=1)
+            # accumulate adds row after row, the order of one permutation at
+            # a time (a sum or reduce may add pairwise)
+            sums = np.add.accumulate(np.vstack([sums, deltas]), axis=0)[-1]
+            sumsq = np.add.accumulate(np.vstack([sumsq, deltas * deltas]), axis=0)[-1]
     values = sums / samples
     if samples > 1:
-        var = np.maximum(sumsq - samples * values * values, 0.0) / (samples - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            var = np.maximum(sumsq - samples * values * values, 0.0) / (samples - 1)
         stderr = np.sqrt(var / samples)
     else:
         stderr = np.zeros(d)
+    # a finite table can still have marginals or squares past float64's range
+    if not (np.isfinite(values).all() and np.isfinite(stderr).all()):
+        raise ValueError("Monte Carlo Shapley values overflow float64: the utility's "
+                         "differences, sums or squares exceed the float range")
     return ShapleyVector(values=values, method="mc", samples=samples, stderr=stderr)
 
 

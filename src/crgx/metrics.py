@@ -35,19 +35,6 @@ def explanation_map(pixels: np.ndarray, h: np.ndarray) -> np.ndarray:
     return pixels * h[..., None, :, :]
 
 
-def _paired_scores(conf_full, name: str, conf_other, positive_full: bool):
-    """The score vectors of `conf_full` and the one named `name`: 1-D and
-    of equal length."""
-    y = _checked_array("conf_full", conf_full, 1)
-    o = _checked_array(name, conf_other, 1)
-    if y.shape != o.shape:
-        raise ValueError(f"conf_full and {name} must have equal length, "
-                         f"got {y.size} and {o.size}")
-    if positive_full and y.min() <= 0.0:
-        raise ValueError("full-image confidences must be positive")
-    return y, o
-
-
 def _drops(y: np.ndarray, o: np.ndarray) -> np.ndarray:
     """Per-image relative confidence lost, max(0, y - o) / y: the AD term
     on the explanation map, the ADD term on the anti-explanation map."""
@@ -57,26 +44,6 @@ def _drops(y: np.ndarray, o: np.ndarray) -> np.ndarray:
 def _increases(y: np.ndarray, o: np.ndarray) -> np.ndarray:
     """Per-image IC term: 1 where the confidence strictly rises, else 0."""
     return np.where(y < o, 1.0, 0.0)
-
-
-def average_drop(conf_full: np.ndarray, conf_expl: np.ndarray) -> float:
-    """Mean relative confidence lost on the explanation map:
-    mean max(0, y - o) / y."""
-    y, o = _paired_scores(conf_full, "conf_expl", conf_expl, positive_full=True)
-    return float(np.mean(_drops(y, o)))
-
-
-def increase_confidence(conf_full: np.ndarray, conf_expl: np.ndarray) -> float:
-    """Fraction of images whose confidence strictly rises on the
-    explanation map."""
-    y, o = _paired_scores(conf_full, "conf_expl", conf_expl, positive_full=False)
-    return float(np.mean(_increases(y, o)))
-
-
-def average_drop_deletion(conf_full: np.ndarray, conf_anti: np.ndarray) -> float:
-    """Average drop when the relevant pixels are removed; large is good."""
-    y, o = _paired_scores(conf_full, "conf_anti", conf_anti, positive_full=True)
-    return float(np.mean(_drops(y, o)))
 
 
 def coherency(h_orig: np.ndarray, h_expl: np.ndarray) -> float:
@@ -186,6 +153,10 @@ def _pipeline_heatmaps(model: ToyModel, pixels: np.ndarray, stacks: np.ndarray,
     image's own."""
     if not isinstance(method, CamMethod):
         heatmaps = [method(model, x, spec) for x in pixels]
+        for h in heatmaps:
+            if not isinstance(h, Heatmap):
+                raise ValueError(f"heatmap source must return a Heatmap, "
+                                 f"got {type(h).__name__}")
     elif method.name == "randomcam":
         heatmaps = [explain_batch(model, stacks[k:k + 1], spec,
                                   _per_image_method(method, first + k))[0]

@@ -4,6 +4,8 @@ These take a tap-resolution heatmap to a full-resolution rendering."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .utility import _checked_array, _checked_int, _checked_unit
@@ -17,13 +19,17 @@ JET.setflags(write=False)
 
 def normalize_minmax(h: np.ndarray) -> np.ndarray:
     """Affine rescale of a 1- or 2-D map to [0,1]; a constant map becomes
-    all zeros."""
+    all zeros. A map whose range max - min overflows float64 raises
+    `ValueError`."""
     h = _checked_array("h", h, (1, 2))
     lo = float(h.min())
-    hi = float(h.max())
-    if hi == lo:
+    span = float(h.max()) - lo
+    if span == 0.0:
         return np.zeros_like(h)
-    return (h - lo) / (hi - lo)
+    if span == math.inf:  # h is finite, so only the subtraction overflowed
+        raise ValueError("h's range overflows float64: max(h) - min(h) exceeds "
+                         "the float range")
+    return (h - lo) / span
 
 
 def upsample_bilinear(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

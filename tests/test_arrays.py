@@ -20,7 +20,6 @@ _SPEC = crgx.UtilitySpec(1, "rest")
 _GAME = crgx.CooperativeGame.from_table(np.arange(8.0))
 _MAP = np.array([[0.25, 0.5], [0.75, 1.0]])
 _PLANES = np.full((3, 2, 2), 0.5)
-_SCORES = np.array([0.5, 0.8])
 
 
 def _skipped(record):
@@ -69,18 +68,6 @@ ARRAY_ARGUMENTS = {
     "coherency.h_orig": ("h_orig", _MAP, (1, 2), lambda v: crgx.coherency(v, _MAP)),
     "coherency.h_expl": ("h_expl", _MAP, (1, 2), lambda v: crgx.coherency(_MAP, v)),
     "complexity.h": ("h", _MAP, (1, 2), crgx.complexity),
-    "average_drop.conf_full": ("conf_full", _SCORES, (1,),
-                               lambda v: crgx.average_drop(v, _SCORES)),
-    "average_drop.conf_expl": ("conf_expl", _SCORES, (1,),
-                               lambda v: crgx.average_drop(_SCORES, v)),
-    "increase_confidence.conf_full": ("conf_full", _SCORES, (1,),
-                                      lambda v: crgx.increase_confidence(v, _SCORES)),
-    "increase_confidence.conf_expl": ("conf_expl", _SCORES, (1,),
-                                      lambda v: crgx.increase_confidence(_SCORES, v)),
-    "average_drop_deletion.conf_full": ("conf_full", _SCORES, (1,),
-                                        lambda v: crgx.average_drop_deletion(v, _SCORES)),
-    "average_drop_deletion.conf_anti": ("conf_anti", _SCORES, (1,),
-                                        lambda v: crgx.average_drop_deletion(_SCORES, v)),
     "compute_utility.logits": ("logits", np.array([0.5, -1.0, 2.0]), (1,),
                                lambda v: crgx.compute_utility(v, _SPEC)),
     "CooperativeGame.from_table.table": ("table", np.arange(8.0), (1,),

@@ -929,6 +929,20 @@ def test_exact_shapley_refuses_overflowing_marginals(seed):
         game.shapley_exact(overflowing_game(seed))
 
 
+@pytest.mark.parametrize("table", [overflowing_game(0).utility_table(),
+                                   overflowing_game(1).utility_table(),
+                                   np.array([0.0, 1e200, 0.0, 1e200])],
+                         ids=["marginals-0", "marginals-1", "squares"])
+def test_monte_carlo_refuses_values_past_float64(table):
+    # these once came back as inf or NaN values and standard errors, where
+    # shapley_exact on the first two raises
+    with pytest.raises(Exception) as caught:
+        game.shapley_mc(game.CooperativeGame.from_table(table), 50, 0)
+    assert caught.type is ValueError, caught.value
+    assert str(caught.value) == ("Monte Carlo Shapley values overflow float64: the utility's "
+                                 "differences, sums or squares exceed the float range")
+
+
 def test_axiom_suite_names_an_overflowing_linearity_table():
     g = overflowing_game(0)
     with pytest.raises(ValueError, match="linearity check overflows float64"):
@@ -944,3 +958,27 @@ def test_utility_must_return_one_value_per_coalition():
     g = game.CooperativeGame(3, lambda masks: masks.sum(axis=1)[:2].astype(np.float64))
     with pytest.raises(ValueError, match=r"shape \(4,\)"):
         g.utility_batch(np.ones((4, 3), dtype=bool))
+
+
+@pytest.mark.parametrize("utility, dtype", [
+    (lambda masks: masks.sum(axis=1) + 1j, "complex128"),
+    (lambda masks: {"a": 1.0}, "object"),
+    (lambda masks: np.array(["0.5"] * len(masks)), "<U3"),
+], ids=["complex", "dict", "str"])
+def test_utility_must_return_real_numbers(utility, dtype):
+    # a complex return once lost its imaginary part with a ComplexWarning,
+    # and a dict raised numpy's TypeError
+    with pytest.raises(Exception) as caught:
+        game.CooperativeGame(2, utility)
+    assert caught.type is ValueError, caught.value
+    assert str(caught.value) == f"the utility must return real numbers, got dtype {dtype}"
+
+
+def test_integer_bool_and_float32_utilities_keep_their_values():
+    masks = (np.arange(8)[:, None] & (1 << np.arange(3))) != 0  # table order
+    for utility in (lambda m: m.sum(axis=1), lambda m: m.sum(axis=1).astype(np.uint8),
+                    lambda m: m.sum(axis=1) > 1, lambda m: m.sum(axis=1).tolist(),
+                    lambda m: (m @ np.array([0.1, 0.2, 0.3])).astype(np.float32)):
+        table = game.CooperativeGame(3, utility).utility_table()
+        assert table.dtype == np.float64
+        assert table.tobytes() == np.asarray(utility(masks), dtype=np.float64).tobytes()

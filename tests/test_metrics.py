@@ -9,16 +9,15 @@ from crgx.cam import CAM_METHODS, CamMethod, Heatmap, explain, explain_batch
 from crgx.imgio import Image
 from crgx.metrics import (
     MetricRecord,
+    _drops,
+    _increases,
     _per_image_method,
     _target_scores,
     adcc,
-    average_drop,
-    average_drop_deletion,
     coherency,
     complexity,
     evaluate_batch,
     explanation_map,
-    increase_confidence,
 )
 from crgx.postprocess import normalize_minmax, upsample_bilinear
 from crgx.utility import UTILITY_KINDS, UtilitySpec
@@ -74,26 +73,15 @@ def test_stacked_masks_match_per_image_bit_for_bit():
 
 # ------------------------------------------------------------- scalar metrics
 
-def test_average_drop_examples():
-    assert average_drop([0.8], [0.6]) == pytest.approx(0.25, abs=1e-15)
-    assert average_drop([0.5, 0.8], [0.7, 0.9]) == 0.0
-    assert average_drop([0.5, 0.8], [0.7, 0.4]) == pytest.approx(0.25, abs=1e-15)
-    with pytest.raises(ValueError, match="positive"):
-        average_drop([0.0, 0.5], [0.1, 0.1])
-    with pytest.raises(ValueError, match="equal length"):
-        average_drop([0.5], [0.5, 0.5])
-
-
-def test_increase_confidence_is_strict():
-    assert increase_confidence([0.5, 0.8], [0.7, 0.4]) == 0.5
-    assert increase_confidence([0.5], [0.5]) == 0.0
-    assert increase_confidence([0.1, 0.2], [0.3, 0.4]) == 1.0
-
-
-def test_average_drop_deletion_examples():
-    assert average_drop_deletion([0.8], [0.2]) == pytest.approx(0.75, abs=1e-15)
-    assert average_drop_deletion([0.8], [0.9]) == 0.0
-    assert average_drop_deletion([0.4], [0.0]) == 1.0
+def test_drop_and_increase_terms_hand_values():
+    # per image: the AD term on the explanation map and the ADD term on the
+    # anti-explanation map (_drops), and the strict IC term (_increases);
+    # MetricRecord averages them into ad, add and ic
+    y = np.array([0.8, 0.5, 0.8, 0.8, 0.8, 0.4, 0.5, 0.1])
+    o = np.array([0.6, 0.7, 0.9, 0.4, 0.2, 0.0, 0.5, 0.3])
+    assert np.allclose(_drops(y, o), [0.25, 0.0, 0.0, 0.5, 0.75, 1.0, 0.0, 0.0],
+                       rtol=0.0, atol=1e-15)
+    assert _increases(y, o).tolist() == [0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]
 
 
 def test_coherency_cases():
@@ -106,30 +94,10 @@ def test_coherency_cases():
         coherency(h, np.zeros((3, 2)))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-def test_coherency_refuses_non_finite_maps(bad):
-    # a NaN map once scored nan, which would become the image's term
-    h = np.array([[0.0, 0.5], [1.0, 0.25]])
-    broken = h.copy()
-    broken[1, 0] = bad
-    with pytest.raises(ValueError, match="^h_orig: non-finite values are not allowed$"):
-        coherency(broken, h)
-    with pytest.raises(ValueError, match="^h_expl: non-finite values are not allowed$"):
-        coherency(h, broken)
-
-
 def test_complexity_cases():
     assert complexity(np.zeros((3, 3))) == 0.0
     assert complexity(np.ones((3, 3))) == 1.0
     assert complexity([0.0, 0.5, 1.0, 0.5]) == 0.5
-
-
-@pytest.mark.parametrize("h", [np.zeros(0), np.zeros((0, 4)), []], ids=["1-d", "2-d", "list"])
-def test_complexity_of_an_empty_map_is_refused(h):
-    # np.mean of no values is nan after a RuntimeWarning, which would
-    # become the image's term
-    with pytest.raises(ValueError, match="^h must hold at least one value, got an empty array$"):
-        complexity(h)
 
 
 def test_adcc_cases():
@@ -143,15 +111,6 @@ def test_adcc_cases():
     assert adcc(0.5, 0.5, 1.0) == 0.0
     with pytest.raises(ValueError, match="coh"):
         adcc(0.5, 1.5, 0.5)
-
-
-@pytest.mark.parametrize("position, name", [(0, "ad"), (1, "coh"), (2, "com")])
-@pytest.mark.parametrize("bad", [None, "x", True, [0.5]], ids=["none", "str", "bool", "list"])
-def test_adcc_terms_must_be_real_numbers(bad, position, name):
-    terms = [0.5, 0.5, 0.5]
-    terms[position] = bad
-    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
-        adcc(*terms)
 
 
 def test_adcc_takes_numpy_and_integer_terms():
@@ -299,8 +258,8 @@ def no_positions():
 
 
 def failing_on(bad_pixels, heatmap):
-    """A heatmap source that fails on one image: it raises, or calls
-    `heatmap`, which builds a heatmap that `Heatmap` refuses."""
+    """A heatmap source that fails on one image: it raises, or returns
+    `heatmap()`, a heatmap that `Heatmap` refuses or no Heatmap at all."""
     def method(model, pixels, spec):
         if np.array_equal(pixels, bad_pixels):
             if heatmap is None:
@@ -434,6 +393,9 @@ def reference_pipeline_heatmap(model, pixels, stack, spec, method):
     the image's tap stack (1, n_maps, d) instead of recomputing it."""
     if callable(method) and not isinstance(method, (str, CamMethod)):
         heatmap = method(model, pixels, spec)
+        if not isinstance(heatmap, Heatmap):
+            raise ValueError(f"heatmap source must return a Heatmap, "
+                             f"got {type(heatmap).__name__}")
     else:
         heatmap = explain_batch(model, stack, spec, method)[0]
     grid = normalize_minmax(heatmap.grid("post"))
@@ -516,42 +478,6 @@ def assert_same_record(record, reference):
         assert got.tobytes() == want.tobytes(), name
 
 
-def reference_confidences(model, images, spec, method):
-    """Target confidences (y, o, d) of each image as the oracle computes
-    them: on the image, on its explanation map and on its anti-explanation
-    map."""
-    if isinstance(method, str):
-        method = CamMethod(method)
-    c = spec.target_class
-    rows = []
-    for index, x in enumerate(images):
-        stack = model._tap_stack(x[None])
-        h1 = reference_pipeline_heatmap(model, x, stack, spec, _per_image_method(method, index))
-        masked = model._tap_stack(np.stack([explanation_map(x, h1),
-                                            explanation_map(x, 1.0 - h1)]))
-        rows.append(np.concatenate([_target_scores(model, stack, c),
-                                    _target_scores(model, masked, c)]))
-    return np.array(rows).T
-
-
-@pytest.mark.parametrize("size", [6, 64])
-@pytest.mark.parametrize("arch", ARCHS)
-def test_exported_scores_are_the_record_means_bit_for_bit(arch, size):
-    # seven 64x64 images run as two chunks; the scores see all seven at once
-    model = build_model(arch, num_classes=4, seed=3, in_shape=(3, size, size))
-    images = make_images(7, seed=40 + size, shape=(3, size, size))
-    for method in ("gradcam", "shapleycam-e", CamMethod("randomcam", seed=6)):
-        for kind in UTILITY_KINDS:
-            spec = UtilitySpec(2, kind)
-            record = evaluate_batch(model, images, spec, method)
-            assert record.n_failed == 0
-            y, o, d = reference_confidences(model, images, spec, method)
-            for got, want in ((average_drop(y, o), record.ad),
-                              (increase_confidence(y, o), record.ic),
-                              (average_drop_deletion(y, d), record.add)):
-                assert np.float64(got).tobytes() == np.float64(want).tobytes()
-
-
 @pytest.mark.parametrize("size,n", [(6, 4), (64, 2)])
 @pytest.mark.parametrize("arch", ARCHS)
 def test_batch_matches_per_image_oracle_bit_for_bit(arch, size, n):
@@ -604,8 +530,11 @@ def test_chunked_batch_matches_oracle():
         evaluate_batch(model, [images[2]] + images[5:11], spec, failing_on(images[10], None))
 
 
-@pytest.mark.parametrize("heatmap", [None, no_positions], ids=["raises", "no-positions"])
+@pytest.mark.parametrize("heatmap", [None, no_positions, lambda: None,
+                                     lambda: np.full(36, 0.5), lambda: "gradcam"],
+                         ids=["raises", "no-positions", "none", "ndarray", "str"])
 def test_failing_source_matches_oracle(heatmap):
+    # a source returning no Heatmap once escaped as AttributeError from `.grid`
     model = build_model("mlp-smooth", num_classes=3, seed=1)
     images = make_images(4, seed=17)
     spec = UtilitySpec(0, "post-softmax")

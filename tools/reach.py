@@ -6,13 +6,16 @@ Writes the `tools/identity.py` corpus into a temporary directory with this
 checkout's `src/crgx`, under `sys.settrace` on crgx frames only, and prints
 per module, grouped by function, every executable line that no command
 reached. A line inside a `raise` statement is marked `raise`: those are the
-error paths the corpus does not provoke. The last line totals every module:
-"N of M lines not reached, R of them in raise statements".
+error paths the corpus does not provoke. The total line sums every module:
+"N of M lines not reached, R of them in raise statements". The last line,
+"exports no command reaches: ...", names each function of `crgx.__all__`
+that the corpus never called.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import os
 import sys
 import tempfile
@@ -48,6 +51,7 @@ def main() -> int:
     import identity
 
     reached: dict[str, set[int]] = defaultdict(set)
+    called = set()
     prefix = str(PACKAGE) + os.sep
 
     def local(frame, event, arg):
@@ -57,6 +61,7 @@ def main() -> int:
     def tracer(frame, event, arg):
         if not frame.f_code.co_filename.startswith(prefix):
             return None
+        called.add(frame.f_code)
         return local(frame, event, arg)
 
     cwd = os.getcwd()
@@ -90,6 +95,10 @@ def main() -> int:
                 print(f"    {line:4d} {mark:5s} {text[line - 1].strip()}")
     print(f"{missed_total} of {lines_total} lines not reached, "
           f"{raise_total} of them in raise statements")
+    import crgx
+    exports = [name for name in crgx.__all__ if inspect.isfunction(getattr(crgx, name))]
+    print("exports no command reaches: " + ", ".join(
+        name for name in sorted(exports) if getattr(crgx, name).__code__ not in called))
     return 0
 
 
