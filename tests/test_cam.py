@@ -277,12 +277,22 @@ def test_method_validation():
     assert m.scheme == "mean"
 
 
+def test_randomcam_seed_must_be_an_integer():
+    with pytest.raises(ValueError, match="randomcam seed must be an integer, got 1.5"):
+        CamMethod("randomcam", seed=1.5)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        CamMethod("randomcam", seed="7")
+    for seed in (7, np.int64(7), np.uint32(7)):
+        assert np.array_equal(CamMethod("randomcam", seed=seed).seed, 7)
+
+
 def test_utility_spec_target_class_must_be_an_integer():
-    # an integral numpy float is still a float; the integer table's row
-    # for target_class checks the other refusals
-    with pytest.raises(ValueError, match="^target_class must be an integer, got "
-                                         r"np.float64\(1.0\)$"):
+    with pytest.raises(ValueError, match="target_class must be an integer, got 1.5"):
+        UtilitySpec(1.5, "rest")
+    with pytest.raises(ValueError, match="target_class must be an integer"):
         UtilitySpec(np.float64(1.0), "rest")
+    for c in (1, np.int64(1), np.uint8(1)):
+        assert UtilitySpec(c, "rest").target_class == 1
 
 
 def test_shapley_weights_combines_curvature():

@@ -73,15 +73,30 @@ def test_stacked_masks_match_per_image_bit_for_bit():
 
 # ------------------------------------------------------------- scalar metrics
 
-def test_drop_and_increase_terms_hand_values():
-    # per image: the AD term on the explanation map and the ADD term on the
-    # anti-explanation map (_drops), and the strict IC term (_increases);
-    # MetricRecord averages them into ad, add and ic
-    y = np.array([0.8, 0.5, 0.8, 0.8, 0.8, 0.4, 0.5, 0.1])
-    o = np.array([0.6, 0.7, 0.9, 0.4, 0.2, 0.0, 0.5, 0.3])
-    assert np.allclose(_drops(y, o), [0.25, 0.0, 0.0, 0.5, 0.75, 1.0, 0.0, 0.0],
-                       rtol=0.0, atol=1e-15)
-    assert _increases(y, o).tolist() == [0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+def mean_term(term, y, o):
+    """A batch score as MetricRecord takes it: the mean of the per-image
+    terms of the full-image confidences `y` and the masked ones `o`."""
+    return float(np.mean(term(np.array(y), np.array(o))))
+
+
+def test_average_drop_examples():
+    # the AD term on the explanation map
+    assert mean_term(_drops, [0.8], [0.6]) == pytest.approx(0.25, abs=1e-15)
+    assert mean_term(_drops, [0.5, 0.8], [0.7, 0.9]) == 0.0
+    assert mean_term(_drops, [0.5, 0.8], [0.7, 0.4]) == pytest.approx(0.25, abs=1e-15)
+
+
+def test_increase_confidence_is_strict():
+    assert mean_term(_increases, [0.5, 0.8], [0.7, 0.4]) == 0.5
+    assert mean_term(_increases, [0.5], [0.5]) == 0.0
+    assert mean_term(_increases, [0.1, 0.2], [0.3, 0.4]) == 1.0
+
+
+def test_average_drop_deletion_examples():
+    # the ADD term: the same drop, on the anti-explanation map
+    assert mean_term(_drops, [0.8], [0.2]) == pytest.approx(0.75, abs=1e-15)
+    assert mean_term(_drops, [0.8], [0.9]) == 0.0
+    assert mean_term(_drops, [0.4], [0.0]) == 1.0
 
 
 def test_coherency_cases():
@@ -94,10 +109,30 @@ def test_coherency_cases():
         coherency(h, np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_coherency_refuses_non_finite_maps(bad):
+    # a NaN map once scored nan, which would become the image's term
+    h = np.array([[0.0, 0.5], [1.0, 0.25]])
+    broken = h.copy()
+    broken[1, 0] = bad
+    with pytest.raises(ValueError, match="^h_orig: non-finite values are not allowed$"):
+        coherency(broken, h)
+    with pytest.raises(ValueError, match="^h_expl: non-finite values are not allowed$"):
+        coherency(h, broken)
+
+
 def test_complexity_cases():
     assert complexity(np.zeros((3, 3))) == 0.0
     assert complexity(np.ones((3, 3))) == 1.0
     assert complexity([0.0, 0.5, 1.0, 0.5]) == 0.5
+
+
+@pytest.mark.parametrize("h", [np.zeros(0), np.zeros((0, 4)), []], ids=["1-d", "2-d", "list"])
+def test_complexity_of_an_empty_map_is_refused(h):
+    # np.mean of no values is nan after a RuntimeWarning, which would
+    # become the image's term
+    with pytest.raises(ValueError, match="^h must hold at least one value, got an empty array$"):
+        complexity(h)
 
 
 def test_adcc_cases():
@@ -111,6 +146,15 @@ def test_adcc_cases():
     assert adcc(0.5, 0.5, 1.0) == 0.0
     with pytest.raises(ValueError, match="coh"):
         adcc(0.5, 1.5, 0.5)
+
+
+@pytest.mark.parametrize("position, name", [(0, "ad"), (1, "coh"), (2, "com")])
+@pytest.mark.parametrize("bad", [None, "x", True, [0.5]], ids=["none", "str", "bool", "list"])
+def test_adcc_terms_must_be_real_numbers(bad, position, name):
+    terms = [0.5, 0.5, 0.5]
+    terms[position] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+        adcc(*terms)
 
 
 def test_adcc_takes_numpy_and_integer_terms():

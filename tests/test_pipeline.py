@@ -62,6 +62,13 @@ def non_finite_maps():
         yield pytest.param(h, id=name)
 
 
+@pytest.mark.parametrize("h", non_finite_maps())
+def test_normalize_refuses_non_finite_maps(h):
+    # an all-NaN map once came back all NaN, and +inf came back as NaN
+    with pytest.raises(ValueError, match="^h: non-finite values are not allowed$"):
+        pp.normalize_minmax(h)
+
+
 # ---------------------------------------------------------------- upsampling
 
 def test_upsample_identity_same_size():
@@ -136,8 +143,9 @@ def test_upsample_rejects_bad_dims():
 
 @pytest.mark.parametrize("src", non_finite_maps())
 def test_upsample_refuses_non_finite_sources(src):
-    # an infinite source once came back as NaN next to the inf; a single
-    # map is a row of tests/test_arrays.py, a stack of maps is not
+    # an infinite source once came back as NaN next to the inf
+    with pytest.raises(ValueError, match="^src: non-finite values are not allowed$"):
+        pp.upsample_bilinear(src, 4, 5)
     with pytest.raises(ValueError, match="^src: non-finite values are not allowed$"):
         pp.upsample_bilinear(np.stack([np.ones((2, 3)), src]), 4, 5)
 
@@ -193,6 +201,14 @@ def test_apply_colormap_validates_input():
         pp.apply_colormap(np.array([[1.5]]))
     with pytest.raises(ValueError, match="2-D"):
         pp.apply_colormap(np.ones(3))
+
+
+@pytest.mark.parametrize("render", [pp.apply_colormap,
+                                    lambda h: pp.overlay(np.full((3, 1, 2), 0.5), h)],
+                         ids=["apply_colormap", "overlay"])
+def test_nan_heatmap_rejected(render):
+    with pytest.raises(ValueError, match="finite"):
+        render(np.array([[np.nan, 0.5]]))
 
 
 # ------------------------------------------------------------------- overlay
@@ -352,6 +368,8 @@ def test_image_validation():
         Image(np.zeros((2, 3, 3)))
     with pytest.raises(ValueError, match="clamp"):
         Image(np.full((1, 2, 2), 1.5))
+    with pytest.raises(ValueError, match="finite"):
+        Image(np.full((1, 2, 2), np.nan))
 
 
 ARRAY_RECORDS = {
@@ -387,6 +405,22 @@ def test_heatmap_and_activation_stack_share_one_grid_rule(spatial, message):
                    ActivationStack(maps=np.zeros((2, 16)), spatial=(np.int64(2), np.uint8(8)))):
         assert record.spatial == (2, 8)
         assert [type(v) for v in record.spatial] == [int, int]
+
+
+MAPS_REFUSALS = [
+    (np.ones(16), r"^maps must be 2-D, got shape \(16,\)$"),
+    ([[1.0] * 16, [1.0] * 8], "^maps must be an array of real numbers, got a list numpy "
+                              "cannot convert$"),
+    (np.full((2, 16), np.nan), "^maps: non-finite values are not allowed$"),
+    (np.full((2, 16), -np.inf), "^maps: non-finite values are not allowed$"),
+]
+
+
+@pytest.mark.parametrize("maps, message", MAPS_REFUSALS,
+                         ids=["one-d", "ragged-list", "all-nan", "minus-inf"])
+def test_activation_stack_refuses_malformed_maps(maps, message):
+    with pytest.raises(ValueError, match=message):
+        ActivationStack(maps=maps, spatial=(4, 4))
 
 
 def test_activation_stack_takes_nested_lists_as_float64():

@@ -245,6 +245,28 @@ def test_input_validation():
         zoo.build_model("cnn-relu", 2, 0, in_shape=(3, 2, 6))
 
 
+
+def test_seedless_model_is_refused():
+    # a None seed would draw fresh OS entropy: weights no call could repeat
+    with pytest.raises(ValueError, match="^seed must be an integer, got None$"):
+        zoo.build_model("cnn-relu", 2, None)
+
+
+def test_fractional_seed_is_refused():
+    with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
+        zoo.build_model("cnn-relu", 2, 1.5)
+
+
+def test_fractional_class_count_is_refused():
+    with pytest.raises(ValueError, match="^num_classes must be an integer, got 2.5$"):
+        zoo.build_model("cnn-relu", 2.5, 0)
+
+
+def test_fractional_input_size_is_refused():
+    with pytest.raises(ValueError, match=r"^in_shape\[1\] must be an integer, got 6.5$"):
+        zoo.build_model("cnn-smooth", 3, 0, in_shape=(3, 6.5, 6))
+
+
 def test_numpy_integer_arguments_build_the_same_model():
     a = zoo.build_model("cnn-smooth", 3, 4, in_shape=(3, 7, 6))
     b = zoo.build_model("cnn-smooth", np.int64(3), np.uint32(4),
