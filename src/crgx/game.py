@@ -82,8 +82,8 @@ class CooperativeGame:
         """Game backed by a dense utility table indexed by coalition bitmask."""
         table = _checked_array("table", table, 1).copy()
         d = int(table.size).bit_length() - 1
-        if table.size != 1 << d:
-            raise ValueError(f"table size {table.size} is not a power of two")
+        if d < 1 or table.size != 1 << d:
+            raise ValueError(f"table size {table.size} is not a power of two of at least 2")
         table.setflags(write=False)
         powers = _powers(d)
         game = cls(d, lambda masks: table[masks @ powers])

@@ -1,18 +1,17 @@
-"""The one rule for the array arguments of the public API
-(`utility._checked_array`), held by one table, and the one rule for its
-fractions (`utility._checked_unit`)."""
+"""The three rules for the arguments of the public API, each held by one
+table of declared cases: arrays (`utility._checked_array`), fractions
+(`utility._checked_unit`) and integers (`utility._checked_int`)."""
 
 import inspect
+import json
 import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import crgx
-from crgx import metrics, zoo
+from crgx import metrics, suites, zoo
 
 _MODEL = crgx.build_model("cnn-smooth", num_classes=3, seed=2)
 _IMAGE = np.random.default_rng(4).uniform(0.0, 1.0, _MODEL.in_shape)
@@ -87,10 +86,11 @@ def _ranks_text(ranks) -> str:
     return " or ".join(f"{k}-D" for k in ranks)
 
 
-@st.composite
-def _malformed(draw, kind, good, ranks):
-    """A malformed value of `kind` for an argument whose valid value is
-    `good`, and the message that refuses it with `{name}` to fill in."""
+def _malformed(kind, good, ranks):
+    """The declared malformed values of `kind` for an argument whose valid
+    value is `good` and whose accepted ranks are `ranks` (None: the model's
+    input shape, of rank 3), each as (case, value, the message that refuses
+    it with `{name}` to fill in)."""
     unconvertible = "{name} must be an array of real numbers, got "
     fixed = {"none": (None, "dtype object"), "str": ("0.5", "dtype <U3"),
              "dict": ({"a": 0.5}, "dtype object"),
@@ -99,43 +99,47 @@ def _malformed(draw, kind, good, ranks):
              "complex": (good + 1j, "dtype complex128")}
     if kind in fixed:
         value, got = fixed[kind]
-        return value, unconvertible + got
+        return [(kind, value, unconvertible + got)]
+    accepted = ranks or (3,)
     if kind == "rank":
-        rank = draw(st.sampled_from([k for k in range(7) if k not in (ranks or (3,))]))
-        value = np.full(draw(st.lists(st.integers(1, 2), min_size=rank, max_size=rank)), 0.5)
-        if ranks is None:
-            return value, f"image shape {value.shape} does not match model input (3, 6, 6)"
-        return value, f"{{name}} must be {_ranks_text(ranks)}, got shape {value.shape}"
+        cases = []
+        for rank in (k for k in range(7) if k not in accepted):
+            value = np.full((2,) * rank, 0.5)
+            message = (f"image shape {value.shape} does not match model input (3, 6, 6)"
+                       if ranks is None else
+                       f"{{name}} must be {_ranks_text(ranks)}, got shape {value.shape}")
+            cases.append((f"rank {rank}", value, message))
+        return cases
     if kind == "empty":
-        rank = draw(st.sampled_from(ranks or (3,)))
-        shape = draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank)
-                     .filter(lambda dims: 0 in dims))
-        value = [] if shape == [0] and draw(st.booleans()) else np.zeros(shape)
-        return value, "{name} must hold at least one value, got an empty array"
-    value = good.astype(np.float64)
-    # None marks every position; otherwise a drawn set of them
-    where = draw(st.none() | st.sets(st.integers(0, value.size - 1), min_size=1))
-    value.flat[list(range(value.size)) if where is None else sorted(where)] = float(kind)
-    return value, "{name}: non-finite values are not allowed"
+        empties = [np.zeros((0,) + (2,) * (rank - 1)) for rank in accepted]
+        empties += [[]] if 1 in accepted else []
+        return [(f"empty {type(value).__name__} of shape {np.shape(value)}", value,
+                 "{name} must hold at least one value, got an empty array") for value in empties]
+    cases = []
+    for where, index in (("every", slice(None)), ("first", 0), ("middle", good.size // 2),
+                         ("last", -1)):
+        value = good.astype(np.float64)
+        value.flat[index] = float(kind)
+        cases.append((f"{kind} at {where} position", value,
+                      "{name}: non-finite values are not allowed"))
+    return cases
 
 
 @pytest.mark.parametrize("kind", MALFORMED)
 @pytest.mark.parametrize("argument", sorted(ARRAY_ARGUMENTS))
-@settings(max_examples=6)
-@given(data=st.data())
-def test_array_arguments_follow_one_rule(argument, kind, data):
+def test_array_arguments_follow_one_rule(argument, kind):
     name, good, ranks, call = ARRAY_ARGUMENTS[argument]
     call(good)
-    value, message = data.draw(_malformed(kind, good, ranks))
     check = PASS_THROUGHS.get((argument, kind))
-    if check is not None:
-        assert check(call(value))
-        return
-    # ValueError and nothing else: no TypeError, no NaN returned
-    with pytest.raises(Exception) as caught:
-        call(value)
-    assert caught.type is ValueError, caught.value
-    assert str(caught.value) == message.format(name=name)
+    for case, value, message in _malformed(kind, good, ranks):
+        if check is not None:
+            assert check(call(value)), case
+            continue
+        # ValueError and nothing else: no TypeError, no NaN returned
+        with pytest.raises(Exception) as caught:
+            call(value)
+        assert caught.type is ValueError, (case, caught.value)
+        assert str(caught.value) == message.format(name=name), case
 
 
 def test_evaluate_batch_refuses_what_is_not_a_sequence_of_images():
@@ -209,3 +213,97 @@ def test_fraction_arguments_follow_one_rule(argument):
         assert str(caught.value) == f"{name} must lie in [0,1], got {bad}"
     for good, same in ((np.float64(0.25), 0.25), (np.int64(1), 1.0), (0, 0.0)):
         assert np.array_equal(call(good), call(same)), good
+
+
+_TABLE = crgx.CooperativeGame.from_table(np.random.default_rng(8).normal(size=8))
+
+
+def _model_bits(model):
+    return (model.num_classes, model.seed, model.in_shape,
+            [w.tobytes() for w in model.weights.values()])
+
+
+def _grid_bits(hm):
+    return hm.spatial, [type(v) for v in hm.spatial], hm.grid("pre").tobytes()
+
+
+def _report(suite, **args):
+    return json.dumps(suite(**args), sort_keys=True)
+
+
+# (parameter as its message names it, floor, a valid value, call on a value)
+INTEGER_ARGUMENTS = {
+    "CamMethod.seed": ("randomcam seed", 0, 3, lambda v: crgx.explain(
+        _MODEL, _IMAGE, crgx.UtilitySpec(1), crgx.CamMethod("randomcam", seed=v)
+    ).pre_relu.tobytes()),
+    "CooperativeGame.d": ("d", 1, 3, lambda v: crgx.shapley_exact(crgx.CooperativeGame(
+        v, lambda masks: masks @ np.arange(1.0, 4.0))).values.tobytes()),
+    "shapley_mc.samples": ("samples", 1, 5,
+                           lambda v: crgx.shapley_mc(_TABLE, v, seed=5).stderr.tobytes()),
+    "shapley_mc.seed": ("seed", 0, 5,
+                        lambda v: crgx.shapley_mc(_TABLE, 5, seed=v).values.tobytes()),
+    "upsample_bilinear.out_h": ("out_h", 1, 3,
+                                lambda v: crgx.upsample_bilinear(np.eye(2), v, 4).tobytes()),
+    "upsample_bilinear.out_w": ("out_w", 1, 3,
+                                lambda v: crgx.upsample_bilinear(np.eye(2), 4, v).tobytes()),
+    "UtilitySpec.target_class": ("target_class", 0, 1, lambda v: crgx.explain(
+        _MODEL, _IMAGE, crgx.UtilitySpec(v, "rest"), "shapleycam").pre_relu.tobytes()),
+    "rest_decomposition.target_class": ("target_class", 0, 1, lambda v: tuple(
+        hm.pre_relu.tobytes() for hm in crgx.rest_decomposition(_MODEL, _IMAGE, v, "gradcam"))),
+    "Heatmap.spatial[0]": ("spatial[0]", 1, 4, lambda v: _grid_bits(crgx.Heatmap(
+        pre_relu=np.arange(16.0), spatial=(v, 4), method="gradcam"))),
+    "Heatmap.spatial[1]": ("spatial[1]", 1, 4, lambda v: _grid_bits(crgx.Heatmap(
+        pre_relu=np.arange(16.0), spatial=(4, v), method="gradcam"))),
+    "build_model.num_classes": ("num_classes", 2, 3,
+                                lambda v: _model_bits(crgx.build_model("mlp-smooth", v, 0))),
+    "build_model.seed": ("seed", 0, 3,
+                         lambda v: _model_bits(crgx.build_model("mlp-smooth", 3, v))),
+    "build_model.in_shape": ("in_shape[1]", 1, 6, lambda v: _model_bits(
+        crgx.build_model("cnn-smooth", 3, 0, in_shape=(3, v, 6)))),
+    "axiom_check.seed": ("seed", 0, 3, lambda v: _report(suites.axiom_check, seed=v, n_games=3)),
+    "axiom_check.n_games": ("n_games", 1, 3, lambda v: _report(suites.axiom_check, n_games=v)),
+    "quadratic_check.seed": ("seed", 0, 3,
+                             lambda v: _report(suites.quadratic_check, seed=v, n_games=2)),
+    "quadratic_check.n_games": ("n_games", 1, 2,
+                                lambda v: _report(suites.quadratic_check, n_games=v)),
+    "linear_check.seed": ("seed", 0, 3, lambda v: _report(suites.linear_check, seed=v, n_games=2)),
+    "linear_check.n_games": ("n_games", 1, 2, lambda v: _report(suites.linear_check, n_games=v)),
+    "spatial_check.seed": ("seed", 0, 3, lambda v: _report(suites.spatial_check, seed=v)),
+    "mc_check.seed": ("seed", 0, 3,
+                      lambda v: _report(suites.mc_check, seed=v, n_seeds=1, samples=20)),
+    "mc_check.n_seeds": ("n_seeds", 1, 2,
+                         lambda v: _report(suites.mc_check, n_seeds=v, samples=20)),
+    "mc_check.samples": ("samples", 2, 20,
+                         lambda v: _report(suites.mc_check, n_seeds=1, samples=v)),
+    "shapley_suite.seed": ("seed", 0, 3, lambda v: _report(
+        suites.shapley_suite, seed=v, mc_seeds=1, mc_samples=20)),
+    "shapley_suite.mc_seeds": ("mc_seeds", 1, 1, lambda v: _report(
+        suites.shapley_suite, mc_seeds=v, mc_samples=20)),
+    "shapley_suite.mc_samples": ("mc_samples", 2, 20, lambda v: _report(
+        suites.shapley_suite, mc_seeds=1, mc_samples=v)),
+    "hvp_suite.seed": ("seed", 0, 3, lambda v: _report(suites.hvp_suite, seed=v, graphs=3)),
+    "hvp_suite.graphs": ("graphs", 1, 3, lambda v: _report(suites.hvp_suite, graphs=v)),
+    "theorem_suite.seeds": ("seeds", 1, 1, lambda v: _report(suites.theorem_suite, seeds=v)),
+}
+
+
+@pytest.mark.parametrize("argument", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_follow_one_rule(argument):
+    name, floor, good, call = INTEGER_ARGUMENTS[argument]
+    # a None seed would draw fresh OS entropy, a count below its floor would
+    # let a suite pass on no case, and an integral numpy float is a float
+    for bad in (True, False, 2.5, np.float64(good), "3", None, floor - 1):
+        if bad is None and name == "randomcam seed":
+            message = "randomcam needs a seed"
+        elif bad == floor - 1 and type(bad) is int:
+            message = f"{name} must be at least {floor}, got {bad}"
+        else:
+            message = f"{name} must be an integer, got {bad!r}"
+        # ValueError and nothing else: no TypeError or IndexError escapes
+        with pytest.raises(Exception) as caught:
+            call(bad)
+        assert caught.type is ValueError, (bad, caught.value)
+        assert str(caught.value) == message, (bad, caught.value)
+    want = call(good)
+    for as_numpy in (np.int64, np.int32, np.uint8, np.uint16, np.uint32):
+        assert call(as_numpy(good)) == want, as_numpy

@@ -109,30 +109,10 @@ def test_coherency_cases():
         coherency(h, np.zeros((3, 2)))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-def test_coherency_refuses_non_finite_maps(bad):
-    # a NaN map once scored nan, which would become the image's term
-    h = np.array([[0.0, 0.5], [1.0, 0.25]])
-    broken = h.copy()
-    broken[1, 0] = bad
-    with pytest.raises(ValueError, match="^h_orig: non-finite values are not allowed$"):
-        coherency(broken, h)
-    with pytest.raises(ValueError, match="^h_expl: non-finite values are not allowed$"):
-        coherency(h, broken)
-
-
 def test_complexity_cases():
     assert complexity(np.zeros((3, 3))) == 0.0
     assert complexity(np.ones((3, 3))) == 1.0
     assert complexity([0.0, 0.5, 1.0, 0.5]) == 0.5
-
-
-@pytest.mark.parametrize("h", [np.zeros(0), np.zeros((0, 4)), []], ids=["1-d", "2-d", "list"])
-def test_complexity_of_an_empty_map_is_refused(h):
-    # np.mean of no values is nan after a RuntimeWarning, which would
-    # become the image's term
-    with pytest.raises(ValueError, match="^h must hold at least one value, got an empty array$"):
-        complexity(h)
 
 
 def test_adcc_cases():
@@ -146,15 +126,6 @@ def test_adcc_cases():
     assert adcc(0.5, 0.5, 1.0) == 0.0
     with pytest.raises(ValueError, match="coh"):
         adcc(0.5, 1.5, 0.5)
-
-
-@pytest.mark.parametrize("position, name", [(0, "ad"), (1, "coh"), (2, "com")])
-@pytest.mark.parametrize("bad", [None, "x", True, [0.5]], ids=["none", "str", "bool", "list"])
-def test_adcc_terms_must_be_real_numbers(bad, position, name):
-    terms = [0.5, 0.5, 0.5]
-    terms[position] = bad
-    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
-        adcc(*terms)
 
 
 def test_adcc_takes_numpy_and_integer_terms():

@@ -1,10 +1,8 @@
 """Normalization, upsampling, colormap overlay, PPM/PGM round-trips, and
-the one rule for the integer arguments of the public API."""
+the records that hold arrays."""
 
 import dataclasses
 import hashlib
-import json
-import re
 
 import numpy as np
 import pytest
@@ -12,11 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crgx import postprocess as pp
-from crgx import suites
-from crgx.cam import CamMethod, Heatmap, explain, rest_decomposition
-from crgx.game import CooperativeGame, ShapleyVector, shapley_exact, shapley_mc
+from crgx.cam import Heatmap
+from crgx.game import ShapleyVector
 from crgx.imgio import Image, encode_image_bytes, parse_image_bytes, read_image, write_image
-from crgx.utility import UtilitySpec
 from crgx.zoo import ActivationStack, build_model
 
 
@@ -51,22 +47,6 @@ def test_normalize_affine_invariance():
         base = pp.normalize_minmax(h)
         moved = pp.normalize_minmax(a * h + b)
         assert np.max(np.abs(base - moved)) <= 1e-12
-
-
-def non_finite_maps():
-    """(2, 3) maps that hold NaN or infinity: all NaN, one NaN, +inf, -inf."""
-    for value, where, name in ((np.nan, np.s_[:], "all-nan"), (np.nan, np.s_[1, 2], "nan"),
-                               (np.inf, np.s_[0, 1], "inf"), (-np.inf, np.s_[1, 0], "-inf")):
-        h = np.arange(6.0).reshape(2, 3)
-        h[where] = value
-        yield pytest.param(h, id=name)
-
-
-@pytest.mark.parametrize("h", non_finite_maps())
-def test_normalize_refuses_non_finite_maps(h):
-    # an all-NaN map once came back all NaN, and +inf came back as NaN
-    with pytest.raises(ValueError, match="^h: non-finite values are not allowed$"):
-        pp.normalize_minmax(h)
 
 
 # ---------------------------------------------------------------- upsampling
@@ -133,31 +113,27 @@ def test_upsample_stack_matches_single_maps():
 
 
 def test_upsample_rejects_bad_dims():
-    with pytest.raises(ValueError, match="^out_h must be at least 1, got 0$"):
-        pp.upsample_bilinear(np.ones((2, 2)), 0, 3)
     with pytest.raises(ValueError, match="2-D"):
         pp.upsample_bilinear(np.ones(4), 2, 2)
     with pytest.raises(ValueError, match="2-D"):
         pp.upsample_bilinear(np.ones((1, 2, 2, 2)), 2, 2)
 
 
+def non_finite_maps():
+    """(2, 3) maps that hold NaN or infinity: all NaN, one NaN, +inf, -inf."""
+    for value, where, name in ((np.nan, np.s_[:], "all-nan"), (np.nan, np.s_[1, 2], "nan"),
+                               (np.inf, np.s_[0, 1], "inf"), (-np.inf, np.s_[1, 0], "-inf")):
+        h = np.arange(6.0).reshape(2, 3)
+        h[where] = value
+        yield pytest.param(h, id=name)
+
+
 @pytest.mark.parametrize("src", non_finite_maps())
 def test_upsample_refuses_non_finite_sources(src):
-    # an infinite source once came back as NaN next to the inf
-    with pytest.raises(ValueError, match="^src: non-finite values are not allowed$"):
-        pp.upsample_bilinear(src, 4, 5)
+    # an infinite source once came back as NaN next to the inf; the single
+    # map is a case of the array rule's table
     with pytest.raises(ValueError, match="^src: non-finite values are not allowed$"):
         pp.upsample_bilinear(np.stack([np.ones((2, 3)), src]), 4, 5)
-
-
-def test_upsample_target_dims_must_be_integers():
-    with pytest.raises(ValueError, match="out_h must be an integer, got 2.5"):
-        pp.upsample_bilinear(np.ones((2, 2)), 2.5, 2)
-    with pytest.raises(ValueError, match="out_w must be an integer"):
-        pp.upsample_bilinear(np.ones((2, 2)), 2, np.float64(3.0))
-    want = pp.upsample_bilinear(np.eye(2), 3, 4)
-    for out_h, out_w in ((np.int64(3), np.int32(4)), (np.uint16(3), 4)):
-        assert pp.upsample_bilinear(np.eye(2), out_h, out_w).tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------------ colormap
@@ -201,14 +177,6 @@ def test_apply_colormap_validates_input():
         pp.apply_colormap(np.array([[1.5]]))
     with pytest.raises(ValueError, match="2-D"):
         pp.apply_colormap(np.ones(3))
-
-
-@pytest.mark.parametrize("render", [pp.apply_colormap,
-                                    lambda h: pp.overlay(np.full((3, 1, 2), 0.5), h)],
-                         ids=["apply_colormap", "overlay"])
-def test_nan_heatmap_rejected(render):
-    with pytest.raises(ValueError, match="finite"):
-        render(np.array([[np.nan, 0.5]]))
 
 
 # ------------------------------------------------------------------- overlay
@@ -368,8 +336,6 @@ def test_image_validation():
         Image(np.zeros((2, 3, 3)))
     with pytest.raises(ValueError, match="clamp"):
         Image(np.full((1, 2, 2), 1.5))
-    with pytest.raises(ValueError, match="finite"):
-        Image(np.full((1, 2, 2), np.nan))
 
 
 ARRAY_RECORDS = {
@@ -407,22 +373,6 @@ def test_heatmap_and_activation_stack_share_one_grid_rule(spatial, message):
         assert [type(v) for v in record.spatial] == [int, int]
 
 
-MAPS_REFUSALS = [
-    (np.ones(16), r"^maps must be 2-D, got shape \(16,\)$"),
-    ([[1.0] * 16, [1.0] * 8], "^maps must be an array of real numbers, got a list numpy "
-                              "cannot convert$"),
-    (np.full((2, 16), np.nan), "^maps: non-finite values are not allowed$"),
-    (np.full((2, 16), -np.inf), "^maps: non-finite values are not allowed$"),
-]
-
-
-@pytest.mark.parametrize("maps, message", MAPS_REFUSALS,
-                         ids=["one-d", "ragged-list", "all-nan", "minus-inf"])
-def test_activation_stack_refuses_malformed_maps(maps, message):
-    with pytest.raises(ValueError, match=message):
-        ActivationStack(maps=maps, spatial=(4, 4))
-
-
 def test_activation_stack_takes_nested_lists_as_float64():
     stack = ActivationStack(maps=[[1] * 16, [2] * 16], spatial=(4, 4))
     assert stack.maps.dtype == np.float64
@@ -441,95 +391,3 @@ def test_array_records_compare_and_hash_by_identity(name):
     assert record != copy
     assert hash(record) == hash(record)
     assert len({record, copy, record}) == 2
-
-
-# ------------------------------------------------------- integer arguments
-
-_MODEL = build_model("cnn-smooth", num_classes=3, seed=2)
-_IMAGE = np.random.default_rng(4).uniform(0.0, 1.0, _MODEL.in_shape)
-_TABLE = CooperativeGame.from_table(np.random.default_rng(8).normal(size=8))
-
-
-def _model_bits(model):
-    return (model.num_classes, model.seed, model.in_shape,
-            [w.tobytes() for w in model.weights.values()])
-
-
-def _grid_bits(hm):
-    return hm.spatial, [type(v) for v in hm.spatial], hm.grid("pre").tobytes()
-
-
-def _report(suite, **args):
-    return json.dumps(suite(**args), sort_keys=True)
-
-
-# (parameter as its message names it, floor, a valid value, call on a value)
-INTEGER_ARGUMENTS = {
-    "CamMethod.seed": ("randomcam seed", 0, 3, lambda v: explain(
-        _MODEL, _IMAGE, UtilitySpec(1), CamMethod("randomcam", seed=v)).pre_relu.tobytes()),
-    "CooperativeGame.d": ("d", 1, 3, lambda v: shapley_exact(CooperativeGame(
-        v, lambda masks: masks @ np.arange(1.0, 4.0))).values.tobytes()),
-    "shapley_mc.samples": ("samples", 1, 5, lambda v: shapley_mc(_TABLE, v, seed=5).stderr.tobytes()),
-    "shapley_mc.seed": ("seed", 0, 5, lambda v: shapley_mc(_TABLE, 5, seed=v).values.tobytes()),
-    "upsample_bilinear.out_h": ("out_h", 1, 3,
-                                lambda v: pp.upsample_bilinear(np.eye(2), v, 4).tobytes()),
-    "upsample_bilinear.out_w": ("out_w", 1, 3,
-                                lambda v: pp.upsample_bilinear(np.eye(2), 4, v).tobytes()),
-    "UtilitySpec.target_class": ("target_class", 0, 1, lambda v: explain(
-        _MODEL, _IMAGE, UtilitySpec(v, "rest"), "shapleycam").pre_relu.tobytes()),
-    "rest_decomposition.target_class": ("target_class", 0, 1, lambda v: tuple(
-        hm.pre_relu.tobytes() for hm in rest_decomposition(_MODEL, _IMAGE, v, "gradcam"))),
-    "Heatmap.spatial[0]": ("spatial[0]", 1, 4, lambda v: _grid_bits(Heatmap(
-        pre_relu=np.arange(16.0), spatial=(v, 4), method="gradcam"))),
-    "Heatmap.spatial[1]": ("spatial[1]", 1, 4, lambda v: _grid_bits(Heatmap(
-        pre_relu=np.arange(16.0), spatial=(4, v), method="gradcam"))),
-    "build_model.num_classes": ("num_classes", 2, 3,
-                                lambda v: _model_bits(build_model("mlp-smooth", v, 0))),
-    "build_model.seed": ("seed", 0, 3, lambda v: _model_bits(build_model("mlp-smooth", 3, v))),
-    "build_model.in_shape": ("in_shape[1]", 1, 6, lambda v: _model_bits(
-        build_model("cnn-smooth", 3, 0, in_shape=(3, v, 6)))),
-    "axiom_check.seed": ("seed", 0, 3, lambda v: _report(suites.axiom_check, seed=v, n_games=3)),
-    "axiom_check.n_games": ("n_games", 1, 3, lambda v: _report(suites.axiom_check, n_games=v)),
-    "quadratic_check.seed": ("seed", 0, 3,
-                             lambda v: _report(suites.quadratic_check, seed=v, n_games=2)),
-    "quadratic_check.n_games": ("n_games", 1, 2,
-                                lambda v: _report(suites.quadratic_check, n_games=v)),
-    "linear_check.seed": ("seed", 0, 3, lambda v: _report(suites.linear_check, seed=v, n_games=2)),
-    "linear_check.n_games": ("n_games", 1, 2, lambda v: _report(suites.linear_check, n_games=v)),
-    "spatial_check.seed": ("seed", 0, 3, lambda v: _report(suites.spatial_check, seed=v)),
-    "mc_check.seed": ("seed", 0, 3,
-                      lambda v: _report(suites.mc_check, seed=v, n_seeds=1, samples=20)),
-    "mc_check.n_seeds": ("n_seeds", 1, 2,
-                         lambda v: _report(suites.mc_check, n_seeds=v, samples=20)),
-    "mc_check.samples": ("samples", 2, 20,
-                         lambda v: _report(suites.mc_check, n_seeds=1, samples=v)),
-    "shapley_suite.seed": ("seed", 0, 3, lambda v: _report(
-        suites.shapley_suite, seed=v, mc_seeds=1, mc_samples=20)),
-    "shapley_suite.mc_seeds": ("mc_seeds", 1, 1, lambda v: _report(
-        suites.shapley_suite, mc_seeds=v, mc_samples=20)),
-    "shapley_suite.mc_samples": ("mc_samples", 2, 20, lambda v: _report(
-        suites.shapley_suite, mc_seeds=1, mc_samples=v)),
-    "hvp_suite.seed": ("seed", 0, 3, lambda v: _report(suites.hvp_suite, seed=v, graphs=3)),
-    "hvp_suite.graphs": ("graphs", 1, 3, lambda v: _report(suites.hvp_suite, graphs=v)),
-    "theorem_suite.seeds": ("seeds", 1, 1, lambda v: _report(suites.theorem_suite, seeds=v)),
-}
-
-
-@pytest.mark.parametrize("argument", sorted(INTEGER_ARGUMENTS))
-def test_integer_arguments_follow_one_rule(argument):
-    name, floor, good, call = INTEGER_ARGUMENTS[argument]
-    for bad in (True, False, 2.5, "3", None, floor - 1):
-        if bad is None and name == "randomcam seed":
-            message = "randomcam needs a seed"
-        elif bad == floor - 1 and type(bad) is int:
-            message = f"{name} must be at least {floor}, got {bad}"
-        else:
-            message = f"{name} must be an integer, got {bad!r}"
-        # ValueError and nothing else: no TypeError or IndexError escapes
-        with pytest.raises(Exception) as caught:
-            call(bad)
-        assert caught.type is ValueError, (bad, caught.value)
-        assert re.fullmatch(re.escape(message), str(caught.value)), (bad, caught.value)
-    want = call(good)
-    for as_numpy in (np.int64, np.uint8):
-        assert call(as_numpy(good)) == want, as_numpy

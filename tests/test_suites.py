@@ -134,37 +134,6 @@ def test_shapley_suite_refuses_a_single_sample_before_any_section(monkeypatch):
         shapley_suite(mc_samples=1)
 
 
-@pytest.mark.parametrize("suite, args", [
-    (hvp_suite, {"graphs": 2.5}),
-    (hvp_suite, {"seed": 1.5}),
-    (theorem_suite, {"seeds": 1.5}),
-    (shapley_suite, {"mc_seeds": 1.5}),
-    (shapley_suite, {"seed": 1.5}),
-], ids=["hvp-graphs", "hvp-seed", "theorem-seeds", "shapley-mc-seeds", "shapley-seed"])
-def test_suite_counts_and_seeds_must_be_integers(suite, args):
-    (name, value), = args.items()
-    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
-        suite(**args)
-
-
-@pytest.mark.parametrize("suite, args", [
-    (hvp_suite, {"graphs": 0}),
-    (mc_check, {"n_seeds": 0}),
-    (axiom_check, {"n_games": 0}),
-    (quadratic_check, {"n_games": 0}),
-    (linear_check, {"n_games": 0}),
-    (theorem_suite, {"seeds": 0}),
-    (shapley_suite, {"mc_seeds": 0}),
-    (axiom_check, {"n_games": -3}),
-], ids=["hvp-graphs", "mc-seeds", "axiom-games", "quadratic-games", "linear-games",
-        "theorem-seeds", "shapley-mc-seeds", "axiom-negative"])
-def test_suite_counts_below_one_are_refused(suite, args):
-    # a suite that checks no case would otherwise report "pass": true
-    (name, value), = args.items()
-    with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {value}$"):
-        suite(**args)
-
-
 def test_shapley_suite_composes_sections():
     report = shapley_suite(seed=9, mc_seeds=1, mc_samples=2000)
     assert report["suite"] == "shapley-verify"
