@@ -1,15 +1,17 @@
 """Reverse-mode automatic differentiation on dense float64 arrays.
 
 Every operation checks its operands, computes its numpy value once and
-hands it to `_op`, the one place that decides what an op returns. `_op`
-builds a `Node` linked to its parents by reference and recorded, in
-creation order, on the active `Tape`; plain array arguments are wrapped as
-constant nodes, and the node keeps the op's backward rule. Backward rules
-are themselves written in terms of these operations, so a gradient can be
-an ordinary node graph and be differentiated again; `hvp` exploits this to
-compute Hessian-vector products by double backward. Tapes are opened by
-`forward`, which records the named inputs and the graph run on them; the
-same tape can be re-entered to add nodes on top.
+hands it to `_op`, the one place that decides what an op returns (but for
+`sum`, which returns its value itself in a values-only backward, before
+it builds its rule's closure). `_op` builds a `Node` linked to its parents
+by reference and recorded, in creation order, on the active `Tape`; plain
+array arguments are wrapped as constant nodes, and the node keeps the
+op's backward rule. Backward rules are themselves written in terms of
+these operations, so a gradient can be an ordinary node graph and be
+differentiated again; `hvp` exploits this to compute Hessian-vector
+products by double backward. Tapes are opened by `forward`, which records
+the named inputs and the graph run on them; the same tape can be
+re-entered to add nodes on top.
 
 A backward pass builds nodes only when its result will be differentiated
 again. Today that is one graph: the first-order gradient graph that `hvp`
@@ -20,6 +22,14 @@ returns each value bare, so they add no node to the tape and give the same
 bits. Values-only or not, adjoints flow only into nodes that depend on the
 variable differentiated against, so nothing is computed for the adjoint
 of a constant such as a weight matrix.
+
+A backward walks its graph in the order of one sweep, `_toposort`: the
+DFS postorder from the output, and with it the set of nodes that depend
+on the variable. The tape keeps the first-order graph's sort beside the
+graph, and <g, v>'s sort is g's with v before it and the product and its
+sum after, which is what the DFS returns; so a tape sorts g once, however
+many `hvp`s it answers. The postorder fixes the order in which a node with
+several consumers sums their adjoint contributions, and so the bits.
 
 This module only serves derivatives, and no library hot path uses it:
 `cam.explain` takes the head's derivatives in closed form. It serves the
@@ -54,6 +64,26 @@ _STATE = _State()
 def as_tensor(x) -> Array:
     """Coerce to a float64 ndarray (scalars become shape-() arrays)."""
     return np.asarray(x, dtype=np.float64)
+
+
+def _checked_real(name: str, value) -> Array:
+    """`value` as a float64 array, or a ValueError naming it: real numbers
+    only (a bool, complex, str or object value is not one), every one
+    finite. The rule `utility._checked_array` keeps for the rest of the
+    API, at any rank and size; it holds a tape's inputs and `hvp`'s
+    direction."""
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError):  # ragged nesting, say
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        got = (f"a {type(value).__name__} numpy cannot convert" if array is None
+               else f"dtype {array.dtype}")
+        raise ValueError(f"{name} must be an array of real numbers, got {got}")
+    array = np.asarray(array, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name}: non-finite values are not allowed")
+    return array
 
 
 class Node:
@@ -93,7 +123,8 @@ class Tape:
     context manager routes node creation here; the same tape may be
     re-entered later to append more nodes (a utility head, a backward pass)
     on top of an existing forward. `grads` holds the first-order gradient
-    graph of each (output, wrt) pair built so far.
+    graph of each (output, wrt) pair built so far, and `sorts` that graph's
+    `_toposort` against the same wrt.
     """
 
     def __init__(self):
@@ -101,6 +132,7 @@ class Tape:
         self.inputs: dict[str, Node] = {}
         self.outputs: dict[str, Node] = {}
         self.grads: dict[tuple[Node, Node], Node] = {}
+        self.sorts: dict[tuple[Node, Node], tuple[list[Node], set[Node]]] = {}
 
     def __enter__(self):
         _STATE.tapes.append(self)
@@ -112,13 +144,11 @@ class Tape:
 
 
 def _as_node(x) -> Node:
-    if isinstance(x, Node):
-        return x
-    return Node(as_tensor(x), (), "const")
+    return x if type(x) is Node else Node(as_tensor(x), (), "const")
 
 
 def _value(x) -> Array:
-    return x.value if isinstance(x, Node) else as_tensor(x)
+    return x.value if type(x) is Node else np.asarray(x, dtype=np.float64)
 
 
 def _op(value: Array, parents: tuple, op: str, vjp):
@@ -182,6 +212,8 @@ def add(a, b):
 
 def _add_vjp(g, needs, out):
     a, b = out.parents
+    if a.shape == b.shape:  # g has that shape too: nothing to sum away
+        return g if needs[0] else None, g if needs[1] else None
     return (_unbroadcast(g, a.shape) if needs[0] else None,
             _unbroadcast(g, b.shape) if needs[1] else None)
 
@@ -195,6 +227,8 @@ def sub(a, b):
 
 def _sub_vjp(g, needs, out):
     a, b = out.parents
+    if a.shape == b.shape:
+        return g if needs[0] else None, neg(g) if needs[1] else None
     return (_unbroadcast(g, a.shape) if needs[0] else None,
             _unbroadcast(neg(g), b.shape) if needs[1] else None)
 
@@ -216,6 +250,8 @@ def mul(a, b):
 
 def _mul_vjp(g, needs, out):
     a, b = out.parents
+    if a.shape == b.shape:
+        return mul(g, b) if needs[0] else None, mul(g, a) if needs[1] else None
     return (_unbroadcast(mul(g, b), a.shape) if needs[0] else None,
             _unbroadcast(mul(g, a), b.shape) if needs[1] else None)
 
@@ -329,13 +365,16 @@ def sum(x, axis=None, keepdims=False):  # noqa: A001 - numpy-style name on purpo
             if not -ndim <= a < ndim:
                 raise ValueError(f"sum: axis {a} out of range for shape {xv.shape}")
         axes = tuple(a % ndim for a in axes)
+    value = np.add.reduce(xv, axis=axes, keepdims=keepdims)
+    if _STATE.values:
+        return value
 
     def vjp(g, needs, out):
         src_shape = out.parents[0].shape
         kd_shape = tuple(1 if i in axes else s for i, s in enumerate(src_shape))
         return (broadcast_to(reshape(g, kd_shape), src_shape),)
 
-    return _op(np.sum(xv, axis=axes, keepdims=keepdims), (x,), "sum", vjp)
+    return _op(value, (x,), "sum", vjp)
 
 
 def mean(x, axis=None, keepdims=False):
@@ -379,8 +418,9 @@ def broadcast_to(x, shape):
     lead = len(shape) - xv.ndim
     if lead < 0 or any(s not in (1, t) for s, t in zip(xv.shape, shape[lead:])):
         raise ValueError(f"broadcast_to: shape {xv.shape} does not broadcast onto {shape}")
-    return _op(np.ascontiguousarray(np.broadcast_to(xv, shape)), (x,), "broadcast_to",
-               _broadcast_to_vjp)
+    value = np.empty(shape)
+    value[...] = xv
+    return _op(value, (x,), "broadcast_to", _broadcast_to_vjp)
 
 
 def _broadcast_to_vjp(g, needs, out):
@@ -434,14 +474,21 @@ def logsumexp(x):
 # differentiation
 
 
-def _toposort(root: Node) -> list[Node]:
+def _toposort(root: Node, wrt: Node) -> tuple[list[Node], set[Node]]:
+    """`root` and its ancestors in DFS postorder (ancestors before
+    descendants), and the set of them that depend on `wrt`, from one sweep.
+    A node is appended only after every parent has been, so whether it
+    depends on `wrt` is known as it is appended."""
     order: list[Node] = []
+    live: set[Node] = set()
     seen: set[Node] = set()
     stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
+            if node is wrt or not live.isdisjoint(node.parents):
+                live.add(node)
             continue
         if node in seen:
             continue
@@ -450,7 +497,10 @@ def _toposort(root: Node) -> list[Node]:
         for p in node.parents:
             if p not in seen:
                 stack.append((p, False))
-    return order  # ancestors before descendants
+    return order, live
+
+
+_ONE = (True,)  # `needs` of a single-parent node that has an adjoint
 
 
 def grad_node(output: Node, wrt: Node):
@@ -459,20 +509,21 @@ def grad_node(output: Node, wrt: Node):
     The result is itself differentiable, which is what makes double
     backward (and so `hvp`) possible; in a values-only backward the same
     rules give it as a plain array. Unreachable `wrt` yields exact zeros.
-    Only nodes that depend on `wrt` are differentiated: every node that
-    adds to such a node's adjoint depends on `wrt` as well, so the adjoint
-    of `wrt` is the same sum, added in the same order, as when every
-    node's adjoint is built.
     """
     if output.shape != ():
         raise ValueError(f"gradient: output must be scalar, got shape {output.shape}")
-    order = _toposort(output)
-    live = {wrt}
-    for node in order:
-        for p in node.parents:
-            if p in live:
-                live.add(node)
-                break
+    return _backward(output, wrt, *_toposort(output, wrt))
+
+
+def _backward(output: Node, wrt: Node, order: list[Node], live: set[Node]):
+    """`grad_node` over `_toposort(output, wrt)`'s order and live set.
+
+    Only nodes that depend on `wrt` are differentiated: every node that
+    adds to such a node's adjoint depends on `wrt` as well, so the adjoint
+    of `wrt` is the same sum, added in the same order, as when every
+    node's adjoint is built. So a node that holds an adjoint is live, and
+    so is the one parent of a single-parent node other than `wrt`.
+    """
     if output not in live:
         return _op(np.zeros(wrt.shape), (), "const", None)
     adjoint = {output: _op(np.ones(()), (), "const", None)}
@@ -483,7 +534,8 @@ def grad_node(output: Node, wrt: Node):
         if g is None:
             continue
         parents = node.parents
-        needs = tuple(p in live for p in parents)
+        # every op has one parent or two (add, sub, mul, matmul)
+        needs = _ONE if len(parents) == 1 else (parents[0] in live, parents[1] in live)
         for parent, contrib in zip(parents, node._vjp(g, needs, node)):
             if contrib is None:
                 continue
@@ -492,18 +544,18 @@ def grad_node(output: Node, wrt: Node):
     return adjoint[wrt]
 
 
-def _grad_values(output: Node, wrt: Node) -> Array:
-    """`grad_node`'s adjoint as a plain array, from a values-only backward
-    that builds no node."""
+def _values_only(backward: Callable, *args) -> Array:
+    """Run `backward` (`grad_node` or `_backward`) values-only: the adjoint
+    comes back as a plain array and no node is built."""
     previous, _STATE.values = _STATE.values, True
     try:
-        return grad_node(output, wrt)
+        return backward(*args)
     finally:
         _STATE.values = previous
 
 
 def _resolve(table: dict[str, Node], key) -> Node:
-    if isinstance(key, Node):
+    if type(key) is Node:
         return key
     if key in table:
         return table[key]
@@ -514,15 +566,13 @@ def forward(graph: Callable, inputs: dict) -> tuple[dict, Tape]:
     """Run `graph` on named inputs, recording every node on a fresh tape.
 
     `graph` is called with one keyword argument per input and returns either
-    a single node or a dict of named nodes. Every input must be finite.
+    a single node or a dict of named nodes. Every input must hold real,
+    finite numbers (`ValueError` otherwise).
     """
     tape = Tape()
     with tape:
         for name, value in inputs.items():
-            value = as_tensor(value)
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"input '{name}': non-finite values are not allowed")
-            tape.inputs[name] = Node(value, (), "input")
+            tape.inputs[name] = Node(_checked_real(f"input '{name}'", value), (), "input")
         result = graph(**tape.inputs)
     if isinstance(result, Node):
         result = {"out": result}
@@ -535,7 +585,7 @@ def forward(graph: Callable, inputs: dict) -> tuple[dict, Tape]:
 def gradient(tape: Tape, output, wrt) -> Array:
     """Gradient of a scalar tape output with respect to a tape input, as a
     new array, from a values-only backward that leaves the tape as it is."""
-    return _grad_values(_resolve(tape.outputs, output), _resolve(tape.inputs, wrt))
+    return _values_only(grad_node, _resolve(tape.outputs, output), _resolve(tape.inputs, wrt))
 
 
 def hvp(tape: Tape, output, wrt, v) -> Array:
@@ -543,19 +593,27 @@ def hvp(tape: Tape, output, wrt, v) -> Array:
 
     Computed as the gradient of <gradient(output), v>; needs nothing beyond
     the backward rules already being differentiable node graphs. The first
-    `hvp` on a tape builds the first-order graph and keeps it; every `hvp`
-    then records only the nodes of <g, v> and differentiates them
-    values-only.
+    `hvp` on a tape builds the first-order graph and keeps it, with its
+    sort; every `hvp` then records only the nodes of <g, v> and
+    differentiates them values-only, in an order taken from that sort.
     """
     out_node = _resolve(tape.outputs, output)
     wrt_node = _resolve(tape.inputs, wrt)
-    v = as_tensor(v)
+    v = _checked_real("hvp direction v", v)
     if v.shape != wrt_node.shape:
-        raise ValueError(f"hvp: v has shape {v.shape}, expected {wrt_node.shape}")
+        raise ValueError(f"hvp direction v has shape {v.shape}, expected {wrt_node.shape}")
     key = (out_node, wrt_node)
     with tape:
         g = tape.grads.get(key)
         if g is None:
             g = tape.grads[key] = grad_node(out_node, wrt_node)
-        s = sum(mul(g, v))
-    return _grad_values(s, wrt_node)
+            tape.sorts[key] = _toposort(g, wrt_node)
+        prod = mul(g, v)
+        s = sum(prod)
+    # <g, v>'s sort is g's with v (the product's last parent, so visited
+    # first) before it and the product and its sum after: exactly what
+    # `_toposort(s, wrt_node)` returns, without walking g again
+    order, live = tape.sorts[key]
+    if g in live:
+        live = live | {prod, s}
+    return _values_only(_backward, s, wrt_node, [prod.parents[1], *order, prod, s], live)

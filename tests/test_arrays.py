@@ -227,6 +227,10 @@ def _grid_bits(hm):
     return hm.spatial, [type(v) for v in hm.spatial], hm.grid("pre").tobytes()
 
 
+def _stack_grid(stack):
+    return stack.spatial, [type(v) for v in stack.spatial]
+
+
 def _report(suite, **args):
     return json.dumps(suite(**args), sort_keys=True)
 
@@ -254,6 +258,10 @@ INTEGER_ARGUMENTS = {
         pre_relu=np.arange(16.0), spatial=(v, 4), method="gradcam"))),
     "Heatmap.spatial[1]": ("spatial[1]", 1, 4, lambda v: _grid_bits(crgx.Heatmap(
         pre_relu=np.arange(16.0), spatial=(4, v), method="gradcam"))),
+    "ActivationStack.spatial[0]": ("spatial[0]", 1, 4, lambda v: _stack_grid(
+        zoo.ActivationStack(maps=np.ones((2, 16)), spatial=(v, 4)))),
+    "ActivationStack.spatial[1]": ("spatial[1]", 1, 4, lambda v: _stack_grid(
+        zoo.ActivationStack(maps=np.ones((2, 16)), spatial=(4, v)))),
     "build_model.num_classes": ("num_classes", 2, 3,
                                 lambda v: _model_bits(crgx.build_model("mlp-smooth", v, 0))),
     "build_model.seed": ("seed", 0, 3,

@@ -214,6 +214,40 @@ def test_non_finite_input_rejected():
         ad.forward(lambda x: ad.sum(x), {"x": [1.0, np.nan]})
 
 
+# a malformed tape input or hvp direction, and how the message names what
+# it is given instead of an array of finite real numbers
+MALFORMED_REALS = [
+    pytest.param([1j, 2.0], " must be an array of real numbers, got dtype complex128",
+                 id="complex"),
+    pytest.param([True, False], " must be an array of real numbers, got dtype bool", id="bool"),
+    pytest.param(["0.5", "1"], " must be an array of real numbers, got dtype <U3", id="str"),
+    pytest.param([[0.5], [0.5, 1.0]],
+                 " must be an array of real numbers, got a list numpy cannot convert",
+                 id="ragged"),
+    pytest.param([np.nan, 1.0], ": non-finite values are not allowed", id="nan"),
+    pytest.param([1.0, -np.inf], ": non-finite values are not allowed", id="-inf"),
+]
+
+
+@pytest.mark.parametrize("value, message", MALFORMED_REALS)
+def test_forward_refuses_a_malformed_input_by_name(value, message):
+    with pytest.raises(Exception) as caught:
+        ad.forward(lambda x: ad.sum(x), {"x": value})
+    assert caught.type is ValueError, caught.value
+    assert str(caught.value) == "input 'x'" + message
+
+
+@pytest.mark.parametrize("value, message", MALFORMED_REALS)
+def test_hvp_refuses_a_malformed_direction_by_name(value, message):
+    _, tape = ad.forward(lambda x: ad.sum(ad.tanh(x)), {"x": [0.5, 1.0]})
+    with pytest.raises(Exception) as caught:
+        ad.hvp(tape, "out", "x", value)
+    assert caught.type is ValueError, caught.value
+    assert str(caught.value) == "hvp direction v" + message
+    # refused before any node is built
+    assert [node.op for node in tape.nodes] == ["input", "tanh", "sum"] and tape.grads == {}
+
+
 def test_shape_mismatch_names_the_op():
     with pytest.raises(ValueError, match="matmul"):
         ad.forward(lambda a, b: ad.matmul(a, b),
@@ -258,7 +292,7 @@ def test_index_out_of_range_raises(position):
 
 def test_hvp_shape_check():
     outs, tape = ad.forward(lambda x: ad.sum(ad.mul(x, x)), {"x": [1.0, 2.0]})
-    with pytest.raises(ValueError, match="hvp"):
+    with pytest.raises(ValueError, match=r"^hvp direction v has shape \(3,\), expected \(2,\)$"):
         ad.hvp(tape, "out", "x", [1.0, 2.0, 3.0])
 
 
@@ -271,11 +305,32 @@ def test_finite_diff_gradient_on_quadratic():
 
 # ------------------------------------------------------------ pruned backward
 
+def dfs_order(root):
+    """The oracle's own DFS postorder of `root` and its ancestors, parents
+    pushed in order and so visited last one first: the order whose
+    adjoint sums `grad_node` must reproduce, kept apart from the engine's
+    sort so that the two are checked against each other."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.append((node, True))
+        for p in node.parents:
+            if p not in seen:
+                stack.append((p, False))
+    return order
+
+
 def full_grad_node(output, wrt):
     """The unpruned backward: every node reachable from `output` gets its
     full adjoint, constants included. `grad_node` must return the same
     bits."""
-    order = ad._toposort(output)
+    order = dfs_order(output)
     adjoint = {id(output): ad._as_node(np.ones(()))}
     for node in reversed(order):
         g = adjoint.get(id(node))
@@ -367,25 +422,36 @@ def test_second_hvp_reuses_the_first_order_graph(monkeypatch):
     rng = np.random.default_rng(7)
     v1, v2 = rng.normal(size=x.shape), rng.normal(size=x.shape)
 
-    graph_backwards = []
-    real = ad.grad_node
+    graph_backwards, sorts = [], []
+    real, real_sort = ad.grad_node, ad._toposort
 
     def counting(out, wrt):
         if not ad._STATE.values:
             graph_backwards.append(out)
         return real(out, wrt)
 
+    def counting_sort(root, wrt):
+        sorts.append(root)
+        return real_sort(root, wrt)
+
     monkeypatch.setattr(ad, "grad_node", counting)
+    monkeypatch.setattr(ad, "_toposort", counting_sort)
     _, fresh = ad.forward(fn, {"x": x})
     expected = ad.hvp(fresh, "out", "x", v2)
 
     _, tape = ad.forward(fn, {"x": x})
     forward_nodes = len(tape.nodes)
+    del sorts[:]
     ad.hvp(tape, "out", "x", v1)
     first_hvp_nodes = len(tape.nodes) - forward_nodes
+    g = tape.grads[(tape.outputs["out"], tape.inputs["x"])]
+    # the first hvp sorts the forward graph, then the first-order graph once
+    assert sorts == [tape.outputs["out"], g]
     second = ad.hvp(tape, "out", "x", v2)
     # one graph backward per tape: the first-order graph, kept on the tape
     assert graph_backwards == [fresh.outputs["out"], tape.outputs["out"]]
+    # and one sort of it: the second hvp sorts nothing
+    assert sorts == [tape.outputs["out"], g]
     # each hvp records only <g, v>: v as a constant, the product, its sum
     assert len(tape.nodes) - forward_nodes - first_hvp_nodes == 3
     assert [node.op for node in tape.nodes[-3:]] == ["const", "mul", "sum"]
@@ -400,6 +466,44 @@ def test_second_hvp_reuses_the_first_order_graph(monkeypatch):
     _, alone = ad.forward(fn, {"x": x})
     assert ad.gradient(tape, "out", "x").tobytes() == ad.gradient(alone, "out", "x").tobytes()
     assert len(graph_backwards) == 2 and len(tape.nodes) == n_nodes
+
+
+def _hvp_sort_cases():
+    from crgx.suites import _random_smooth_graph
+
+    for index in range(8):
+        graph, x0, v, u = _random_smooth_graph(77, index)
+        yield pytest.param(graph, x0, [v, u], id=f"hvp-check-{index}")
+    for name, graph, _, _ in TAPE_CASES:
+        yield pytest.param(graph, np.array([0.5, 2.0]), [[1.0, -1.0], [0.5, 2.0]], id=name)
+    yield pytest.param(lambda x: ad.sum(ad.mul(x, 2.0)), np.array([1.0, -1.0]), [[1.0, 1.0]],
+                       id="constant-gradient")
+
+
+@pytest.mark.parametrize("graph, x0, vs", _hvp_sort_cases())
+def test_hvp_differentiates_g_v_in_the_dfs_order(monkeypatch, graph, x0, vs):
+    # hvp builds <g, v>'s order from g's kept sort; it must be the DFS
+    # postorder of <g, v> itself, with the same nodes depending on x
+    calls = []
+    real = ad._backward
+
+    def recording(output, wrt, order, live):
+        calls.append((output, wrt, order, live))
+        return real(output, wrt, order, live)
+
+    monkeypatch.setattr(ad, "_backward", recording)
+    _, tape = ad.forward(lambda x: {"y": graph(x)}, {"x": x0})
+    for v in vs:
+        ad.hvp(tape, "y", "x", v)
+        output, wrt, order, live = calls[-1]
+        assert output is tape.nodes[-1] and output.op == "sum"
+        expected = dfs_order(output)
+        assert [id(n) for n in order] == [id(n) for n in expected]
+        depends = set()
+        for node in expected:
+            if node is wrt or any(p in depends for p in node.parents):
+                depends.add(node)
+        assert live == depends
 
 
 def _gradient_cases():
@@ -540,6 +644,8 @@ def test_every_op_records_the_same_nodes(name, graph, forward_ops, first_hvp_ops
     assert ops() == forward_ops + first_hvp_ops
     ad.hvp(tape, "out", "x", [0.5, 2.0])
     assert ops() == forward_ops + first_hvp_ops + ["const", "mul", "sum"]
+    # a backward reads `needs` for one parent or two
+    assert all(len(node.parents) <= 2 for node in tape.nodes)
 
 
 def test_gradient_returns_a_new_array_each_call():

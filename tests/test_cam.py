@@ -214,6 +214,22 @@ def test_xgrad_zeroes_a_map_whose_mean_cancels_the_guard():
     assert np.max(np.abs(pre)) <= 1.0
 
 
+def test_xgrad_keeps_a_map_whose_mean_is_small_but_clear_of_the_guard():
+    # map 0's |mean + 1e-12| is about 1.3e-4 of its mean |A|: far from the
+    # pole, so it keeps its coefficient num / denom. The guard's threshold,
+    # 1e-6 of mean |A|, sits below that ratio; a threshold of 1e-3 would
+    # zero this map
+    maps = np.array([[1.0, -1.0, 0.5, -0.5 + 4e-4],
+                     [0.5, 0.25, 1.0, 0.0]])
+    w = np.array([[1.0, 0.0, 0.0, 0.0],
+                  [0.7, 0.7, 0.7, 0.7]])
+    num = np.mean(w * maps, axis=1)
+    denom = np.mean(maps, axis=1) + 1e-12
+    assert 1e-6 < abs(denom[0]) / np.mean(np.abs(maps[0])) < 1e-3
+    pre = assemble(w, maps, "xgradcam")
+    assert rel_err(pre, (num / denom) @ maps) <= 1e-15
+
+
 @settings(max_examples=200)
 @given(st.integers(1, 4).flatmap(lambda n: st.integers(1, 8).flatmap(lambda d: st.tuples(
     st.lists(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d), min_size=n, max_size=n),

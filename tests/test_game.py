@@ -871,12 +871,6 @@ def test_game_validation():
             g.utility_batch(masks)
 
 
-def test_non_finite_table_is_rejected():
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            game.CooperativeGame.from_table([0.0, bad, 1.0, 2.0])
-
-
 def test_non_finite_utility_is_rejected():
     # the ends are finite, so construction passes; enumeration meets the inf
     g = game.CooperativeGame(2, lambda masks: np.where(masks.sum(axis=1) == 1, np.inf, 0.0))

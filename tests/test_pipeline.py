@@ -112,13 +112,6 @@ def test_upsample_stack_matches_single_maps():
             assert plane.tobytes() == single.tobytes()
 
 
-def test_upsample_rejects_bad_dims():
-    with pytest.raises(ValueError, match="2-D"):
-        pp.upsample_bilinear(np.ones(4), 2, 2)
-    with pytest.raises(ValueError, match="2-D"):
-        pp.upsample_bilinear(np.ones((1, 2, 2, 2)), 2, 2)
-
-
 def non_finite_maps():
     """(2, 3) maps that hold NaN or infinity: all NaN, one NaN, +inf, -inf."""
     for value, where, name in ((np.nan, np.s_[:], "all-nan"), (np.nan, np.s_[1, 2], "nan"),
@@ -175,8 +168,6 @@ def test_apply_colormap_endpoints():
 def test_apply_colormap_validates_input():
     with pytest.raises(ValueError, match="normalize"):
         pp.apply_colormap(np.array([[1.5]]))
-    with pytest.raises(ValueError, match="2-D"):
-        pp.apply_colormap(np.ones(3))
 
 
 # ------------------------------------------------------------------- overlay
@@ -348,9 +339,7 @@ ARRAY_RECORDS = {
 
 
 GRID_REFUSALS = [
-    ((8.0, 2.0), "spatial[0] must be an integer, got 8.0"),
     ((-4, -4), "spatial[0] must be at least 1, got -4"),
-    ((4, True), "spatial[1] must be an integer, got True"),
     ((3, 5), "spatial (3, 5) does not cover 16 positions"),
     ((16,), "spatial must be (h, w), got (16,)"),
     (None, "spatial must be (h, w), got None"),
@@ -358,7 +347,7 @@ GRID_REFUSALS = [
 
 
 @pytest.mark.parametrize("spatial, message", GRID_REFUSALS,
-                         ids=["float", "negative", "bool", "product", "one-size", "none"])
+                         ids=["negative", "product", "one-size", "none"])
 def test_heatmap_and_activation_stack_share_one_grid_rule(spatial, message):
     for build in (lambda: Heatmap(pre_relu=np.zeros(16), spatial=spatial, method="gradcam"),
                   lambda: ActivationStack(maps=np.zeros((2, 16)), spatial=spatial)):

@@ -121,19 +121,6 @@ def test_mc_check_small_variant():
     assert report["worst_sigma_ratio"] <= 4.0
 
 
-def test_shapley_suite_refuses_a_single_sample_before_any_section(monkeypatch):
-    # one permutation gives every stderr 0, and the sigma ratio would divide by it
-    import crgx.suites as suites
-
-    def no_work(*args):
-        raise AssertionError("a section ran before the sample count was checked")
-
-    for name in ("axiom_check", "quadratic_check", "linear_check", "spatial_check"):
-        monkeypatch.setattr(suites, name, no_work)
-    with pytest.raises(ValueError, match="^mc_samples must be at least 2, got 1$"):
-        shapley_suite(mc_samples=1)
-
-
 def test_shapley_suite_composes_sections():
     report = shapley_suite(seed=9, mc_seeds=1, mc_samples=2000)
     assert report["suite"] == "shapley-verify"
@@ -148,6 +135,16 @@ def test_hvp_suite_counts_and_bounds():
     assert report["n_pass"] == 25
     assert report["worst_fd_rel_err"] <= 1e-4
     assert report["worst_symmetry_err"] <= 1e-9
+
+
+def test_hvp_suite_finite_differences_at_the_shipped_step():
+    # The central differences step 1e-5 * (1 + max|x0|). On a 2-core Xeon
+    # with numpy 2.4.6, seeds 0-19 with 20 graphs each read a worst
+    # relative error of 3.7e-11 to 6.0e-10 at that step, and 3.8e-9 to
+    # 6.0e-8 at ten times it, whose truncation error grows as the square of
+    # the step. 2e-9 holds the first set with room and no seed of the second.
+    worst = {seed: hvp_suite(seed=seed, graphs=20)["worst_fd_rel_err"] for seed in range(20)}
+    assert max(worst.values()) <= 2e-9, worst
 
 
 def test_theorem_suite_sections():
