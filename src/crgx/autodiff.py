@@ -11,7 +11,9 @@ these operations, so a gradient can be an ordinary node graph and be
 differentiated again; `hvp` exploits this to compute Hessian-vector
 products by double backward. Tapes are opened by `forward`, which records
 the named inputs and the graph run on them; the same tape can be
-re-entered to add nodes on top.
+re-entered to add nodes on top. A tape input and an `hvp` direction
+follow the array rule of the rest of the API, `_rules._checked_array`, at
+any rank; `_rules` is the one package module the engine imports.
 
 A backward pass builds nodes only when its result will be differentiated
 again. Today that is one graph: the first-order gradient graph that `hvp`
@@ -46,6 +48,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._rules import _checked_array
+
 Array = np.ndarray
 
 
@@ -64,26 +68,6 @@ _STATE = _State()
 def as_tensor(x) -> Array:
     """Coerce to a float64 ndarray (scalars become shape-() arrays)."""
     return np.asarray(x, dtype=np.float64)
-
-
-def _checked_real(name: str, value) -> Array:
-    """`value` as a float64 array, or a ValueError naming it: real numbers
-    only (a bool, complex, str or object value is not one), every one
-    finite. The rule `utility._checked_array` keeps for the rest of the
-    API, at any rank and size; it holds a tape's inputs and `hvp`'s
-    direction."""
-    try:
-        array = np.asarray(value)
-    except (TypeError, ValueError):  # ragged nesting, say
-        array = None
-    if array is None or array.dtype.kind not in "iuf":
-        got = (f"a {type(value).__name__} numpy cannot convert" if array is None
-               else f"dtype {array.dtype}")
-        raise ValueError(f"{name} must be an array of real numbers, got {got}")
-    array = np.asarray(array, dtype=np.float64)
-    if not np.isfinite(array).all():
-        raise ValueError(f"{name}: non-finite values are not allowed")
-    return array
 
 
 class Node:
@@ -566,13 +550,13 @@ def forward(graph: Callable, inputs: dict) -> tuple[dict, Tape]:
     """Run `graph` on named inputs, recording every node on a fresh tape.
 
     `graph` is called with one keyword argument per input and returns either
-    a single node or a dict of named nodes. Every input must hold real,
-    finite numbers (`ValueError` otherwise).
+    a single node or a dict of named nodes. Every input follows the array
+    rule of `_rules._checked_array` at any rank (`ValueError` otherwise).
     """
     tape = Tape()
     with tape:
         for name, value in inputs.items():
-            tape.inputs[name] = Node(_checked_real(f"input '{name}'", value), (), "input")
+            tape.inputs[name] = Node(_checked_array(f"input '{name}'", value, None), (), "input")
         result = graph(**tape.inputs)
     if isinstance(result, Node):
         result = {"out": result}
@@ -599,7 +583,7 @@ def hvp(tape: Tape, output, wrt, v) -> Array:
     """
     out_node = _resolve(tape.outputs, output)
     wrt_node = _resolve(tape.inputs, wrt)
-    v = _checked_real("hvp direction v", v)
+    v = _checked_array("hvp direction v", v, None)
     if v.shape != wrt_node.shape:
         raise ValueError(f"hvp direction v has shape {v.shape}, expected {wrt_node.shape}")
     key = (out_node, wrt_node)

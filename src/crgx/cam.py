@@ -27,9 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .utility import (UtilitySpec, _check_class, _checked_array, _checked_int, _checked_logits,
-                      softmax_rows, utility_derivatives)
-from .zoo import ToyModel, _checked_grid
+from ._rules import _check_class, _checked_array, _checked_grid, _checked_int
+from .utility import UtilitySpec, _checked_logits, softmax_rows, utility_derivatives
+from .zoo import ToyModel
 
 # name -> (weight order, assembly scheme)
 _METHOD_TABLE = {
@@ -83,8 +83,8 @@ class Heatmap:
     """Per-position relevance at the tap layer, before and after the outer
     ReLU. `pre_relu` keeps signs; `post_relu`, derived from it as
     max(pre_relu, 0), is what gets rendered. `pre_relu` is stored as the
-    1-D array of `utility._checked_array`, and `spatial` as the (h, w) ints
-    of `zoo._checked_grid`."""
+    1-D array of `_rules._checked_array`, and `spatial` as the (h, w) ints
+    of `_rules._checked_grid`."""
 
     pre_relu: np.ndarray
     spatial: tuple[int, int]

@@ -30,8 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .utility import (UtilitySpec, _checked_array, _checked_int, compute_utility,
-                      compute_utility_batch)
+from ._rules import _checked_array, _checked_int
+from .utility import UtilitySpec, compute_utility, compute_utility_batch
 from .zoo import ToyModel, _chunk_rows
 
 _ENUM_LIMIT = 20

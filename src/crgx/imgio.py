@@ -12,13 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .utility import _checked_array
+from ._rules import _checked_array
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class Image:
     """Pixel planes (1 or 3, height, width) with values in [0,1], stored
-    as the 3-D array of `utility._checked_array`."""
+    as the 3-D array of `_rules._checked_array`."""
 
     pixels: np.ndarray
 

@@ -13,11 +13,11 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from ._rules import _check_class, _checked_array, _checked_unit
 from .cam import CamMethod, Heatmap, _as_method, explain_batch
 from .imgio import Image
 from .postprocess import normalize_minmax, upsample_bilinear
-from .utility import (UtilitySpec, _check_class, _checked_array, _checked_unit,
-                      compute_utility_batch)
+from .utility import UtilitySpec, compute_utility_batch
 from .zoo import ToyModel, _chunk_rows
 
 HeatmapSource = Union[str, CamMethod, Callable[..., Heatmap]]
@@ -213,7 +213,7 @@ def evaluate_batch(model: ToyModel, images: Sequence[np.ndarray | Image], spec: 
     batch. Batch ADCC is the harmonic mean of the batch-mean terms.
 
     An image is skipped with its reason when a stage raises `ValueError` on
-    it (an image `utility._checked_array` refuses, a shape the model does
+    it (an image `_rules._checked_array` refuses, a shape the model does
     not take, a heatmap source that fails) or when its target confidence
     is not positive (the drop terms divide by it). A chunk of several images that raises reruns the
     whole protocol one image at a time, so only the failing images are left

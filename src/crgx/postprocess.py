@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 
-from .utility import _checked_array, _checked_int, _checked_unit
+from ._rules import _checked_array, _checked_int, _checked_unit
+from .imgio import Image
 
 # The jet lookup table, (256, 3) RGB in [0,1]. Read-only, so no caller can
 # change the colours of another caller's renderings.
@@ -76,13 +77,11 @@ def apply_colormap(h: np.ndarray) -> np.ndarray:
 
 def overlay(pixels: np.ndarray, h: np.ndarray, alpha: float = 0.35) -> np.ndarray:
     """Blend (1 - alpha) * image + alpha * colormap(h): alpha 0 keeps the
-    image, 1 shows only the rendered heatmap. Accepts 1- or 3-channel pixel
-    planes (C, H, W) and always returns 3 channels. `alpha` is a real
-    number (not a bool) in [0,1]."""
+    image, 1 shows only the rendered heatmap. `pixels` follows `Image`'s
+    rule: 1- or 3-channel planes (C, H, W) with values in [0,1]. The result
+    always has 3 channels. `alpha` is a real number (not a bool) in [0,1]."""
     alpha = _checked_unit("alpha", alpha)
-    pixels = _checked_array("pixels", pixels, 3)
-    if pixels.shape[0] not in (1, 3):
-        raise ValueError(f"expected pixel planes (1|3, H, W), got shape {pixels.shape}")
+    pixels = Image(pixels).pixels
     colored = apply_colormap(h)
     if pixels.shape[1:] != colored.shape[1:]:
         raise ValueError(f"heatmap resolution {colored.shape[1:]} does not match "

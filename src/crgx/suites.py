@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from ._rules import _checked_int
 from .cam import CamMethod, _assemble, _heatmap_sets, explain_batch, shapley_weights
 from .game import (
     AXIOM_TOL,
@@ -20,7 +21,7 @@ from .game import (
     shapley_exact,
     shapley_mc,
 )
-from .utility import UtilitySpec, _checked_int
+from .utility import UtilitySpec
 from .zoo import build_model
 
 

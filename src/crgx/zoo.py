@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
-from .utility import _checked_array, _checked_int
+from ._rules import _checked_array, _checked_grid, _checked_int
 
 ARCHS = ("cnn-relu", "cnn-smooth", "mlp-smooth")
 TAP_LAYER = "act"  # every architecture taps its activation layer
@@ -43,23 +43,10 @@ def _chunk_rows(cells_per_row: int) -> int:
     return max(1, _BATCH_CELLS // cells_per_row)
 
 
-def _checked_grid(spatial, d: int) -> tuple[int, int]:
-    """`spatial` as an (h, w) pair of ints that covers d positions: each
-    size an integer of at least 1 (`_checked_int`), and h * w == d."""
-    try:
-        h, w = spatial
-    except (TypeError, ValueError):
-        raise ValueError(f"spatial must be (h, w), got {spatial!r}") from None
-    grid = (_checked_int("spatial[0]", h, 1), _checked_int("spatial[1]", w, 1))
-    if grid[0] * grid[1] != d:
-        raise ValueError(f"spatial {grid} does not cover {d} positions")
-    return grid
-
-
 @dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class ActivationStack:
     """Tap-layer output as maps: one row per map, one column per position.
-    `maps` is stored as the 2-D array of `utility._checked_array`, and
+    `maps` is stored as the 2-D array of `_rules._checked_array`, and
     `spatial` as the (h, w) ints of `_checked_grid`."""
 
     maps: np.ndarray          # (n_maps, d)
@@ -132,7 +119,7 @@ class ToyModel:
     def _tap_stack(self, images) -> np.ndarray:
         """Plain-numpy run of n images up to and including the tap,
         (n, *in_shape) -> (n, n_maps, d); `images` is an array or a
-        sequence of images, checked as `image` (`utility._checked_array`).
+        sequence of images, checked as `image` (`_rules._checked_array`).
         Row i is bit-identical to the call on image i alone."""
         images = _checked_array("image", images, None)
         if images.ndim != 4 or images.shape[1:] != self.in_shape:

@@ -1,16 +1,22 @@
-"""The three rules for the arguments of the public API, each held by one
-table of declared cases: arrays (`utility._checked_array`), fractions
-(`utility._checked_unit`) and integers (`utility._checked_int`)."""
+"""The three rules for the arguments of the API, each held by one table of
+declared cases: arrays (`_rules._checked_array`; the public API's and the
+autodiff engine's tape inputs and `hvp` direction), fractions
+(`_rules._checked_unit`) and integers (`_rules._checked_int`). The rules
+have one home, `crgx._rules`, which the engine imports and which imports
+nothing from the package."""
 
+import ast
 import inspect
 import json
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import crgx
+from crgx import autodiff as ad
 from crgx import metrics, suites, zoo
 
 _MODEL = crgx.build_model("cnn-smooth", num_classes=3, seed=2)
@@ -30,11 +36,25 @@ def _skipped(record):
     return record
 
 
+def _hvp_direction(v):
+    """`hvp` along `v` on a fresh tape; a refused direction builds no node."""
+    _, tape = ad.forward(lambda x: ad.sum(ad.tanh(x)), {"x": _MAP})
+    try:
+        return ad.hvp(tape, "out", "x", v)
+    except ValueError:
+        assert [node.op for node in tape.nodes] == ["input", "tanh", "sum"] and tape.grads == {}
+        raise
+
+
+# every rank a row tries, for an argument the rule takes at any rank
+_ANY_RANK = tuple(range(7))
+
 # argument -> (name as its messages give it, a valid value, the ranks it
 # accepts or None for the model's input shape, call on a value). Declared
 # pass-throughs: `hvp_full=None` means no curvature term, and a malformed
 # image of `evaluate_batch` is skipped with its reason, which `_skipped`
-# raises.
+# raises. The engine's two rows take any rank; an `hvp` direction's shape
+# is then checked against its input's.
 ARRAY_ARGUMENTS = {
     "Heatmap.pre_relu": ("pre_relu", np.linspace(-1.0, 1.0, 16), (1,), lambda v: crgx.Heatmap(
         pre_relu=v, spatial=(4, 4), method="gradcam")),
@@ -73,6 +93,9 @@ ARRAY_ARGUMENTS = {
                                          crgx.CooperativeGame.from_table),
     "axiom_suite.values": ("values", np.array([1.0, 2.0, 4.0]), (1,),
                            lambda v: crgx.axiom_suite(_GAME, v)),
+    "autodiff.forward.inputs": ("input 'x'", _MAP, _ANY_RANK,
+                                lambda v: ad.forward(lambda x: ad.sum(x), {"x": v})),
+    "autodiff.hvp.v": ("hvp direction v", _MAP, _ANY_RANK, _hvp_direction),
 }
 
 # the calls no malformed value of an argument reaches, each with its result
@@ -111,7 +134,7 @@ def _malformed(kind, good, ranks):
             cases.append((f"rank {rank}", value, message))
         return cases
     if kind == "empty":
-        empties = [np.zeros((0,) + (2,) * (rank - 1)) for rank in accepted]
+        empties = [np.zeros((0,) + (2,) * (rank - 1)) for rank in accepted if rank]
         empties += [[]] if 1 in accepted else []
         return [(f"empty {type(value).__name__} of shape {np.shape(value)}", value,
                  "{name} must hold at least one value, got an empty array") for value in empties]
@@ -159,7 +182,7 @@ EXEMPT = {"ShapleyVector": "a result record of shapley_exact and shapley_mc; axi
                           "checks the values it reads"}
 _TARGETS = SimpleNamespace(**{name: getattr(crgx, name) for name in crgx.__all__},
                            ActivationStack=zoo.ActivationStack,
-                           explanation_map=metrics.explanation_map)
+                           explanation_map=metrics.explanation_map, autodiff=ad)
 
 
 def _array_parameters(target) -> set:
@@ -186,7 +209,36 @@ def test_every_export_with_an_array_argument_has_a_row():
         target = _TARGETS
         for part in path.split("."):
             target = getattr(target, part)
-        assert parameter in _array_parameters(target), f"{path} takes no array {parameter}"
+        # the engine annotates no array: a tape's inputs come in a dict
+        arrays = (inspect.signature(target).parameters if path.startswith("autodiff.")
+                  else _array_parameters(target))
+        assert parameter in arrays, f"{path} takes no array {parameter}"
+
+
+_RULES = {"_checked_int", "_checked_array", "_checked_unit", "_check_class", "_checked_grid"}
+
+
+def _package_imports(tree) -> set:
+    """The crgx modules a parsed module imports from."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "crgx":
+            names.add(node.module)
+        elif isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names if alias.name.split(".")[0] == "crgx"}
+    return names
+
+
+def test_the_rules_have_one_home_below_the_engine():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in Path(crgx.__file__).parent.glob("*.py")}
+    for name, tree in trees.items():
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert defined & _RULES == (_RULES if name == "_rules.py" else set()), name
+    assert _package_imports(trees["_rules.py"]) == set()
+    assert _package_imports(trees["autodiff.py"]) == {"_rules"}
 
 
 # (name as its messages give it, call on a value)

@@ -214,40 +214,6 @@ def test_non_finite_input_rejected():
         ad.forward(lambda x: ad.sum(x), {"x": [1.0, np.nan]})
 
 
-# a malformed tape input or hvp direction, and how the message names what
-# it is given instead of an array of finite real numbers
-MALFORMED_REALS = [
-    pytest.param([1j, 2.0], " must be an array of real numbers, got dtype complex128",
-                 id="complex"),
-    pytest.param([True, False], " must be an array of real numbers, got dtype bool", id="bool"),
-    pytest.param(["0.5", "1"], " must be an array of real numbers, got dtype <U3", id="str"),
-    pytest.param([[0.5], [0.5, 1.0]],
-                 " must be an array of real numbers, got a list numpy cannot convert",
-                 id="ragged"),
-    pytest.param([np.nan, 1.0], ": non-finite values are not allowed", id="nan"),
-    pytest.param([1.0, -np.inf], ": non-finite values are not allowed", id="-inf"),
-]
-
-
-@pytest.mark.parametrize("value, message", MALFORMED_REALS)
-def test_forward_refuses_a_malformed_input_by_name(value, message):
-    with pytest.raises(Exception) as caught:
-        ad.forward(lambda x: ad.sum(x), {"x": value})
-    assert caught.type is ValueError, caught.value
-    assert str(caught.value) == "input 'x'" + message
-
-
-@pytest.mark.parametrize("value, message", MALFORMED_REALS)
-def test_hvp_refuses_a_malformed_direction_by_name(value, message):
-    _, tape = ad.forward(lambda x: ad.sum(ad.tanh(x)), {"x": [0.5, 1.0]})
-    with pytest.raises(Exception) as caught:
-        ad.hvp(tape, "out", "x", value)
-    assert caught.type is ValueError, caught.value
-    assert str(caught.value) == "hvp direction v" + message
-    # refused before any node is built
-    assert [node.op for node in tape.nodes] == ["input", "tanh", "sum"] and tape.grads == {}
-
-
 def test_shape_mismatch_names_the_op():
     with pytest.raises(ValueError, match="matmul"):
         ad.forward(lambda a, b: ad.matmul(a, b),

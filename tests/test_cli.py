@@ -678,3 +678,21 @@ def test_repeats_fault_in_no_fresh_memory(tmp_path):
     evaluate_faults, churn_faults = map(int, result.stdout.split())
     assert evaluate_faults < 50
     assert churn_faults < 50
+
+
+def test_the_module_entry_point_runs_from_the_source_tree(tmp_path):
+    # README's offline way to run crgx: PYTHONPATH=src python -m crgx.cli
+    src = str(Path(crgx.__file__).resolve().parent.parent)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "crgx.cli", *argv], cwd=tmp_path,
+                              env={"PYTHONPATH": src}, capture_output=True, text=True,
+                              timeout=120)
+
+    result = run("hvp-check", "--graphs", "2")
+    assert result.returncode == 0, result.stderr
+    assert "hvp-check: PASS" in result.stderr
+    assert json.loads(result.stdout)["n_graphs"] == 2
+    result = run("hvp-check", "--graphs", "0")
+    assert result.returncode == 2
+    assert "argument --graphs: must be at least 1, got 0" in result.stderr

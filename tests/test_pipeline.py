@@ -201,6 +201,14 @@ def test_overlay_validation():
         pp.overlay(np.zeros((3, 2, 2)), np.zeros((3, 3)))
     with pytest.raises(ValueError, match="alpha"):
         pp.overlay(np.zeros((3, 2, 2)), np.zeros((2, 2)), alpha=1.5)
+    # pixels follow Image's rule: 0-255 planes, clipped, would render all ones
+    for pixels, alpha, message in (
+            (np.full((3, 2, 2), 200.0), 0.35, "pixel values must lie in [0,1]; clamp first"),
+            (np.full((1, 2, 2), -0.5), 0.0, "pixel values must lie in [0,1]; clamp first"),
+            (np.full((2, 2, 2), 0.5), 0.35, "expected planes (1|3, H, W), got shape (2, 2, 2)")):
+        with pytest.raises(ValueError) as caught:
+            pp.overlay(pixels, np.zeros((2, 2)), alpha=alpha)
+        assert str(caught.value) == message
 
 
 # ------------------------------------------------------------------ image IO

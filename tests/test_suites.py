@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from crgx import suites
 from crgx.cam import explain, rest_decomposition, theorem3_ensemble
 from crgx.game import AXIOM_TOL, CooperativeGame, axiom_suite, shapley_exact
 from crgx.suites import (
@@ -161,6 +162,25 @@ def test_theorem_suite_sections():
     assert collapse["mean_scheme_exact"] is True
     assert collapse["elementwise_scheme_exact"] is True
     assert collapse["gap_tap_err"] <= 1e-12
+
+
+@pytest.mark.parametrize("fc_w_scale, passes", [(0.05, True), (1e-3, False)])
+def test_theorem_probe_needs_a_rest_map_clear_of_zero(monkeypatch, fc_w_scale, passes):
+    # A class-1 bias of 60 saturates the probe's softmax: the post-softmax
+    # map vanishes and only the ReST map, which scales with fc_w, is left.
+    # Measured: rest_norm 0.0199 at x 0.05 and 4.0e-4 at x 1e-3 of the
+    # probe's fc_w, so a pass threshold of 1e-1 or of 1e-5 fails this test.
+    def probe_model():
+        model, image = _probe_model()
+        model.weights["fc_w"] *= fc_w_scale
+        model.weights["fc_b"][:] = [0.0, 60.0]
+        return model, image
+
+    monkeypatch.setattr(suites, "_probe_model", probe_model)
+    probe = theorem_suite(seeds=1)["probe"]
+    assert probe["direct_norm"] < 1e-28
+    assert probe["ensemble_err"] <= 1e-8 and probe["rest_err"] <= 1e-8
+    assert probe["pass"] is passes, probe["rest_norm"]
 
 
 def theorem_suite_oracle(seeds):
