@@ -27,10 +27,12 @@ of a constant such as a weight matrix.
 
 A backward walks its graph in the order of one sweep, `_toposort`: the
 DFS postorder from the output, and with it the set of nodes that depend
-on the variable. The tape keeps the first-order graph's sort beside the
-graph, and <g, v>'s sort is g's with v before it and the product and its
-sum after, which is what the DFS returns; so a tape sorts g once, however
-many `hvp`s it answers. The postorder fixes the order in which a node with
+on the variable. A node's ancestors never change, so the tape keeps every
+sort it makes: the forward graph's, which `gradient` and the first `hvp`
+share, and the first-order graph's, beside the graph. <g, v>'s sort is
+g's with v before it and the product and its sum after, which is what the
+DFS returns; so a tape sorts each graph once, however many `gradient`s
+and `hvp`s it answers. The postorder fixes the order in which a node with
 several consumers sums their adjoint contributions, and so the bits.
 
 This module only serves derivatives, and no library hot path uses it:
@@ -107,8 +109,10 @@ class Tape:
     context manager routes node creation here; the same tape may be
     re-entered later to append more nodes (a utility head, a backward pass)
     on top of an existing forward. `grads` holds the first-order gradient
-    graph of each (output, wrt) pair built so far, and `sorts` that graph's
-    `_toposort` against the same wrt.
+    graph g of each (output, wrt) pair built so far, and `sorts` every
+    `_toposort(root, wrt)` made for a backward on the tape, keyed by
+    (root, wrt): the forward graph's under (output, wrt) and g's under
+    (g, wrt).
     """
 
     def __init__(self):
@@ -487,16 +491,29 @@ def _toposort(root: Node, wrt: Node) -> tuple[list[Node], set[Node]]:
 _ONE = (True,)  # `needs` of a single-parent node that has an adjoint
 
 
-def grad_node(output: Node, wrt: Node):
+def grad_node(output: Node, wrt: Node, tape: Tape | None = None):
     """Adjoint of a scalar `output` with respect to `wrt`, as a node graph.
 
     The result is itself differentiable, which is what makes double
     backward (and so `hvp`) possible; in a values-only backward the same
     rules give it as a plain array. Unreachable `wrt` yields exact zeros.
+    Given the `tape` that holds `output`, the sort is read from, or kept
+    in, its `sorts`.
     """
     if output.shape != ():
         raise ValueError(f"gradient: output must be scalar, got shape {output.shape}")
-    return _backward(output, wrt, *_toposort(output, wrt))
+    return _backward(output, wrt, *(_toposort(output, wrt) if tape is None
+                                    else _kept_sort(tape, output, wrt)))
+
+
+def _kept_sort(tape: Tape, root: Node, wrt: Node) -> tuple[list[Node], set[Node]]:
+    """`_toposort(root, wrt)`, sorted on the first call for a tape and kept
+    in `tape.sorts`."""
+    key = (root, wrt)
+    found = tape.sorts.get(key)
+    if found is None:
+        found = tape.sorts[key] = _toposort(root, wrt)
+    return found
 
 
 def _backward(output: Node, wrt: Node, order: list[Node], live: set[Node]):
@@ -568,8 +585,10 @@ def forward(graph: Callable, inputs: dict) -> tuple[dict, Tape]:
 
 def gradient(tape: Tape, output, wrt) -> Array:
     """Gradient of a scalar tape output with respect to a tape input, as a
-    new array, from a values-only backward that leaves the tape as it is."""
-    return _values_only(grad_node, _resolve(tape.outputs, output), _resolve(tape.inputs, wrt))
+    new array, from a values-only backward that adds no node to the tape
+    (it keeps the forward graph's sort, if it is the first to make it)."""
+    return _values_only(grad_node, _resolve(tape.outputs, output), _resolve(tape.inputs, wrt),
+                        tape)
 
 
 def hvp(tape: Tape, output, wrt, v) -> Array:
@@ -577,9 +596,10 @@ def hvp(tape: Tape, output, wrt, v) -> Array:
 
     Computed as the gradient of <gradient(output), v>; needs nothing beyond
     the backward rules already being differentiable node graphs. The first
-    `hvp` on a tape builds the first-order graph and keeps it, with its
-    sort; every `hvp` then records only the nodes of <g, v> and
-    differentiates them values-only, in an order taken from that sort.
+    `hvp` on a tape builds the first-order graph, from the forward graph's
+    kept sort, and keeps it with its own sort; every `hvp` then records only
+    the nodes of <g, v> and differentiates them values-only, in an order
+    taken from that sort.
     """
     out_node = _resolve(tape.outputs, output)
     wrt_node = _resolve(tape.inputs, wrt)
@@ -590,14 +610,13 @@ def hvp(tape: Tape, output, wrt, v) -> Array:
     with tape:
         g = tape.grads.get(key)
         if g is None:
-            g = tape.grads[key] = grad_node(out_node, wrt_node)
-            tape.sorts[key] = _toposort(g, wrt_node)
+            g = tape.grads[key] = grad_node(out_node, wrt_node, tape)
         prod = mul(g, v)
         s = sum(prod)
     # <g, v>'s sort is g's with v (the product's last parent, so visited
     # first) before it and the product and its sum after: exactly what
     # `_toposort(s, wrt_node)` returns, without walking g again
-    order, live = tape.sorts[key]
+    order, live = _kept_sort(tape, g, wrt_node)
     if g in live:
         live = live | {prod, s}
     return _values_only(_backward, s, wrt_node, [prod.parents[1], *order, prod, s], live)

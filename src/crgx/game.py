@@ -9,7 +9,9 @@ reduced in one call per block (`_scan`). The audit first reads each dummy
 and symmetry face's empty-coalition entry off the singleton coalitions and
 scans only the players and pairs that entry leaves undecided. Two routes
 to an attribution vector live here: exact enumeration and
-permutation-sampling Monte Carlo.
+permutation-sampling Monte Carlo. Monte Carlo scatters each block's
+marginals, and their squares, below a row of running sums and adds the
+rows down in permutation order with one accumulate per buffer.
 Every game scores coalitions through one batched utility, (n, d) bool ->
 (n,) float64: a table lookup, or for `SpatialGame` the model's numpy
 kernels. Each coalition is scored at most once, except U(empty) and
@@ -239,6 +241,9 @@ def shapley_exact(game: CooperativeGame) -> ShapleyVector:
     return ShapleyVector(values=_exact(game.utility_table()[None])[0], method="exact")
 
 
+# marginals, sums and squares past float64's range come out as inf or NaN,
+# which the check at the end refuses
+@np.errstate(over="ignore", invalid="ignore")
 def shapley_mc(game: CooperativeGame, samples: int, seed: int) -> ShapleyVector:
     """Monte Carlo Shapley estimate from uniform permutations with replacement.
 
@@ -247,35 +252,40 @@ def shapley_mc(game: CooperativeGame, samples: int, seed: int) -> ShapleyVector:
     ties (probability below d^2 / 2^65) broken by player index. A block of
     permutations draws its rows in one `random_raw` call, and split calls
     return the same words as one, so the estimate depends only on (seed,
-    samples). The d prefix utilities of a block's permutations come from
+    samples). The d prefix utilities of a block's n permutations come from
     one `game.prefix_utilities` call, a gather from the table on a game
-    that holds one; each permutation's marginals are then added in
-    permutation order, so the result is bit-identical to walking the
-    permutations one coalition at a time. Standard errors are per-player
-    sample standard deviations over sqrt(n) (zero when n == 1). A value or
-    standard error past float64's range raises `ValueError`, as in
-    `shapley_exact`.
+    that holds one. Their differences, the marginals, are scattered by
+    player into rows 1..n of an (n + 1, d) buffer whose row 0 holds the
+    sums so far, their squares into a second one, and `np.add.accumulate`
+    down each buffer adds the rows in permutation order, so the result is
+    bit-identical to walking the permutations one coalition at a time.
+    Standard errors are per-player sample standard deviations over sqrt(n)
+    (zero when n == 1). A value or standard error past float64's range
+    raises `ValueError`, as in `shapley_exact`.
     """
     samples, d = _checked_int("samples", samples, 1), game.d
     bits = np.random.PCG64(_checked_int("seed", seed, 0))
-    sums = np.zeros(d)
-    sumsq = np.zeros(d)
-    block = _chunk_rows(d * d)                    # prefix masks
+    block = min(_chunk_rows(d * d), samples)      # prefix masks
+    # accumulate adds row after row, the order of one permutation at a time
+    # (a sum or reduce may add pairwise); row 0 carries the sums so far
+    sums = np.zeros((block + 1, d))
+    sumsq = np.zeros((block + 1, d))
+    diffs = np.empty((block, d))
+    rows = np.arange(1, block + 1)[:, None]
     for lo in range(0, samples, block):
-        perms = np.argsort(bits.random_raw((min(block, samples - lo), d)), axis=1,
-                           kind="stable")
+        n = min(block, samples - lo)
+        perms = np.argsort(bits.random_raw((n, d)), axis=1, kind="stable")
         u = game.prefix_utilities(perms)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            deltas = np.empty_like(u)
-            np.put_along_axis(deltas, perms, np.diff(u, axis=1, prepend=game.u_empty), axis=1)
-            # accumulate adds row after row, the order of one permutation at
-            # a time (a sum or reduce may add pairwise)
-            sums = np.add.accumulate(np.vstack([sums, deltas]), axis=0)[-1]
-            sumsq = np.add.accumulate(np.vstack([sumsq, deltas * deltas]), axis=0)[-1]
-    values = sums / samples
+        np.subtract(u[:, :1], game.u_empty, out=diffs[:n, :1])
+        np.subtract(u[:, 1:], u[:, :-1], out=diffs[:n, 1:])
+        sums[rows[:n], perms] = diffs[:n]
+        np.multiply(sums[1:n + 1], sums[1:n + 1], out=sumsq[1:n + 1])
+        np.add.accumulate(sums[:n + 1], axis=0, out=sums[:n + 1])
+        np.add.accumulate(sumsq[:n + 1], axis=0, out=sumsq[:n + 1])
+        sums[0], sumsq[0] = sums[n], sumsq[n]
+    values = sums[0] / samples
     if samples > 1:
-        with np.errstate(over="ignore", invalid="ignore"):
-            var = np.maximum(sumsq - samples * values * values, 0.0) / (samples - 1)
+        var = np.maximum(sumsq[0] - samples * values * values, 0.0) / (samples - 1)
         stderr = np.sqrt(var / samples)
     else:
         stderr = np.zeros(d)

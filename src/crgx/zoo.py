@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from ._rules import _checked_array, _checked_grid, _checked_int
@@ -92,27 +91,43 @@ def _tensor_specs(arch: str, num_classes: int, in_shape: tuple[int, int, int]):
             ("fc_w", (num_classes, _CONV_CHANNELS), _CONV_CHANNELS),
             ("fc_b", (num_classes,), _CONV_CHANNELS),
         ]
-    if arch == "mlp-smooth":
-        n_in = cin * h * w
-        hidden = _MLP_MAPS * _MLP_SPATIAL[0] * _MLP_SPATIAL[1]
-        return [
-            ("fc1_w", (hidden, n_in), n_in),
-            ("fc1_b", (hidden,), n_in),
-            ("fc2_w", (num_classes, hidden), hidden),
-            ("fc2_b", (num_classes,), hidden),
-        ]
-    raise ValueError(f"unknown architecture {arch!r}; expected one of {ARCHS}")
+    n_in = cin * h * w                  # mlp-smooth, the one other arch
+    hidden = _MLP_MAPS * _MLP_SPATIAL[0] * _MLP_SPATIAL[1]
+    return [
+        ("fc1_w", (hidden, n_in), n_in),
+        ("fc1_b", (hidden,), n_in),
+        ("fc2_w", (num_classes, hidden), hidden),
+        ("fc2_b", (num_classes,), hidden),
+    ]
+
+
+def _checked_input(arch: str, in_shape) -> tuple[int, int, int]:
+    """`in_shape` as a (channels, h, w) tuple of ints for `arch`, the rule of
+    every model: `arch` one of `ARCHS`, 1 or 3 channels, each size an
+    integer of at least 1 (`_checked_int`), and room for a CNN's 3x3 kernel."""
+    if np.ndim(in_shape) != 1 or len(in_shape) != 3 or in_shape[0] not in (1, 3):
+        raise ValueError(f"in_shape must be (channels in {{1,3}}, h, w), got {in_shape!r}")
+    in_shape = tuple(_checked_int(f"in_shape[{i}]", v, 1) for i, v in enumerate(in_shape))
+    if arch not in ARCHS:
+        raise ValueError(f"unknown architecture {arch!r}; expected one of {ARCHS}")
+    if arch != "mlp-smooth" and (in_shape[1] < _KERNEL or in_shape[2] < _KERNEL):
+        raise ValueError(f"{arch} needs at least a {_KERNEL}x{_KERNEL} input, got {in_shape}")
+    return in_shape
 
 
 @dataclass(eq=False)  # holds arrays: equal and hashed by identity
 class ToyModel:
-    """A tiny classifier with a designated tap layer."""
+    """A tiny classifier with a designated tap layer. Built directly or by
+    `build_model`, its `arch` and `in_shape` follow `_checked_input`."""
 
     arch: str
     num_classes: int
     seed: int
     in_shape: tuple[int, int, int]
     weights: dict[str, np.ndarray] = field(repr=False)
+
+    def __post_init__(self):
+        self.in_shape = _checked_input(self.arch, self.in_shape)
 
     # -- forward paths ------------------------------------------------------
 
@@ -136,12 +151,16 @@ class ToyModel:
             h, wd = self.tap_spatial()
             out = np.empty((n, len(w), h * wd))
             step = _chunk_rows(kernel.shape[1] * h * wd)
-            windows = sliding_window_view(images, w.shape[2:], axis=(2, 3))
-            windows = windows.transpose(0, 1, 4, 5, 2, 3)
-            buffer = np.empty((min(step, n),) + windows.shape[1:])
+            buffer = np.empty((min(step, n),) + w.shape[1:] + (h, wd))
             for start in range(0, n, step):
-                cols = buffer[:min(step, n - start)]
-                np.copyto(cols, windows[start:start + step])
+                # cols[i, c, u, v] is channel c of image i shifted by (u, v)
+                # and cut to the tap grid, copied from one strided view of
+                # the chunk; a strided chunk (imgio's pixels are channel-last)
+                # is made contiguous first, one chunk at a time
+                chunk = np.ascontiguousarray(images[start:start + step])
+                cols = buffer[:len(chunk)]
+                s = chunk.strides
+                np.copyto(cols, np.ndarray(cols.shape, np.float64, chunk, 0, s + s[2:]))
                 z = np.matmul(kernel, cols.reshape(len(cols), kernel.shape[1], -1),
                               out=out[start:start + step])
                 z += self.weights["conv_b"].reshape(-1, 1)
@@ -245,11 +264,7 @@ def build_model(arch: str, num_classes: int, seed: int,
     """
     num_classes = _checked_int("num_classes", num_classes, 2)
     seed = _checked_int("seed", seed, 0)
-    if np.ndim(in_shape) != 1 or len(in_shape) != 3 or in_shape[0] not in (1, 3):
-        raise ValueError(f"in_shape must be (channels in {{1,3}}, h, w), got {in_shape!r}")
-    in_shape = tuple(_checked_int(f"in_shape[{i}]", v, 1) for i, v in enumerate(in_shape))
-    if arch in ("cnn-relu", "cnn-smooth") and (in_shape[1] < _KERNEL or in_shape[2] < _KERNEL):
-        raise ValueError(f"{arch} needs at least a {_KERNEL}x{_KERNEL} input, got {in_shape}")
+    in_shape = _checked_input(arch, in_shape)
     specs = _tensor_specs(arch, num_classes, in_shape)
     size = 8 * sum(math.prod(shape) for _, shape, _ in specs)
     if size > _MAX_WEIGHT_BYTES:

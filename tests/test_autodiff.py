@@ -391,10 +391,10 @@ def test_second_hvp_reuses_the_first_order_graph(monkeypatch):
     graph_backwards, sorts = [], []
     real, real_sort = ad.grad_node, ad._toposort
 
-    def counting(out, wrt):
+    def counting(out, wrt, tape=None):
         if not ad._STATE.values:
             graph_backwards.append(out)
-        return real(out, wrt)
+        return real(out, wrt, tape)
 
     def counting_sort(root, wrt):
         sorts.append(root)
@@ -430,8 +430,26 @@ def test_second_hvp_reuses_the_first_order_graph(monkeypatch):
 
     n_nodes = len(tape.nodes)
     _, alone = ad.forward(fn, {"x": x})
+    del sorts[:]
     assert ad.gradient(tape, "out", "x").tobytes() == ad.gradient(alone, "out", "x").tobytes()
     assert len(graph_backwards) == 2 and len(tape.nodes) == n_nodes
+    # a gradient after the hvps reads the forward graph's kept sort: only
+    # the fresh tape's gradient sorts
+    assert sorts == [alone.outputs["out"]]
+
+    # gradient, then two hvps, as quadratic_check runs them on one tape:
+    # the forward graph is sorted once for the gradient and the first hvp,
+    # and the first-order graph once for both hvps
+    _, tape = ad.forward(fn, {"x": x})
+    del sorts[:]
+    grad = ad.gradient(tape, "out", "x")
+    first = ad.hvp(tape, "out", "x", v1)
+    second = ad.hvp(tape, "out", "x", v2)
+    g = tape.grads[(tape.outputs["out"], tape.inputs["x"])]
+    assert sorts == [tape.outputs["out"], g]
+    assert grad.tobytes() == ad.gradient(alone, "out", "x").tobytes()
+    assert first.tobytes() == ad.hvp(alone, "out", "x", v1).tobytes()
+    assert second.tobytes() == expected.tobytes()
 
 
 def _hvp_sort_cases():

@@ -105,6 +105,71 @@ def test_stacked_tap_rows_match_single_image_bitwise(arch):
             assert m._tap_stack(image[None])[0].tobytes() == stacked[i].tobytes(), (shape, i)
 
 
+def im2col_tap(model, images):
+    """The CNN tap from `sliding_window_view`'s im2col, the whole batch in
+    one stacked matmul: the oracle of `_tap_stack`'s strided view."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    w = model.weights["conv_w"]
+    kernel = w.reshape(len(w), -1)
+    windows = sliding_window_view(images, w.shape[2:], axis=(2, 3))
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
+    z = np.matmul(kernel, cols.reshape(len(cols), kernel.shape[1], -1))
+    z += model.weights["conv_b"].reshape(-1, 1)
+    if model.arch == "cnn-relu":
+        return np.maximum(z, 0.0, out=z)
+    z *= ad._sigmoid_fw(z)
+    return z
+
+
+def _tap_layouts():
+    rng = np.random.default_rng(14)
+    batch = rng.uniform(-1.0, 1.0, (4, 3, 6, 6))
+    frozen = batch.copy()
+    frozen.setflags(write=False)
+    yield "c-order", batch
+    yield "reversed-columns", batch[..., ::-1]
+    yield "fortran-order", np.asfortranarray(batch)
+    yield "read-only", frozen
+    yield "one-channel", rng.uniform(-1.0, 1.0, (3, 1, 6, 6))
+    yield "non-square", rng.uniform(-1.0, 1.0, (3, 3, 7, 5))
+    # 27 x 62 x 62 cells per image: one image a chunk
+    yield "three-64px", rng.uniform(-1.0, 1.0, (3, 3, 64, 64))
+
+
+@pytest.mark.parametrize("arch", ["cnn-relu", "cnn-smooth"])
+@pytest.mark.parametrize("name,images", [pytest.param(name, images, id=name)
+                                         for name, images in _tap_layouts()])
+def test_tap_stack_matches_the_im2col_oracle_bitwise(arch, name, images):
+    m = zoo.build_model(arch, 3, 8, in_shape=images.shape[1:])
+    got = m._tap_stack(images)
+    assert got.tobytes() == im2col_tap(m, images).tobytes(), name
+    if name == "three-64px":
+        assert zoo._chunk_rows(27 * 62 * 62) == 1
+
+
+def test_a_directly_built_model_follows_the_input_rule():
+    # the 3x3 kernel does not fit a 2x2 or 1x1 image, whoever builds the model
+    weights = zoo.build_model("cnn-smooth", 3, 0).weights
+    for in_shape in ((3, 2, 2), (3, 1, 1)):
+        with pytest.raises(ValueError, match=r"^cnn-smooth needs at least a 3x3 input"):
+            zoo.ToyModel(arch="cnn-smooth", num_classes=3, seed=0, in_shape=in_shape,
+                         weights=weights)
+    with pytest.raises(ValueError, match="^unknown architecture 'resnet'"):
+        zoo.ToyModel(arch="resnet", num_classes=3, seed=0, in_shape=(3, 6, 6),
+                     weights=weights)
+    with pytest.raises(ValueError, match=r"^in_shape must be \(channels in \{1,3\}, h, w\)"):
+        zoo.ToyModel(arch="cnn-smooth", num_classes=3, seed=0, in_shape=(2, 6, 6),
+                     weights=weights)
+    # an MLP takes any size; its in_shape is stored as a tuple of ints
+    built = zoo.build_model("mlp-smooth", 3, 0, in_shape=(3, 2, 2))
+    m = zoo.ToyModel(arch="mlp-smooth", num_classes=3, seed=0, in_shape=np.array([3, 2, 2]),
+                     weights=built.weights)
+    assert m.in_shape == (3, 2, 2) and type(m.in_shape[1]) is int
+    image = np.random.default_rng(15).uniform(0.0, 1.0, (1, 3, 2, 2))
+    assert m._tap_stack(image).tobytes() == built._tap_stack(image).tobytes()
+
+
 def test_tap_stack_bounds_its_im2col_buffer():
     # eight 64x64 images: the CNN convolves one image per chunk into a
     # preallocated output (all eight in one im2col call peaked at 12.1 MiB)
