@@ -1,7 +1,7 @@
 """The rules for the arguments of the API, one function per kind of
-argument: integers, arrays, fractions, class indices and (h, w) grids.
-Every module takes its rules from here, the autodiff engine too, so this
-module imports nothing from the package."""
+argument: integers, arrays, fractions, class indices, (h, w) grids and
+names. Every module takes its rules from here, the autodiff engine too, so
+this module imports nothing from the package."""
 
 from __future__ import annotations
 
@@ -71,3 +71,12 @@ def _checked_grid(spatial, d: int) -> tuple[int, int]:
     if grid[0] * grid[1] != d:
         raise ValueError(f"spatial {grid} does not cover {d} positions")
     return grid
+
+
+def _checked_name(what: str, value, choices: tuple[str, ...]) -> str:
+    """`value` as a plain str, the one rule for every name argument of the
+    API (a CAM method, a utility kind, an architecture, a grid view): a str,
+    numpy's `np.str_` included, that is one of `choices`."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(f"unknown {what} {value!r}; expected one of {choices}")
+    return str(value)

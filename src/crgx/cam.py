@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rules import _check_class, _checked_array, _checked_grid, _checked_int
+from ._rules import _check_class, _checked_array, _checked_grid, _checked_int, _checked_name
 from .utility import UtilitySpec, _checked_logits, softmax_rows, utility_derivatives
 from .zoo import ToyModel
 
@@ -57,9 +57,7 @@ class CamMethod:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or self.name not in _METHOD_TABLE:
-            raise ValueError(f"unknown CAM method {self.name!r}; "
-                             f"expected one of {CAM_METHODS}")
+        object.__setattr__(self, "name", _checked_name("CAM method", self.name, CAM_METHODS))
         if self.name == "randomcam":
             if self.seed is None:
                 raise ValueError("randomcam needs a seed")
@@ -100,8 +98,7 @@ class Heatmap:
         object.__setattr__(self, "post_relu", np.maximum(pre, 0.0))
 
     def grid(self, view: str = "post") -> np.ndarray:
-        if view not in ("post", "pre"):
-            raise ValueError(f"unknown grid view {view!r}; expected 'post' or 'pre'")
+        view = _checked_name("grid view", view, ("post", "pre"))
         return (self.post_relu if view == "post" else self.pre_relu).reshape(self.spatial)
 
 
@@ -162,9 +159,9 @@ def _heatmap_sets(model: ToyModel, stacks: np.ndarray, target_class: int, method
     {name: (direct, composed)} in method order, each (n, len(kinds), d).
 
     The methods share their work: the logits and their softmax are
-    computed once, the logit-space weights once per (utility, order), and
-    the methods of one weight order map all their weight rows back through
-    Jᵀ in one call (cam-gap, whose utility is always pre-softmax, makes its
+    computed once, and the methods of one weight order get their
+    logit-space weights, one row per kind, and map them back through Jᵀ
+    in one call (cam-gap, whose utility is always pre-softmax, makes its
     own call), then assemble once each. With `ensembles` those rows
     also carry the K×K identity, whose back-maps Jᵀe_k are the pre-softmax
     class weights, so the same assembly yields the class heatmaps E_k, and
@@ -197,17 +194,14 @@ def _heatmap_sets(model: ToyModel, stacks: np.ndarray, target_class: int, method
         # non-finite logits are rejected before the softmax sees them
         logits = _checked_logits(linear + model.head_bias, UtilitySpec(c, kinds[0]))
         p = softmax_rows(logits)
-    vectors: dict = {}  # (utility, order) -> (n, K) logit-space weights
     heat = {}
     for key, group in layouts.items():
         weights = None
         if key is not None:
             order, utilities = key
-            for u in utilities:
-                if (u, order) not in vectors:
-                    vectors[u, order] = shapley_weights(*utility_derivatives(
-                        logits, p, UtilitySpec(c, u), linear if order == "second" else None))
-            rows = np.stack([vectors[u, order] for u in utilities], axis=1)
+            rows = np.stack([shapley_weights(*utility_derivatives(
+                logits, p, UtilitySpec(c, u), linear if order == "second" else None))
+                for u in utilities], axis=1)
             if ensembles:
                 rows = np.concatenate(
                     [rows, np.broadcast_to(np.eye(n_classes), (n, n_classes, n_classes))], axis=1)

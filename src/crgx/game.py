@@ -233,11 +233,9 @@ def _exact(tables: np.ndarray) -> np.ndarray:
 
 def shapley_exact(game: CooperativeGame) -> ShapleyVector:
     """Exact Shapley values by full coalition enumeration (one utility
-    evaluation per coalition, reused across players)."""
-    d = game.d
-    if d > _ENUM_LIMIT:
-        raise ValueError(f"exact Shapley needs 2^{d} = {1 << d} utility evaluations; "
-                         f"refusing beyond d={_ENUM_LIMIT}")
+    evaluation per coalition, reused across players). `utility_table`
+    holds the enumeration limit: a game that holds its table gets exact
+    values at any d."""
     return ShapleyVector(values=_exact(game.utility_table()[None])[0], method="exact")
 
 
@@ -403,7 +401,8 @@ def axiom_suite(game: CooperativeGame, values: ShapleyVector | np.ndarray) -> di
     """Audit an attribution vector against the four Shapley axioms.
 
     Dummy and symmetry detection read the enumerated utility table, so
-    this inherits the d <= 20 enumeration limit: a player is a dummy, and
+    this inherits `utility_table`'s d <= 20 limit on a game that does not
+    hold its table: a player is a dummy, and
     a pair symmetric, when every marginal, or every difference U(S + i) -
     U(S + j), is within 1e-12 of the table's scale. The singleton
     coalitions decide most flags; only the rest are scanned. Linearity is

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from ._rules import _check_class, _checked_array, _checked_int
+from ._rules import _check_class, _checked_array, _checked_int, _checked_name
 
 UTILITY_KINDS = ("pre-softmax", "post-softmax", "log-softmax", "rest")
 
@@ -37,9 +37,7 @@ class UtilitySpec:
     kind: str = "rest"
 
     def __post_init__(self):
-        if self.kind not in UTILITY_KINDS:
-            raise ValueError(f"unknown utility kind {self.kind!r}; "
-                             f"expected one of {UTILITY_KINDS}")
+        object.__setattr__(self, "kind", _checked_name("utility kind", self.kind, UTILITY_KINDS))
         object.__setattr__(self, "target_class",
                            _checked_int("target_class", self.target_class, 0))
 

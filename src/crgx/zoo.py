@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from ._rules import _checked_array, _checked_grid, _checked_int
+from ._rules import _checked_array, _checked_grid, _checked_int, _checked_name
 
 ARCHS = ("cnn-relu", "cnn-smooth", "mlp-smooth")
 TAP_LAYER = "act"  # every architecture taps its activation layer
@@ -101,24 +101,43 @@ def _tensor_specs(arch: str, num_classes: int, in_shape: tuple[int, int, int]):
     ]
 
 
-def _checked_input(arch: str, in_shape) -> tuple[int, int, int]:
-    """`in_shape` as a (channels, h, w) tuple of ints for `arch`, the rule of
-    every model: `arch` one of `ARCHS`, 1 or 3 channels, each size an
-    integer of at least 1 (`_checked_int`), and room for a CNN's 3x3 kernel."""
+def _checked_input(arch, in_shape) -> tuple[str, tuple[int, int, int]]:
+    """`arch` as a str and `in_shape` as a (channels, h, w) tuple of ints,
+    the rule of every model: `arch` one of `ARCHS` (`_checked_name`), 1 or
+    3 channels, each size an integer of at least 1 (`_checked_int`), and
+    room for a CNN's 3x3 kernel."""
     if np.ndim(in_shape) != 1 or len(in_shape) != 3 or in_shape[0] not in (1, 3):
         raise ValueError(f"in_shape must be (channels in {{1,3}}, h, w), got {in_shape!r}")
     in_shape = tuple(_checked_int(f"in_shape[{i}]", v, 1) for i, v in enumerate(in_shape))
-    if arch not in ARCHS:
-        raise ValueError(f"unknown architecture {arch!r}; expected one of {ARCHS}")
+    arch = _checked_name("architecture", arch, ARCHS)
     if arch != "mlp-smooth" and (in_shape[1] < _KERNEL or in_shape[2] < _KERNEL):
         raise ValueError(f"{arch} needs at least a {_KERNEL}x{_KERNEL} input, got {in_shape}")
-    return in_shape
+    return arch, in_shape
+
+
+def _check_weights(weights, specs) -> None:
+    """`weights` holds exactly the tensors of `specs` (`_tensor_specs`),
+    each a float64 array of its shape. Neither copied nor scanned: a
+    caller may make them read-only or scale them in place."""
+    names = [name for name, _, _ in specs]
+    if not isinstance(weights, dict) or weights.keys() != set(names):
+        got = list(weights) if isinstance(weights, dict) else type(weights).__name__
+        raise ValueError(f"weights must hold the tensors {names}, got {got}")
+    for name, shape, _ in specs:
+        w = weights[name]
+        if not (isinstance(w, np.ndarray) and w.dtype == np.float64 and w.shape == shape):
+            got = (f"{w.dtype} array of shape {w.shape}" if isinstance(w, np.ndarray)
+                   else type(w).__name__)
+            raise ValueError(f"weights[{name!r}] must be a float64 array of shape {shape}, "
+                             f"got {got}")
 
 
 @dataclass(eq=False)  # holds arrays: equal and hashed by identity
 class ToyModel:
     """A tiny classifier with a designated tap layer. Built directly or by
-    `build_model`, its `arch` and `in_shape` follow `_checked_input`."""
+    `build_model`, its `num_classes` (at least 2) and `seed` follow
+    `_checked_int`, its `arch` and `in_shape` `_checked_input`, and its
+    `weights` `_check_weights`."""
 
     arch: str
     num_classes: int
@@ -127,7 +146,10 @@ class ToyModel:
     weights: dict[str, np.ndarray] = field(repr=False)
 
     def __post_init__(self):
-        self.in_shape = _checked_input(self.arch, self.in_shape)
+        self.num_classes = _checked_int("num_classes", self.num_classes, 2)
+        self.seed = _checked_int("seed", self.seed, 0)
+        self.arch, self.in_shape = _checked_input(self.arch, self.in_shape)
+        _check_weights(self.weights, _tensor_specs(self.arch, self.num_classes, self.in_shape))
 
     # -- forward paths ------------------------------------------------------
 
@@ -264,7 +286,7 @@ def build_model(arch: str, num_classes: int, seed: int,
     """
     num_classes = _checked_int("num_classes", num_classes, 2)
     seed = _checked_int("seed", seed, 0)
-    in_shape = _checked_input(arch, in_shape)
+    arch, in_shape = _checked_input(arch, in_shape)
     specs = _tensor_specs(arch, num_classes, in_shape)
     size = 8 * sum(math.prod(shape) for _, shape, _ in specs)
     if size > _MAX_WEIGHT_BYTES:

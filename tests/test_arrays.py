@@ -1,9 +1,9 @@
-"""The three rules for the arguments of the API, each held by one table of
+"""The four rules for the arguments of the API, each held by one table of
 declared cases: arrays (`_rules._checked_array`; the public API's and the
 autodiff engine's tape inputs and `hvp` direction), fractions
-(`_rules._checked_unit`) and integers (`_rules._checked_int`). The rules
-have one home, `crgx._rules`, which the engine imports and which imports
-nothing from the package."""
+(`_rules._checked_unit`), integers (`_rules._checked_int`) and names
+(`_rules._checked_name`). The rules have one home, `crgx._rules`, which
+the engine imports and which imports nothing from the package."""
 
 import ast
 import inspect
@@ -215,7 +215,8 @@ def test_every_export_with_an_array_argument_has_a_row():
         assert parameter in arrays, f"{path} takes no array {parameter}"
 
 
-_RULES = {"_checked_int", "_checked_array", "_checked_unit", "_check_class", "_checked_grid"}
+_RULES = {"_checked_int", "_checked_array", "_checked_unit", "_check_class", "_checked_grid",
+          "_checked_name"}
 
 
 def _package_imports(tree) -> set:
@@ -271,7 +272,7 @@ _TABLE = crgx.CooperativeGame.from_table(np.random.default_rng(8).normal(size=8)
 
 
 def _model_bits(model):
-    return (model.num_classes, model.seed, model.in_shape,
+    return (model.arch, type(model.arch), model.num_classes, model.seed, model.in_shape,
             [w.tobytes() for w in model.weights.values()])
 
 
@@ -367,3 +368,80 @@ def test_integer_arguments_follow_one_rule(argument):
     want = call(good)
     for as_numpy in (np.int64, np.int32, np.uint8, np.uint16, np.uint32):
         assert call(as_numpy(good)) == want, as_numpy
+
+
+def _heat_bits(*heatmaps):
+    return [(hm.method, type(hm.method), hm.utility, type(hm.utility), hm.pre_relu.tobytes())
+            for hm in heatmaps]
+
+
+_HEATMAP = crgx.Heatmap(pre_relu=np.linspace(-1.0, 1.0, 16), spatial=(4, 4), method="gradcam")
+_RELU_WEIGHTS = crgx.build_model("cnn-relu", 3, 0).weights
+
+# argument -> (what its message calls it, a valid name, the names it takes,
+# call on a value)
+NAME_ARGUMENTS = {
+    "CamMethod.name": ("CAM method", "shapleycam", crgx.CAM_METHODS, lambda v: _heat_bits(
+        crgx.explain(_MODEL, _IMAGE, _SPEC, crgx.CamMethod(v)))),
+    "UtilitySpec.kind": ("utility kind", "post-softmax", crgx.UTILITY_KINDS, lambda v: _heat_bits(
+        crgx.explain(_MODEL, _IMAGE, crgx.UtilitySpec(1, v), "shapleycam"))),
+    "ToyModel.arch": ("architecture", "cnn-relu", crgx.ARCHS, lambda v: _model_bits(
+        crgx.ToyModel(arch=v, num_classes=3, seed=0, in_shape=(3, 6, 6), weights=_RELU_WEIGHTS))),
+    "build_model.arch": ("architecture", "mlp-smooth", crgx.ARCHS, lambda v: (
+        _model_bits(crgx.build_model(v, 3, 0)), json.dumps(crgx.evaluate_batch(
+            crgx.build_model(v, 3, 0), [_IMAGE], _SPEC, "gradcam").to_report()))),
+    "Heatmap.grid.view": ("grid view", "pre", ("post", "pre"),
+                          lambda v: _HEATMAP.grid(v).tobytes()),
+    "explain.method": ("CAM method", "hirescam", crgx.CAM_METHODS,
+                       lambda v: _heat_bits(crgx.explain(_MODEL, _IMAGE, _SPEC, v))),
+    "evaluate_batch.method": ("CAM method", "gradcam", crgx.CAM_METHODS, lambda v: json.dumps(
+        crgx.evaluate_batch(_MODEL, [_IMAGE], _SPEC, v).to_report())),
+    "theorem3_ensemble.method": ("CAM method", "gradcam", crgx.CAM_METHODS, lambda v: _heat_bits(
+        *crgx.theorem3_ensemble(_MODEL, _IMAGE, crgx.UtilitySpec(1, "post-softmax"), v))),
+    "rest_decomposition.method": ("CAM method", "hirescam", crgx.CAM_METHODS, lambda v: _heat_bits(
+        *crgx.rest_decomposition(_MODEL, _IMAGE, 1, v))),
+}
+
+
+@pytest.mark.parametrize("argument", sorted(NAME_ARGUMENTS))
+def test_name_arguments_follow_one_rule(argument):
+    what, good, choices, call = NAME_ARGUMENTS[argument]
+    # an unknown name, a wrong case, an empty or a bytes name, what is no
+    # str at all, and arrays, which must neither compare nor hash their way in
+    for bad in ("resnet", good.upper(), "", good.encode(), 42, None, [good], np.array([good]),
+                np.array([good, good])):
+        # ValueError and nothing else: no TypeError from hashing an array
+        with pytest.raises(Exception) as caught:
+            call(bad)
+        assert caught.type is ValueError, (bad, caught.value)
+        assert str(caught.value) == f"unknown {what} {bad!r}; expected one of {choices}", bad
+    assert call(np.str_(good)) == call(good)
+
+
+# name parameters that label a record rather than pick a variant, with why
+NAME_LABELS = dict.fromkeys(
+    ("Heatmap.method", "Heatmap.utility", "MetricRecord.method", "MetricRecord.utility",
+     "MetricRecord.arch", "ShapleyVector.method"),
+    "a result record's label of what made it; nothing looks it up")
+
+
+def _name_parameters() -> set:
+    """Each parameter of a callable of `crgx.__all__`, or of a public method
+    of an exported class, that takes a name: annotated str, or a method."""
+    found = set()
+    for name in crgx.__all__:
+        target = getattr(crgx, name)
+        if not callable(target):
+            continue
+        members = [(name, target)]
+        if inspect.isclass(target):
+            members += [(f"{name}.{attr}", f) for attr, f in vars(target).items()
+                        if not attr.startswith("_") and inspect.isfunction(f)]
+        for path, member in members:
+            found |= {f"{path}.{p.name}" for p in inspect.signature(member).parameters.values()
+                      if p.name == "method" or p.annotation in ("str", "Optional[str]")}
+    return found
+
+
+def test_every_export_with_a_name_argument_has_a_row():
+    assert _name_parameters() == set(NAME_ARGUMENTS) | set(NAME_LABELS)

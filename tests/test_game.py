@@ -40,9 +40,25 @@ def test_exact_efficiency_on_random_games():
 
 
 def test_exact_guard_above_enumeration_limit():
+    # utility_table holds the one limit: a callback game over 20 players
     g = game.CooperativeGame(21, lambda masks: masks.sum(axis=1).astype(np.float64))
-    with pytest.raises(ValueError, match="2\\^21"):
+    with pytest.raises(ValueError) as caught:
         game.shapley_exact(g)
+    assert str(caught.value) == "enumerating 2^21 coalitions is over the d=20 limit"
+
+
+def test_exact_values_of_a_held_table_above_the_enumeration_limit():
+    # a game that holds its table enumerates nothing, so no limit applies;
+    # axiom_suite audits the same table
+    w = np.arange(1.0, 22.0)
+    coalitions = np.arange(1 << 21)
+    table = np.zeros(1 << 21)
+    for j in range(21):
+        table += w[j] * ((coalitions >> j) & 1)
+    held = game.CooperativeGame.from_table(table)
+    sv = game.shapley_exact(held)
+    assert np.allclose(sv.values, w, rtol=0.0, atol=1e-9)
+    assert game.axiom_suite(held, sv)["pass"]
 
 
 def test_additive_game_mc_is_exact_with_zero_stderr():

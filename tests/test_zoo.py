@@ -155,9 +155,6 @@ def test_a_directly_built_model_follows_the_input_rule():
         with pytest.raises(ValueError, match=r"^cnn-smooth needs at least a 3x3 input"):
             zoo.ToyModel(arch="cnn-smooth", num_classes=3, seed=0, in_shape=in_shape,
                          weights=weights)
-    with pytest.raises(ValueError, match="^unknown architecture 'resnet'"):
-        zoo.ToyModel(arch="resnet", num_classes=3, seed=0, in_shape=(3, 6, 6),
-                     weights=weights)
     with pytest.raises(ValueError, match=r"^in_shape must be \(channels in \{1,3\}, h, w\)"):
         zoo.ToyModel(arch="cnn-smooth", num_classes=3, seed=0, in_shape=(2, 6, 6),
                      weights=weights)
@@ -168,6 +165,70 @@ def test_a_directly_built_model_follows_the_input_rule():
     assert m.in_shape == (3, 2, 2) and type(m.in_shape[1]) is int
     image = np.random.default_rng(15).uniform(0.0, 1.0, (1, 3, 2, 2))
     assert m._tap_stack(image).tobytes() == built._tap_stack(image).tobytes()
+
+
+_CNN = zoo.build_model("cnn-smooth", 3, 0).weights
+_MLP_6PX = zoo.build_model("mlp-smooth", 3, 0).weights
+
+# case -> (ToyModel arguments over a 3-class cnn-smooth at (3, 6, 6), the
+# message that refuses them)
+MISMATCHED_MODELS = {
+    "5-classes-on-3-class-weights": (
+        {"num_classes": 5},
+        "weights['fc_w'] must be a float64 array of shape (5, 4), "
+        "got float64 array of shape (3, 4)"),
+    "1-channel-on-3-channel-weights": (
+        {"in_shape": (1, 6, 6)},
+        "weights['conv_w'] must be a float64 array of shape (4, 1, 3, 3), "
+        "got float64 array of shape (4, 3, 3, 3)"),
+    "mlp-at-2x2-on-6x6-weights": (
+        {"arch": "mlp-smooth", "in_shape": (3, 2, 2), "weights": _MLP_6PX},
+        "weights['fc1_w'] must be a float64 array of shape (64, 12), "
+        "got float64 array of shape (64, 108)"),
+    "no-weights": ({"weights": {}},
+                   "weights must hold the tensors ['conv_w', 'conv_b', 'fc_w', 'fc_b'], got []"),
+    "2.5-classes": ({"num_classes": 2.5}, "num_classes must be an integer, got 2.5"),
+    "seed-below-0": ({"seed": -1}, "seed must be at least 0, got -1"),
+    "float32-tensor": (
+        {"weights": {**_CNN, "conv_b": _CNN["conv_b"].astype(np.float32)}},
+        "weights['conv_b'] must be a float64 array of shape (4,), "
+        "got float32 array of shape (4,)"),
+    "list-for-a-tensor": ({"weights": {**_CNN, "fc_b": [0.0, 0.0, 0.0]}},
+                          "weights['fc_b'] must be a float64 array of shape (3,), got list"),
+    "tensor-of-another-arch": (
+        {"weights": {**_CNN, "fc1_w": _MLP_6PX["fc1_w"]}},
+        "weights must hold the tensors ['conv_w', 'conv_b', 'fc_w', 'fc_b'], "
+        "got ['conv_w', 'conv_b', 'fc_w', 'fc_b', 'fc1_w']"),
+    "weights-not-a-dict": ({"weights": list(_CNN.values())},
+                           "weights must hold the tensors ['conv_w', 'conv_b', 'fc_w', 'fc_b'], "
+                           "got list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHED_MODELS))
+def test_a_directly_built_model_checks_its_weights(case):
+    changes, message = MISMATCHED_MODELS[case]
+    arguments = {"arch": "cnn-smooth", "num_classes": 3, "seed": 0, "in_shape": (3, 6, 6),
+                 "weights": _CNN, **changes}
+    with pytest.raises(Exception) as caught:
+        zoo.ToyModel(**arguments)
+    assert caught.type is ValueError, caught.value
+    assert str(caught.value) == message
+
+
+def test_a_directly_built_model_keeps_its_weight_arrays():
+    # neither copied nor scanned: read-only arrays stay read-only, and an
+    # in-place scaling after construction reaches the model
+    weights = {name: w.copy() for name, w in _CNN.items()}
+    weights["conv_w"].flags.writeable = False
+    m = zoo.ToyModel(arch="cnn-smooth", num_classes=np.int64(3), seed=np.uint8(0),
+                     in_shape=(3, 6, 6), weights=weights)
+    assert all(m.weights[name] is w for name, w in weights.items())
+    assert type(m.num_classes) is int and type(m.seed) is int
+    image = rand_image(16)
+    before = m.forward(image)
+    weights["fc_w"] *= 2.0
+    assert not np.array_equal(m.forward(image), before)
 
 
 def test_tap_stack_bounds_its_im2col_buffer():
@@ -299,8 +360,6 @@ def test_input_validation():
         m.forward(bad)
     with pytest.raises(ValueError, match="num_classes"):
         zoo.build_model("cnn-relu", 1, 0)
-    with pytest.raises(ValueError, match="architecture"):
-        zoo.build_model("resnet", 2, 0)
     with pytest.raises(ValueError, match="in_shape"):
         zoo.build_model("cnn-relu", 2, 0, in_shape=(2, 6, 6))
     for in_shape in ((3, 6), (3, 6, 6, 1), None, 6, "366"):

@@ -11,7 +11,8 @@ frame ran the `def` at import. A line inside a `raise` statement is marked
 `raise`: those are the error paths the corpus does not provoke. The total
 line sums every module: "N of M lines not reached, R of them in raise
 statements". The last line, "exports no command reaches: ...", names each
-function of `crgx.__all__` that the corpus never called.
+function of `crgx.__all__` that the corpus never called; a decorated export
+counts by the function its decorator wraps.
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ def main() -> int:
     import crgx
     exports = [name for name in crgx.__all__ if inspect.isfunction(getattr(crgx, name))]
     print("exports no command reaches: " + ", ".join(
-        name for name in sorted(exports) if getattr(crgx, name).__code__ not in called))
+        name for name in sorted(exports)
+        if inspect.unwrap(getattr(crgx, name)).__code__ not in called))
     return 0
 
 
