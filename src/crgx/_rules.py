@@ -1,7 +1,8 @@
 """The rules for the arguments of the API, one function per kind of
-argument: integers, arrays, fractions, class indices, (h, w) grids and
-names. Every module takes its rules from here, the autodiff engine too, so
-this module imports nothing from the package."""
+argument: integers, arrays, fractions, class indices, (h, w) grids,
+names and the labels of result records. Every module takes its rules from
+here, the autodiff engine too, so this module imports nothing from the
+package."""
 
 from __future__ import annotations
 
@@ -79,4 +80,13 @@ def _checked_name(what: str, value, choices: tuple[str, ...]) -> str:
     numpy's `np.str_` included, that is one of `choices`."""
     if not isinstance(value, str) or value not in choices:
         raise ValueError(f"unknown {what} {value!r}; expected one of {choices}")
+    return str(value)
+
+
+def _checked_label(what: str, value) -> str:
+    """`value` as a plain str, the one rule for the label a result record
+    keeps of what made it (a method, a utility, an architecture): a str,
+    numpy's `np.str_` included."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a str, got {value!r}")
     return str(value)

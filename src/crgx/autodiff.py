@@ -7,9 +7,8 @@ it builds its rule's closure). `_op` builds a `Node` linked to its parents
 by reference and recorded, in creation order, on the active `Tape`; plain
 array arguments are wrapped as constant nodes, and the node keeps the
 op's backward rule. Backward rules are themselves written in terms of
-these operations, so a gradient can be an ordinary node graph and be
-differentiated again; `hvp` exploits this to compute Hessian-vector
-products by double backward. Tapes are opened by `forward`, which records
+these operations, so a gradient can be an ordinary node graph, which
+`hvp` sweeps backward again. Tapes are opened by `forward`, which records
 the named inputs and the graph run on them; the same tape can be
 re-entered to add nodes on top. A tape input and an `hvp` direction
 follow the array rule of the rest of the API, `_rules._checked_array`, at
@@ -18,22 +17,25 @@ any rank; `_rules` is the one package module the engine imports.
 A backward pass builds nodes only when its result will be differentiated
 again. Today that is one graph: the first-order gradient graph that `hvp`
 builds once per (output, wrt) pair and keeps on the tape, where every
-later `hvp` reads it. `hvp`'s second backward, and every `gradient`, run
-values-only: the same backward rules on plain arrays, for which `_op`
+later `hvp` reads it. `hvp`'s seeded sweep of g, and every `gradient`,
+run values-only: the same backward rules on plain arrays, for which `_op`
 returns each value bare, so they add no node to the tape and give the same
 bits. Values-only or not, adjoints flow only into nodes that depend on the
 variable differentiated against, so nothing is computed for the adjoint
 of a constant such as a weight matrix.
 
-A backward walks its graph in the order of one sweep, `_toposort`: the
-DFS postorder from the output, and with it the set of nodes that depend
-on the variable. A node's ancestors never change, so the tape keeps every
-sort it makes: the forward graph's, which `gradient` and the first `hvp`
-share, and the first-order graph's, beside the graph. <g, v>'s sort is
-g's with v before it and the product and its sum after, which is what the
-DFS returns; so a tape sorts each graph once, however many `gradient`s
-and `hvp`s it answers. The postorder fixes the order in which a node with
-several consumers sums their adjoint contributions, and so the bits.
+Every derivative is one reverse sweep, `_backward`, seeded with the ones
+scalar at the output for a gradient and with v at g for an `hvp`:
+H v = (dg/dx)^T v, reverse over reverse (Pearlmutter, 1994). It walks
+its graph in the order of `_toposort`: the DFS postorder from the root,
+and with it the set of nodes that depend on the variable. A node's
+ancestors never change, so the tape keeps every sort it makes: the
+forward graph's, which `gradient` and the first `hvp` share, and the
+first-order graph's, beside the graph. So a tape sorts each graph once,
+however many `gradient`s and `hvp`s it answers, and after its first
+`hvp` records no more nodes. The postorder fixes the order in which a
+node with several consumers sums their adjoint contributions, and so the
+bits.
 
 This module only serves derivatives, and no library hot path uses it:
 `cam.explain` takes the head's derivatives in closed form. It serves the
@@ -109,10 +111,10 @@ class Tape:
     context manager routes node creation here; the same tape may be
     re-entered later to append more nodes (a utility head, a backward pass)
     on top of an existing forward. `grads` holds the first-order gradient
-    graph g of each (output, wrt) pair built so far, and `sorts` every
-    `_toposort(root, wrt)` made for a backward on the tape, keyed by
-    (root, wrt): the forward graph's under (output, wrt) and g's under
-    (g, wrt).
+    graph g of each (output, wrt) pair built so far, which every `hvp`
+    sweeps seeded with its v, and `sorts` every `_toposort(root, wrt)` made
+    for a backward on the tape, keyed by (root, wrt): the forward graph's
+    under (output, wrt) and g's under (g, wrt).
     """
 
     def __init__(self):
@@ -491,19 +493,18 @@ def _toposort(root: Node, wrt: Node) -> tuple[list[Node], set[Node]]:
 _ONE = (True,)  # `needs` of a single-parent node that has an adjoint
 
 
-def grad_node(output: Node, wrt: Node, tape: Tape | None = None):
+def grad_node(output: Node, wrt: Node, tape: Tape):
     """Adjoint of a scalar `output` with respect to `wrt`, as a node graph.
 
-    The result is itself differentiable, which is what makes double
-    backward (and so `hvp`) possible; in a values-only backward the same
-    rules give it as a plain array. Unreachable `wrt` yields exact zeros.
-    Given the `tape` that holds `output`, the sort is read from, or kept
-    in, its `sorts`.
+    The result is itself differentiable: `hvp` keeps it on the tape as the
+    first-order graph g and sweeps it backward again, seeded with v; in a
+    values-only backward the same rules give it as a plain array.
+    Unreachable `wrt` yields exact zeros. The sort is read from, or kept
+    in, the `sorts` of the `tape` that holds `output`.
     """
     if output.shape != ():
         raise ValueError(f"gradient: output must be scalar, got shape {output.shape}")
-    return _backward(output, wrt, *(_toposort(output, wrt) if tape is None
-                                    else _kept_sort(tape, output, wrt)))
+    return _backward(output, wrt, *_kept_sort(tape, output, wrt))
 
 
 def _kept_sort(tape: Tape, root: Node, wrt: Node) -> tuple[list[Node], set[Node]]:
@@ -516,8 +517,12 @@ def _kept_sort(tape: Tape, root: Node, wrt: Node) -> tuple[list[Node], set[Node]
     return found
 
 
-def _backward(output: Node, wrt: Node, order: list[Node], live: set[Node]):
-    """`grad_node` over `_toposort(output, wrt)`'s order and live set.
+def _backward(output: Node, wrt: Node, order: list[Node], live: set[Node], seed=None):
+    """The reverse sweep of every derivative: the adjoint of `wrt` when
+    `output` holds the adjoint `seed` (the ones scalar when None, so a
+    gradient of a scalar output), over `_toposort(output, wrt)`'s order and
+    live set. Seeded with v at the first-order graph g, it gives
+    (dg/dx)^T v = H v.
 
     Only nodes that depend on `wrt` are differentiated: every node that
     adds to such a node's adjoint depends on `wrt` as well, so the adjoint
@@ -527,7 +532,7 @@ def _backward(output: Node, wrt: Node, order: list[Node], live: set[Node]):
     """
     if output not in live:
         return _op(np.zeros(wrt.shape), (), "const", None)
-    adjoint = {output: _op(np.ones(()), (), "const", None)}
+    adjoint = {output: _op(np.ones(()), (), "const", None) if seed is None else seed}
     for node in reversed(order):
         if node is wrt:
             break  # every descendant of wrt came before it
@@ -546,8 +551,9 @@ def _backward(output: Node, wrt: Node, order: list[Node], live: set[Node]):
 
 
 def _values_only(backward: Callable, *args) -> Array:
-    """Run `backward` (`grad_node` or `_backward`) values-only: the adjoint
-    comes back as a plain array and no node is built."""
+    """Run `backward` (`grad_node` or `_backward`) values-only: every op
+    returns a plain array, so the adjoint comes back as one and no node is
+    built."""
     previous, _STATE.values = _STATE.values, True
     try:
         return backward(*args)
@@ -594,12 +600,11 @@ def gradient(tape: Tape, output, wrt) -> Array:
 def hvp(tape: Tape, output, wrt, v) -> Array:
     """Hessian-vector product H @ v of a scalar output w.r.t. one input.
 
-    Computed as the gradient of <gradient(output), v>; needs nothing beyond
-    the backward rules already being differentiable node graphs. The first
-    `hvp` on a tape builds the first-order graph, from the forward graph's
-    kept sort, and keeps it with its own sort; every `hvp` then records only
-    the nodes of <g, v> and differentiates them values-only, in an order
-    taken from that sort.
+    Reverse over reverse: H v = (dg/dx)^T v for the gradient g, so H v is
+    one backward sweep of the first-order graph g seeded with v. The first
+    `hvp` on a tape builds g, from the forward graph's kept sort, and keeps
+    it with its own sort; every `hvp` then sweeps that sort values-only, so
+    after the first a tape records no more nodes.
     """
     out_node = _resolve(tape.outputs, output)
     wrt_node = _resolve(tape.inputs, wrt)
@@ -607,16 +612,8 @@ def hvp(tape: Tape, output, wrt, v) -> Array:
     if v.shape != wrt_node.shape:
         raise ValueError(f"hvp direction v has shape {v.shape}, expected {wrt_node.shape}")
     key = (out_node, wrt_node)
-    with tape:
-        g = tape.grads.get(key)
-        if g is None:
+    g = tape.grads.get(key)
+    if g is None:
+        with tape:
             g = tape.grads[key] = grad_node(out_node, wrt_node, tape)
-        prod = mul(g, v)
-        s = sum(prod)
-    # <g, v>'s sort is g's with v (the product's last parent, so visited
-    # first) before it and the product and its sum after: exactly what
-    # `_toposort(s, wrt_node)` returns, without walking g again
-    order, live = _kept_sort(tape, g, wrt_node)
-    if g in live:
-        live = live | {prod, s}
-    return _values_only(_backward, s, wrt_node, [prod.parents[1], *order, prod, s], live)
+    return _values_only(_backward, g, wrt_node, *_kept_sort(tape, g, wrt_node), v)

@@ -27,7 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._rules import _check_class, _checked_array, _checked_grid, _checked_int, _checked_name
+from ._rules import (_check_class, _checked_array, _checked_grid, _checked_int, _checked_label,
+                     _checked_name)
 from .utility import UtilitySpec, _checked_logits, softmax_rows, utility_derivatives
 from .zoo import ToyModel
 
@@ -82,7 +83,9 @@ class Heatmap:
     ReLU. `pre_relu` keeps signs; `post_relu`, derived from it as
     max(pre_relu, 0), is what gets rendered. `pre_relu` is stored as the
     1-D array of `_rules._checked_array`, and `spatial` as the (h, w) ints
-    of `_rules._checked_grid`."""
+    of `_rules._checked_grid`. `method` and `utility` (None allowed) are
+    labels (`_rules._checked_label`), and `target_class` is None or an
+    integer of at least 0."""
 
     pre_relu: np.ndarray
     spatial: tuple[int, int]
@@ -96,6 +99,12 @@ class Heatmap:
         object.__setattr__(self, "spatial", _checked_grid(self.spatial, pre.shape[0]))
         object.__setattr__(self, "pre_relu", pre)
         object.__setattr__(self, "post_relu", np.maximum(pre, 0.0))
+        object.__setattr__(self, "method", _checked_label("method", self.method))
+        if self.utility is not None:
+            object.__setattr__(self, "utility", _checked_label("utility", self.utility))
+        if self.target_class is not None:
+            object.__setattr__(self, "target_class",
+                               _checked_int("target_class", self.target_class, 0))
 
     def grid(self, view: str = "post") -> np.ndarray:
         view = _checked_name("grid view", view, ("post", "pre"))

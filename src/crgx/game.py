@@ -62,10 +62,11 @@ class CooperativeGame:
     one callable from an (n, d) bool array of coalitions to their (n,)
     values, e.g. `CooperativeGame(d, lambda masks: masks @ w)` for an
     additive game with weights w; it must be deterministic and side-effect
-    free. U(empty) and U(full) are evaluated at construction, and
-    `utility_table()` scores them a second time as table entries 0 and
-    2^d - 1, raising `RuntimeError` if either differs: an audited game runs
-    2 + 2^d utility rows. Once the game holds its utility table (a
+    free, and anything that is not callable raises `ValueError`. U(empty)
+    and U(full) are evaluated at construction, and `utility_table()` scores
+    them a second time as table entries 0 and 2^d - 1, raising
+    `RuntimeError` if either differs: an audited game runs 2 + 2^d utility
+    rows. Once the game holds its utility table (a
     `from_table` game from the start, any other after `utility_table()`),
     the table is read-only and answers every query; the utility is not
     called again.
@@ -75,6 +76,8 @@ class CooperativeGame:
 
     def __init__(self, d: int, utility: Callable[[np.ndarray], np.ndarray]):
         self.d = _checked_int("d", d, 1)
+        if not callable(utility):  # a table goes through `from_table`
+            raise ValueError(f"the utility must be callable, got {type(utility).__name__}")
         self._utility = utility
         ends = self.utility_batch(np.array([[False] * self.d, [True] * self.d]))
         self.u_empty, self.u_full = float(ends[0]), float(ends[1])

@@ -13,7 +13,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._rules import _check_class, _checked_array, _checked_unit
+from ._rules import _check_class, _checked_array, _checked_label, _checked_unit
 from .cam import CamMethod, Heatmap, _as_method, explain_batch
 from .imgio import Image
 from .postprocess import normalize_minmax, upsample_bilinear
@@ -87,7 +87,8 @@ class MetricRecord:
     and `skipped`, which names each image left out as (index, reason). The
     batch values are derived: `n_images` counts the terms, each metric is
     the mean of its terms, and `adcc` is `adcc()` of the three means. The
-    five term tuples must have one length of at least 1."""
+    five term tuples must have one length of at least 1, and `method`,
+    `utility` and `arch` are labels (`_rules._checked_label`)."""
 
     method: str
     utility: str
@@ -107,6 +108,8 @@ class MetricRecord:
     add: float = field(init=False)
 
     def __post_init__(self):
+        for label in ("method", "utility", "arch"):
+            object.__setattr__(self, label, _checked_label(label, getattr(self, label)))
         names = ("ad", "coherency", "complexity", "ic", "add")
         counts = [len(getattr(self, "image_" + name)) for name in names]
         if min(counts) == 0 or len(set(counts)) != 1:
@@ -220,9 +223,13 @@ def evaluate_batch(model: ToyModel, images: Sequence[np.ndarray | Image], spec: 
     out, each with its own message. Every stage maps rows to rows, each row
     bit-identical to its own call, so every kept term is bit-identical to
     running the protocol on that image alone. A bad `method` (an unknown
-    name, a seedless randomcam, a non-callable) raises before any image is read."""
+    name, a seedless randomcam, a non-callable, a custom source whose
+    label is not a str) raises before any image is read. A custom source's
+    label is its `cam_name`, else its `__name__`, else "custom"."""
     if not callable(method):  # a name becomes its CamMethod; CamMethod checks the rest
         method = _as_method(method)
+    label = (method.name if isinstance(method, CamMethod) else _checked_label(
+        "method", getattr(method, "cam_name", getattr(method, "__name__", "custom"))))
     try:
         planes = [img.pixels if isinstance(img, Image) else img for img in images]
     except TypeError:
@@ -257,8 +264,7 @@ def evaluate_batch(model: ToyModel, images: Sequence[np.ndarray | Image], spec: 
         raise ValueError(f"all {len(planes)} images failed: {skipped[0]}")
 
     return MetricRecord(
-        method=(method.name if isinstance(method, CamMethod)
-                else getattr(method, "cam_name", getattr(method, "__name__", "custom"))),
+        method=label,
         utility=spec.kind,
         arch=model.arch,
         skipped=tuple(sorted(skipped.items())),

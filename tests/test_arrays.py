@@ -1,11 +1,13 @@
-"""The four rules for the arguments of the API, each held by one table of
+"""The five rules for the arguments of the API, each held by one table of
 declared cases: arrays (`_rules._checked_array`; the public API's and the
 autodiff engine's tape inputs and `hvp` direction), fractions
-(`_rules._checked_unit`), integers (`_rules._checked_int`) and names
-(`_rules._checked_name`). The rules have one home, `crgx._rules`, which
+(`_rules._checked_unit`), integers (`_rules._checked_int`), names
+(`_rules._checked_name`) and the labels of result records
+(`_rules._checked_label`). The rules have one home, `crgx._rules`, which
 the engine imports and which imports nothing from the package."""
 
 import ast
+import functools
 import inspect
 import json
 import re
@@ -216,7 +218,7 @@ def test_every_export_with_an_array_argument_has_a_row():
 
 
 _RULES = {"_checked_int", "_checked_array", "_checked_unit", "_check_class", "_checked_grid",
-          "_checked_name"}
+          "_checked_name", "_checked_label"}
 
 
 def _package_imports(tree) -> set:
@@ -288,6 +290,10 @@ def _report(suite, **args):
     return json.dumps(suite(**args), sort_keys=True)
 
 
+def _small_heatmap(**fields):
+    return crgx.Heatmap(pre_relu=np.arange(4.0), spatial=(2, 2), **{"method": "gradcam", **fields})
+
+
 # (parameter as its message names it, floor, a valid value, call on a value)
 INTEGER_ARGUMENTS = {
     "CamMethod.seed": ("randomcam seed", 0, 3, lambda v: crgx.explain(
@@ -345,7 +351,12 @@ INTEGER_ARGUMENTS = {
     "hvp_suite.seed": ("seed", 0, 3, lambda v: _report(suites.hvp_suite, seed=v, graphs=3)),
     "hvp_suite.graphs": ("graphs", 1, 3, lambda v: _report(suites.hvp_suite, graphs=v)),
     "theorem_suite.seeds": ("seeds", 1, 1, lambda v: _report(suites.theorem_suite, seeds=v)),
+    "Heatmap.target_class": ("target_class", 0, 1,
+                             lambda v: repr(_small_heatmap(target_class=v).target_class)),
 }
+
+# the integer arguments that take None for "not given", with what None gives
+INTEGER_NONE = {"Heatmap.target_class": "None"}
 
 
 @pytest.mark.parametrize("argument", sorted(INTEGER_ARGUMENTS))
@@ -354,6 +365,9 @@ def test_integer_arguments_follow_one_rule(argument):
     # a None seed would draw fresh OS entropy, a count below its floor would
     # let a suite pass on no case, and an integral numpy float is a float
     for bad in (True, False, 2.5, np.float64(good), "3", None, floor - 1):
+        if bad is None and argument in INTEGER_NONE:
+            assert call(None) == INTEGER_NONE[argument]
+            continue
         if bad is None and name == "randomcam seed":
             message = "randomcam needs a seed"
         elif bad == floor - 1 and type(bad) is int:
@@ -418,11 +432,68 @@ def test_name_arguments_follow_one_rule(argument):
     assert call(np.str_(good)) == call(good)
 
 
-# name parameters that label a record rather than pick a variant, with why
-NAME_LABELS = dict.fromkeys(
-    ("Heatmap.method", "Heatmap.utility", "MetricRecord.method", "MetricRecord.utility",
-     "MetricRecord.arch", "ShapleyVector.method"),
-    "a result record's label of what made it; nothing looks it up")
+def _small_record(**labels):
+    return crgx.MetricRecord(**{"method": "gradcam", "utility": "rest", "arch": "cnn-smooth",
+                                "skipped": (), "image_ad": (0.5,), "image_coherency": (0.5,),
+                                "image_complexity": (0.5,), "image_ic": (0.0,),
+                                "image_add": (0.5,), **labels})
+
+
+# name parameters that label a record rather than pick a variant: (name as
+# its message gives it, whether None means "not given", call on a value
+# giving the stored label)
+LABEL_ARGUMENTS = {
+    "Heatmap.method": ("method", False, lambda v: _small_heatmap(method=v).method),
+    "Heatmap.utility": ("utility", True, lambda v: _small_heatmap(utility=v).utility),
+    "MetricRecord.method": ("method", False, lambda v: _small_record(method=v).method),
+    "MetricRecord.utility": ("utility", False, lambda v: _small_record(utility=v).utility),
+    "MetricRecord.arch": ("arch", False, lambda v: _small_record(arch=v).arch),
+}
+
+
+@pytest.mark.parametrize("argument", sorted(LABEL_ARGUMENTS))
+def test_label_arguments_follow_one_rule(argument):
+    what, optional, call = LABEL_ARGUMENTS[argument]
+    # what is no str: a number, bytes, a list, arrays of one and of two
+    # names, and None where the label is not optional
+    for bad in (42, b"x", ["x"], np.array(["x"]), np.array(["x", "x"]), None):
+        if bad is None and optional:
+            assert call(None) is None
+            continue
+        with pytest.raises(Exception) as caught:
+            call(bad)
+        assert caught.type is ValueError, (bad, caught.value)
+        assert str(caught.value) == f"{what} must be a str, got {bad!r}", bad
+    for good in ("gradcam", np.str_("gradcam"), "a label nothing looks up"):
+        stored = call(good)
+        assert stored == good and type(stored) is str, good
+
+
+def test_a_custom_sources_label_is_checked_before_any_image(monkeypatch):
+    def tapped(*args):
+        raise AssertionError("an image was tapped")
+
+    def source(model, x, spec):
+        return _HEATMAP
+
+    monkeypatch.setattr(zoo.ToyModel, "_tap_stack", tapped)
+    source.cam_name = 42
+    with pytest.raises(ValueError) as caught:
+        crgx.evaluate_batch(_MODEL, [_IMAGE], _SPEC, source)
+    assert str(caught.value) == "method must be a str, got 42"
+    monkeypatch.undo()
+    # the label is `cam_name`, then `__name__`, then "custom"
+    source.cam_name = np.str_("mine")
+    assert type(crgx.evaluate_batch(_MODEL, [_IMAGE], _SPEC, source).method) is str
+    del source.cam_name
+    assert crgx.evaluate_batch(_MODEL, [_IMAGE], _SPEC, source).method == "source"
+    nameless = functools.partial(source)
+    assert crgx.evaluate_batch(_MODEL, [_IMAGE], _SPEC, nameless).method == "custom"
+
+
+# a result record whose label is not checked, with why
+NAME_LABELS = {"ShapleyVector.method": "a record of shapley_exact and shapley_mc, which set "
+                                       "its label themselves; axiom_suite reads only its values"}
 
 
 def _name_parameters() -> set:
@@ -444,4 +515,4 @@ def _name_parameters() -> set:
 
 
 def test_every_export_with_a_name_argument_has_a_row():
-    assert _name_parameters() == set(NAME_ARGUMENTS) | set(NAME_LABELS)
+    assert _name_parameters() == set(NAME_ARGUMENTS) | set(LABEL_ARGUMENTS) | set(NAME_LABELS)

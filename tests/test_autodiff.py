@@ -1,7 +1,9 @@
 """Autodiff engine: gradients and HVPs against central differences,
 forward determinism, and the error contracts."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -391,7 +393,7 @@ def test_second_hvp_reuses_the_first_order_graph(monkeypatch):
     graph_backwards, sorts = [], []
     real, real_sort = ad.grad_node, ad._toposort
 
-    def counting(out, wrt, tape=None):
+    def counting(out, wrt, tape):
         if not ad._STATE.values:
             graph_backwards.append(out)
         return real(out, wrt, tape)
@@ -418,13 +420,14 @@ def test_second_hvp_reuses_the_first_order_graph(monkeypatch):
     assert graph_backwards == [fresh.outputs["out"], tape.outputs["out"]]
     # and one sort of it: the second hvp sorts nothing
     assert sorts == [tape.outputs["out"], g]
-    # each hvp records only <g, v>: v as a constant, the product, its sum
-    assert len(tape.nodes) - forward_nodes - first_hvp_nodes == 3
-    assert [node.op for node in tape.nodes[-3:]] == ["const", "mul", "sum"]
+    # a later hvp records nothing: it sweeps the kept graph seeded with v
+    assert len(tape.nodes) == forward_nodes + first_hvp_nodes
+    assert tape.nodes[-1] is g
     _, built = ad.forward(fn, {"x": x})
     with built:
-        real(built.outputs["out"], built.inputs["x"])
-    assert first_hvp_nodes == len(built.nodes) - forward_nodes + 3
+        real(built.outputs["out"], built.inputs["x"], built)
+    # and the first records the first-order graph alone
+    assert first_hvp_nodes == len(built.nodes) - forward_nodes
     # the second hvp has the bits of the same hvp on a fresh tape
     assert second.tobytes() == expected.tobytes()
 
@@ -452,6 +455,31 @@ def test_second_hvp_reuses_the_first_order_graph(monkeypatch):
     assert second.tobytes() == expected.tobytes()
 
 
+def test_a_tape_stops_growing_after_its_first_hvp():
+    fn, x = _random_smooth_case(5)
+    rng = np.random.default_rng(11)
+    _, tape = ad.forward(fn, {"x": x})
+    ad.hvp(tape, "out", "x", rng.normal(size=x.shape))
+    n_nodes = len(tape.nodes)
+    for _ in range(50):
+        v = rng.normal(size=x.shape)
+        h = ad.hvp(tape, "out", "x", v)
+        assert len(tape.nodes) == n_nodes
+        _, fresh = ad.forward(fn, {"x": x})
+        assert h.tobytes() == ad.hvp(fresh, "out", "x", v).tobytes()
+
+
+def test_one_sort_and_one_sweep_serve_every_derivative():
+    # the engine orders a backward one way (`_toposort`, kept per tape by
+    # `_kept_sort`) and hvp adds no product to differentiate
+    tree = ast.parse(Path(ad.__file__).read_text())
+    calls = {fn.name: {node.func.id for node in ast.walk(fn)
+                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+             for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    assert [name for name, called in calls.items() if "_toposort" in called] == ["_kept_sort"]
+    assert not calls["hvp"] & {"mul", "sum", "_toposort"}
+
+
 def _hvp_sort_cases():
     from crgx.suites import _random_smooth_graph
 
@@ -466,21 +494,22 @@ def _hvp_sort_cases():
 
 @pytest.mark.parametrize("graph, x0, vs", _hvp_sort_cases())
 def test_hvp_differentiates_g_v_in_the_dfs_order(monkeypatch, graph, x0, vs):
-    # hvp builds <g, v>'s order from g's kept sort; it must be the DFS
-    # postorder of <g, v> itself, with the same nodes depending on x
+    # hvp sweeps the kept first-order graph g seeded with v: the sweep
+    # starts at g, walks the DFS postorder of g with the nodes of it that
+    # depend on x live, and its seed has v's bits
     calls = []
     real = ad._backward
 
-    def recording(output, wrt, order, live):
-        calls.append((output, wrt, order, live))
-        return real(output, wrt, order, live)
+    def recording(output, wrt, order, live, seed=None):
+        calls.append((output, wrt, order, live, seed))
+        return real(output, wrt, order, live, seed)
 
     monkeypatch.setattr(ad, "_backward", recording)
     _, tape = ad.forward(lambda x: {"y": graph(x)}, {"x": x0})
     for v in vs:
         ad.hvp(tape, "y", "x", v)
-        output, wrt, order, live = calls[-1]
-        assert output is tape.nodes[-1] and output.op == "sum"
+        output, wrt, order, live, seed = calls[-1]
+        assert output is tape.grads[(tape.outputs["y"], tape.inputs["x"])]
         expected = dfs_order(output)
         assert [id(n) for n in order] == [id(n) for n in expected]
         depends = set()
@@ -488,6 +517,7 @@ def test_hvp_differentiates_g_v_in_the_dfs_order(monkeypatch, graph, x0, vs):
             if node is wrt or any(p in depends for p in node.parents):
                 depends.add(node)
         assert live == depends
+        assert seed.dtype == np.float64 and seed.tobytes() == np.asarray(v, float).tobytes()
 
 
 def _gradient_cases():
@@ -510,7 +540,7 @@ def test_gradient_on_a_fresh_tape_builds_no_node(fn, inputs):
     grad = ad.gradient(tape, "out", "x")
     assert len(tape.nodes) == n_nodes and tape.grads == {}
     with tape:
-        graph = ad.grad_node(tape.outputs["out"], tape.inputs["x"])
+        graph = ad.grad_node(tape.outputs["out"], tape.inputs["x"], tape)
     assert isinstance(grad, np.ndarray) and grad.tobytes() == graph.value.tobytes()
 
 
@@ -535,81 +565,76 @@ def test_values_mode_ends_when_a_backward_rule_raises(call):
 
 
 # The ops each primitive and composite records on a tape, in order: on the
-# forward, on the first hvp (the kept first-order graph, then <g, v>) and on
-# a second hvp (<g, v> alone); a gradient records none.
+# forward and on the first hvp (the kept first-order graph); a gradient and
+# every later hvp record none.
 _W = np.array([[0.5, -1.0], [2.0, 0.25]])
 TAPE_CASES = [
     ("add", lambda x: ad.sum(ad.mul(ad.add(x, 1.0), x)),
      ["input", "const", "add", "mul", "sum"],
-     ["const", "reshape", "broadcast_to", "mul", "mul", "add", "const", "mul", "sum"]),
+     ["const", "reshape", "broadcast_to", "mul", "mul", "add"]),
     ("sub", lambda x: ad.sum(ad.mul(ad.sub(1.0, x), x)),
      ["input", "const", "sub", "mul", "sum"],
-     ["const", "reshape", "broadcast_to", "mul", "mul", "neg", "add", "const", "mul", "sum"]),
+     ["const", "reshape", "broadcast_to", "mul", "mul", "neg", "add"]),
     ("neg", lambda x: ad.sum(ad.mul(ad.neg(x), x)),
      ["input", "neg", "mul", "sum"],
-     ["const", "reshape", "broadcast_to", "mul", "mul", "neg", "add", "const", "mul", "sum"]),
+     ["const", "reshape", "broadcast_to", "mul", "mul", "neg", "add"]),
     ("mul", lambda x: ad.sum(ad.mul(ad.mul(x, x), [2.0, 3.0])),
      ["input", "mul", "const", "mul", "sum"],
-     ["const", "reshape", "broadcast_to", "mul", "mul", "mul", "add", "const", "mul", "sum"]),
+     ["const", "reshape", "broadcast_to", "mul", "mul", "mul", "add"]),
     ("reciprocal", lambda x: ad.sum(ad.reciprocal(x)),
      ["input", "reciprocal", "sum"],
-     ["const", "reshape", "broadcast_to", "mul", "mul", "neg", "const", "mul", "sum"]),
+     ["const", "reshape", "broadcast_to", "mul", "mul", "neg"]),
     ("matmul", lambda x: ad.matmul(x, ad.matmul(_W, x)),
      ["input", "const", "matmul", "matmul"],
-     ["const", "mul", "mul", "transpose", "matmul", "add", "const", "mul", "sum"]),
+     ["const", "mul", "mul", "transpose", "matmul", "add"]),
     ("exp", lambda x: ad.sum(ad.exp(x)),
      ["input", "exp", "sum"],
-     ["const", "reshape", "broadcast_to", "mul", "const", "mul", "sum"]),
+     ["const", "reshape", "broadcast_to", "mul"]),
     ("log", lambda x: ad.sum(ad.log(x)),
      ["input", "log", "sum"],
-     ["const", "reshape", "broadcast_to", "reciprocal", "mul", "const", "mul", "sum"]),
+     ["const", "reshape", "broadcast_to", "reciprocal", "mul"]),
     ("sigmoid", lambda x: ad.sum(ad.sigmoid(x)),
      ["input", "sigmoid", "sum"],
-     ["const", "reshape", "broadcast_to", "const", "sub", "mul", "mul", "const", "mul", "sum"]),
+     ["const", "reshape", "broadcast_to", "const", "sub", "mul", "mul"]),
     ("tanh", lambda x: ad.sum(ad.tanh(x)),
      ["input", "tanh", "sum"],
-     ["const", "reshape", "broadcast_to", "mul", "const", "sub", "mul", "const", "mul", "sum"]),
+     ["const", "reshape", "broadcast_to", "mul", "const", "sub", "mul"]),
     ("softplus", lambda x: ad.sum(ad.softplus(x)),
      ["input", "softplus", "sum"],
-     ["const", "reshape", "broadcast_to", "sigmoid", "mul", "const", "mul", "sum"]),
+     ["const", "reshape", "broadcast_to", "sigmoid", "mul"]),
     ("sum", lambda x: ad.sum(ad.mul(ad.sum(ad.mul(ad.reshape(x, (2, 1)), x), axis=0), x)),
      ["input", "reshape", "mul", "sum", "mul", "sum"],
      ["const", "reshape", "broadcast_to", "mul", "mul", "reshape", "broadcast_to", "mul", "sum",
-      "mul", "sum", "add", "reshape", "add", "const", "mul", "sum"]),
+      "mul", "sum", "add", "reshape", "add"]),
     ("reshape", lambda x: ad.sum(ad.mul(ad.reshape(x, (1, 2)), ad.reshape(x, (2, 1)))),
      ["input", "reshape", "reshape", "mul", "sum"],
-     ["const", "reshape", "broadcast_to", "mul", "sum", "mul", "sum", "reshape", "reshape", "add",
-      "const", "mul", "sum"]),
+     ["const", "reshape", "broadcast_to", "mul", "sum", "mul", "sum", "reshape", "reshape", "add"]),
     ("transpose", lambda x: ad.sum(ad.mul(ad.transpose(ad.reshape(x, (2, 1))), x)),
      ["input", "reshape", "transpose", "mul", "sum"],
-     ["const", "reshape", "broadcast_to", "mul", "mul", "sum", "transpose", "reshape", "add",
-      "const", "mul", "sum"]),
+     ["const", "reshape", "broadcast_to", "mul", "mul", "sum", "transpose", "reshape", "add"]),
     ("broadcast_to", lambda x: ad.sum(ad.mul(ad.broadcast_to(x, (3, 2)), x)),
      ["input", "broadcast_to", "mul", "sum"],
-     ["const", "reshape", "broadcast_to", "mul", "mul", "sum", "sum", "add", "const", "mul",
-      "sum"]),
+     ["const", "reshape", "broadcast_to", "mul", "mul", "sum", "sum", "add"]),
     ("index", lambda x: ad.mul(ad.index(x, 1), ad.index(x, 0)),
      ["input", "index", "index", "mul"],
-     ["const", "mul", "mul", "place", "place", "add", "const", "mul", "sum"]),
+     ["const", "mul", "mul", "place", "place", "add"]),
     ("place", lambda x: ad.sum(ad.mul(ad._place(ad.index(x, 0), 1, (2,)), x)),
      ["input", "index", "place", "mul", "sum"],
-     ["const", "reshape", "broadcast_to", "mul", "mul", "index", "place", "add", "const", "mul",
-      "sum"]),
+     ["const", "reshape", "broadcast_to", "mul", "mul", "index", "place", "add"]),
     ("silu", lambda x: ad.sum(ad.silu(x)),
      ["input", "sigmoid", "mul", "sum"],
-     ["const", "reshape", "broadcast_to", "mul", "mul", "const", "sub", "mul", "mul", "add",
-      "const", "mul", "sum"]),
+     ["const", "reshape", "broadcast_to", "mul", "mul", "const", "sub", "mul", "mul", "add"]),
     ("mean", lambda x: ad.mul(ad.mean(x), ad.mean(x)),
      ["input", "sum", "const", "mul", "sum", "const", "mul", "mul"],
      ["const", "mul", "mul", "mul", "reshape", "broadcast_to", "mul", "reshape", "broadcast_to",
-      "add", "const", "mul", "sum"]),
+      "add"]),
     ("softmax", lambda x: ad.index(ad.softmax(x), 0),
      ["input", "const", "sub", "exp", "sum", "reciprocal", "mul", "index"],
      ["const", "place", "mul", "mul", "sum", "mul", "mul", "neg", "reshape", "broadcast_to",
-      "add", "mul", "const", "mul", "sum"]),
+      "add", "mul"]),
     ("logsumexp", lambda x: ad.logsumexp(x),
      ["input", "const", "sub", "exp", "sum", "log", "const", "add"],
-     ["const", "reciprocal", "mul", "reshape", "broadcast_to", "mul", "const", "mul", "sum"]),
+     ["const", "reciprocal", "mul", "reshape", "broadcast_to", "mul"]),
 ]
 
 
@@ -627,7 +652,7 @@ def test_every_op_records_the_same_nodes(name, graph, forward_ops, first_hvp_ops
     ad.hvp(tape, "out", "x", [1.0, -1.0])
     assert ops() == forward_ops + first_hvp_ops
     ad.hvp(tape, "out", "x", [0.5, 2.0])
-    assert ops() == forward_ops + first_hvp_ops + ["const", "mul", "sum"]
+    assert ops() == forward_ops + first_hvp_ops
     # a backward reads `needs` for one parent or two
     assert all(len(node.parents) <= 2 for node in tape.nodes)
 
@@ -646,9 +671,9 @@ def test_pruned_backward_builds_no_adjoint_for_constants():
     _, tape = ad.forward(lambda x: ad.sum(ad.matmul(w, x)), {"x": [0.5, -1.0, 2.0]})
     before = len(tape.nodes)
     ad.hvp(tape, "out", "x", np.ones(3))
-    # the first-order graph hvp keeps on the tape, then <g, v>
-    assert tape.nodes[-4] is tape.grads[(tape.outputs["out"], tape.inputs["x"])]
-    ops = [node.op for node in tape.nodes[before:-3]]
+    # the first-order graph hvp keeps on the tape, and nothing after it
+    assert tape.nodes[-1] is tape.grads[(tape.outputs["out"], tape.inputs["x"])]
+    ops = [node.op for node in tape.nodes[before:]]
     # sum's backward (a reshape, a broadcast) and matmul's transpose for x;
     # no product building w's adjoint
     assert "mul" not in ops

@@ -955,6 +955,18 @@ def test_utility_must_return_real_numbers(utility, dtype):
     assert str(caught.value) == f"the utility must return real numbers, got dtype {dtype}"
 
 
+@pytest.mark.parametrize("utility, kind", [
+    (None, "NoneType"), ("masks @ w", "str"), (np.arange(8.0), "ndarray"),
+], ids=["none", "str", "table"])
+def test_utility_must_be_callable(utility, kind):
+    # these once ended in "TypeError: ... is not callable" scoring the ends;
+    # a table goes through from_table
+    with pytest.raises(Exception) as caught:
+        game.CooperativeGame(3, utility)
+    assert caught.type is ValueError, caught.value
+    assert str(caught.value) == f"the utility must be callable, got {kind}"
+
+
 def test_integer_bool_and_float32_utilities_keep_their_values():
     masks = (np.arange(8)[:, None] & (1 << np.arange(3))) != 0  # table order
     for utility in (lambda m: m.sum(axis=1), lambda m: m.sum(axis=1).astype(np.uint8),
